@@ -25,7 +25,6 @@ from .tradeoff import (
     AsymptoticSetup,
     OperatingPoint,
     RangeError,
-    Rational,
     SplitSpec,
     SystemParams,
     asymptotic_fraction,

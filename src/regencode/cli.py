@@ -24,12 +24,9 @@ from .tradeoff import (
     AsymptoticSetup,
     functional_capacity,
     gamma_msr,
-    max_split_count,
     p1_index_of_gamma,
     perf_p1_interpolated,
-    perf_p2,
-    perf_p3,
-    perf_p4,
+    points_at,
     rounded_index,
     timeshare_bound,
 )
@@ -101,27 +98,11 @@ def curve_rows(p: SystemParams, alpha: Fraction, samples: int) -> list[dict]:
         raise RangeError("samples must be >= 2")
     g_lo, g_hi = alpha, gamma_msr(p, alpha)
     gammas = {g_lo + Fraction(t, samples - 1) * (g_hi - g_lo) for t in range(samples)}
-
-    p2_points: dict[Fraction, Fraction] = {}
-    for l in range(1, max_split_count(p) + 1):
-        pt = perf_p2(p, alpha, l)
-        best = p2_points.get(pt.gamma)
-        if best is None or pt.file_size > best:
-            p2_points[pt.gamma] = pt.file_size
-    p3_points: dict[Fraction, Fraction] = {}
-    for l in range(1, (p.k - 1) // 2 + 1):
-        pt = perf_p3(p, alpha, l)
-        best = p3_points.get(pt.gamma)
-        if best is None or pt.file_size > best:
-            p3_points[pt.gamma] = pt.file_size
-    p4_points: dict[Fraction, Fraction] = {}
-    if p.d <= p.n - 2:
-        pt = perf_p4(SystemParams(p.n - 1, p.k, p.d), alpha)
-        p4_points[pt.gamma] = pt.file_size
-
-    gammas.update(p2_points)
-    gammas.update(p3_points)
-    gammas.update(p4_points)
+    sizes = {
+        name: {g: size for g, (size, _) in curve.items()}
+        for name, curve in points_at(p, alpha).items()
+    }
+    gammas.update(*sizes.values())
     rows = []
     for g in sorted(gammas):
         x = p1_index_of_gamma(p, alpha, g)
@@ -131,9 +112,9 @@ def curve_rows(p: SystemParams, alpha: Fraction, samples: int) -> list[dict]:
                 "capacity": functional_capacity(p, alpha, g),
                 "p1": perf_p1_interpolated(p, alpha, x),
                 "p1_realizable": x.denominator == 1,
-                "p2": p2_points.get(g),
-                "p3": p3_points.get(g),
-                "p4": p4_points.get(g),
+                "p2": sizes["p2"].get(g),
+                "p3": sizes["p3"].get(g),
+                "p4": sizes["p4"].get(g),
                 "timeshare": timeshare_bound(p, alpha, g),
             }
         )
@@ -269,7 +250,7 @@ def parse_recipe(text: str, budget: int | None = None) -> LinearDss:
                 pos += 1
                 parts.append(parse())
             expect(")")
-            return constructions.concat(parts)
+            return constructions.concat(parts, budget=budget)
         raise RecipeError(f"unknown construction {name!r}")
 
     dss = parse()
@@ -344,24 +325,9 @@ def _cmd_compare(args) -> int:
     else:
         line("timeshare", None)
         line("p1", None)
-    p2 = p3 = None
-    p2_l = p3_l = None
-    for l in range(1, max_split_count(p) + 1):
-        pt = perf_p2(p, alpha, l)
-        if pt.gamma == gamma and (p2 is None or pt.file_size > p2):
-            p2, p2_l = pt.file_size, l
-    for l in range(1, (p.k - 1) // 2 + 1):
-        pt = perf_p3(p, alpha, l)
-        if pt.gamma == gamma and (p3 is None or pt.file_size > p3):
-            p3, p3_l = pt.file_size, l
-    line("p2", p2, note="" if p2_l is None else f"l={p2_l}")
-    line("p3", p3, note="" if p3_l is None else f"l={p3_l}")
-    p4 = None
-    if p.d <= p.n - 2:
-        pt = perf_p4(SystemParams(p.n - 1, p.k, p.d), alpha)
-        if pt.gamma == gamma:
-            p4 = pt.file_size
-    line("p4", p4)
+    for name, curve in points_at(p, alpha).items():
+        size, l = curve.get(gamma, (None, None))
+        line(name, size, note="" if l is None else f"l={l}")
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK
 
@@ -389,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("recipe", help="e.g. blowup_full(base(3,2))")
     sp.add_argument("--out", default="-")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--strict-basis", action="store_true")
+    sp.add_argument(
+        "--budget", type=int, default=None, help="most generator entries n*alpha*B to build"
+    )
+    sp.add_argument("--strict-basis", action="store_true", help="unit-vector repair probes")
     sp.set_defaults(fn=_cmd_construct)
 
     sp = sub.add_parser("asymptotic", help="emit the convergence table as CSV")

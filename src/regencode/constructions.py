@@ -26,7 +26,9 @@ from .dss import (
 from .gf import FieldMatrix
 from .tradeoff import RangeError, SystemParams
 
-DEFAULT_BUDGET = 10**7  # total stored symbols a composite may reach
+# dense generator entries (n * alpha * B) a composite may hold; admits
+# iterate(base(3,2),2) at 49,766,400 entries
+DEFAULT_BUDGET = 5 * 10**7
 BLOWUP_FULL_MAX_BASE_N = 5  # (n+1)! copies beyond this is no longer desk scale
 
 # Augmented-system node descriptors
@@ -52,11 +54,17 @@ class CompositionMeta:
         }
 
 
-def _check_budget(total_symbols: int, budget: int | None):
+def _check_budget(n: int, alpha: int, file_len: int, budget: int | None):
+    """Refuse a code whose generators would hold more than `budget` entries.
+
+    Called with the composite's dimensions before any generator row exists.
+    """
     limit = DEFAULT_BUDGET if budget is None else budget
-    if total_symbols > limit:
+    entries = n * alpha * file_len
+    if entries > limit:
         raise ResourceError(
-            f"construction stores {total_symbols} symbols, over the budget {limit}"
+            f"construction holds {entries} generator entries "
+            f"(n={n} x alpha={alpha} x B={file_len}), over the budget {limit}"
         )
 
 
@@ -196,9 +204,9 @@ def _compose(base, aug_nodes, sigmas, params2, gamma2, variant, label, layout, b
     if len(alphas) != 1:
         raise AssertionError("composition produced non-uniform node sizes")
     alpha2 = alphas.pop()
-    _check_budget(alpha2 * npos, budget)
-
     file_len = copies * B_b
+    _check_budget(npos, alpha2, file_len, budget)
+
     gens = []
     for pos in range(npos):
         rows = []
@@ -310,9 +318,18 @@ def blowup_full(base: LinearDss, budget: int | None = None) -> LinearDss:
 
 
 def iterate(base: LinearDss, j: int, budget: int | None = None) -> LinearDss:
-    """j-fold blowup_full; parameters shift to (n+j, k+j, d+j)."""
+    """j-fold blowup_full; parameters shift to (n+j, k+j, d+j).
+
+    Every level is checked against the budget before the first is built.
+    """
     if j < 1:
         raise RangeError(f"iteration count must be >= 1, got {j}")
+    n, alpha, file_len = base.params.n, base.alpha_symbols, base.file_len
+    for _ in range(j):
+        # blowup_full maps (n, alpha, B) to (n+1, n*n!*alpha, (n+1)!*B)
+        alpha, file_len = n * math.factorial(n) * alpha, math.factorial(n + 1) * file_len
+        n += 1
+        _check_budget(n, alpha, file_len, budget)
     out = base
     for _ in range(j):
         out = blowup_full(out, budget=budget)
@@ -420,7 +437,7 @@ class _ConcatRule(RepairRule):
         return rebuilt, BandwidthReport(counts)
 
 
-def concat(parts: list[LinearDss]) -> LinearDss:
+def concat(parts: list[LinearDss], budget: int | None = None) -> LinearDss:
     """Place systems with equal (epsilon, delta, alpha) side by side.
 
     The result has parameters (sum n_j, sum n_j - epsilon, sum n_j - delta)
@@ -447,6 +464,7 @@ def concat(parts: list[LinearDss]) -> LinearDss:
     params2 = SystemParams(n, n - epsilon, n - delta)
     field = fields.pop()
     file_len = sum(p.file_len for p in parts)
+    _check_budget(n, alphas.pop(), file_len, budget)
 
     node_offsets, col_offsets = [], []
     acc_n = acc_b = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 
-from .gf import GF2, GF256, FieldMatrix, FieldSpec, SingularMatrixError, mat_inv
+from .gf import GF2, GF256, FieldMatrix, FieldSpec, SingularMatrixError, mat_inv, mat_solve
 from .tradeoff import SystemParams
 
 
@@ -166,8 +166,6 @@ def _check_indices(dss: LinearDss, indices: tuple[int, ...]):
 
 
 def _solve(stack: FieldMatrix, rhs: list[int]) -> list[int]:
-    from .gf import mat_solve
-
     b = FieldMatrix.column(stack.field, rhs)
     return mat_solve(stack, b).col_vector()
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 
-Rational = Fraction
-
 
 class RangeError(ValueError):
     """Argument outside the domain an operation is defined on."""
@@ -201,13 +199,11 @@ def perf_p1_interpolated(p: SystemParams, alpha, x) -> Fraction:
     return b_lo + (x - lo) * (b_hi - b_lo)
 
 
-def gamma_of_p1_index(p: SystemParams, alpha, x) -> Fraction:
-    """Bandwidth corresponding to interpolation parameter x on the P1 curve."""
-    return (p.d - p.k + as_rational(x)) * as_rational(alpha) / (p.d - p.k + 1)
-
-
 def p1_index_of_gamma(p: SystemParams, alpha, gamma) -> Fraction:
-    """Inverse of gamma_of_p1_index."""
+    """Interpolation index x of bandwidth gamma on the P1 curve.
+
+    Inverts gamma = (d-k+x)*alpha/(d-k+1), the bandwidth of perf_p1 at i = x.
+    """
     return as_rational(gamma) * (p.d - p.k + 1) / as_rational(alpha) - (p.d - p.k)
 
 
@@ -284,6 +280,26 @@ def perf_p4_raw(base: SystemParams, alpha) -> OperatingPoint:
         (n - d) * gamma_base + (d + k) * alpha,
         Fraction((n + 1) * k) * alpha,
     )
+
+
+def points_at(p: SystemParams, alpha) -> dict[str, dict]:
+    """The best P2, P3 and P4 point per bandwidth at node size alpha.
+
+    Maps "p2", "p3" and "p4" to {gamma: (file_size, l)}. Where several split
+    or copy counts l reach one gamma, the largest file size wins and ties keep
+    the first l. P4 lives at (n-1, k, d), so it needs d <= n-2; its l is None.
+    """
+    alpha = as_rational(alpha)
+    candidates = [("p2", l, perf_p2(p, alpha, l)) for l in range(1, max_split_count(p) + 1)]
+    candidates += [("p3", l, perf_p3(p, alpha, l)) for l in range(1, (p.k - 1) // 2 + 1)]
+    if p.d <= p.n - 2:
+        candidates.append(("p4", None, perf_p4(SystemParams(p.n - 1, p.k, p.d), alpha)))
+    best = {"p2": {}, "p3": {}, "p4": {}}
+    for name, l, pt in candidates:
+        held = best[name].get(pt.gamma)
+        if held is None or pt.file_size > held[0]:
+            best[name][pt.gamma] = (pt.file_size, l)
+    return best
 
 
 def closecase_fraction(n: int, i: int) -> Fraction:

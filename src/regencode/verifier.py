@@ -3,7 +3,9 @@
 Checks the properties a LinearDss promises: every k-subset reconstructs,
 every (failed, helpers) pair repairs exactly, bandwidth totals match the
 declared gamma, per-helper symmetry, and agreement of the measured
-(alpha, gamma, B) with a predicted operating point.
+(alpha, gamma, B) with a predicted operating point. The code is linear, so
+reconstruction is proved by rank: a k-subset rebuilds the file iff its
+stacked generators have column rank B.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 from math import comb
 
 from .dss import CodeInvariantError, LinearDss, ResourceError, encode, repair
-from .dss import reconstruct as _reconstruct
+from .gf import FieldMatrix, mat_rank
 from .tradeoff import OperatingPoint
 
 EXHAUSTIVE_LIMIT = 10**5
@@ -38,10 +40,18 @@ class VerificationReport:
     symmetry_max_deviation: int = 0
     predicted: OperatingPoint | None = None
     match: bool | None = None
+    # declared bandwidth that ok holds the measured gamma to; not in the JSON form
+    gamma_declared: int | None = None
 
     @property
     def ok(self) -> bool:
         passed = self.reconstruction_ok and self.repair_ok and self.alpha_uniform
+        if self.measured is not None and self.gamma_declared is not None:
+            if self.mode.get("kind") == "sampled":
+                # a sample sees only some repairs, so it bounds gamma from below
+                passed = passed and self.measured.gamma <= self.gamma_declared
+            else:
+                passed = passed and self.measured.gamma == self.gamma_declared
         if self.match is not None:
             passed = passed and self.match
         return passed
@@ -89,11 +99,11 @@ class VerificationReport:
 
 
 def probe_messages(dss: LinearDss, seed: int = 0, strict_basis: bool = False):
-    """Zero message plus two seeded-random messages.
+    """Zero message plus two seeded-random messages, from which every repair runs.
 
-    For a linear code a corrupted map is caught by random probes with
-    overwhelming probability; strict_basis additionally probes every unit
-    vector, which determines the map completely.
+    Repair is linear in the stored content, so random probes catch a wrong
+    repair with overwhelming probability; strict_basis adds every unit
+    vector, which determines the repair map completely.
     """
     rnd = random.Random(seed)
     order = dss.field.order
@@ -108,71 +118,88 @@ def probe_messages(dss: LinearDss, seed: int = 0, strict_basis: bool = False):
     return msgs
 
 
-def _subset_plan(n, k, mode, seed, trials):
-    total = comb(n, k)
+def _plan(dss: LinearDss, mode: str, seed: int, trials: int):
+    """One exhaustive-or-sampled decision for the k-subsets and the repair pairs.
+
+    The decision rests on the total check count, so the mode holds for both
+    sweeps. Returns (mode_info, counts, subsets, pairs), where counts maps
+    "reconstruction" and "repair" to the number of subsets and pairs. Each
+    sampled sweep draws from its own Random(seed).
+    """
+    n, k, d = dss.params.n, dss.params.k, dss.params.d
+    counts = {"reconstruction": comb(n, k), "repair": n * comb(n - 1, d)}
+    total = sum(counts.values())
     if mode == "exhaustive" or (mode == "auto" and total <= EXHAUSTIVE_LIMIT):
         if total > EXHAUSTIVE_LIMIT:
             raise ResourceError(
-                f"{total} subsets exceed the exhaustive ceiling {EXHAUSTIVE_LIMIT}"
+                f"{total} checks exceed the exhaustive ceiling {EXHAUSTIVE_LIMIT}"
             )
-        return {"kind": "exhaustive"}, list(combinations(range(n), k))
+        subsets = combinations(range(n), k)
+        pairs = (
+            (f, helpers)
+            for f in range(n)
+            for helpers in combinations([i for i in range(n) if i != f], d)
+        )
+        return {"kind": "exhaustive"}, counts, subsets, pairs
     if mode not in ("auto", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     rnd = random.Random(seed)
     subsets = [tuple(sorted(rnd.sample(range(n), k))) for _ in range(trials)]
-    return {"kind": "sampled", "seed": seed, "trials": trials}, subsets
-
-
-def _repair_plan(n, d, mode, seed, trials):
-    total = n * comb(n - 1, d)
-    if mode == "exhaustive" or (mode == "auto" and total <= EXHAUSTIVE_LIMIT):
-        if total > EXHAUSTIVE_LIMIT:
-            raise ResourceError(
-                f"{total} repair pairs exceed the exhaustive ceiling {EXHAUSTIVE_LIMIT}"
-            )
-        pairs = [
-            (f, helpers)
-            for f in range(n)
-            for helpers in combinations([i for i in range(n) if i != f], d)
-        ]
-        return {"kind": "exhaustive"}, pairs
-    if mode not in ("auto", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     rnd = random.Random(seed)
     pairs = []
     for _ in range(trials):
         f = rnd.randrange(n)
         helpers = tuple(sorted(rnd.sample([i for i in range(n) if i != f], d)))
         pairs.append((f, helpers))
-    return {"kind": "sampled", "seed": seed, "trials": trials}, pairs
+    counts = {"reconstruction": trials, "repair": trials}
+    return {"kind": "sampled", "seed": seed, "trials": trials}, counts, subsets, pairs
+
+
+def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets):
+    """Record the first k-subset whose stacked generators lack column rank B."""
+    for subset in subsets:
+        stack = [row for i in subset for row in dss.node_gens[i].data]
+        if mat_rank(FieldMatrix(dss.field, stack)) != dss.file_len:
+            report.reconstruction_ok = False
+            report.reconstruction_counterexample = subset
+            return
+
+
+def _check_repair(dss: LinearDss, report: VerificationReport, pairs, seed, strict_basis):
+    """Repair each pair from every probe's content; return the bandwidth list.
+
+    Stops at the first pair that rebuilds wrong content and records it. The
+    bandwidth reports are checked to be identical across probe messages, so
+    one ((failed, helpers), report) entry per repaired pair describes them all.
+    """
+    contents = [encode(dss, m) for m in probe_messages(dss, seed, strict_basis)]
+    bandwidth = []
+    for failed, helpers in pairs:
+        reports_here = []
+        for content in contents:
+            rebuilt, bw = repair(dss, failed, helpers, content)
+            if rebuilt != content[failed]:
+                report.repair_ok = False
+                report.repair_counterexample = (failed, helpers)
+                return bandwidth
+            reports_here.append(bw)
+        if any(r.per_helper != reports_here[0].per_helper for r in reports_here[1:]):
+            raise CodeInvariantError(
+                f"bandwidth depends on the stored data at {(failed, helpers)}"
+            )
+        bandwidth.append(((failed, helpers), reports_here[0]))
+    return bandwidth
 
 
 def verify_reconstruction(
-    dss: LinearDss,
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int = 200,
-    strict_basis: bool = False,
+    dss: LinearDss, mode: str = "auto", seed: int = 0, trials: int = 200
 ) -> VerificationReport:
-    """Decode every (or a sampled set of) k-subsets against the probe messages."""
-    n, k = dss.params.n, dss.params.k
-    mode_info, subsets = _subset_plan(n, k, mode, seed, trials)
-    report = VerificationReport(label=dss.label, mode=mode_info)
-    messages = probe_messages(dss, seed, strict_basis)
-    contents = [encode(dss, m) for m in messages]
-    for subset in subsets:
-        for msg, content in zip(messages, contents):
-            try:
-                decoded = _reconstruct(dss, subset, content)
-            except CodeInvariantError:
-                decoded = None
-            if decoded != msg:
-                report.reconstruction_ok = False
-                report.reconstruction_counterexample = subset
-                break
-        if not report.reconstruction_ok:
-            break
-    report.checks_run = {"reconstruction": len(subsets)}
+    """Prove by rank that every (or a sampled set of) k-subsets reconstructs."""
+    mode_info, counts, subsets, _ = _plan(dss, mode, seed, trials)
+    report = VerificationReport(
+        dss.label, mode_info, checks_run={"reconstruction": counts["reconstruction"]}
+    )
+    _check_reconstruction(dss, report, subsets)
     return report
 
 
@@ -183,44 +210,21 @@ def verify_exact_repair(
     trials: int = 200,
     strict_basis: bool = False,
 ):
-    """Repair every (failed, helpers) pair and compare to the original content.
+    """Repair every (or a sampled set of) (failed, helpers) pairs exactly.
 
-    Returns (report, bandwidth_reports); the bandwidth reports are checked
-    to be identical across probe messages, so one list describes them all.
+    Returns (report, bandwidth), the list of ((failed, helpers), report)
+    entries of the pairs repaired.
     """
-    n, d = dss.params.n, dss.params.d
-    mode_info, pairs = _repair_plan(n, d, mode, seed, trials)
-    report = VerificationReport(label=dss.label, mode=mode_info)
-    messages = probe_messages(dss, seed, strict_basis)
-    contents = [encode(dss, m) for m in messages]
-    bandwidth = []
-    for failed, helpers in pairs:
-        reports_here = []
-        for content in contents:
-            rebuilt, bw = repair(dss, failed, helpers, content)
-            reports_here.append(bw)
-            if rebuilt != content[failed]:
-                report.repair_ok = False
-                report.repair_counterexample = (failed, helpers)
-                break
-        if not report.repair_ok:
-            break
-        if any(r.per_helper != reports_here[0].per_helper for r in reports_here[1:]):
-            raise CodeInvariantError(
-                f"bandwidth depends on the stored data at {(failed, helpers)}"
-            )
-        bandwidth.append(((failed, helpers), reports_here[0]))
-    report.checks_run = {"repair": len(pairs)}
-    return report, bandwidth
+    mode_info, counts, _, pairs = _plan(dss, mode, seed, trials)
+    report = VerificationReport(dss.label, mode_info, checks_run={"repair": counts["repair"]})
+    return report, _check_repair(dss, report, pairs, seed, strict_basis)
 
 
 def check_symmetric_repair(dss: LinearDss, bandwidth=None, mode="auto", seed=0, trials=200):
     """True iff every helper transfers the same amount in every repair."""
     if bandwidth is None:
         _, bandwidth = verify_exact_repair(dss, mode, seed, trials)
-    max_dev = 0
-    for _, bw in bandwidth:
-        max_dev = max(max_dev, bw.max_deviation())
+    max_dev = max((bw.max_deviation() for _, bw in bandwidth), default=0)
     return max_dev == 0, max_dev
 
 
@@ -234,48 +238,37 @@ def measure_and_compare(
 ) -> VerificationReport:
     """Full verification: reconstruction, exact repair, symmetry, measurement.
 
-    The measured point is in symbol units: alpha from actual node contents,
-    gamma from the largest repair total, B = file_len. Matching against the
-    prediction is exact rational equality of the alpha-normalized ratios.
+    One plan drives both sweeps, which fill one report. The measured point
+    is in symbol units: alpha from the node content lengths, gamma from the
+    largest repair total, B = file_len. Matching against the prediction is
+    exact rational equality of the alpha-normalized ratios.
     """
-    rec = verify_reconstruction(dss, mode, seed, trials, strict_basis)
-    rep, bandwidth = verify_exact_repair(dss, mode, seed, trials, strict_basis)
+    mode_info, counts, subsets, pairs = _plan(dss, mode, seed, trials)
+    report = VerificationReport(
+        dss.label,
+        mode_info,
+        checks_run={**counts, "total": sum(counts.values())},
+        predicted=predicted,
+        gamma_declared=dss.gamma_symbols,
+    )
+    _check_reconstruction(dss, report, subsets)
+    bandwidth = _check_repair(dss, report, pairs, seed, strict_basis)
 
-    lengths = {len(c) for c in encode(dss, [0] * dss.file_len)}
-    alpha_uniform = len(lengths) == 1
-    alpha = max(lengths)
+    lengths = {g.rows for g in dss.node_gens}
+    report.alpha_uniform = len(lengths) == 1
     totals = [bw.total for _, bw in bandwidth]
-    gamma = max(totals) if totals else dss.gamma_symbols
-    gamma_constant = not totals or min(totals) == max(totals)
-    symmetric, max_dev = check_symmetric_repair(dss, bandwidth)
-    measured = OperatingPoint(Fraction(alpha), Fraction(gamma), Fraction(dss.file_len))
-
-    match = None
+    report.gamma_constant = not totals or min(totals) == max(totals)
+    report.symmetric, report.symmetry_max_deviation = check_symmetric_repair(dss, bandwidth)
+    measured = OperatingPoint(
+        Fraction(max(lengths)),
+        Fraction(max(totals, default=dss.gamma_symbols)),
+        Fraction(dss.file_len),
+    )
+    report.measured = measured
     if predicted is not None:
-        match = (
+        report.match = (
             measured.gamma / measured.alpha == predicted.gamma / predicted.alpha
             and measured.file_size / measured.alpha
             == predicted.file_size / predicted.alpha
         )
-
-    checks = {
-        "reconstruction": rec.checks_run["reconstruction"],
-        "repair": rep.checks_run["repair"],
-    }
-    checks["total"] = sum(checks.values())
-    return VerificationReport(
-        label=dss.label,
-        mode=rec.mode,
-        reconstruction_ok=rec.reconstruction_ok,
-        reconstruction_counterexample=rec.reconstruction_counterexample,
-        repair_ok=rep.repair_ok,
-        repair_counterexample=rep.repair_counterexample,
-        checks_run=checks,
-        measured=measured,
-        alpha_uniform=alpha_uniform,
-        gamma_constant=gamma_constant,
-        symmetric=symmetric,
-        symmetry_max_deviation=max_dev,
-        predicted=predicted,
-        match=match,
-    )
+    return report

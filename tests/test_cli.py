@@ -128,6 +128,17 @@ def test_cli_construct_budget_flag(tmp_path):
     assert code == EXIT_RESOURCE
 
 
+def test_cli_construct_budget_refuses_before_building(monkeypatch, capsys):
+    import regencode.constructions as constructions
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused recipe reached _compose")
+
+    monkeypatch.setattr(constructions, "_compose", never)
+    assert main(["construct", "iterate(base(3,2),3)"]) == EXIT_RESOURCE
+    assert "25798901760000 generator entries" in capsys.readouterr().err
+
+
 def test_cli_construct_verify_failure_exit_code(tmp_path, monkeypatch):
     import regencode.cli as cli
     from regencode.verifier import VerificationReport

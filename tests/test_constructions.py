@@ -132,6 +132,31 @@ def test_blowup_full_resource_guard():
         blowup_full(xor_base_322(), budget=10)
 
 
+class Built(Exception):
+    """Raised in place of building, once the budget has admitted a recipe."""
+
+
+@pytest.mark.parametrize(
+    "j, admitted", [(2, True), (3, False)]  # 49,766,400 and 2.6e13 entries
+)
+def test_iterate_budget_predicts_every_level(monkeypatch, j, admitted):
+    import regencode.constructions as constructions
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(constructions, "_compose", build)
+    with pytest.raises(Built if admitted else ResourceError):
+        iterate(rs_base(3, 2), j)
+
+
+def test_concat_checks_the_budget():
+    parts = [blowup_full(xor_base_322()) for _ in range(2)]  # 3,456 entries each
+    with pytest.raises(ResourceError, match="13824 generator entries"):
+        concat(parts, budget=5000)
+    assert concat(parts, budget=13824).params == SystemParams(8, 7, 7)
+
+
 def test_iterate_once_is_blowup_full():
     a = iterate(xor_base_322(), 1)
     b = blowup_full(xor_base_322())

@@ -25,6 +25,7 @@ from regencode.tradeoff import (
     perf_p3,
     perf_p4,
     perf_p4_raw,
+    points_at,
     rounded_index,
     split_params,
     timeshare_bound,
@@ -260,6 +261,17 @@ def test_perf_p4_raw_normalizes_to_perf_p4():
         norm = raw.normalized()
         pt = perf_p4(p, 1)
         assert (norm.gamma, norm.file_size) == (pt.gamma, pt.file_size)
+
+
+def test_points_at_keeps_the_best_l_per_gamma():
+    best = points_at(SystemParams(8, 7, 7), 1)
+    # splits l = 3 and l = 4 both repair with gamma = 1; l = 4 stores more
+    assert perf_p2(SystemParams(8, 7, 7), 1, 3).gamma == 1
+    assert best["p2"][1] == (4, 4)
+    assert best["p3"][3] == (5, 2)
+    assert best["p4"] == {}  # d = n - 1
+    pt = perf_p4(SystemParams(4, 2, 3), 1)
+    assert points_at(SystemParams(5, 2, 3), 1)["p4"] == {pt.gamma: (pt.file_size, None)}
 
 
 def test_homogeneous_in_alpha():

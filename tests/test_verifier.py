@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import regencode.verifier as verifier
 from regencode.constructions import blowup_full, blowup_simple, concat, filenode_blowup
 from regencode.dss import (
     LinearDss,
@@ -66,9 +67,14 @@ def test_verify_reconstruction_concat():
 
 
 def test_verify_reconstruction_corrupted_generator():
-    report = verify_reconstruction(corrupt_generator(rs_base(3, 2, GF256), 0))
-    assert not report.reconstruction_ok
-    assert report.reconstruction_counterexample == (0, 1)
+    cases = [
+        (rs_base(3, 2, GF256), (0, 1)),
+        (blowup_full(rs_base(3, 2, GF2)), (0, 1, 2)),  # a composite stack
+    ]
+    for dss, counterexample in cases:
+        report = verify_reconstruction(corrupt_generator(dss, 0))
+        assert not report.reconstruction_ok
+        assert report.reconstruction_counterexample == counterexample
 
 
 def test_verify_exact_repair_blowup_full():
@@ -161,6 +167,29 @@ def test_sampled_mode_and_resource_error():
     assert rep.repair_ok
     assert len(bandwidth) == 25
     assert all(bw.total == 5 for _, bw in bandwidth)
+
+
+def test_one_plan_decides_the_mode_for_both_sweeps(monkeypatch):
+    monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", 20)
+    report = measure_and_compare(rs_base(6, 2, GF256), trials=7)  # 15 subsets, 60 pairs
+    assert report.ok
+    assert report.mode["kind"] == "sampled"
+    assert report.checks_run == {"reconstruction": 7, "repair": 7, "total": 14}
+
+
+def test_ok_requires_the_declared_gamma():
+    base = rs_base(4, 2, GF256)
+    wrong = LinearDss(
+        base.params, base.field, base.file_len, base.node_gens,
+        base.repair_rule, base.label, gamma_symbols=1,
+    )
+    report = measure_and_compare(wrong)
+    assert report.measured.gamma == 2 and not report.ok
+    # a sample bounds gamma from below: this one draws a repair in the (3,2)
+    # part of a concat that declares the (4,3) part's gamma 3
+    mixed = concat([rs_base(4, 3, GF256), rs_base(3, 2, GF256)])
+    report = measure_and_compare(mixed, mode="sampled", seed=0, trials=1)
+    assert report.measured.gamma == 2 and report.ok
 
 
 def test_sampled_mode_deterministic():
