@@ -199,7 +199,9 @@ def parse_recipe(text: str, budget: int | None = None) -> LinearDss:
     """Build the LinearDss described by a recipe string.
 
     Grammar: base(n,k) | blowup_simple(R) | blowup_full(R) | iterate(R,j) |
-    concat(R,...) | copy_blowup(R,l) | filenode_blowup(R).
+    concat(R,...) | copy_blowup(R,l) | filenode_blowup(R). The whole recipe
+    is checked against the budget, by each construction's shape rule,
+    before any composite part is built.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -219,7 +221,8 @@ def parse_recipe(text: str, budget: int | None = None) -> LinearDss:
         pos += 1
         return value
 
-    def parse() -> LinearDss:
+    def parse():
+        """One construction: its constructions.Shape, and a function that builds it."""
         nonlocal pos
         if pos >= len(tokens) or not isinstance(tokens[pos], str):
             raise RecipeError("expected a construction name")
@@ -231,32 +234,32 @@ def parse_recipe(text: str, budget: int | None = None) -> LinearDss:
             expect(",")
             k = parse_int()
             expect(")")
-            return rs_base(n, k)
-        if name in ("blowup_simple", "blowup_full", "filenode_blowup"):
-            inner = parse()
+            base = rs_base(n, k)  # a code serves as its own Shape
+            return base, lambda: base
+        if name in ("blowup_simple", "blowup_full", "filenode_blowup", "iterate", "copy_blowup"):
+            inner, build = parse()
+            args = ()
+            if name in ("iterate", "copy_blowup"):
+                expect(",")
+                args = (parse_int(),)
             expect(")")
             fn = getattr(constructions, name)
-            return fn(inner, budget=budget)
-        if name in ("iterate", "copy_blowup"):
-            inner = parse()
-            expect(",")
-            arg = parse_int()
-            expect(")")
-            fn = getattr(constructions, name)
-            return fn(inner, arg, budget=budget)
+            predicted = constructions.Shape.predict(name, [inner], *args, budget=budget)
+            return predicted, lambda: fn(build(), *args, budget=budget)
         if name == "concat":
             parts = [parse()]
             while pos < len(tokens) and tokens[pos] == ",":
                 pos += 1
                 parts.append(parse())
             expect(")")
-            return constructions.concat(parts, budget=budget)
+            predicted = constructions.Shape.predict(name, [s for s, _ in parts], budget=budget)
+            return predicted, lambda: constructions.concat([b() for _, b in parts], budget=budget)
         raise RecipeError(f"unknown construction {name!r}")
 
-    dss = parse()
+    _, build = parse()
     if pos != len(tokens):
         raise RecipeError(f"trailing tokens after recipe: {tokens[pos:]!r}")
-    return dss
+    return build()
 
 
 def _write(path: str | None, text: str):
@@ -284,9 +287,7 @@ def _cmd_construct(args) -> int:
     predicted = OperatingPoint(
         Fraction(dss.alpha_symbols), Fraction(dss.gamma_symbols), Fraction(dss.file_len)
     )
-    report = measure_and_compare(
-        dss, predicted, seed=args.seed, strict_basis=args.strict_basis
-    )
+    report = measure_and_compare(dss, predicted, seed=args.seed)
     _write(args.out, report.to_json())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 
@@ -358,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--budget", type=int, default=None, help="most generator entries n*alpha*B to build"
     )
-    sp.add_argument("--strict-basis", action="store_true", help="unit-vector repair probes")
+    sp.add_argument(
+        "--strict-basis", action="store_true", help="no effect; accepted for one more release"
+    )
     sp.set_defaults(fn=_cmd_construct)
 
     sp = sub.add_parser("asymptotic", help="emit the convergence table as CSV")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .dss import (
     BandwidthReport,
@@ -20,6 +20,7 @@ from .dss import (
     LinearDss,
     RepairRule,
     ResourceError,
+    apply_generator,
     reconstruct,
     repair,
 )
@@ -38,34 +39,68 @@ _EMPTY = "empty"
 _FILE = "file"
 
 
-@dataclass(frozen=True)
-class CompositionMeta:
-    kind: str
-    copies: int
-    base_labels: tuple[str, ...]
-    copy_layout: dict = dataclass_field(default_factory=dict)
+class Shape(NamedTuple):
+    """A code's dimensions before it is built; a LinearDss has the same fields."""
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "copies": self.copies,
-            "base_labels": list(self.base_labels),
-            "copy_layout": self.copy_layout,
-        }
+    params: SystemParams
+    alpha_symbols: int
+    file_len: int
 
+    @classmethod
+    def predict(
+        cls, name: str, parts: list, arg: int | None = None, budget: int | None = None
+    ) -> "Shape":
+        """The Shape of construction `name` over parts (codes or Shapes), within budget.
 
-def _check_budget(n: int, alpha: int, file_len: int, budget: int | None):
-    """Refuse a code whose generators would hold more than `budget` entries.
-
-    Called with the composite's dimensions before any generator row exists.
-    """
-    limit = DEFAULT_BUDGET if budget is None else budget
-    entries = n * alpha * file_len
-    if entries > limit:
-        raise ResourceError(
-            f"construction holds {entries} generator entries "
-            f"(n={n} x alpha={alpha} x B={file_len}), over the budget {limit}"
-        )
+        The one shape rule of each construction, applied before it
+        materializes anything; parse_recipe applies it to a whole recipe
+        before building any part. `arg` is iterate's j or copy_blowup's l.
+        The budget bounds the dense generator entries n * alpha * B.
+        """
+        p, alpha, file_len = parts[0].params, parts[0].alpha_symbols, parts[0].file_len
+        n, fact = p.n, math.factorial
+        if name == "blowup_simple":
+            out = cls(p.shifted(1), n * alpha, (n + 1) * file_len)
+        elif name == "blowup_full":
+            if n > BLOWUP_FULL_MAX_BASE_N:
+                raise ResourceError(
+                    f"blowup_full needs ({n}+1)! copies; base n is capped at "
+                    f"{BLOWUP_FULL_MAX_BASE_N}"
+                )
+            out = cls(p.shifted(1), n * fact(n) * alpha, fact(n + 1) * file_len)
+        elif name == "iterate":
+            if arg < 1:
+                raise RangeError(f"iteration count must be >= 1, got {arg}")
+            out = parts[0]
+            for _ in range(arg):
+                out = cls.predict("blowup_full", [out], budget=budget)
+        elif name == "copy_blowup":
+            if not 1 <= arg <= p.k - 1:
+                raise RangeError(f"copy count l must lie in [1, {p.k - 1}], got {arg}")
+            out = cls(p.shifted(arg), fact(n + arg) * alpha, fact(n + arg) * file_len)
+        elif name == "filenode_blowup":
+            params = SystemParams(n + 1, p.k, p.d)
+            out = cls(params, fact(n) * (n * alpha + file_len), fact(n + 1) * file_len)
+        elif name == "concat":
+            if len({(q.params.epsilon, q.params.delta) for q in parts}) != 1:
+                raise InputError("parts must share epsilon = n-k and delta = n-d")
+            if len({q.alpha_symbols for q in parts}) != 1:
+                raise InputError("parts must share the node size alpha")
+            if len(parts) == 1:
+                return cls(p, alpha, file_len)
+            n = sum(q.params.n for q in parts)
+            params = SystemParams(n, n - p.epsilon, n - p.delta)
+            out = cls(params, alpha, sum(q.file_len for q in parts))
+        else:
+            raise ValueError(f"unknown construction {name!r}")
+        limit = DEFAULT_BUDGET if budget is None else budget
+        entries = out.params.n * out.alpha_symbols * out.file_len
+        if entries > limit:
+            raise ResourceError(
+                f"construction holds {entries} generator entries (n={out.params.n} x "
+                f"alpha={out.alpha_symbols} x B={out.file_len}), over the budget {limit}"
+            )
+        return out
 
 
 class _PermutedCopiesRule(RepairRule):
@@ -141,7 +176,7 @@ class _PermutedCopiesRule(RepairRule):
                 # a file node computes the lost content and sends it
                 q = sigma[self.file_aug]
                 file_content = self._extract(contents, c, q, B_b)
-                out.extend(base.node_gens[u].mul_vec(file_content))
+                out.extend(apply_generator(base.node_gens[u], file_content))
                 counts[q] += alpha_b
                 continue
 
@@ -176,12 +211,15 @@ class _PermutedCopiesRule(RepairRule):
         return out, BandwidthReport(counts)
 
 
-def _compose(base, aug_nodes, sigmas, params2, gamma2, variant, label, layout, budget):
-    """Assemble the composite LinearDss shared by every blowup variant."""
+def _compose(base, aug_nodes, sigmas, shape2, gamma2, variant, label, layout):
+    """Assemble the composite LinearDss shared by every blowup variant.
+
+    shape2 is the composite's Shape, already admitted by the budget.
+    """
     field = base.field
     B_b = base.file_len
     copies = len(sigmas)
-    npos = params2.n
+    npos = shape2.params.n
     lengths = {
         _BASE: base.alpha_symbols,
         _DUP: base.alpha_symbols,
@@ -200,12 +238,9 @@ def _compose(base, aug_nodes, sigmas, params2, gamma2, variant, label, layout, b
         offsets.append(tuple(running))
         for pos in range(npos):
             running[pos] += lengths[aug_nodes[aug_at[c][pos]][0]]
-    alphas = set(running)
-    if len(alphas) != 1:
-        raise AssertionError("composition produced non-uniform node sizes")
-    alpha2 = alphas.pop()
-    file_len = copies * B_b
-    _check_budget(npos, alpha2, file_len, budget)
+    if set(running) != {shape2.alpha_symbols} or copies * B_b != shape2.file_len:
+        raise AssertionError("composition disagrees with its shape rule")
+    file_len = shape2.file_len
 
     gens = []
     for pos in range(npos):
@@ -237,21 +272,16 @@ def _compose(base, aug_nodes, sigmas, params2, gamma2, variant, label, layout, b
     rule = _PermutedCopiesRule(
         variant, base, aug_nodes, sigmas, aug_at, offsets, twin, file_aug
     )
-    meta = CompositionMeta(
-        kind=variant,
-        copies=copies,
-        base_labels=(base.label,),
-        copy_layout=layout,
-    )
+    meta = {"kind": variant, "copies": copies, "base_labels": [base.label], "copy_layout": layout}
     return LinearDss(
-        params=params2,
+        params=shape2.params,
         field=field,
         file_len=file_len,
         node_gens=gens,
         repair_rule=rule,
         label=label,
         gamma_symbols=gamma2,
-        meta=meta.as_dict(),
+        meta=meta,
     )
 
 
@@ -262,6 +292,7 @@ def blowup_simple(base: LinearDss, budget: int | None = None) -> LinearDss:
     n*gamma and B' = (n+1)*B; repair stays exact but is not symmetric in
     general.
     """
+    shape2 = Shape.predict("blowup_simple", [base], budget=budget)
     n = base.params.n
     aug_nodes = tuple([(_BASE, u) for u in range(n)] + [(_EMPTY,)])
     sigmas = []
@@ -269,18 +300,16 @@ def blowup_simple(base: LinearDss, budget: int | None = None) -> LinearDss:
         # copy j parks the empty node at position j
         sigma = [u if u < j else u + 1 for u in range(n)] + [j]
         sigmas.append(tuple(sigma))
-    params2 = SystemParams(n + 1, base.params.k + 1, base.params.d + 1)
     layout = {"empty_positions": [int(s[n]) for s in sigmas]}
     return _compose(
         base,
         aug_nodes,
         sigmas,
-        params2,
+        shape2,
         n * base.gamma_symbols,
         "blowup_simple",
         f"blowup_simple({base.label})",
         layout,
-        budget,
     )
 
 
@@ -290,15 +319,10 @@ def blowup_full(base: LinearDss, budget: int | None = None) -> LinearDss:
     Same normalized performance as blowup_simple but with exactly equal
     per-helper transfers in every repair (symmetric repair).
     """
+    shape2 = Shape.predict("blowup_full", [base], budget=budget)
     n = base.params.n
-    if n > BLOWUP_FULL_MAX_BASE_N:
-        raise ResourceError(
-            f"blowup_full needs ({n}+1)! copies; base n is capped at "
-            f"{BLOWUP_FULL_MAX_BASE_N}"
-        )
     aug_nodes = tuple([(_BASE, u) for u in range(n)] + [(_EMPTY,)])
     sigmas = [tuple(p) for p in itertools.permutations(range(n + 1))]
-    params2 = SystemParams(n + 1, base.params.k + 1, base.params.d + 1)
     gamma2 = n * math.factorial(n) * base.gamma_symbols
     layout = {
         "permutations": [list(s) for s in sigmas],
@@ -308,12 +332,11 @@ def blowup_full(base: LinearDss, budget: int | None = None) -> LinearDss:
         base,
         aug_nodes,
         sigmas,
-        params2,
+        shape2,
         gamma2,
         "blowup_full",
         f"blowup_full({base.label})",
         layout,
-        budget,
     )
 
 
@@ -322,14 +345,7 @@ def iterate(base: LinearDss, j: int, budget: int | None = None) -> LinearDss:
 
     Every level is checked against the budget before the first is built.
     """
-    if j < 1:
-        raise RangeError(f"iteration count must be >= 1, got {j}")
-    n, alpha, file_len = base.params.n, base.alpha_symbols, base.file_len
-    for _ in range(j):
-        # blowup_full maps (n, alpha, B) to (n+1, n*n!*alpha, (n+1)!*B)
-        alpha, file_len = n * math.factorial(n) * alpha, math.factorial(n + 1) * file_len
-        n += 1
-        _check_budget(n, alpha, file_len, budget)
+    Shape.predict("iterate", [base], j, budget)
     out = base
     for _ in range(j):
         out = blowup_full(out, budget=budget)
@@ -343,12 +359,10 @@ def copy_blowup(base: LinearDss, l: int, budget: int | None = None) -> LinearDss
     sits among the helpers it alone transfers alpha symbols, which is what
     pulls the bandwidth below a plain parameter shift.
     """
-    n, k, d = base.params.n, base.params.k, base.params.d
-    if not 1 <= l <= k - 1:
-        raise RangeError(f"copy count l must lie in [1, {k - 1}], got {l}")
+    shape2 = Shape.predict("copy_blowup", [base], l, budget)
+    n, d = base.params.n, base.params.d
     aug_nodes = tuple([(_BASE, u) for u in range(n)] + [(_DUP, j) for j in range(l)])
     sigmas = [tuple(p) for p in itertools.permutations(range(n + l))]
-    params2 = SystemParams(n + l, k + l, d + l)
     twin_copies = 2 * l * (d + l) * math.factorial(n + l - 2)
     gamma2 = twin_copies * base.alpha_symbols + (
         math.factorial(n + l) - twin_copies
@@ -361,12 +375,11 @@ def copy_blowup(base: LinearDss, l: int, budget: int | None = None) -> LinearDss
         base,
         aug_nodes,
         sigmas,
-        params2,
+        shape2,
         gamma2,
         "copy_blowup",
         f"copy_blowup({base.label},{l})",
         layout,
-        budget,
     )
 
 
@@ -378,10 +391,10 @@ def filenode_blowup(base: LinearDss, budget: int | None = None) -> LinearDss:
     costs k*alpha via reconstruction; repair of an ordinary node with a
     file node among the helpers costs alpha.
     """
+    shape2 = Shape.predict("filenode_blowup", [base], budget=budget)
     n, k, d = base.params.n, base.params.k, base.params.d
     aug_nodes = tuple([(_BASE, u) for u in range(n)] + [(_FILE,)])
     sigmas = [tuple(p) for p in itertools.permutations(range(n + 1))]
-    params2 = SystemParams(n + 1, k, d)
     gamma2 = math.factorial(n) * (
         (n - d) * base.gamma_symbols + (d + k) * base.alpha_symbols
     )
@@ -393,12 +406,11 @@ def filenode_blowup(base: LinearDss, budget: int | None = None) -> LinearDss:
         base,
         aug_nodes,
         sigmas,
-        params2,
+        shape2,
         gamma2,
         "filenode_blowup",
         f"filenode_blowup({base.label})",
         layout,
-        budget,
     )
 
 
@@ -447,24 +459,14 @@ def concat(parts: list[LinearDss], budget: int | None = None) -> LinearDss:
     """
     if not parts:
         raise InputError("concat needs at least one part")
-    eps = {p.params.epsilon for p in parts}
-    dlt = {p.params.delta for p in parts}
-    alphas = {p.alpha_symbols for p in parts}
+    shape2 = Shape.predict("concat", parts, budget=budget)
     fields = {p.field for p in parts}
-    if len(eps) != 1 or len(dlt) != 1:
-        raise InputError("parts must share epsilon = n-k and delta = n-d")
-    if len(alphas) != 1:
-        raise InputError("parts must share the node size alpha")
     if len(fields) != 1:
         raise InputError("parts must share the field")
     if len(parts) == 1:
         return parts[0]
-    epsilon, delta = eps.pop(), dlt.pop()
-    n = sum(p.params.n for p in parts)
-    params2 = SystemParams(n, n - epsilon, n - delta)
     field = fields.pop()
-    file_len = sum(p.file_len for p in parts)
-    _check_budget(n, alphas.pop(), file_len, budget)
+    file_len = shape2.file_len
 
     node_offsets, col_offsets = [], []
     acc_n = acc_b = 0
@@ -483,22 +485,22 @@ def concat(parts: list[LinearDss], budget: int | None = None) -> LinearDss:
                 rows.append(row)
             gens.append(FieldMatrix(field, rows))
 
-    meta = CompositionMeta(
-        kind="concat",
-        copies=len(parts),
-        base_labels=tuple(p.label for p in parts),
-        copy_layout={
+    meta = {
+        "kind": "concat",
+        "copies": len(parts),
+        "base_labels": [p.label for p in parts],
+        "copy_layout": {
             "node_offsets": node_offsets,
             "part_gammas": [p.gamma_symbols for p in parts],
         },
-    )
+    }
     return LinearDss(
-        params=params2,
+        params=shape2.params,
         field=field,
         file_len=file_len,
         node_gens=gens,
         repair_rule=_ConcatRule(parts, node_offsets),
         label="concat(" + ",".join(p.label for p in parts) + ")",
         gamma_symbols=max(p.gamma_symbols for p in parts),
-        meta=meta.as_dict(),
+        meta=meta,
     )

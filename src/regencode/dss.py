@@ -47,7 +47,15 @@ class BandwidthReport:
 
 
 class RepairRule:
-    """Total procedure rebuilding any failed node from any d-subset of survivors."""
+    """Total procedure rebuilding any failed node from any d-subset of survivors.
+
+    A stored symbol given to execute, reconstruct and repair is a field
+    element or a row of them, a linear form over the message (node i's forms
+    are G_i's rows). execute returns the failed node's symbols in the shape
+    it got and each helper's transfer. It may slice, decode (reconstruct)
+    and multiply by fixed matrices (apply_generator), but not branch on
+    stored values: so one run on the forms proves it exact for every file.
+    """
 
     kind = "abstract"
 
@@ -122,23 +130,36 @@ def encode(dss: LinearDss, message: list[int]) -> list[list[int]]:
 def reconstruct(
     dss: LinearDss, subset: tuple[int, ...] | list[int], contents: list[list[int]]
 ) -> list[int]:
-    """Recover the message from the stacked generators of a k-subset."""
+    """Recover the message, one symbol per file position, from a k-subset."""
     subset = tuple(subset)
     _check_indices(dss, subset)
     if len(subset) != dss.params.k:
         raise InputError(f"need exactly k={dss.params.k} nodes, got {len(subset)}")
-    stack = dss.node_gens[subset[0]]
-    rhs = list(contents[subset[0]])
-    for i in subset[1:]:
-        stack = stack.vstack(dss.node_gens[i])
-        rhs.extend(contents[i])
+    gen_rows, symbols = [], []
+    for i in subset:
+        gen_rows += dss.node_gens[i].data
+        symbols += contents[i]
+    rows = _rows(symbols)
+    rhs = FieldMatrix(dss.field, symbols) if rows else FieldMatrix.column(dss.field, symbols)
     try:
-        x = _solve(stack, rhs)
+        x = mat_solve(FieldMatrix(dss.field, gen_rows), rhs)
     except SingularMatrixError as exc:
         raise CodeInvariantError(
             f"subset {subset} does not determine the file: {exc}"
         ) from exc
-    return x
+    return x.data if rows else x.col_vector()
+
+
+def apply_generator(gen: FieldMatrix, symbols: list) -> list:
+    """gen times a column of symbols, e.g. a node's content from the file."""
+    if _rows(symbols):
+        return gen.mul(FieldMatrix(gen.field, symbols)).data
+    return gen.mul_vec(symbols)
+
+
+def _rows(symbols: list) -> bool:
+    """Rows or field elements: the one test of the symbol shape."""
+    return isinstance(symbols[0], list)
 
 
 def repair(
@@ -165,11 +186,6 @@ def _check_indices(dss: LinearDss, indices: tuple[int, ...]):
             raise InputError(f"node index {i} out of range")
 
 
-def _solve(stack: FieldMatrix, rhs: list[int]) -> list[int]:
-    b = FieldMatrix.column(stack.field, rhs)
-    return mat_solve(stack, b).col_vector()
-
-
 class MdsReencodeRule(RepairRule):
     """Repair for d = k codes: download the d helpers, decode, re-encode."""
 
@@ -177,7 +193,7 @@ class MdsReencodeRule(RepairRule):
 
     def execute(self, dss, failed, helpers, contents):
         msg = reconstruct(dss, helpers, contents)
-        content = dss.node_gens[failed].mul_vec(msg)
+        content = apply_generator(dss.node_gens[failed], msg)
         per_helper = {h: dss.alpha_symbols for h in helpers}
         return content, BandwidthReport(per_helper)
 

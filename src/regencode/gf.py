@@ -172,11 +172,6 @@ class FieldMatrix:
             out.append(acc)
         return out
 
-    def vstack(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.cols != other.cols or self.field != other.field:
-            raise ValueError("incompatible stack")
-        return FieldMatrix(self.field, self.data + other.data)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldMatrix)
@@ -208,7 +203,7 @@ def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
         work[prow], work[piv] = work[piv], work[prow]
         inv_p = field.inv(work[prow][col])
         if inv_p != 1:
-            work[prow] = [field.mul(inv_p, v) for v in work[prow]]
+            work[prow] = [field.mul(inv_p, v) if v else 0 for v in work[prow]]
         lead = work[prow]
         for r in range(nrows):
             if r == prow:

@@ -4,8 +4,10 @@ Checks the properties a LinearDss promises: every k-subset reconstructs,
 every (failed, helpers) pair repairs exactly, bandwidth totals match the
 declared gamma, per-helper symmetry, and agreement of the measured
 (alpha, gamma, B) with a predicted operating point. The code is linear, so
-reconstruction is proved by rank: a k-subset rebuilds the file iff its
-stacked generators have column rank B.
+both sweeps are proofs: a k-subset rebuilds the file iff its stacked
+generators have column rank B, and a linear repair rule (dss.RepairRule)
+is exact for every file iff one run on the generator rows returns the
+failed node's rows. That run, holding no data, measures the bandwidth.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .dss import CodeInvariantError, LinearDss, ResourceError, encode, repair
+from .dss import LinearDss, ResourceError, repair
 from .gf import FieldMatrix, mat_rank
 from .tradeoff import OperatingPoint
 
@@ -98,26 +100,6 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def probe_messages(dss: LinearDss, seed: int = 0, strict_basis: bool = False):
-    """Zero message plus two seeded-random messages, from which every repair runs.
-
-    Repair is linear in the stored content, so random probes catch a wrong
-    repair with overwhelming probability; strict_basis adds every unit
-    vector, which determines the repair map completely.
-    """
-    rnd = random.Random(seed)
-    order = dss.field.order
-    msgs = [[0] * dss.file_len]
-    for _ in range(2):
-        msgs.append([rnd.randrange(order) for _ in range(dss.file_len)])
-    if strict_basis:
-        for i in range(dss.file_len):
-            unit = [0] * dss.file_len
-            unit[i] = 1
-            msgs.append(unit)
-    return msgs
-
-
 def _plan(dss: LinearDss, mode: str, seed: int, trials: int):
     """One exhaustive-or-sampled decision for the k-subsets and the repair pairs.
 
@@ -165,29 +147,22 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets):
             return
 
 
-def _check_repair(dss: LinearDss, report: VerificationReport, pairs, seed, strict_basis):
-    """Repair each pair from every probe's content; return the bandwidth list.
+def _check_repair(dss: LinearDss, report: VerificationReport, pairs):
+    """Prove each pair by one repair on the generator rows; return the bandwidth list.
 
-    Stops at the first pair that rebuilds wrong content and records it. The
-    bandwidth reports are checked to be identical across probe messages, so
-    one ((failed, helpers), report) entry per repaired pair describes them all.
+    Stops at the first pair that does not rebuild the failed node's generator
+    rows and records it. Returns one ((failed, helpers), report) entry per
+    pair proved.
     """
-    contents = [encode(dss, m) for m in probe_messages(dss, seed, strict_basis)]
+    forms = [g.data for g in dss.node_gens]
     bandwidth = []
     for failed, helpers in pairs:
-        reports_here = []
-        for content in contents:
-            rebuilt, bw = repair(dss, failed, helpers, content)
-            if rebuilt != content[failed]:
-                report.repair_ok = False
-                report.repair_counterexample = (failed, helpers)
-                return bandwidth
-            reports_here.append(bw)
-        if any(r.per_helper != reports_here[0].per_helper for r in reports_here[1:]):
-            raise CodeInvariantError(
-                f"bandwidth depends on the stored data at {(failed, helpers)}"
-            )
-        bandwidth.append(((failed, helpers), reports_here[0]))
+        rebuilt, bw = repair(dss, failed, helpers, forms)
+        if rebuilt != forms[failed]:
+            report.repair_ok = False
+            report.repair_counterexample = (failed, helpers)
+            return bandwidth
+        bandwidth.append(((failed, helpers), bw))
     return bandwidth
 
 
@@ -208,16 +183,15 @@ def verify_exact_repair(
     mode: str = "auto",
     seed: int = 0,
     trials: int = 200,
-    strict_basis: bool = False,
 ):
-    """Repair every (or a sampled set of) (failed, helpers) pairs exactly.
+    """Prove exact repair of every (or a sampled set of) (failed, helpers) pairs.
 
     Returns (report, bandwidth), the list of ((failed, helpers), report)
     entries of the pairs repaired.
     """
     mode_info, counts, _, pairs = _plan(dss, mode, seed, trials)
     report = VerificationReport(dss.label, mode_info, checks_run={"repair": counts["repair"]})
-    return report, _check_repair(dss, report, pairs, seed, strict_basis)
+    return report, _check_repair(dss, report, pairs)
 
 
 def check_symmetric_repair(dss: LinearDss, bandwidth=None, mode="auto", seed=0, trials=200):
@@ -234,7 +208,6 @@ def measure_and_compare(
     mode: str = "auto",
     seed: int = 0,
     trials: int = 200,
-    strict_basis: bool = False,
 ) -> VerificationReport:
     """Full verification: reconstruction, exact repair, symmetry, measurement.
 
@@ -252,7 +225,7 @@ def measure_and_compare(
         gamma_declared=dss.gamma_symbols,
     )
     _check_reconstruction(dss, report, subsets)
-    bandwidth = _check_repair(dss, report, pairs, seed, strict_basis)
+    bandwidth = _check_repair(dss, report, pairs)
 
     lengths = {g.rows for g in dss.node_gens}
     report.alpha_uniform = len(lengths) == 1

@@ -132,18 +132,33 @@ def test_cli_construct_budget_refuses_before_building(monkeypatch, capsys):
     import regencode.constructions as constructions
 
     def never(*args, **kwargs):
-        raise AssertionError("a refused recipe reached _compose")
+        raise AssertionError("a refused recipe reached _compose or permutations")
 
     monkeypatch.setattr(constructions, "_compose", never)
+    monkeypatch.setattr(constructions.itertools, "permutations", never)
     assert main(["construct", "iterate(base(3,2),3)"]) == EXIT_RESOURCE
     assert "25798901760000 generator entries" in capsys.readouterr().err
+    for recipe in [
+        "concat(iterate(base(3,2),2),iterate(base(3,2),2))",  # each part fits alone
+        "filenode_blowup(base(9,3))",
+        "copy_blowup(base(9,8),1)",
+    ]:
+        assert main(["construct", recipe]) == EXIT_RESOURCE, recipe
+        assert "generator entries" in capsys.readouterr().err
+
+
+def test_cli_construct_strict_basis_is_a_no_op(capsys):
+    assert main(["construct", "base(4,2)"]) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert main(["construct", "base(4,2)", "--strict-basis"]) == EXIT_OK
+    assert capsys.readouterr().out == plain
 
 
 def test_cli_construct_verify_failure_exit_code(tmp_path, monkeypatch):
     import regencode.cli as cli
     from regencode.verifier import VerificationReport
 
-    def fake_verify(dss, predicted, seed=0, strict_basis=False):
+    def fake_verify(dss, predicted, seed=0):
         return VerificationReport(
             label=dss.label, mode={"kind": "exhaustive"}, reconstruction_ok=False
         )

@@ -13,6 +13,7 @@ from regencode.dss import (
     RepairRule,
     ResourceError,
     rs_base,
+    xor_base_322,
 )
 from regencode.gf import GF2, GF256, FieldMatrix
 from regencode.tradeoff import OperatingPoint, SystemParams, perf_p1
@@ -50,7 +51,9 @@ class ZeroedTransferRule(RepairRule):
 
     def execute(self, dss, failed, helpers, contents):
         tampered = list(contents)
-        tampered[helpers[0]] = [0] * len(contents[helpers[0]])
+        tampered[helpers[0]] = [
+            [0] * len(s) if isinstance(s, list) else 0 for s in contents[helpers[0]]
+        ]
         return self.inner.execute(dss, failed, helpers, tampered)
 
 
@@ -92,19 +95,20 @@ def test_verify_exact_repair_rs52():
 
 
 def test_verify_exact_repair_corrupted_rule():
-    base = rs_base(3, 2, GF256)
-    bad = LinearDss(
-        base.params,
-        base.field,
-        base.file_len,
-        base.node_gens,
-        ZeroedTransferRule(MdsReencodeRule()),
-        base.label + "/tampered",
-        base.gamma_symbols,
-    )
-    report, _ = verify_exact_repair(bad)
-    assert not report.repair_ok
-    assert report.repair_counterexample is not None
+    for base, seeds in [(rs_base(3, 2, GF256), [0]), (xor_base_322(GF2), range(64))]:
+        bad = LinearDss(
+            base.params,
+            base.field,
+            base.file_len,
+            base.node_gens,
+            ZeroedTransferRule(MdsReencodeRule()),
+            base.label + "/tampered",
+            base.gamma_symbols,
+        )
+        for seed in seeds:  # over GF(2), random probe messages missed it at some seeds
+            report, _ = verify_exact_repair(bad, seed=seed)
+            assert not report.repair_ok, seed
+            assert report.repair_counterexample is not None
 
 
 def test_check_symmetric_repair():
@@ -199,8 +203,15 @@ def test_sampled_mode_deterministic():
     assert a.to_json() == b.to_json()
 
 
-def test_strict_basis_probe():
-    report = measure_and_compare(rs_base(4, 2, GF256), strict_basis=True)
+def test_repair_proof_uses_no_messages(monkeypatch):
+    import regencode.dss as dss
+
+    def never(*args, **kwargs):
+        raise AssertionError("the repair proof encoded a message")
+
+    monkeypatch.setattr(dss, "encode", never)
+    monkeypatch.setattr(verifier, "encode", never, raising=False)
+    report = measure_and_compare(filenode_blowup(rs_base(3, 2, GF2)))
     assert report.ok
 
 
