@@ -1,9 +1,10 @@
 """Command-line front door: tradeoff curves as CSV, construct-and-verify, and
 asymptotic convergence tables.
 
-Exit codes: 0 success, 2 verification failure, 3 input error, 4 resource
-budget exceeded. All output is deterministic: exact rationals are rendered
-as p/q plus a 12-significant-digit decimal column, never through floats.
+Exit codes: 0 success, 2 verification failure, 3 input error (a malformed
+command line included), 4 resource budget exceeded. All output is
+deterministic: exact rationals are rendered as p/q plus a 12-significant-digit
+decimal column, never through floats.
 """
 
 from __future__ import annotations
@@ -359,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--budget", type=int, default=None, help="most generator entries n*alpha*B to build"
     )
-    sp.add_argument(
-        "--strict-basis", action="store_true", help="no effect; accepted for one more release"
-    )
     sp.set_defaults(fn=_cmd_construct)
 
     sp = sub.add_parser("asymptotic", help="emit the convergence table as CSV")
@@ -380,8 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, or the help
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.fn(args)
     except ResourceError as exc:

@@ -32,11 +32,19 @@ from .tradeoff import RangeError, SystemParams
 DEFAULT_BUDGET = 5 * 10**7
 BLOWUP_FULL_MAX_BASE_N = 5  # (n+1)! copies beyond this is no longer desk scale
 
-# Augmented-system node descriptors
+# Augmented-system node descriptors; each appended kind names its layout key
 _BASE = "base"
-_DUP = "dup"
+_DUP = "copy"
 _EMPTY = "empty"
 _FILE = "file"
+
+# the augmented nodes each blowup appends to the base, for copy_blowup's l
+_APPENDED = {
+    "blowup_simple": lambda l: [(_EMPTY,)],
+    "blowup_full": lambda l: [(_EMPTY,)],
+    "copy_blowup": lambda l: [(_DUP, j) for j in range(l)],
+    "filenode_blowup": lambda l: [(_FILE,)],
+}
 
 
 class Shape(NamedTuple):
@@ -45,6 +53,7 @@ class Shape(NamedTuple):
     params: SystemParams
     alpha_symbols: int
     file_len: int
+    gamma_symbols: int
 
     @classmethod
     def predict(
@@ -58,39 +67,53 @@ class Shape(NamedTuple):
         The budget bounds the dense generator entries n * alpha * B.
         """
         p, alpha, file_len = parts[0].params, parts[0].alpha_symbols, parts[0].file_len
-        n, fact = p.n, math.factorial
-        if name == "blowup_simple":
-            out = cls(p.shifted(1), n * alpha, (n + 1) * file_len)
-        elif name == "blowup_full":
-            if n > BLOWUP_FULL_MAX_BASE_N:
-                raise ResourceError(
-                    f"blowup_full needs ({n}+1)! copies; base n is capped at "
-                    f"{BLOWUP_FULL_MAX_BASE_N}"
-                )
-            out = cls(p.shifted(1), n * fact(n) * alpha, fact(n + 1) * file_len)
+        n, gamma, fact = p.n, parts[0].gamma_symbols, math.factorial
+        if name == "blowup_full" and n > BLOWUP_FULL_MAX_BASE_N:
+            raise ResourceError(
+                f"blowup_full needs ({n}+1)! copies; base n is capped at "
+                f"{BLOWUP_FULL_MAX_BASE_N}"
+            )
+        if name == "copy_blowup" and not 1 <= arg <= p.k - 1:
+            raise RangeError(f"copy count l must lie in [1, {p.k - 1}], got {arg}")
+        if name in _APPENDED:
+            # m positions, each hosting every augmented node copies/m times
+            appended = _APPENDED[name](arg)
+            m = n + len(appended)
+            copies = m if name == "blowup_simple" else fact(m)  # cyclic or all placements
+            per_node = copies // m
+            sizes = {_EMPTY: 0, _DUP: alpha, _FILE: file_len}
+            shift = 0 if name == "filenode_blowup" else len(appended)
+            if name == "copy_blowup":  # a lost node's twin among the helpers sends alpha
+                twins = 2 * arg * (p.d + arg) * fact(m - 2)
+                gamma = twins * alpha + (copies - twins) * gamma
+            elif name == "filenode_blowup":
+                gamma = per_node * ((n - p.d) * gamma + (p.d + p.k) * alpha)
+            else:
+                gamma = per_node * n * gamma
+            out = cls(
+                SystemParams(m, p.k + shift, p.d + shift),
+                per_node * (n * alpha + sum(sizes[a[0]] for a in appended)),
+                copies * file_len,
+                gamma,
+            )
         elif name == "iterate":
             if arg < 1:
                 raise RangeError(f"iteration count must be >= 1, got {arg}")
             out = parts[0]
             for _ in range(arg):
                 out = cls.predict("blowup_full", [out], budget=budget)
-        elif name == "copy_blowup":
-            if not 1 <= arg <= p.k - 1:
-                raise RangeError(f"copy count l must lie in [1, {p.k - 1}], got {arg}")
-            out = cls(p.shifted(arg), fact(n + arg) * alpha, fact(n + arg) * file_len)
-        elif name == "filenode_blowup":
-            params = SystemParams(n + 1, p.k, p.d)
-            out = cls(params, fact(n) * (n * alpha + file_len), fact(n + 1) * file_len)
         elif name == "concat":
             if len({(q.params.epsilon, q.params.delta) for q in parts}) != 1:
                 raise InputError("parts must share epsilon = n-k and delta = n-d")
             if len({q.alpha_symbols for q in parts}) != 1:
                 raise InputError("parts must share the node size alpha")
             if len(parts) == 1:
-                return cls(p, alpha, file_len)
+                return cls(p, alpha, file_len, gamma)
             n = sum(q.params.n for q in parts)
             params = SystemParams(n, n - p.epsilon, n - p.delta)
-            out = cls(params, alpha, sum(q.file_len for q in parts))
+            out = cls(
+                params, alpha, sum(q.file_len for q in parts), max(q.gamma_symbols for q in parts)
+            )
         else:
             raise ValueError(f"unknown construction {name!r}")
         limit = DEFAULT_BUDGET if budget is None else budget
@@ -211,21 +234,21 @@ class _PermutedCopiesRule(RepairRule):
         return out, BandwidthReport(counts)
 
 
-def _compose(base, aug_nodes, sigmas, shape2, gamma2, variant, label, layout):
-    """Assemble the composite LinearDss shared by every blowup variant.
+def _compose(name, base, arg=None, budget=None):
+    """Build blowup `name` of base: the one assembly of every permuted-copy code.
 
-    shape2 is the composite's Shape, already admitted by the budget.
+    Its Shape is predicted, and admitted by the budget, before anything is
+    materialized; `arg` is copy_blowup's l.
     """
-    field = base.field
-    B_b = base.file_len
+    shape = Shape.predict(name, [base], arg, budget)
+    n, npos, B_b = base.params.n, shape.params.n, base.file_len
+    aug_nodes = tuple([(_BASE, u) for u in range(n)] + _APPENDED[name](arg))
+    if name == "blowup_simple":  # copy j parks the empty node at position j
+        sigmas = [tuple([u if u < j else u + 1 for u in range(n)] + [j]) for j in range(npos)]
+    else:
+        sigmas = [tuple(p) for p in itertools.permutations(range(npos))]
     copies = len(sigmas)
-    npos = shape2.params.n
-    lengths = {
-        _BASE: base.alpha_symbols,
-        _DUP: base.alpha_symbols,
-        _EMPTY: 0,
-        _FILE: B_b,
-    }
+    lengths = {_BASE: base.alpha_symbols, _DUP: base.alpha_symbols, _EMPTY: 0, _FILE: B_b}
     aug_at = []
     for sigma in sigmas:
         inv = [0] * npos
@@ -238,9 +261,9 @@ def _compose(base, aug_nodes, sigmas, shape2, gamma2, variant, label, layout):
         offsets.append(tuple(running))
         for pos in range(npos):
             running[pos] += lengths[aug_nodes[aug_at[c][pos]][0]]
-    if set(running) != {shape2.alpha_symbols} or copies * B_b != shape2.file_len:
+    if set(running) != {shape.alpha_symbols} or copies * B_b != shape.file_len:
         raise AssertionError("composition disagrees with its shape rule")
-    file_len = shape2.file_len
+    file_len = shape.file_len
 
     gens = []
     for pos in range(npos):
@@ -258,7 +281,7 @@ def _compose(base, aug_nodes, sigmas, shape2, gamma2, variant, label, layout):
                     row = [0] * file_len
                     row[block + r] = 1
                     rows.append(row)
-        gens.append(FieldMatrix(field, rows))
+        gens.append(FieldMatrix(base.field, rows))
 
     twin = [None] * len(aug_nodes)
     file_aug = None
@@ -269,18 +292,23 @@ def _compose(base, aug_nodes, sigmas, shape2, gamma2, variant, label, layout):
         elif desc[0] == _FILE:
             file_aug = a
 
-    rule = _PermutedCopiesRule(
-        variant, base, aug_nodes, sigmas, aug_at, offsets, twin, file_aug
-    )
-    meta = {"kind": variant, "copies": copies, "base_labels": [base.label], "copy_layout": layout}
+    # where each copy put the appended nodes; only copy_blowup appends several
+    kind = aug_nodes[n][0]
+    placed = [[int(s[a]) for a in range(n, npos)] for s in sigmas]
+    layout = {f"{kind}_positions": placed if kind == _DUP else [a[0] for a in placed]}
+    if name != "blowup_simple":
+        layout = {"permutations": [list(s) for s in sigmas], **layout}
+    rule = _PermutedCopiesRule(name, base, aug_nodes, sigmas, aug_at, offsets, twin, file_aug)
+    meta = {"kind": name, "copies": copies, "base_labels": [base.label], "copy_layout": layout}
+    suffix = "" if arg is None else f",{arg}"
     return LinearDss(
-        params=shape2.params,
-        field=field,
+        params=shape.params,
+        field=base.field,
         file_len=file_len,
         node_gens=gens,
         repair_rule=rule,
-        label=label,
-        gamma_symbols=gamma2,
+        label=f"{name}({base.label}{suffix})",
+        gamma_symbols=shape.gamma_symbols,
         meta=meta,
     )
 
@@ -292,25 +320,7 @@ def blowup_simple(base: LinearDss, budget: int | None = None) -> LinearDss:
     n*gamma and B' = (n+1)*B; repair stays exact but is not symmetric in
     general.
     """
-    shape2 = Shape.predict("blowup_simple", [base], budget=budget)
-    n = base.params.n
-    aug_nodes = tuple([(_BASE, u) for u in range(n)] + [(_EMPTY,)])
-    sigmas = []
-    for j in range(n + 1):
-        # copy j parks the empty node at position j
-        sigma = [u if u < j else u + 1 for u in range(n)] + [j]
-        sigmas.append(tuple(sigma))
-    layout = {"empty_positions": [int(s[n]) for s in sigmas]}
-    return _compose(
-        base,
-        aug_nodes,
-        sigmas,
-        shape2,
-        n * base.gamma_symbols,
-        "blowup_simple",
-        f"blowup_simple({base.label})",
-        layout,
-    )
+    return _compose("blowup_simple", base, budget=budget)
 
 
 def blowup_full(base: LinearDss, budget: int | None = None) -> LinearDss:
@@ -319,25 +329,7 @@ def blowup_full(base: LinearDss, budget: int | None = None) -> LinearDss:
     Same normalized performance as blowup_simple but with exactly equal
     per-helper transfers in every repair (symmetric repair).
     """
-    shape2 = Shape.predict("blowup_full", [base], budget=budget)
-    n = base.params.n
-    aug_nodes = tuple([(_BASE, u) for u in range(n)] + [(_EMPTY,)])
-    sigmas = [tuple(p) for p in itertools.permutations(range(n + 1))]
-    gamma2 = n * math.factorial(n) * base.gamma_symbols
-    layout = {
-        "permutations": [list(s) for s in sigmas],
-        "empty_positions": [int(s[n]) for s in sigmas],
-    }
-    return _compose(
-        base,
-        aug_nodes,
-        sigmas,
-        shape2,
-        gamma2,
-        "blowup_full",
-        f"blowup_full({base.label})",
-        layout,
-    )
+    return _compose("blowup_full", base, budget=budget)
 
 
 def iterate(base: LinearDss, j: int, budget: int | None = None) -> LinearDss:
@@ -359,28 +351,7 @@ def copy_blowup(base: LinearDss, l: int, budget: int | None = None) -> LinearDss
     sits among the helpers it alone transfers alpha symbols, which is what
     pulls the bandwidth below a plain parameter shift.
     """
-    shape2 = Shape.predict("copy_blowup", [base], l, budget)
-    n, d = base.params.n, base.params.d
-    aug_nodes = tuple([(_BASE, u) for u in range(n)] + [(_DUP, j) for j in range(l)])
-    sigmas = [tuple(p) for p in itertools.permutations(range(n + l))]
-    twin_copies = 2 * l * (d + l) * math.factorial(n + l - 2)
-    gamma2 = twin_copies * base.alpha_symbols + (
-        math.factorial(n + l) - twin_copies
-    ) * base.gamma_symbols
-    layout = {
-        "permutations": [list(s) for s in sigmas],
-        "copy_positions": [[int(s[n + j]) for j in range(l)] for s in sigmas],
-    }
-    return _compose(
-        base,
-        aug_nodes,
-        sigmas,
-        shape2,
-        gamma2,
-        "copy_blowup",
-        f"copy_blowup({base.label},{l})",
-        layout,
-    )
+    return _compose("copy_blowup", base, l, budget)
 
 
 def filenode_blowup(base: LinearDss, budget: int | None = None) -> LinearDss:
@@ -391,27 +362,7 @@ def filenode_blowup(base: LinearDss, budget: int | None = None) -> LinearDss:
     costs k*alpha via reconstruction; repair of an ordinary node with a
     file node among the helpers costs alpha.
     """
-    shape2 = Shape.predict("filenode_blowup", [base], budget=budget)
-    n, k, d = base.params.n, base.params.k, base.params.d
-    aug_nodes = tuple([(_BASE, u) for u in range(n)] + [(_FILE,)])
-    sigmas = [tuple(p) for p in itertools.permutations(range(n + 1))]
-    gamma2 = math.factorial(n) * (
-        (n - d) * base.gamma_symbols + (d + k) * base.alpha_symbols
-    )
-    layout = {
-        "permutations": [list(s) for s in sigmas],
-        "file_positions": [int(s[n]) for s in sigmas],
-    }
-    return _compose(
-        base,
-        aug_nodes,
-        sigmas,
-        shape2,
-        gamma2,
-        "filenode_blowup",
-        f"filenode_blowup({base.label})",
-        layout,
-    )
+    return _compose("filenode_blowup", base, budget=budget)
 
 
 class _ConcatRule(RepairRule):
@@ -501,6 +452,6 @@ def concat(parts: list[LinearDss], budget: int | None = None) -> LinearDss:
         node_gens=gens,
         repair_rule=_ConcatRule(parts, node_offsets),
         label="concat(" + ",".join(p.label for p in parts) + ")",
-        gamma_symbols=max(p.gamma_symbols for p in parts),
+        gamma_symbols=shape2.gamma_symbols,
         meta=meta,
     )

@@ -108,13 +108,18 @@ GF256 = FieldSpec(8, 0x11D)  # standard Reed-Solomon modulus
 
 
 class FieldMatrix:
-    """Dense matrix over a FieldSpec, stored as row lists of ints."""
+    """Dense matrix over a FieldSpec, stored as row lists of ints.
+
+    The matrix takes ownership of `data` and its rows without copying them:
+    no operation in this module mutates an operand (elimination works on its
+    own rows), and a caller must not mutate `data` afterwards either.
+    """
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: FieldSpec, data: list[list[int]]):
         self.field = field
-        self.data = [list(row) for row in data]
+        self.data = data
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         for row in self.data:

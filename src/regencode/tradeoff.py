@@ -355,8 +355,7 @@ def asymptotic_fraction(
     if not rounded:
         return h1 / (h2 * (h3 + h4)), h1, h2, h3, h4
     sp = setup.shifted
-    i = min(max(_round_half_up(1 + setup.s * (sp.k - 1)), 1), sp.k)
-    point = perf_p1(sp, Fraction(1), i)
+    point = perf_p1(sp, Fraction(1), rounded_index(setup))
     cap = functional_capacity(sp, point.alpha, point.gamma)
     return point.file_size / cap, h1, h2, h3, h4
 

@@ -147,11 +147,23 @@ def test_cli_construct_budget_refuses_before_building(monkeypatch, capsys):
         assert "generator entries" in capsys.readouterr().err
 
 
-def test_cli_construct_strict_basis_is_a_no_op(capsys):
-    assert main(["construct", "base(4,2)"]) == EXIT_OK
-    plain = capsys.readouterr().out
-    assert main(["construct", "base(4,2)", "--strict-basis"]) == EXIT_OK
-    assert capsys.readouterr().out == plain
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "base(4,2)", "--frobnicate"],
+        ["construct"],
+        ["curve", "--n", "4", "--k", "3", "--d", "3", "--samples", "many"],
+        ["construct", "base(4,2)", "--strict-basis"],  # removed flag
+    ],
+)
+def test_cli_usage_errors_exit_input(argv, capsys):
+    assert main(argv) == EXIT_INPUT  # not 2, which means a failed verification
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_ok(capsys):
+    assert main(["construct", "--help"]) == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_cli_construct_verify_failure_exit_code(tmp_path, monkeypatch):

@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 
 from regencode.constructions import (
+    BLOWUP_FULL_MAX_BASE_N,
+    Shape,
     blowup_full,
     blowup_simple,
     concat,
@@ -280,3 +282,28 @@ def test_composed_codes_verify_exhaustively():
         report = measure_and_compare(dss, declared_point(dss))
         assert report.ok and report.match, dss.label
         assert report.mode == {"kind": "exhaustive"}
+
+
+def test_shape_rules_agree_with_tradeoff_without_building():
+    cases = 0
+    for n in range(3, 9):
+        for k in range(1, n):
+            base = rs_base(n, k)
+            expected = [("blowup_simple", None, perf_p1(SystemParams(n + 1, k + 1, k + 1), 1, k))]
+            if n <= BLOWUP_FULL_MAX_BASE_N:
+                expected.append(("blowup_full", None, expected[0][2]))
+            expected += [
+                ("copy_blowup", l, perf_p3(SystemParams(n + l, k + l, k + l), 1, l))
+                for l in range(1, k)
+                if l <= (k + l - 1) // 2
+            ]
+            expected.append(("filenode_blowup", None, perf_p4(SystemParams(n, k, k), 1)))
+            for name, arg, pt in expected:
+                shape = Shape.predict(name, [base], arg, budget=10**100)
+                norm = (
+                    F(shape.gamma_symbols, shape.alpha_symbols),
+                    F(shape.file_len, shape.alpha_symbols),
+                )
+                assert norm == (pt.gamma, pt.file_size), (name, n, k, arg)
+                cases += 1
+    assert cases == 119

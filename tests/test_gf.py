@@ -129,3 +129,21 @@ def test_mat_inv_round_trip():
         pts = rnd.sample(range(256), 3)
         A = FieldMatrix(GF256, [[GF256.pow(x, j) for j in range(3)] for x in pts])
         assert A.mul(mat_inv(A)) == FieldMatrix.identity(GF256, 3)
+
+
+def test_matrix_keeps_its_rows_and_operations_leave_them_unchanged():
+    rows = [[1, 2, 3], [4, 5, 6]]
+    assert FieldMatrix(GF256, rows).data is rows
+    with pytest.raises(ValueError, match="ragged"):
+        FieldMatrix(GF256, [[1, 2], [3]])
+    rnd = random.Random(5)
+    pts = rnd.sample(range(1, 256), 4)
+    A = FieldMatrix(GF256, [[GF256.pow(x, j) for j in range(3)] for x in pts])
+    x = FieldMatrix(GF256, [[rnd.randrange(256) for _ in range(2)] for _ in range(3)])
+    b = A.mul(x)
+    square = FieldMatrix(GF256, A.data[:3])
+    before = [[row[:] for row in m.data] for m in (A, x, b, square)]
+    assert mat_solve(A, b) == x
+    assert mat_rank(A) == 3
+    assert square.mul(mat_inv(square)) == FieldMatrix.identity(GF256, 3)
+    assert [m.data for m in (A, x, b, square)] == before
