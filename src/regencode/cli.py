@@ -10,6 +10,7 @@ decimal column, never through floats.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import sys
 from fractions import Fraction
@@ -169,98 +170,72 @@ class RecipeError(InputError):
     """Unparseable or unknown construction recipe."""
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        else:
-            raise RecipeError(f"unexpected character {ch!r} in recipe")
-    return tokens
+# construction -> argument count: base takes integers, the others a recipe and
+# then integers; concat takes one or more recipes
+_ARITY = {
+    "base": 2,
+    "blowup_simple": 1,
+    "blowup_full": 1,
+    "filenode_blowup": 1,
+    "iterate": 2,
+    "copy_blowup": 2,
+}
+
+
+def _int(node: ast.expr) -> int:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    raise RecipeError("expected an integer")
 
 
 def parse_recipe(text: str, budget: int | None = None) -> LinearDss:
     """Build the LinearDss described by a recipe string.
 
     Grammar: base(n,k) | blowup_simple(R) | blowup_full(R) | iterate(R,j) |
-    concat(R,...) | copy_blowup(R,l) | filenode_blowup(R). The whole recipe
-    is checked against the budget, by each construction's shape rule,
-    before any composite part is built.
+    concat(R,...) | copy_blowup(R,l) | filenode_blowup(R), read by Python's
+    expression parser; only these calls and integer literals are accepted.
+    The whole recipe is checked against the budget, by each construction's
+    shape rule, before any composite part is built.
     """
-    tokens = _tokenize(text)
-    pos = 0
+    try:
+        tree = ast.parse(text.strip(), mode="eval")
+        canonical = "".join(ast.unparse(tree).split())
+    except (SyntaxError, ValueError) as exc:  # ValueError: null bytes, on some versions
+        raise RecipeError(f"malformed recipe: {getattr(exc, 'msg', exc)}") from None
+    except (RecursionError, MemoryError):  # the parser's own nesting limits
+        raise RecipeError("malformed recipe: too deeply nested") from None
+    # Python syntax the grammar lacks: trailing commas, extra parentheses,
+    # comments, hex or underscored integers
+    if canonical != "".join(text.split()):
+        raise RecipeError("malformed recipe: not of the form name(arg,...)")
 
-    def expect(tok):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            got = tokens[pos] if pos < len(tokens) else "end of input"
-            raise RecipeError(f"expected {tok!r}, got {got!r}")
-        pos += 1
-
-    def parse_int():
-        nonlocal pos
-        if pos >= len(tokens) or not isinstance(tokens[pos], int):
-            raise RecipeError("expected an integer")
-        value = tokens[pos]
-        pos += 1
-        return value
-
-    def parse():
+    def parse(node):
         """One construction: its constructions.Shape, and a function that builds it."""
-        nonlocal pos
-        if pos >= len(tokens) or not isinstance(tokens[pos], str):
-            raise RecipeError("expected a construction name")
-        name = tokens[pos]
-        pos += 1
-        expect("(")
-        if name == "base":
-            n = parse_int()
-            expect(",")
-            k = parse_int()
-            expect(")")
-            base = rs_base(n, k)  # a code serves as its own Shape
-            return base, lambda: base
-        if name in ("blowup_simple", "blowup_full", "filenode_blowup", "iterate", "copy_blowup"):
-            inner, build = parse()
-            args = ()
-            if name in ("iterate", "copy_blowup"):
-                expect(",")
-                args = (parse_int(),)
-            expect(")")
-            fn = getattr(constructions, name)
-            predicted = constructions.Shape.predict(name, [inner], *args, budget=budget)
-            return predicted, lambda: fn(build(), *args, budget=budget)
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            raise RecipeError("expected a construction like base(3,2)")
+        name, args = node.func.id, node.args
+        if node.keywords:
+            raise RecipeError(f"{name} takes no keyword arguments")
         if name == "concat":
-            parts = [parse()]
-            while pos < len(tokens) and tokens[pos] == ",":
-                pos += 1
-                parts.append(parse())
-            expect(")")
+            if not args:
+                raise RecipeError("concat needs at least one part")
+            parts = [parse(a) for a in args]
             predicted = constructions.Shape.predict(name, [s for s, _ in parts], budget=budget)
             return predicted, lambda: constructions.concat([b() for _, b in parts], budget=budget)
-        raise RecipeError(f"unknown construction {name!r}")
+        if name not in _ARITY:
+            raise RecipeError(f"unknown construction {name!r}")
+        if len(args) != _ARITY[name]:
+            raise RecipeError(f"{name} takes {_ARITY[name]} arguments, got {len(args)}")
+        if name == "base":
+            base = rs_base(*map(_int, args))  # a code serves as its own Shape
+            return base, lambda: base
+        inner, build = parse(args[0])
+        numbers = [_int(a) for a in args[1:]]
+        fn = getattr(constructions, name)
+        predicted = constructions.Shape.predict(name, [inner], *numbers, budget=budget)
+        return predicted, lambda: fn(build(), *numbers, budget=budget)
 
-    _, build = parse()
-    if pos != len(tokens):
-        raise RecipeError(f"trailing tokens after recipe: {tokens[pos:]!r}")
-    return build()
+    return parse(tree.body)[1]()
 
 
 def _write(path: str | None, text: str):

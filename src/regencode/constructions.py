@@ -1,10 +1,15 @@
-"""Compositions that turn base storage codes into codes with shifted parameters.
+"""Compositions that build storage codes from smaller ones by placing copies.
 
-All blowup-style constructions share one mechanism: take the base system,
-append special nodes (an empty node, exact copies, or a node holding the
-whole file), and stack permuted copies of the augmented system so that
-composite node j stores the j-th node of every copy. Repair and
-reconstruction delegate into the copies, so exact repair is inherited and
+Every composition places copies of smaller codes (its parts) on the
+composite nodes. A copy is a part and what it hosts at each composite
+position: one of the part's nodes, an exact twin of one, a node holding
+the part's whole file, or nothing. Each copy stores its own file in its
+own block of columns. The four blowups place permuted copies of one base
+augmented by appended nodes (an empty node, twins, or a file node), so
+composite node j stores the j-th node of every copy; concat places each
+part once, on its own run of positions, and nothing elsewhere.
+Reconstruction is one solve over the stacked generators. Repair runs copy
+by copy with one rule, so exact repair is inherited from the parts and
 bandwidth is accounted per copy.
 """
 
@@ -32,11 +37,13 @@ from .tradeoff import RangeError, SystemParams
 DEFAULT_BUDGET = 5 * 10**7
 BLOWUP_FULL_MAX_BASE_N = 5  # (n+1)! copies beyond this is no longer desk scale
 
-# Augmented-system node descriptors; each appended kind names its layout key
+# What a copy hosts at a position: part node (_BASE, u), its twin (_DUP, u),
+# the part's file (_FILE,) or nothing (_EMPTY,); appended kinds name layout keys
 _BASE = "base"
 _DUP = "copy"
 _EMPTY = "empty"
 _FILE = "file"
+_TWIN = {_BASE: _DUP, _DUP: _BASE}
 
 # the augmented nodes each blowup appends to the base, for copy_blowup's l
 _APPENDED = {
@@ -126,188 +133,176 @@ class Shape(NamedTuple):
         return out
 
 
-class _PermutedCopiesRule(RepairRule):
-    """Repair rule shared by all permuted-copy compositions.
+class _CopiesRule(RepairRule):
+    """Repair rule shared by every composition: rebuild the failed node copy by copy.
 
-    For each copy the failed composite position hosts one augmented node;
+    For each copy the failed composite position hosts one node of the
+    copy's part, or nothing (a concat copy hosts nothing outside its part);
     the cheapest legal route rebuilds it: nothing for an empty node, a
     single download from an exact twin or from a file node when one is
-    among the helpers, otherwise the base system's own repair with d base
-    helpers. When more than d distinct base helpers are available the ones
-    with the largest base index are excluded; the rule depends only on
-    stored content, never on position numbers, so it is equidistributed
-    across the permuted copies.
+    among the helpers, otherwise the part's own repair with d part helpers.
+    When more than d distinct part helpers are available the ones with the
+    largest part index are excluded; the rule depends only on stored
+    content, never on position numbers, so it is equidistributed across the
+    permuted copies.
     """
 
-    def __init__(self, variant, base, aug_nodes, sigmas, aug_at, offsets, twin, file_aug):
-        self.kind = variant
-        self.base = base
-        self.aug_nodes = aug_nodes
-        self.sigmas = sigmas
-        self.aug_at = aug_at
+    def __init__(self, kind, description, copies, offsets):
+        self.kind = kind
+        self.description = description
+        self.copies = copies
         self.offsets = offsets
-        self.twin = twin
-        self.file_aug = file_aug
+        # per copy: the position of each hosted node's twin, and of the file node
+        self.twin_at, self.file_at = [], []
+        for _, hosted in copies:
+            where = {desc: pos for pos, desc in enumerate(hosted)}
+            self.twin_at.append(tuple(where.get((_TWIN.get(d[0]),) + d[1:]) for d in hosted))
+            self.file_at.append(where.get((_FILE,)))
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "copies": len(self.sigmas), "base": self.base.label}
+        return self.description
 
     def _extract(self, contents, c, pos, length):
         off = self.offsets[c][pos]
         return contents[pos][off : off + length]
 
     def execute(self, dss, failed, helpers, contents):
-        base = self.base
-        nb, kb, db = base.params.n, base.params.k, base.params.d
-        alpha_b, B_b = base.alpha_symbols, base.file_len
         helper_set = set(helpers)
         counts = {q: 0 for q in helpers}
         out: list[int] = []
 
-        for c, sigma in enumerate(self.sigmas):
-            a_failed = self.aug_at[c][failed]
-            desc = self.aug_nodes[a_failed]
+        for c, (part, hosted) in enumerate(self.copies):
+            desc = hosted[failed]
             if desc[0] == _EMPTY:
                 continue
+            alpha = part.alpha_symbols
 
             if desc[0] == _FILE:
-                # rebuild the file from the first k base-content helpers
-                used = []
-                for q in helpers:
-                    node = self.aug_nodes[self.aug_at[c][q]]
-                    if node[0] in (_BASE, _DUP):
-                        used.append((q, node[1]))
-                        if len(used) == kb:
-                            break
-                sub = [None] * nb
+                # rebuild the file from the first k part-content helpers
+                used = [(q, hosted[q][1]) for q in helpers if hosted[q][0] in (_BASE, _DUP)]
+                used = used[: part.params.k]
+                sub = [None] * part.params.n
                 for q, w in used:
-                    sub[w] = self._extract(contents, c, q, alpha_b)
-                out.extend(reconstruct(base, [w for _, w in used], sub))
+                    sub[w] = self._extract(contents, c, q, alpha)
+                out.extend(reconstruct(part, [w for _, w in used], sub))
                 for q, _ in used:
-                    counts[q] += alpha_b
+                    counts[q] += alpha
                 continue
 
             u = desc[1]
-            twin_a = self.twin[a_failed]
-            if twin_a is not None and sigma[twin_a] in helper_set:
+            twin = self.twin_at[c][failed]
+            if twin in helper_set:
                 # the exact copy of the lost node alone transfers
-                q = sigma[twin_a]
-                out.extend(self._extract(contents, c, q, alpha_b))
-                counts[q] += alpha_b
+                out.extend(self._extract(contents, c, twin, alpha))
+                counts[twin] += alpha
                 continue
-            if self.file_aug is not None and sigma[self.file_aug] in helper_set:
+            file_q = self.file_at[c]
+            if file_q in helper_set:
                 # a file node computes the lost content and sends it
-                q = sigma[self.file_aug]
-                file_content = self._extract(contents, c, q, B_b)
-                out.extend(apply_generator(base.node_gens[u], file_content))
-                counts[q] += alpha_b
+                file_content = self._extract(contents, c, file_q, part.file_len)
+                out.extend(apply_generator(part.node_gens[u], file_content))
+                counts[file_q] += alpha
                 continue
 
-            # base repair: collect distinct base helpers, original preferred
-            # over its duplicate, then keep the d smallest base indices
-            cand: dict[int, tuple[int, int]] = {}
+            # part repair: collect distinct part helpers, original preferred
+            # over its twin, then keep the d smallest part indices
+            cand: dict[int, int] = {}
             for q in helpers:
-                aq = self.aug_at[c][q]
-                node = self.aug_nodes[aq]
-                if node[0] not in (_BASE, _DUP):
-                    continue
-                w = node[1]
-                if w == u:
-                    continue
-                prev = cand.get(w)
-                if prev is None or (
-                    self.aug_nodes[prev[0]][0] == _DUP and node[0] == _BASE
-                ):
-                    cand[w] = (aq, q)
-            chosen = sorted(cand)[:db]
-            sub = [None] * nb
-            pos_of = {}
+                node = hosted[q]
+                if node[0] in (_BASE, _DUP) and node[1] != u:
+                    if node[1] not in cand or node[0] == _BASE:
+                        cand[node[1]] = q
+            chosen = sorted(cand)[: part.params.d]
+            sub = [None] * part.params.n
             for w in chosen:
-                _, q = cand[w]
-                sub[w] = self._extract(contents, c, q, alpha_b)
-                pos_of[w] = q
-            rebuilt, report = repair(base, u, chosen, sub)
+                sub[w] = self._extract(contents, c, cand[w], alpha)
+            rebuilt, report = repair(part, u, chosen, sub)
             out.extend(rebuilt)
             for w, amount in report.per_helper.items():
-                counts[pos_of[w]] += amount
+                counts[cand[w]] += amount
 
         return out, BandwidthReport(counts)
 
 
-def _compose(name, base, arg=None, budget=None):
-    """Build blowup `name` of base: the one assembly of every permuted-copy code.
+def _compose(name, parts, arg=None, budget=None):
+    """Build construction `name` over parts: the one assembly of every composite.
 
     Its Shape is predicted, and admitted by the budget, before anything is
-    materialized; `arg` is copy_blowup's l.
+    materialized; `arg` is copy_blowup's l. Every composite is a list of
+    copies (part, hosted): hosted[pos] is what the copy places at composite
+    position pos, and the copies' files take consecutive column blocks.
     """
-    shape = Shape.predict(name, [base], arg, budget)
-    n, npos, B_b = base.params.n, shape.params.n, base.file_len
-    aug_nodes = tuple([(_BASE, u) for u in range(n)] + _APPENDED[name](arg))
-    if name == "blowup_simple":  # copy j parks the empty node at position j
-        sigmas = [tuple([u if u < j else u + 1 for u in range(n)] + [j]) for j in range(npos)]
+    shape = Shape.predict(name, parts, arg, budget)
+    if len({p.field for p in parts}) != 1:
+        raise InputError("parts must share the field")
+    npos, file_len = shape.params.n, shape.file_len
+    copies = []
+    if name == "concat":  # part j hosts its nodes at positions starts[j]...
+        starts = list(itertools.accumulate([p.params.n for p in parts[:-1]], initial=0))
+        for part, start in zip(parts, starts):
+            hosted = [(_EMPTY,)] * npos
+            hosted[start : start + part.params.n] = [(_BASE, u) for u in range(part.params.n)]
+            copies.append((part, tuple(hosted)))
+        layout = {"node_offsets": starts, "part_gammas": [p.gamma_symbols for p in parts]}
+        description = {"kind": name, "parts": [p.label for p in parts]}
     else:
-        sigmas = [tuple(p) for p in itertools.permutations(range(npos))]
-    copies = len(sigmas)
-    lengths = {_BASE: base.alpha_symbols, _DUP: base.alpha_symbols, _EMPTY: 0, _FILE: B_b}
-    aug_at = []
-    for sigma in sigmas:
-        inv = [0] * npos
-        for a, pos in enumerate(sigma):
-            inv[pos] = a
-        aug_at.append(tuple(inv))
-    offsets = []
-    running = [0] * npos
-    for c in range(copies):
+        base, n = parts[0], parts[0].params.n
+        aug_nodes = [(_BASE, u) for u in range(n)] + _APPENDED[name](arg)
+        if name == "blowup_simple":  # copy j parks the empty node at position j
+            sigmas = [tuple([u if u < j else u + 1 for u in range(n)] + [j]) for j in range(npos)]
+        else:
+            sigmas = [tuple(p) for p in itertools.permutations(range(npos))]
+        for sigma in sigmas:  # augmented node a sits at position sigma[a]
+            hosted = [None] * npos
+            for a, pos in enumerate(sigma):
+                hosted[pos] = aug_nodes[a]
+            copies.append((base, tuple(hosted)))
+        # where each copy put the appended nodes; only copy_blowup appends several
+        kind = aug_nodes[n][0]
+        placed = [[int(s[a]) for a in range(n, npos)] for s in sigmas]
+        layout = {f"{kind}_positions": placed if kind == _DUP else [a[0] for a in placed]}
+        if name != "blowup_simple":
+            layout = {"permutations": [list(s) for s in sigmas], **layout}
+        description = {"kind": name, "copies": len(copies), "base": base.label}
+
+    # one pass: each copy's rows go to the positions it hosts, its file to
+    # the next column block; offsets[c][pos] is where copy c's content starts
+    gens = [[] for _ in range(npos)]
+    offsets, running, col = [], [0] * npos, 0
+    for part, hosted in copies:
         offsets.append(tuple(running))
-        for pos in range(npos):
-            running[pos] += lengths[aug_nodes[aug_at[c][pos]][0]]
-    if set(running) != {shape.alpha_symbols} or copies * B_b != shape.file_len:
+        B = part.file_len
+        for pos, desc in enumerate(hosted):
+            if desc[0] == _EMPTY:
+                continue
+            if desc[0] == _FILE:
+                block = [[int(i == r) for i in range(B)] for r in range(B)]
+            else:
+                block = part.node_gens[desc[1]].data
+            for part_row in block:
+                row = [0] * file_len
+                row[col : col + B] = part_row
+                gens[pos].append(row)
+            running[pos] += len(block)
+        col += B
+    if set(running) != {shape.alpha_symbols} or col != file_len:
         raise AssertionError("composition disagrees with its shape rule")
-    file_len = shape.file_len
 
-    gens = []
-    for pos in range(npos):
-        rows = []
-        for c in range(copies):
-            desc = aug_nodes[aug_at[c][pos]]
-            block = c * B_b
-            if desc[0] in (_BASE, _DUP):
-                for base_row in base.node_gens[desc[1]].data:
-                    row = [0] * file_len
-                    row[block : block + B_b] = base_row
-                    rows.append(row)
-            elif desc[0] == _FILE:
-                for r in range(B_b):
-                    row = [0] * file_len
-                    row[block + r] = 1
-                    rows.append(row)
-        gens.append(FieldMatrix(base.field, rows))
-
-    twin = [None] * len(aug_nodes)
-    file_aug = None
-    for a, desc in enumerate(aug_nodes):
-        if desc[0] == _DUP:
-            twin[a] = desc[1]
-            twin[desc[1]] = a
-        elif desc[0] == _FILE:
-            file_aug = a
-
-    # where each copy put the appended nodes; only copy_blowup appends several
-    kind = aug_nodes[n][0]
-    placed = [[int(s[a]) for a in range(n, npos)] for s in sigmas]
-    layout = {f"{kind}_positions": placed if kind == _DUP else [a[0] for a in placed]}
-    if name != "blowup_simple":
-        layout = {"permutations": [list(s) for s in sigmas], **layout}
-    rule = _PermutedCopiesRule(name, base, aug_nodes, sigmas, aug_at, offsets, twin, file_aug)
-    meta = {"kind": name, "copies": copies, "base_labels": [base.label], "copy_layout": layout}
+    field = parts[0].field
+    meta = {
+        "kind": name,
+        "copies": len(copies),
+        "base_labels": [p.label for p in parts],
+        "copy_layout": layout,
+    }
     suffix = "" if arg is None else f",{arg}"
     return LinearDss(
         params=shape.params,
-        field=base.field,
+        field=field,
         file_len=file_len,
-        node_gens=gens,
-        repair_rule=rule,
-        label=f"{name}({base.label}{suffix})",
+        node_gens=[FieldMatrix(field, rows) for rows in gens],
+        repair_rule=_CopiesRule(name, description, copies, offsets),
+        label=f"{name}({','.join(p.label for p in parts)}{suffix})",
         gamma_symbols=shape.gamma_symbols,
         meta=meta,
     )
@@ -320,7 +315,7 @@ def blowup_simple(base: LinearDss, budget: int | None = None) -> LinearDss:
     n*gamma and B' = (n+1)*B; repair stays exact but is not symmetric in
     general.
     """
-    return _compose("blowup_simple", base, budget=budget)
+    return _compose("blowup_simple", [base], budget=budget)
 
 
 def blowup_full(base: LinearDss, budget: int | None = None) -> LinearDss:
@@ -329,7 +324,7 @@ def blowup_full(base: LinearDss, budget: int | None = None) -> LinearDss:
     Same normalized performance as blowup_simple but with exactly equal
     per-helper transfers in every repair (symmetric repair).
     """
-    return _compose("blowup_full", base, budget=budget)
+    return _compose("blowup_full", [base], budget=budget)
 
 
 def iterate(base: LinearDss, j: int, budget: int | None = None) -> LinearDss:
@@ -351,7 +346,7 @@ def copy_blowup(base: LinearDss, l: int, budget: int | None = None) -> LinearDss
     sits among the helpers it alone transfers alpha symbols, which is what
     pulls the bandwidth below a plain parameter shift.
     """
-    return _compose("copy_blowup", base, l, budget)
+    return _compose("copy_blowup", [base], l, budget)
 
 
 def filenode_blowup(base: LinearDss, budget: int | None = None) -> LinearDss:
@@ -362,42 +357,7 @@ def filenode_blowup(base: LinearDss, budget: int | None = None) -> LinearDss:
     costs k*alpha via reconstruction; repair of an ordinary node with a
     file node among the helpers costs alpha.
     """
-    return _compose("filenode_blowup", base, budget=budget)
-
-
-class _ConcatRule(RepairRule):
-    kind = "concat"
-
-    def __init__(self, parts, node_offsets):
-        self.parts = parts
-        self.node_offsets = node_offsets
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "parts": [p.label for p in self.parts]}
-
-    def _owner(self, index):
-        for j in range(len(self.parts) - 1, -1, -1):
-            if index >= self.node_offsets[j]:
-                return j
-        raise InputError(f"node index {index} not owned by any part")
-
-    def execute(self, dss, failed, helpers, contents):
-        j = self._owner(failed)
-        part = self.parts[j]
-        off = self.node_offsets[j]
-        local_failed = failed - off
-        local_helpers = [
-            q - off for q in helpers if off <= q < off + part.params.n
-        ]
-        chosen = local_helpers[: part.params.d]
-        sub = [None] * part.params.n
-        for w in chosen:
-            sub[w] = contents[off + w]
-        rebuilt, report = repair(part, local_failed, chosen, sub)
-        counts = {q: 0 for q in helpers}
-        for w, amount in report.per_helper.items():
-            counts[off + w] += amount
-        return rebuilt, BandwidthReport(counts)
+    return _compose("filenode_blowup", [base], budget=budget)
 
 
 def concat(parts: list[LinearDss], budget: int | None = None) -> LinearDss:
@@ -410,48 +370,6 @@ def concat(parts: list[LinearDss], budget: int | None = None) -> LinearDss:
     """
     if not parts:
         raise InputError("concat needs at least one part")
-    shape2 = Shape.predict("concat", parts, budget=budget)
-    fields = {p.field for p in parts}
-    if len(fields) != 1:
-        raise InputError("parts must share the field")
     if len(parts) == 1:
         return parts[0]
-    field = fields.pop()
-    file_len = shape2.file_len
-
-    node_offsets, col_offsets = [], []
-    acc_n = acc_b = 0
-    for p in parts:
-        node_offsets.append(acc_n)
-        col_offsets.append(acc_b)
-        acc_n += p.params.n
-        acc_b += p.file_len
-    gens = []
-    for j, p in enumerate(parts):
-        for g in p.node_gens:
-            rows = []
-            for base_row in g.data:
-                row = [0] * file_len
-                row[col_offsets[j] : col_offsets[j] + p.file_len] = base_row
-                rows.append(row)
-            gens.append(FieldMatrix(field, rows))
-
-    meta = {
-        "kind": "concat",
-        "copies": len(parts),
-        "base_labels": [p.label for p in parts],
-        "copy_layout": {
-            "node_offsets": node_offsets,
-            "part_gammas": [p.gamma_symbols for p in parts],
-        },
-    }
-    return LinearDss(
-        params=shape2.params,
-        field=field,
-        file_len=file_len,
-        node_gens=gens,
-        repair_rule=_ConcatRule(parts, node_offsets),
-        label="concat(" + ",".join(p.label for p in parts) + ")",
-        gamma_symbols=shape2.gamma_symbols,
-        meta=meta,
-    )
+    return _compose("concat", parts, budget=budget)

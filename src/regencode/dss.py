@@ -9,7 +9,7 @@ of every helper is accounted in symbols.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .gf import GF2, GF256, FieldMatrix, FieldSpec, SingularMatrixError, mat_inv, mat_solve
 from .tradeoff import SystemParams
@@ -32,14 +32,10 @@ class BandwidthReport:
     """Symbols transferred per helper during one repair."""
 
     per_helper: dict[int, int]
-    total: int = dataclass_field(default=-1)
 
-    def __post_init__(self):
-        s = sum(self.per_helper.values())
-        if self.total == -1:
-            object.__setattr__(self, "total", s)
-        elif self.total != s:
-            raise InputError("total does not match per-helper sum")
+    @property
+    def total(self) -> int:
+        return sum(self.per_helper.values())
 
     def max_deviation(self) -> int:
         counts = list(self.per_helper.values())

@@ -68,8 +68,6 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         order, modulus = self.order, self.modulus
         result = 0
@@ -84,7 +82,7 @@ class FieldSpec:
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow(self.inv(a), -e)
+            raise ValueError(f"negative exponent {e}")
         result = 1
         while e:
             if e & 1:
@@ -97,9 +95,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
 
 GF2 = FieldSpec(1, 0b11)

@@ -106,7 +106,8 @@ def _plan(dss: LinearDss, mode: str, seed: int, trials: int):
     The decision rests on the total check count, so the mode holds for both
     sweeps. Returns (mode_info, counts, subsets, pairs), where counts maps
     "reconstruction" and "repair" to the number of subsets and pairs. Each
-    sampled sweep draws from its own Random(seed).
+    sampled sweep draws from its own Random(seed), with replacement; the
+    sampled mode_info reports how many drawn subsets and pairs are distinct.
     """
     n, k, d = dss.params.n, dss.params.k, dss.params.d
     counts = {"reconstruction": comb(n, k), "repair": n * comb(n - 1, d)}
@@ -134,7 +135,14 @@ def _plan(dss: LinearDss, mode: str, seed: int, trials: int):
         helpers = tuple(sorted(rnd.sample([i for i in range(n) if i != f], d)))
         pairs.append((f, helpers))
     counts = {"reconstruction": trials, "repair": trials}
-    return {"kind": "sampled", "seed": seed, "trials": trials}, counts, subsets, pairs
+    mode_info = {
+        "kind": "sampled",
+        "seed": seed,
+        "trials": trials,
+        "distinct_subsets": len(set(subsets)),
+        "distinct_pairs": len(set(pairs)),
+    }
+    return mode_info, counts, subsets, pairs
 
 
 def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets):

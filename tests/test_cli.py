@@ -98,6 +98,19 @@ def test_parse_recipe_nested():
         parse_recipe("frobnicate(base(3,2))")
     with pytest.raises(RecipeError):
         parse_recipe("base(3)")
+    for bad in [
+        "base(3,2)+1",
+        "base(True,2)",
+        "base(3,2,k=1)",
+        "concat()",
+        "base(3,2,)",  # Python syntax outside the grammar
+        "(base(3,2))",
+        "base(0x3,2)",
+        "base(3,2)" + "+1" * 3000,  # the expression parser's recursion limit
+        "-" * 10000 + "1",  # the expression parser's stack limit
+    ]:
+        with pytest.raises(RecipeError):
+            parse_recipe(bad)
 
 
 def test_cli_construct_blowup_simple(tmp_path):
@@ -154,6 +167,7 @@ def test_cli_construct_budget_refuses_before_building(monkeypatch, capsys):
         ["construct"],
         ["curve", "--n", "4", "--k", "3", "--d", "3", "--samples", "many"],
         ["construct", "base(4,2)", "--strict-basis"],  # removed flag
+        ["construct", "blowup_simple(" * 1200 + "base(3,2)" + ")" * 1200],  # over-nested
     ],
 )
 def test_cli_usage_errors_exit_input(argv, capsys):

@@ -225,6 +225,48 @@ def test_concat_mixed_sizes():
     assert report.measured.gamma == 3
 
 
+def test_concat_repair_is_the_owning_part_repair_shifted():
+    parts = [rs_base(4, 3, GF256), rs_base(3, 2, GF256)]
+    dss = concat(parts)
+    forms = [g.data for g in dss.node_gens]
+    pairs = 0
+    for failed in range(7):
+        j = 0 if failed < 4 else 1
+        part, node_off, col_off = parts[j], [0, 4][j], [0, 3][j]
+        others = [i for i in range(7) if i != failed]
+        for helpers in combinations(others, 6):
+            rebuilt, bw = repair(dss, failed, helpers, forms)
+            # the part repairs with its d smallest own helpers
+            local = [q - node_off for q in helpers if 0 <= q - node_off < part.params.n]
+            own_rows, own = repair(
+                part, failed - node_off, local[: part.params.d], [g.data for g in part.node_gens]
+            )
+            assert bw.per_helper == {q: own.per_helper.get(q - node_off, 0) for q in helpers}
+            pad = 5 - col_off - part.file_len
+            assert rebuilt == [[0] * col_off + row + [0] * pad for row in own_rows]
+            pairs += 1
+    assert pairs == 7
+
+
+def test_public_functions_are_the_six_constructions():
+    # bench/tracing.py wraps every public function of the module and reads the
+    # node_gens of what it returns, so any other public function fails it
+    import inspect
+
+    import regencode.constructions as constructions
+
+    public = {
+        name
+        for name, value in vars(constructions).items()
+        if not name.startswith("_")
+        and inspect.isfunction(value)
+        and value.__module__ == constructions.__name__
+    }
+    assert public == {
+        "blowup_simple", "blowup_full", "iterate", "copy_blowup", "filenode_blowup", "concat"
+    }
+
+
 def test_concat_mismatch_errors():
     with pytest.raises(InputError):
         concat([rs_base(4, 2, GF256), rs_base(3, 2, GF256)])  # epsilon differs

@@ -211,6 +211,14 @@ def test_json_golden_blowup_simple():
     assert to_json(dss) == expected
 
 
+def test_json_golden_concat():
+    from regencode.constructions import concat
+
+    dss = concat([rs_base(3, 2, GF2)] * 3)
+    expected = (GOLDEN / "concat_322x3.json").read_text()
+    assert to_json(dss) == expected
+
+
 def test_to_json_dict_roundtrips_through_json():
     dss = rs_base(4, 2, GF16)
     doc = to_json_dict(dss)

@@ -57,6 +57,11 @@ def test_inv_zero_raises():
         GF256.inv(0)
 
 
+def test_pow_rejects_negative_exponent():
+    with pytest.raises(ValueError):  # square-and-multiply would not end
+        GF256.pow(3, -1)
+
+
 @pytest.mark.parametrize("field", [GF2, GF16, GF256])
 def test_field_axioms_random(field):
     rnd = random.Random(field.m)

@@ -166,7 +166,9 @@ def test_sampled_mode_and_resource_error():
         verify_reconstruction(dss, mode="exhaustive")
     report = verify_reconstruction(dss, mode="auto", seed=42, trials=25)
     assert report.reconstruction_ok
-    assert report.mode == {"kind": "sampled", "seed": 42, "trials": 25}
+    assert report.mode == {
+        "kind": "sampled", "seed": 42, "trials": 25, "distinct_subsets": 25, "distinct_pairs": 25
+    }
     rep, bandwidth = verify_exact_repair(dss, seed=42, trials=25)
     assert rep.repair_ok
     assert len(bandwidth) == 25
@@ -179,6 +181,11 @@ def test_one_plan_decides_the_mode_for_both_sweeps(monkeypatch):
     assert report.ok
     assert report.mode["kind"] == "sampled"
     assert report.checks_run == {"reconstruction": 7, "repair": 7, "total": 14}
+    # draws are with replacement: 200 of them hit every subset but not every pair
+    report = measure_and_compare(rs_base(6, 2, GF256), trials=200)
+    assert report.ok
+    assert (report.mode["distinct_subsets"], report.mode["distinct_pairs"]) == (15, 58)
+    assert report.checks_run["total"] == 400
 
 
 def test_ok_requires_the_declared_gamma():
