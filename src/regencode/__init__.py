@@ -41,12 +41,6 @@ from .tradeoff import (
     split_params,
     timeshare_bound,
 )
-from .verifier import (
-    VerificationReport,
-    check_symmetric_repair,
-    measure_and_compare,
-    verify_exact_repair,
-    verify_reconstruction,
-)
+from .verifier import VerificationReport, measure_and_compare
 
 __version__ = "0.1.0"

@@ -1,29 +1,36 @@
-"""Exhaustive and sampled validation of concrete storage codes.
+"""Exhaustive or sampled proof that a concrete storage code keeps its promises.
 
-Checks the properties a LinearDss promises: every k-subset reconstructs,
-every (failed, helpers) pair repairs exactly, bandwidth totals match the
-declared gamma, per-helper symmetry, and agreement of the measured
-(alpha, gamma, B) with a predicted operating point. The code is linear, so
-both sweeps are proofs: a k-subset rebuilds the file iff its stacked
-generators have column rank B, and a linear repair rule (dss.RepairRule)
-is exact for every file iff one run on the generator rows returns the
-failed node's rows. That run, holding no data, measures the bandwidth.
+measure_and_compare is the one call. It proves that k-subsets reconstruct
+and that (failed, helpers) pairs repair exactly, measures (alpha, gamma, B)
+and per-helper symmetry, and compares the measurement with the declared
+gamma and with a predicted operating point. The code is linear, so both
+sweeps are proofs: a k-subset rebuilds the file iff its stacked generators
+have column rank B, and a linear repair rule (dss.RepairRule) is exact for
+every file iff one run on the generator rows returns the failed node's
+rows. That run, holding no data, measures the bandwidth.
+
+One plan sweeps every subset and pair when their total count is at most
+EXHAUSTIVE_LIMIT, and otherwise draws up to TRIALS distinct ones of each.
+One gamma rule holds for the declared gamma and the predicted gamma/alpha:
+an exhaustive sweep must equal it, a sample (which sees only some repairs)
+must not exceed it. B/alpha must always match exactly.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .dss import LinearDss, ResourceError, repair
+from .dss import CodeInvariantError, LinearDss, repair
 from .gf import FieldMatrix, mat_rank
 from .tradeoff import OperatingPoint
 
 EXHAUSTIVE_LIMIT = 10**5
+TRIALS = 200
 
 
 @dataclass
@@ -49,197 +56,130 @@ class VerificationReport:
     def ok(self) -> bool:
         passed = self.reconstruction_ok and self.repair_ok and self.alpha_uniform
         if self.measured is not None and self.gamma_declared is not None:
-            if self.mode.get("kind") == "sampled":
-                # a sample sees only some repairs, so it bounds gamma from below
-                passed = passed and self.measured.gamma <= self.gamma_declared
-            else:
-                passed = passed and self.measured.gamma == self.gamma_declared
-        if self.match is not None:
-            passed = passed and self.match
-        return passed
+            passed = passed and self._gamma_fits(self.measured.gamma, self.gamma_declared)
+        return passed and self.match is not False
+
+    def _gamma_fits(self, measured, expected) -> bool:
+        """The one gamma rule: a sample sees only some repairs, so it bounds gamma from below."""
+        if self.mode["kind"] == "sampled":
+            return measured <= expected
+        return measured == expected
 
     def to_json_dict(self) -> dict:
-        def point(p):
-            if p is None:
-                return None
-            return {
-                "alpha": str(p.alpha),
-                "gamma": str(p.gamma),
-                "file_size": str(p.file_size),
-            }
-
         return {
-            "label": self.label,
-            "mode": self.mode,
-            "reconstruction_ok": self.reconstruction_ok,
-            "reconstruction_counterexample": (
-                None
-                if self.reconstruction_counterexample is None
-                else list(self.reconstruction_counterexample)
-            ),
-            "repair_ok": self.repair_ok,
-            "repair_counterexample": (
-                None
-                if self.repair_counterexample is None
-                else [
-                    self.repair_counterexample[0],
-                    list(self.repair_counterexample[1]),
-                ]
-            ),
-            "checks_run": self.checks_run,
-            "measured": point(self.measured),
-            "alpha_uniform": self.alpha_uniform,
-            "gamma_constant": self.gamma_constant,
-            "symmetric": self.symmetric,
-            "symmetry_max_deviation": self.symmetry_max_deviation,
-            "predicted": point(self.predicted),
-            "match": self.match,
+            f.name: _json_value(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "gamma_declared"
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _plan(dss: LinearDss, mode: str, seed: int, trials: int):
+def _json_value(value):
+    """A report field as JSON data: a point as exact strings, tuples as lists."""
+    if isinstance(value, OperatingPoint):
+        return {name: str(getattr(value, name)) for name in ("alpha", "gamma", "file_size")}
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def _plan(dss: LinearDss, seed: int):
     """One exhaustive-or-sampled decision for the k-subsets and the repair pairs.
 
     The decision rests on the total check count, so the mode holds for both
-    sweeps. Returns (mode_info, counts, subsets, pairs), where counts maps
-    "reconstruction" and "repair" to the number of subsets and pairs. Each
-    sampled sweep draws from its own Random(seed), with replacement; the
-    sampled mode_info reports how many drawn subsets and pairs are distinct.
+    sweeps: all of them if it is at most EXHAUSTIVE_LIMIT, else a sample.
+    Each sampled sweep draws from its own Random(seed) and skips repeats
+    until it holds min(TRIALS, population) distinct subsets or pairs, so
+    every sampled check is a new proof. Returns (mode_info, subsets, pairs).
     """
     n, k, d = dss.params.n, dss.params.k, dss.params.d
-    counts = {"reconstruction": comb(n, k), "repair": n * comb(n - 1, d)}
-    total = sum(counts.values())
-    if mode == "exhaustive" or (mode == "auto" and total <= EXHAUSTIVE_LIMIT):
-        if total > EXHAUSTIVE_LIMIT:
-            raise ResourceError(
-                f"{total} checks exceed the exhaustive ceiling {EXHAUSTIVE_LIMIT}"
-            )
+    n_subsets, n_pairs = comb(n, k), n * comb(n - 1, d)
+    if n_subsets + n_pairs <= EXHAUSTIVE_LIMIT:
         subsets = combinations(range(n), k)
         pairs = (
             (f, helpers)
             for f in range(n)
             for helpers in combinations([i for i in range(n) if i != f], d)
         )
-        return {"kind": "exhaustive"}, counts, subsets, pairs
-    if mode not in ("auto", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rnd = random.Random(seed)
-    subsets = [tuple(sorted(rnd.sample(range(n), k))) for _ in range(trials)]
-    rnd = random.Random(seed)
-    pairs = []
-    for _ in range(trials):
+        return {"kind": "exhaustive"}, subsets, pairs
+
+    def distinct(population, draw):
+        rnd = random.Random(seed)
+        drawn = {}  # insertion-ordered set: the sweep keeps the draw order
+        while len(drawn) < min(TRIALS, population):
+            drawn[draw(rnd)] = None
+        return list(drawn)
+
+    def pair(rnd):
         f = rnd.randrange(n)
-        helpers = tuple(sorted(rnd.sample([i for i in range(n) if i != f], d)))
-        pairs.append((f, helpers))
-    counts = {"reconstruction": trials, "repair": trials}
-    mode_info = {
-        "kind": "sampled",
-        "seed": seed,
-        "trials": trials,
-        "distinct_subsets": len(set(subsets)),
-        "distinct_pairs": len(set(pairs)),
-    }
-    return mode_info, counts, subsets, pairs
+        return f, tuple(sorted(rnd.sample([i for i in range(n) if i != f], d)))
+
+    subsets = distinct(n_subsets, lambda rnd: tuple(sorted(rnd.sample(range(n), k))))
+    pairs = distinct(n_pairs, pair)
+    return {"kind": "sampled", "seed": seed, "trials": TRIALS}, subsets, pairs
 
 
-def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets):
-    """Record the first k-subset whose stacked generators lack column rank B."""
-    for subset in subsets:
+def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -> int:
+    """Prove subsets by rank up to the first that lacks column rank B; return the count run."""
+    run = 0
+    for run, subset in enumerate(subsets, 1):
         stack = [row for i in subset for row in dss.node_gens[i].data]
         if mat_rank(FieldMatrix(dss.field, stack)) != dss.file_len:
             report.reconstruction_ok = False
             report.reconstruction_counterexample = subset
-            return
+            break
+    return run
 
 
 def _check_repair(dss: LinearDss, report: VerificationReport, pairs):
-    """Prove each pair by one repair on the generator rows; return the bandwidth list.
+    """Prove pairs by one repair on the generator rows each, up to the first that fails.
 
-    Stops at the first pair that does not rebuild the failed node's generator
-    rows and records it. Returns one ((failed, helpers), report) entry per
-    pair proved.
+    Records that pair as the counterexample. Returns (count run, the
+    BandwidthReport of every pair proved).
     """
     forms = [g.data for g in dss.node_gens]
     bandwidth = []
     for failed, helpers in pairs:
-        rebuilt, bw = repair(dss, failed, helpers, forms)
+        try:
+            rebuilt, bw = repair(dss, failed, helpers, forms)
+        except CodeInvariantError:
+            rebuilt = None  # the rule decoded from helpers that do not determine the file
         if rebuilt != forms[failed]:
             report.repair_ok = False
             report.repair_counterexample = (failed, helpers)
-            return bandwidth
-        bandwidth.append(((failed, helpers), bw))
-    return bandwidth
-
-
-def verify_reconstruction(
-    dss: LinearDss, mode: str = "auto", seed: int = 0, trials: int = 200
-) -> VerificationReport:
-    """Prove by rank that every (or a sampled set of) k-subsets reconstructs."""
-    mode_info, counts, subsets, _ = _plan(dss, mode, seed, trials)
-    report = VerificationReport(
-        dss.label, mode_info, checks_run={"reconstruction": counts["reconstruction"]}
-    )
-    _check_reconstruction(dss, report, subsets)
-    return report
-
-
-def verify_exact_repair(
-    dss: LinearDss,
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int = 200,
-):
-    """Prove exact repair of every (or a sampled set of) (failed, helpers) pairs.
-
-    Returns (report, bandwidth), the list of ((failed, helpers), report)
-    entries of the pairs repaired.
-    """
-    mode_info, counts, _, pairs = _plan(dss, mode, seed, trials)
-    report = VerificationReport(dss.label, mode_info, checks_run={"repair": counts["repair"]})
-    return report, _check_repair(dss, report, pairs)
-
-
-def check_symmetric_repair(dss: LinearDss, bandwidth=None, mode="auto", seed=0, trials=200):
-    """True iff every helper transfers the same amount in every repair."""
-    if bandwidth is None:
-        _, bandwidth = verify_exact_repair(dss, mode, seed, trials)
-    max_dev = max((bw.max_deviation() for _, bw in bandwidth), default=0)
-    return max_dev == 0, max_dev
+            return len(bandwidth) + 1, bandwidth
+        bandwidth.append(bw)
+    return len(bandwidth), bandwidth
 
 
 def measure_and_compare(
-    dss: LinearDss,
-    predicted: OperatingPoint | None = None,
-    mode: str = "auto",
-    seed: int = 0,
-    trials: int = 200,
+    dss: LinearDss, predicted: OperatingPoint | None = None, seed: int = 0
 ) -> VerificationReport:
-    """Full verification: reconstruction, exact repair, symmetry, measurement.
+    """The verifier's one call: prove, measure and compare one code.
 
-    One plan drives both sweeps, which fill one report. The measured point
-    is in symbol units: alpha from the node content lengths, gamma from the
-    largest repair total, B = file_len. Matching against the prediction is
-    exact rational equality of the alpha-normalized ratios.
+    One plan drives both sweeps, which fill one report; checks_run counts
+    the checks that ran, a counterexample last. The measured point is in
+    symbol units: alpha from the node content lengths, gamma from the
+    largest repair total, B = file_len. It matches the prediction when the
+    alpha-normalized ratios agree: B/alpha exactly, gamma/alpha by the one
+    gamma rule.
     """
-    mode_info, counts, subsets, pairs = _plan(dss, mode, seed, trials)
+    mode_info, subsets, pairs = _plan(dss, seed)
     report = VerificationReport(
-        dss.label,
-        mode_info,
-        checks_run={**counts, "total": sum(counts.values())},
-        predicted=predicted,
-        gamma_declared=dss.gamma_symbols,
+        dss.label, mode_info, predicted=predicted, gamma_declared=dss.gamma_symbols
     )
-    _check_reconstruction(dss, report, subsets)
-    bandwidth = _check_repair(dss, report, pairs)
+    recon = _check_reconstruction(dss, report, subsets)
+    rep, bandwidth = _check_repair(dss, report, pairs)
+    report.checks_run = {"reconstruction": recon, "repair": rep, "total": recon + rep}
 
     lengths = {g.rows for g in dss.node_gens}
     report.alpha_uniform = len(lengths) == 1
-    totals = [bw.total for _, bw in bandwidth]
+    totals = [bw.total for bw in bandwidth]
     report.gamma_constant = not totals or min(totals) == max(totals)
-    report.symmetric, report.symmetry_max_deviation = check_symmetric_repair(dss, bandwidth)
+    report.symmetry_max_deviation = max((bw.max_deviation() for bw in bandwidth), default=0)
+    report.symmetric = report.symmetry_max_deviation == 0
     measured = OperatingPoint(
         Fraction(max(lengths)),
         Fraction(max(totals, default=dss.gamma_symbols)),
@@ -247,9 +187,7 @@ def measure_and_compare(
     )
     report.measured = measured
     if predicted is not None:
-        report.match = (
-            measured.gamma / measured.alpha == predicted.gamma / predicted.alpha
-            and measured.file_size / measured.alpha
-            == predicted.file_size / predicted.alpha
-        )
+        report.match = report._gamma_fits(
+            measured.gamma / measured.alpha, predicted.gamma / predicted.alpha
+        ) and measured.file_size / measured.alpha == predicted.file_size / predicted.alpha
     return report

@@ -30,7 +30,7 @@ from regencode.tradeoff import (
     perf_p4,
     timeshare_bound,
 )
-from regencode.verifier import measure_and_compare, verify_exact_repair
+from regencode.verifier import measure_and_compare
 
 GOLDEN = Path(__file__).parent / "golden"
 RESULTS: list[str] = []
@@ -85,10 +85,10 @@ def test_criterion_03_main_construction_end_to_end(tmp_path):
     assert code == 0
     assert report["measured"] == {"alpha": "18", "file_size": "48", "gamma": "36"}
     assert report["symmetric"] is True and report["match"] is True
-    # every helper moves exactly 12 symbols in every repair
-    _, bandwidth = verify_exact_repair(blowup_full(rs_base(3, 2, GF2)))
-    for _, bw in bandwidth:
-        assert set(bw.per_helper.values()) == {12}
+    # every helper moves exactly 12 symbols in every repair: equal helpers,
+    # equal totals of 3 x 12
+    full = measure_and_compare(blowup_full(rs_base(3, 2, GF2)))
+    assert full.symmetric and full.gamma_constant and full.measured.gamma == 36
     assert F(48, 18) == perf_p1(SystemParams(4, 3, 3), 1, 2).file_size
     check_runtime(t0, 10.0, "criterion 3")
     record("criterion 3 (full blowup, (18,36,48), symmetric 12 each): PASS")

@@ -33,7 +33,7 @@ from regencode.tradeoff import (
     perf_p4,
     timeshare_bound,
 )
-from regencode.verifier import measure_and_compare, verify_exact_repair
+from regencode.verifier import measure_and_compare
 
 
 def declared_point(dss):
@@ -89,10 +89,10 @@ def test_blowup_full_example():
 
 def test_blowup_full_per_helper_twelve():
     dss = blowup_full(xor_base_322())
-    _, bandwidth = verify_exact_repair(dss)
-    assert len(bandwidth) == 4
-    for _, bw in bandwidth:
-        assert set(bw.per_helper.values()) == {12}
+    report = measure_and_compare(dss)
+    assert report.repair_ok and report.checks_run["repair"] == 4
+    # every helper sends 12 in every repair: equal helpers, equal totals of 3 x 12
+    assert report.symmetric and report.gamma_constant and report.measured.gamma == 36
 
 
 def test_blowup_full_drop_rule_keeps_symmetry():
@@ -102,18 +102,15 @@ def test_blowup_full_drop_rule_keeps_symmetry():
     assert (dss.alpha_symbols, dss.gamma_symbols, dss.file_len) == (96, 192, 240)
     report = measure_and_compare(dss, declared_point(dss))
     assert report.ok and report.symmetric
-    _, bandwidth = verify_exact_repair(dss)
-    for _, bw in bandwidth:
-        assert set(bw.per_helper.values()) == {64}
+    # every helper sends 64 in every repair: equal helpers, equal totals of 3 x 64
+    assert report.gamma_constant and report.measured.gamma == 192
 
 
 def test_blowup_simple_not_symmetric_in_general():
     # the cyclic layout only happens to be symmetric at (3,2,2); with a
     # (4,2,2) base the excluded-helper choice is position-dependent
-    from regencode.verifier import check_symmetric_repair
-
-    symmetric, dev = check_symmetric_repair(blowup_simple(rs_base(4, 2, GF16)))
-    assert not symmetric and dev == 1
+    report = measure_and_compare(blowup_simple(rs_base(4, 2, GF16)))
+    assert not report.symmetric and report.symmetry_max_deviation == 1
 
 
 def test_blowup_full_and_simple_share_ratios():

@@ -1,28 +1,16 @@
+import inspect
 import json
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
 
-import pytest
-
 import regencode.verifier as verifier
 from regencode.constructions import blowup_full, blowup_simple, concat, filenode_blowup
-from regencode.dss import (
-    LinearDss,
-    MdsReencodeRule,
-    RepairRule,
-    ResourceError,
-    rs_base,
-    xor_base_322,
-)
+from regencode.cli import main
+from regencode.dss import LinearDss, MdsReencodeRule, RepairRule, rs_base, xor_base_322
 from regencode.gf import GF2, GF256, FieldMatrix
 from regencode.tradeoff import OperatingPoint, SystemParams, perf_p1
-from regencode.verifier import (
-    check_symmetric_repair,
-    measure_and_compare,
-    verify_exact_repair,
-    verify_reconstruction,
-)
+from regencode.verifier import measure_and_compare
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,15 +46,15 @@ class ZeroedTransferRule(RepairRule):
 
 
 def test_verify_reconstruction_blowup_full():
-    report = verify_reconstruction(blowup_full(rs_base(3, 2, GF2)))
+    report = measure_and_compare(blowup_full(rs_base(3, 2, GF2)))
     assert report.reconstruction_ok
-    assert report.checks_run == {"reconstruction": 4}
+    assert report.checks_run["reconstruction"] == 4
 
 
 def test_verify_reconstruction_concat():
-    report = verify_reconstruction(concat([rs_base(3, 2, GF2) for _ in range(3)]))
+    report = measure_and_compare(concat([rs_base(3, 2, GF2) for _ in range(3)]))
     assert report.reconstruction_ok
-    assert report.checks_run == {"reconstruction": 9}
+    assert report.checks_run["reconstruction"] == 9
 
 
 def test_verify_reconstruction_corrupted_generator():
@@ -75,23 +63,35 @@ def test_verify_reconstruction_corrupted_generator():
         (blowup_full(rs_base(3, 2, GF2)), (0, 1, 2)),  # a composite stack
     ]
     for dss, counterexample in cases:
-        report = verify_reconstruction(corrupt_generator(dss, 0))
-        assert not report.reconstruction_ok
+        report = measure_and_compare(corrupt_generator(dss, 0))
+        assert not report.reconstruction_ok and not report.ok
         assert report.reconstruction_counterexample == counterexample
+        # the sweep stopped at its first subset, the counterexample
+        assert report.checks_run["reconstruction"] == 1
+
+
+def test_repair_through_a_corrupted_generator_is_a_counterexample():
+    # node 1's rule decodes from (0, 2), which no longer determine the file
+    report = measure_and_compare(corrupt_generator(rs_base(3, 2, GF256), 0))
+    assert not report.repair_ok and not report.ok
+    assert report.repair_counterexample == (1, (0, 2))
+    # node 0 rebuilt from (1, 2) is the zeroed node: that pair ran and passed
+    assert report.checks_run == {"reconstruction": 1, "repair": 2, "total": 3}
+    assert json.loads(report.to_json())["repair_counterexample"] == [1, [0, 2]]
 
 
 def test_verify_exact_repair_blowup_full():
-    report, bandwidth = verify_exact_repair(blowup_full(rs_base(3, 2, GF2)))
+    report = measure_and_compare(blowup_full(rs_base(3, 2, GF2)))
     assert report.repair_ok
-    assert report.checks_run == {"repair": 4}
-    assert [bw.total for _, bw in bandwidth] == [36, 36, 36, 36]
+    assert report.checks_run["repair"] == 4
+    assert report.gamma_constant and report.measured.gamma == 36
 
 
 def test_verify_exact_repair_rs52():
-    report, bandwidth = verify_exact_repair(rs_base(5, 2, GF256))
+    report = measure_and_compare(rs_base(5, 2, GF256))
     assert report.repair_ok
-    assert report.checks_run == {"repair": 30}
-    assert all(bw.total == 2 for _, bw in bandwidth)
+    assert report.checks_run["repair"] == 30
+    assert report.gamma_constant and report.measured.gamma == 2
 
 
 def test_verify_exact_repair_corrupted_rule():
@@ -106,23 +106,27 @@ def test_verify_exact_repair_corrupted_rule():
             base.gamma_symbols,
         )
         for seed in seeds:  # over GF(2), random probe messages missed it at some seeds
-            report, _ = verify_exact_repair(bad, seed=seed)
+            report = measure_and_compare(bad, seed=seed)
             assert not report.repair_ok, seed
             assert report.repair_counterexample is not None
 
 
 def test_check_symmetric_repair():
-    symmetric, dev = check_symmetric_repair(blowup_full(rs_base(3, 2, GF2)))
+    def symmetry(dss):
+        report = measure_and_compare(dss)
+        return report.symmetric, report.symmetry_max_deviation
+
+    symmetric, dev = symmetry(blowup_full(rs_base(3, 2, GF2)))
     assert symmetric and dev == 0
     # this instance of the simple blowup happens to be symmetric too
-    symmetric, dev = check_symmetric_repair(blowup_simple(rs_base(3, 2, GF2)))
+    symmetric, dev = symmetry(blowup_simple(rs_base(3, 2, GF2)))
     assert symmetric and dev == 0
     # concatenation is not: helpers outside the owning part transfer 0
-    symmetric, dev = check_symmetric_repair(concat([rs_base(3, 2, GF2)] * 2))
+    symmetric, dev = symmetry(concat([rs_base(3, 2, GF2)] * 2))
     assert not symmetric and dev == 1
     # the file-node blowup of a d = k base also equalizes per-helper totals
     # (every helper serves in each file-node rebuild when d = k)
-    symmetric, dev = check_symmetric_repair(filenode_blowup(rs_base(3, 2, GF2)))
+    symmetric, dev = symmetry(filenode_blowup(rs_base(3, 2, GF2)))
     assert symmetric and dev == 0
 
 
@@ -160,32 +164,27 @@ def test_checks_run_exhaustive_counts():
     assert report.checks_run["total"] == comb(n, k) + n * comb(n - 1, d)
 
 
-def test_sampled_mode_and_resource_error():
-    dss = rs_base(50, 5, GF256)
-    with pytest.raises(ResourceError):
-        verify_reconstruction(dss, mode="exhaustive")
-    report = verify_reconstruction(dss, mode="auto", seed=42, trials=25)
-    assert report.reconstruction_ok
-    assert report.mode == {
-        "kind": "sampled", "seed": 42, "trials": 25, "distinct_subsets": 25, "distinct_pairs": 25
-    }
-    rep, bandwidth = verify_exact_repair(dss, seed=42, trials=25)
-    assert rep.repair_ok
-    assert len(bandwidth) == 25
-    assert all(bw.total == 5 for _, bw in bandwidth)
+def test_sampled_mode(monkeypatch):
+    monkeypatch.setattr(verifier, "TRIALS", 25)
+    report = measure_and_compare(rs_base(50, 5, GF256), seed=42)
+    assert report.reconstruction_ok and report.repair_ok
+    assert report.mode == {"kind": "sampled", "seed": 42, "trials": 25}
+    assert report.checks_run == {"reconstruction": 25, "repair": 25, "total": 50}
+    assert report.gamma_constant and report.measured.gamma == 5
 
 
 def test_one_plan_decides_the_mode_for_both_sweeps(monkeypatch):
     monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", 20)
-    report = measure_and_compare(rs_base(6, 2, GF256), trials=7)  # 15 subsets, 60 pairs
+    monkeypatch.setattr(verifier, "TRIALS", 7)
+    report = measure_and_compare(rs_base(6, 2, GF256))  # 15 subsets, 60 pairs
     assert report.ok
     assert report.mode["kind"] == "sampled"
     assert report.checks_run == {"reconstruction": 7, "repair": 7, "total": 14}
-    # draws are with replacement: 200 of them hit every subset but not every pair
-    report = measure_and_compare(rs_base(6, 2, GF256), trials=200)
+    # draws are distinct, so 200 trials stop at the 15 subsets and 60 pairs there are
+    monkeypatch.setattr(verifier, "TRIALS", 200)
+    report = measure_and_compare(rs_base(6, 2, GF256))
     assert report.ok
-    assert (report.mode["distinct_subsets"], report.mode["distinct_pairs"]) == (15, 58)
-    assert report.checks_run["total"] == 400
+    assert report.checks_run == {"reconstruction": 15, "repair": 60, "total": 75}
 
 
 def test_ok_requires_the_declared_gamma():
@@ -196,18 +195,57 @@ def test_ok_requires_the_declared_gamma():
     )
     report = measure_and_compare(wrong)
     assert report.measured.gamma == 2 and not report.ok
-    # a sample bounds gamma from below: this one draws a repair in the (3,2)
-    # part of a concat that declares the (4,3) part's gamma 3
+
+
+# seed at which the one sampled repair of concat(base(4,3),base(3,2)) falls in
+# the (3,2) part, whose repairs move 2 symbols against the declared gamma 3
+SEED_IN_SMALL_PART = 0
+
+
+def test_one_gamma_rule_for_ok_and_match(monkeypatch):
+    monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", 0)
+    monkeypatch.setattr(verifier, "TRIALS", 1)
     mixed = concat([rs_base(4, 3, GF256), rs_base(3, 2, GF256)])
-    report = measure_and_compare(mixed, mode="sampled", seed=0, trials=1)
-    assert report.measured.gamma == 2 and report.ok
+    declared = OperatingPoint(mixed.alpha_symbols, mixed.gamma_symbols, mixed.file_len)
+    report = measure_and_compare(mixed, declared, seed=SEED_IN_SMALL_PART)
+    assert report.mode["kind"] == "sampled"
+    assert report.repair_counterexample is None and report.checks_run["repair"] == 1
+    assert report.measured.gamma == 2 < mixed.gamma_symbols == 3
+    # a sample bounds gamma from below, for the declared gamma and the prediction alike
+    assert report.match and report.ok
+    # an exhaustive sweep holds both to equality
+    over = OperatingPoint(mixed.alpha_symbols, mixed.gamma_symbols + 1, mixed.file_len)
+    monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", 10**5)
+    report = measure_and_compare(mixed, over)
+    assert report.measured.gamma == 3 and not report.match and not report.ok
 
 
-def test_sampled_mode_deterministic():
+def test_sampled_construct_of_an_unequal_concat_exits_0(monkeypatch, capsys):
+    monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", 0)
+    monkeypatch.setattr(verifier, "TRIALS", 1)
+    recipe = "concat(base(4,3),base(3,2))"
+    assert main(["construct", recipe, "--seed", str(SEED_IN_SMALL_PART)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["measured"]["gamma"] == "2" and data["match"] is True
+
+
+def test_sampled_mode_deterministic(monkeypatch):
+    monkeypatch.setattr(verifier, "TRIALS", 10)
     dss = rs_base(50, 5, GF256)
-    a = verify_reconstruction(dss, seed=7, trials=10)
-    b = verify_reconstruction(dss, seed=7, trials=10)
+    a = measure_and_compare(dss, seed=7)
+    b = measure_and_compare(dss, seed=7)
     assert a.to_json() == b.to_json()
+
+
+def test_measure_and_compare_is_the_one_public_function():
+    functions = {
+        name
+        for name, value in vars(verifier).items()
+        if inspect.isfunction(value) and value.__module__ == verifier.__name__
+    }
+    assert {name for name in functions if not name.startswith("_")} == {"measure_and_compare"}
+    assert list(inspect.signature(measure_and_compare).parameters) == ["dss", "predicted", "seed"]
+    assert (verifier.EXHAUSTIVE_LIMIT, verifier.TRIALS) == (10**5, 200)
 
 
 def test_repair_proof_uses_no_messages(monkeypatch):
