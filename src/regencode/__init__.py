@@ -18,7 +18,6 @@ from .dss import (
     repair,
     rs_base,
     to_json,
-    xor_base_322,
 )
 from .gf import GF2, GF16, GF256, FieldMatrix, FieldSpec, mat_rank, mat_solve
 from .tradeoff import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .gf import GF2, GF256, FieldMatrix, FieldSpec, SingularMatrixError, mat_inv, mat_solve
+from .gf import GF256, FieldMatrix, FieldSpec, SingularMatrixError, mat_inv, mat_solve
 from .tradeoff import SystemParams
 
 
@@ -100,10 +100,6 @@ class LinearDss:
         self.gamma_symbols = gamma_symbols
         self.meta = meta
 
-    @property
-    def total_symbols(self) -> int:
-        return self.alpha_symbols * self.params.n
-
     def __repr__(self) -> str:
         p = self.params
         return (
@@ -120,7 +116,7 @@ def encode(dss: LinearDss, message: list[int]) -> list[list[int]]:
         )
     for v in message:
         dss.field.check(v)
-    return [g.mul_vec(message) for g in dss.node_gens]
+    return [apply_generator(g, message) for g in dss.node_gens]
 
 
 def reconstruct(
@@ -150,7 +146,7 @@ def apply_generator(gen: FieldMatrix, symbols: list) -> list:
     """gen times a column of symbols, e.g. a node's content from the file."""
     if _rows(symbols):
         return gen.mul(FieldMatrix(gen.field, symbols)).data
-    return gen.mul_vec(symbols)
+    return gen.mul(FieldMatrix.column(gen.field, symbols)).col_vector()
 
 
 def _rows(symbols: list) -> bool:
@@ -225,24 +221,6 @@ def rs_base(n: int, k: int, field: FieldSpec = GF256) -> LinearDss:
         repair_rule=MdsReencodeRule(),
         label=f"rs_base({n},{k})/GF(2^{field.m})",
         gamma_symbols=k,
-    )
-
-
-def xor_base_322(field: FieldSpec = GF2) -> LinearDss:
-    """The three-node code storing (x), (y), (x+y)."""
-    gens = [
-        FieldMatrix(field, [[1, 0]]),
-        FieldMatrix(field, [[0, 1]]),
-        FieldMatrix(field, [[1, 1]]),
-    ]
-    return LinearDss(
-        params=SystemParams(3, 2, 2),
-        field=field,
-        file_len=2,
-        node_gens=gens,
-        repair_rule=MdsReencodeRule(),
-        label="xor_base_322",
-        gamma_symbols=2,
     )
 
 

@@ -1,7 +1,7 @@
 """Binary extension field arithmetic GF(2^m) and dense linear algebra over it.
 
-Field elements are ints in [0, 2^m); addition is XOR, multiplication is
-carryless multiplication reduced by an irreducible modulus polynomial.
+Field elements are ints in [0, 2^m); addition is XOR. Multiplication, inverse
+and powers are lookups in log/antilog tables that each field builds once.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ class FieldSpec:
             )
         if not is_irreducible(self.modulus):
             raise ValueError(f"modulus {self.modulus:#x} is reducible")
+        # not dataclass fields: equality, hash and repr stay (m, modulus)
+        exp, log = _tables(self.m, self.modulus)
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
 
     @property
     def order(self) -> int:
@@ -69,7 +73,30 @@ class FieldSpec:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        order, modulus = self.order, self.modulus
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        if a == 0:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.order - 1)]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0 in a finite field")
+        return self._exp[self.order - 1 - self._log[a]]
+
+
+def _tables(m: int, modulus: int) -> tuple[list[int], list[int]]:
+    """Antilog (doubled) and log tables over the first generator of GF(2^m)*.
+
+    The generator need not be x (it is not under 0x11B). Doubling the antilog
+    table lets exp[log a + log b] skip the reduction mod 2^m - 1.
+    """
+    order = 1 << m
+
+    def times(a: int, b: int) -> int:  # carryless multiply reduced by the modulus
         result = 0
         while b:
             if b & 1:
@@ -80,21 +107,16 @@ class FieldSpec:
                 a ^= modulus
         return result
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self.pow(a, self.order - 2)
+    for g in range(1, order):
+        exp = [1]
+        while (x := times(exp[-1], g)) != 1:
+            exp.append(x)
+        if len(exp) == order - 1:
+            break
+    log = [0] * order
+    for i, x in enumerate(exp):
+        log[x] = i
+    return exp + exp, log
 
 
 GF2 = FieldSpec(1, 0b11)
@@ -141,36 +163,18 @@ class FieldMatrix:
     def mul(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        f = self.field
+        exp, log = self.field._exp, self.field._log
         out = [[0] * other.cols for _ in range(self.rows)]
         for i, arow in enumerate(self.data):
             orow = out[i]
             for t, a in enumerate(arow):
                 if a == 0:
                     continue
-                brow = other.data[t]
-                if a == 1:
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] ^= b
-                else:
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] ^= f.mul(a, b)
-        return FieldMatrix(f, out)
-
-    def mul_vec(self, vec: list[int]) -> list[int]:
-        if self.cols != len(vec):
-            raise ValueError("dimension mismatch")
-        f = self.field
-        out = []
-        for row in self.data:
-            acc = 0
-            for a, v in zip(row, vec):
-                if a and v:
-                    acc ^= v if a == 1 else f.mul(a, v)
-            out.append(acc)
-        return out
+                la = log[a]
+                for j, b in enumerate(other.data[t]):
+                    if b:
+                        orow[j] ^= exp[la + log[b]]
+        return FieldMatrix(self.field, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -188,6 +192,7 @@ def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
 
     Returns the list of pivot row indices, one per pivoted column.
     """
+    exp, log, group = field._exp, field._log, field.order - 1
     pivots = []
     prow = 0
     nrows = len(work)
@@ -201,25 +206,19 @@ def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
             pivots.append(None)
             continue
         work[prow], work[piv] = work[piv], work[prow]
-        inv_p = field.inv(work[prow][col])
-        if inv_p != 1:
-            work[prow] = [field.mul(inv_p, v) if v else 0 for v in work[prow]]
         lead = work[prow]
+        scale = log[field.inv(lead[col])]
+        # the pivot row is zero left of col: each earlier pivot cleared its column
+        terms = [(j, log[v]) for j, v in enumerate(lead[col:], col) if v]
+        for j, lv in terms:  # scale the pivot to 1; terms keep the unscaled logs
+            lead[j] = exp[scale + lv]
         for r in range(nrows):
-            if r == prow:
-                continue
             factor = work[r][col]
-            if factor == 0:
+            if factor == 0 or r == prow:
                 continue
-            row = work[r]
-            if factor == 1:
-                for j in range(col, len(lead)):
-                    if lead[j]:
-                        row[j] ^= lead[j]
-            else:
-                for j in range(col, len(lead)):
-                    if lead[j]:
-                        row[j] ^= field.mul(factor, lead[j])
+            row, lf = work[r], (log[factor] + scale) % group
+            for j, lv in terms:
+                row[j] ^= exp[lf + lv]
         pivots.append(prow)
         prow += 1
     return pivots

@@ -21,7 +21,6 @@ from regencode.dss import (
     reconstruct,
     repair,
     rs_base,
-    xor_base_322,
 )
 from regencode.gf import GF2, GF16, GF256
 from regencode.tradeoff import (
@@ -43,7 +42,7 @@ def declared_point(dss):
 
 
 def test_blowup_simple_example_2_1():
-    dss = blowup_simple(xor_base_322())
+    dss = blowup_simple(rs_base(3, 2, GF2))
     assert dss.params == SystemParams(4, 3, 3)
     assert (dss.alpha_symbols, dss.gamma_symbols, dss.file_len) == (3, 6, 8)
     report = measure_and_compare(dss, declared_point(dss))
@@ -56,19 +55,19 @@ def test_blowup_simple_example_2_1():
 
 
 def test_blowup_simple_zero_message():
-    dss = blowup_simple(xor_base_322())
+    dss = blowup_simple(rs_base(3, 2, GF2))
     assert encode(dss, [0] * 8) == [[0] * 3] * 4
 
 
 def test_blowup_simple_matches_p1():
-    dss = blowup_simple(xor_base_322())
+    dss = blowup_simple(rs_base(3, 2, GF2))
     pt = perf_p1(SystemParams(4, 3, 3), 3, 2)  # alpha = 3, gamma = 2*3
     assert pt.gamma == dss.gamma_symbols
     assert pt.file_size == dss.file_len
 
 
 def test_blowup_simple_bandwidth_every_pair():
-    dss = blowup_simple(xor_base_322())
+    dss = blowup_simple(rs_base(3, 2, GF2))
     contents = encode(dss, [1, 0, 1, 1, 0, 1, 1, 0])
     for failed in range(4):
         helpers = tuple(i for i in range(4) if i != failed)
@@ -78,7 +77,7 @@ def test_blowup_simple_bandwidth_every_pair():
 
 
 def test_blowup_full_example():
-    dss = blowup_full(xor_base_322())
+    dss = blowup_full(rs_base(3, 2, GF2))
     assert dss.params == SystemParams(4, 3, 3)
     assert (dss.alpha_symbols, dss.gamma_symbols, dss.file_len) == (18, 36, 48)
     report = measure_and_compare(dss, declared_point(dss))
@@ -88,7 +87,7 @@ def test_blowup_full_example():
 
 
 def test_blowup_full_per_helper_twelve():
-    dss = blowup_full(xor_base_322())
+    dss = blowup_full(rs_base(3, 2, GF2))
     report = measure_and_compare(dss)
     assert report.repair_ok and report.checks_run["repair"] == 4
     # every helper sends 12 in every repair: equal helpers, equal totals of 3 x 12
@@ -114,8 +113,8 @@ def test_blowup_simple_not_symmetric_in_general():
 
 
 def test_blowup_full_and_simple_share_ratios():
-    full = blowup_full(xor_base_322())
-    simple = blowup_simple(xor_base_322())
+    full = blowup_full(rs_base(3, 2, GF2))
+    simple = blowup_simple(rs_base(3, 2, GF2))
     assert F(full.gamma_symbols, full.alpha_symbols) == F(
         simple.gamma_symbols, simple.alpha_symbols
     )
@@ -128,7 +127,7 @@ def test_blowup_full_resource_guard():
     with pytest.raises(ResourceError):
         blowup_full(rs_base(6, 5, GF256))
     with pytest.raises(ResourceError):
-        blowup_full(xor_base_322(), budget=10)
+        blowup_full(rs_base(3, 2, GF2), budget=10)
 
 
 class Built(Exception):
@@ -150,15 +149,15 @@ def test_iterate_budget_predicts_every_level(monkeypatch, j, admitted):
 
 
 def test_concat_checks_the_budget():
-    parts = [blowup_full(xor_base_322()) for _ in range(2)]  # 3,456 entries each
+    parts = [blowup_full(rs_base(3, 2, GF2)) for _ in range(2)]  # 3,456 entries each
     with pytest.raises(ResourceError, match="13824 generator entries"):
         concat(parts, budget=5000)
     assert concat(parts, budget=13824).params == SystemParams(8, 7, 7)
 
 
 def test_iterate_once_is_blowup_full():
-    a = iterate(xor_base_322(), 1)
-    b = blowup_full(xor_base_322())
+    a = iterate(rs_base(3, 2, GF2), 1)
+    b = blowup_full(rs_base(3, 2, GF2))
     assert a.params == b.params
     assert [g.data for g in a.node_gens] == [g.data for g in b.node_gens]
     assert a.gamma_symbols == b.gamma_symbols
@@ -181,7 +180,7 @@ def test_iterate_twice_small_base():
 
 def test_iterate_ratio_formula_without_building():
     # (3,2,2) twice: predicted (5,4,4) ratio = (5/3) * 2 = 10/3 at gamma = 2*alpha
-    base = xor_base_322()
+    base = rs_base(3, 2, GF2)
     a1, g1, b1 = 18, 36, 48  # after one level
     a2, g2, b2 = 4 * 24 * a1, 4 * 24 * g1, 120 * b1
     assert F(b2, a2) == F(10, 3)
@@ -268,7 +267,7 @@ def test_concat_mismatch_errors():
     with pytest.raises(InputError):
         concat([rs_base(4, 2, GF256), rs_base(3, 2, GF256)])  # epsilon differs
     with pytest.raises(InputError):
-        concat([blowup_simple(xor_base_322()), xor_base_322()])  # alpha differs
+        concat([blowup_simple(rs_base(3, 2, GF2)), rs_base(3, 2, GF2)])  # alpha differs
     with pytest.raises(InputError):
         concat([rs_base(3, 2, GF2), rs_base(3, 2, GF256)])  # field differs
     with pytest.raises(InputError):
@@ -276,7 +275,7 @@ def test_concat_mismatch_errors():
 
 
 def test_copy_blowup_example():
-    dss = copy_blowup(xor_base_322(), 1)
+    dss = copy_blowup(rs_base(3, 2, GF2), 1)
     assert dss.params == SystemParams(4, 3, 3)
     assert (dss.alpha_symbols, dss.gamma_symbols, dss.file_len) == (24, 36, 48)
     report = measure_and_compare(dss, declared_point(dss))
@@ -288,13 +287,13 @@ def test_copy_blowup_example():
 
 def test_copy_blowup_range_errors():
     with pytest.raises(RangeError):
-        copy_blowup(xor_base_322(), 2)  # l = k rejected
+        copy_blowup(rs_base(3, 2, GF2), 2)  # l = k rejected
     with pytest.raises(RangeError):
-        copy_blowup(xor_base_322(), 0)
+        copy_blowup(rs_base(3, 2, GF2), 0)
 
 
 def test_filenode_blowup_example():
-    dss = filenode_blowup(xor_base_322())
+    dss = filenode_blowup(rs_base(3, 2, GF2))
     assert dss.params == SystemParams(4, 2, 2)
     assert (dss.alpha_symbols, dss.gamma_symbols, dss.file_len) == (30, 36, 48)
     report = measure_and_compare(dss, declared_point(dss))

@@ -15,7 +15,6 @@ from regencode.dss import (
     rs_base,
     to_json,
     to_json_dict,
-    xor_base_322,
 )
 from regencode.gf import GF2, GF16, GF256, FieldSpec
 from regencode.tradeoff import SystemParams
@@ -55,14 +54,14 @@ def lagrange_codeword(field, points, message):
 
 
 def test_xor_base_encode():
-    dss = xor_base_322()
+    dss = rs_base(3, 2, GF2)
     assert encode(dss, [1, 0]) == [[1], [0], [1]]
     assert encode(dss, [1, 1]) == [[1], [1], [0]]
     assert encode(dss, [0, 0]) == [[0], [0], [0]]
 
 
 def test_encode_length_check():
-    dss = xor_base_322()
+    dss = rs_base(3, 2, GF2)
     with pytest.raises(InputError):
         encode(dss, [1])
 
@@ -100,7 +99,7 @@ def test_rs_base_msr_bandwidth():
 
 
 def test_reconstruct_example_2_1():
-    dss = xor_base_322()
+    dss = rs_base(3, 2, GF2)
     contents = encode(dss, [1, 1])
     assert reconstruct(dss, (0, 2), contents) == [1, 1]  # from x and x+y
     assert reconstruct(dss, (0, 1), contents) == [1, 1]  # systematic read-off
@@ -118,7 +117,7 @@ def test_reconstruct_all_subsets_rs52():
 
 
 def test_reconstruct_input_errors():
-    dss = xor_base_322()
+    dss = rs_base(3, 2, GF2)
     contents = encode(dss, [1, 0])
     with pytest.raises(InputError):
         reconstruct(dss, (0,), contents)
@@ -129,7 +128,7 @@ def test_reconstruct_input_errors():
 
 
 def test_repair_example_2_1():
-    dss = xor_base_322()
+    dss = rs_base(3, 2, GF2)
     contents = encode(dss, [1, 0])
     rebuilt, bw = repair(dss, 2, (0, 1), contents)
     assert rebuilt == [1]  # x + y
@@ -138,7 +137,7 @@ def test_repair_example_2_1():
 
 
 def test_repair_zero_instance_same_bandwidth():
-    dss = xor_base_322()
+    dss = rs_base(3, 2, GF2)
     zero = encode(dss, [0, 0])
     rebuilt, bw = repair(dss, 2, (0, 1), zero)
     assert rebuilt == [0]
@@ -146,7 +145,7 @@ def test_repair_zero_instance_same_bandwidth():
 
 
 def test_repair_input_errors():
-    dss = xor_base_322()
+    dss = rs_base(3, 2, GF2)
     contents = encode(dss, [1, 0])
     with pytest.raises(InputError):
         repair(dss, 2, (0,), contents)

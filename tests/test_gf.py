@@ -17,6 +17,21 @@ from regencode.gf import (
 )
 
 
+AES_FIELD = FieldSpec(8, 0x11B)  # x is not primitive under this modulus
+
+
+def reference_mul(field, a, b):
+    """Independent oracle: carryless product, then reduction by the modulus."""
+    product = 0
+    for i in range(field.m):
+        if b >> i & 1:
+            product ^= a << i
+    for shift in range(field.m - 2, -1, -1):
+        if product >> (field.m + shift) & 1:
+            product ^= field.modulus << shift
+    return product
+
+
 def brute_force_inverse_table(field):
     table = {}
     for a in range(1, field.order):
@@ -39,8 +54,7 @@ def test_gf256_inverse_against_brute_force():
         assert GF256.inv(a) == b
     # frozen from the brute-force table: inv(2) differs per modulus
     assert table[2] == 142
-    aes_field = FieldSpec(8, 0x11B)
-    assert brute_force_inverse_table(aes_field)[2] == 141
+    assert brute_force_inverse_table(AES_FIELD)[2] == 141
 
 
 def test_multiplicative_group_order():
@@ -58,8 +72,40 @@ def test_inv_zero_raises():
 
 
 def test_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):  # square-and-multiply would not end
+    with pytest.raises(ValueError):
         GF256.pow(3, -1)
+
+
+@pytest.mark.parametrize("field", [GF16, GF256, AES_FIELD], ids=["GF16", "GF256", "AES"])
+def test_table_kernel_matches_the_reference(field):
+    q = field.order
+    for a in range(q):  # a = 0 pins pow(0, 0) == 1 and pow(0, e) == 0 for e > 0
+        assert [field.mul(a, b) for b in range(q)] == [reference_mul(field, a, b) for b in range(q)]
+        if a:
+            assert reference_mul(field, a, field.inv(a)) == 1
+        power = 1
+        for e in range(2 * q + 1):
+            assert field.pow(a, e) == power, (a, e)
+            power = reference_mul(field, power, a)
+
+
+def test_gf65536_builds_and_passes_random_identities():
+    field = FieldSpec(16, 0x1100B)
+    rnd = random.Random(16)
+    for _ in range(200):
+        a, b, c = (rnd.randrange(1, field.order) for _ in range(3))
+        assert field.mul(a, b) == reference_mul(field, a, b)
+        assert field.mul(a, field.mul(b, c)) == field.mul(field.mul(a, b), c)
+        assert field.mul(a, b ^ c) == field.mul(a, b) ^ field.mul(a, c)
+        assert field.mul(a, field.inv(a)) == 1
+        assert field.pow(a, field.order - 1) == 1
+
+
+def test_fields_compare_by_degree_and_modulus_alone():
+    same = FieldSpec(8, 0x11D)
+    assert same == GF256 and hash(same) == hash(GF256)
+    assert same != AES_FIELD
+    assert repr(same) == "FieldSpec(m=8, modulus=285)"
 
 
 @pytest.mark.parametrize("field", [GF2, GF16, GF256])

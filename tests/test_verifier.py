@@ -7,7 +7,7 @@ from pathlib import Path
 import regencode.verifier as verifier
 from regencode.constructions import blowup_full, blowup_simple, concat, filenode_blowup
 from regencode.cli import main
-from regencode.dss import LinearDss, MdsReencodeRule, RepairRule, rs_base, xor_base_322
+from regencode.dss import LinearDss, MdsReencodeRule, RepairRule, rs_base
 from regencode.gf import GF2, GF256, FieldMatrix
 from regencode.tradeoff import OperatingPoint, SystemParams, perf_p1
 from regencode.verifier import measure_and_compare
@@ -95,7 +95,7 @@ def test_verify_exact_repair_rs52():
 
 
 def test_verify_exact_repair_corrupted_rule():
-    for base, seeds in [(rs_base(3, 2, GF256), [0]), (xor_base_322(GF2), range(64))]:
+    for base, seeds in [(rs_base(3, 2, GF256), [0]), (rs_base(3, 2, GF2), range(64))]:
         bad = LinearDss(
             base.params,
             base.field,
