@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import ast
-import os
 import sys
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 from . import constructions
@@ -40,46 +40,29 @@ EXIT_INPUT = 3
 EXIT_RESOURCE = 4
 
 SIG_DIGITS = 12
+_CONTEXT = Context(prec=SIG_DIGITS, rounding=ROUND_HALF_EVEN)
 
 
-def decimal_str(x: Fraction, sig: int = SIG_DIGITS) -> str:
-    """Render an exact rational with `sig` significant digits, half-even.
+def decimal_str(x: Fraction) -> str:
+    """Render an exact rational with SIG_DIGITS significant digits, half-even.
 
-    Pure integer arithmetic; trailing zeros after the point are stripped so
-    the output is compact and byte-stable.
+    One correctly rounded `decimal` division; fixed notation for exponents
+    from -4 to SIG_DIGITS + 2, otherwise mantissa and `e±N`. Trailing zeros
+    after the point are stripped so the output is compact and byte-stable.
     """
     if x == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    num, den = x.numerator, x.denominator
-    e = len(str(num)) - len(str(den))
-    while 10**max(e, 0) * den > num * 10**max(-e, 0):
-        e -= 1
-    while 10 ** max(e + 1, 0) * den <= num * 10 ** max(-(e + 1), 0):
-        e += 1
-    # q = sig leading digits of x, rounded half-even
-    shift = sig - 1 - e
-    if shift >= 0:
-        scaled_num, scaled_den = num * 10**shift, den
-    else:
-        scaled_num, scaled_den = num, den * 10**-shift
-    q, r = divmod(scaled_num, scaled_den)
-    if 2 * r > scaled_den or (2 * r == scaled_den and q % 2 == 1):
-        q += 1
-    if q == 10**sig:
-        q //= 10
-        e += 1
-    digits = str(q)
-    if 0 <= e < sig + 3:
+    q = _CONTEXT.divide(Decimal(x.numerator), Decimal(x.denominator))
+    sign = "-" if q < 0 else ""
+    digits = "".join(map(str, q.as_tuple().digits)).rstrip("0")
+    e = q.adjusted()
+    if 0 <= e < SIG_DIGITS + 3:
         intpart = digits[: e + 1].ljust(e + 1, "0")
-        frac = digits[e + 1 :].rstrip("0")
+        frac = digits[e + 1 :]
         return sign + intpart + ("." + frac if frac else "")
     if -5 < e < 0:
-        frac = ("0" * (-e - 1) + digits).rstrip("0")
-        return sign + "0." + frac
-    frac = digits[1:].rstrip("0")
-    mant = digits[0] + ("." + frac if frac else "")
+        return sign + "0." + "0" * (-e - 1) + digits
+    mant = digits[0] + ("." + digits[1:] if digits[1:] else "")
     return f"{sign}{mant}e{e:+d}"
 
 
@@ -89,8 +72,14 @@ def _frac_cell(x: Fraction | None) -> tuple[str, str]:
     return str(x), decimal_str(x)
 
 
-def curve_rows(p: SystemParams, alpha: Fraction, samples: int) -> list[dict]:
-    """Rows of the tradeoff curve for one (n, k, d) at fixed alpha.
+CURVE_HEADER = (
+    "gamma,gamma_dec,capacity,capacity_dec,p1,p1_dec,p1_realizable,"
+    "p2,p2_dec,p3,p3_dec,p4,p4_dec,timeshare,timeshare_dec"
+)
+
+
+def curve_csv(p: SystemParams, alpha: Fraction, samples: int) -> str:
+    """The tradeoff curve for one (n, k, d) at fixed alpha, as CSV.
 
     The gamma grid is `samples` uniform points over [alpha, gamma_MSR],
     merged with the discrete gammas where the P2/P3/P4 constructions are
@@ -105,41 +94,16 @@ def curve_rows(p: SystemParams, alpha: Fraction, samples: int) -> list[dict]:
         for name, curve in points_at(p, alpha).items()
     }
     gammas.update(*sizes.values())
-    rows = []
+    lines = [CURVE_HEADER]
     for g in sorted(gammas):
         x = p1_index_of_gamma(p, alpha, g)
-        rows.append(
-            {
-                "gamma": g,
-                "capacity": functional_capacity(p, alpha, g),
-                "p1": perf_p1_interpolated(p, alpha, x),
-                "p1_realizable": x.denominator == 1,
-                "p2": sizes["p2"].get(g),
-                "p3": sizes["p3"].get(g),
-                "p4": sizes["p4"].get(g),
-                "timeshare": timeshare_bound(p, alpha, g),
-            }
-        )
-    return rows
-
-
-CURVE_HEADER = (
-    "gamma,gamma_dec,capacity,capacity_dec,p1,p1_dec,p1_realizable,"
-    "p2,p2_dec,p3,p3_dec,p4,p4_dec,timeshare,timeshare_dec"
-)
-
-
-def curve_csv(p: SystemParams, alpha: Fraction, samples: int) -> str:
-    lines = [CURVE_HEADER]
-    for row in curve_rows(p, alpha, samples):
-        cells = list(_frac_cell(row["gamma"]))
-        cells += _frac_cell(row["capacity"])
-        cells += _frac_cell(row["p1"])
-        cells.append("1" if row["p1_realizable"] else "0")
-        cells += _frac_cell(row["p2"])
-        cells += _frac_cell(row["p3"])
-        cells += _frac_cell(row["p4"])
-        cells += _frac_cell(row["timeshare"])
+        cells = list(_frac_cell(g))
+        cells += _frac_cell(functional_capacity(p, alpha, g))
+        cells += _frac_cell(perf_p1_interpolated(p, alpha, x))
+        cells.append("1" if x.denominator == 1 else "0")
+        for name in ("p2", "p3", "p4"):
+            cells += _frac_cell(sizes[name].get(g))
+        cells += _frac_cell(timeshare_bound(p, alpha, g))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -256,10 +220,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    budget = args.budget
-    if budget is None and "REGEN_BUDGET" in os.environ:
-        budget = int(os.environ["REGEN_BUDGET"])
-    dss = parse_recipe(args.recipe, budget=budget)
+    dss = parse_recipe(args.recipe, budget=args.budget)
     predicted = OperatingPoint(
         Fraction(dss.alpha_symbols), Fraction(dss.gamma_symbols), Fraction(dss.file_len)
     )

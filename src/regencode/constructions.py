@@ -114,8 +114,6 @@ class Shape(NamedTuple):
                 raise InputError("parts must share epsilon = n-k and delta = n-d")
             if len({q.alpha_symbols for q in parts}) != 1:
                 raise InputError("parts must share the node size alpha")
-            if len(parts) == 1:
-                return cls(p, alpha, file_len, gamma)
             n = sum(q.params.n for q in parts)
             params = SystemParams(n, n - p.epsilon, n - p.delta)
             out = cls(

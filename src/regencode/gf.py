@@ -148,10 +148,6 @@ class FieldMatrix:
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
-
-    @classmethod
     def column(cls, field: FieldSpec, vec: list[int]) -> "FieldMatrix":
         return cls(field, [[v] for v in vec])
 

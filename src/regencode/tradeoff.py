@@ -339,25 +339,20 @@ def asymptotic_terms(setup: AsymptoticSetup) -> tuple[Fraction, Fraction, Fracti
 
 
 def asymptotic_fraction(
-    setup: AsymptoticSetup, *, rounded: bool = True
+    setup: AsymptoticSetup,
 ) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
     """Ratio of the shifted P1 performance to the functional capacity.
 
-    With rounded=True (default) the interpolation index i = 1 + s(k_M - 1)
-    is rounded to the nearest integer in [1, k_M], so the ratio compares a
-    realizable code point against the capacity at the same bandwidth. With
-    rounded=False the analytic form h1/(h2(h3+h4)) is returned instead,
-    which treats i as a real number.
+    The interpolation index i = 1 + s(k_M - 1) is rounded to the nearest
+    integer in [1, k_M], so the ratio compares a realizable code point
+    against the capacity at the same bandwidth.
 
     Returns (fraction, h1, h2, h3, h4).
     """
-    h1, h2, h3, h4 = asymptotic_terms(setup)
-    if not rounded:
-        return h1 / (h2 * (h3 + h4)), h1, h2, h3, h4
     sp = setup.shifted
     point = perf_p1(sp, Fraction(1), rounded_index(setup))
     cap = functional_capacity(sp, point.alpha, point.gamma)
-    return point.file_size / cap, h1, h2, h3, h4
+    return (point.file_size / cap, *asymptotic_terms(setup))
 
 
 def rounded_index(setup: AsymptoticSetup) -> int:

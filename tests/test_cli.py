@@ -17,6 +17,8 @@ from regencode.cli import (
     main,
     parse_recipe,
 )
+from regencode.constructions import Shape
+from regencode.dss import rs_base
 from regencode.tradeoff import SystemParams
 
 
@@ -40,6 +42,18 @@ def test_decimal_str_matches_decimal_module():
             continue
         expected = ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
         assert Decimal(decimal_str(x)) == expected, x
+
+
+def test_decimal_str_ties_carries_and_notation_boundaries():
+    assert decimal_str(F(1234567890125, 10**12)) == "1.23456789012"  # tie, even kept
+    assert decimal_str(F(1234567890135, 10**12)) == "1.23456789014"  # tie, odd rounds up
+    assert decimal_str(F(-1234567890125, 10**12)) == "-1.23456789012"
+    assert decimal_str(F(9999999999995, 10**12)) == "10"  # carry into a new digit
+    assert decimal_str(F(10**15 - 1)) == "1e+15"  # carry across the notation boundary
+    assert decimal_str(F(10**14)) == "100000000000000"
+    assert decimal_str(F(1, 10**4)) == "0.0001"
+    assert decimal_str(F(1, 10**5)) == "1e-5"
+    assert decimal_str(F(99999999999951, 10**19)) == "1e-5"
 
 
 def test_curve_433():
@@ -128,10 +142,11 @@ def test_cli_construct_parse_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_construct_budget_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REGEN_BUDGET", "10")
-    code = main(["construct", "blowup_full(base(3,2))", "--out", str(tmp_path / "r.json")])
-    assert code == EXIT_RESOURCE
+def test_one_part_concat_predicts_the_part(tmp_path):
+    base = rs_base(3, 2)
+    predicted = Shape.predict("concat", [base])
+    assert predicted == (base.params, base.alpha_symbols, base.file_len, base.gamma_symbols)
+    assert main(["construct", "concat(base(3,2))", "--out", str(tmp_path / "r.json")]) == EXIT_OK
 
 
 def test_cli_construct_budget_flag(tmp_path):

@@ -168,7 +168,7 @@ def test_mat_solve_overdetermined_inconsistent():
 
 
 def test_mat_rank():
-    assert mat_rank(FieldMatrix.zeros(GF256, 3, 4)) == 0
+    assert mat_rank(FieldMatrix(GF256, [[0] * 4 for _ in range(3)])) == 0
     A = FieldMatrix(GF256, [[1, 2], [3, 4], [1, 2]])  # duplicated row
     assert mat_rank(A) == mat_rank(FieldMatrix(GF256, [[1, 2], [3, 4]]))
     assert mat_rank(FieldMatrix.identity(GF16, 5)) == 5

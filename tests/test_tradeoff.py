@@ -357,13 +357,6 @@ def test_asymptotic_h4_vanishes():
             assert abs(h4 / 10**12) < F(1, 10**4)
 
 
-def test_asymptotic_unrounded_is_h_form():
-    for base in (SystemParams(2, 1, 1), SystemParams(4, 2, 3)):
-        setup = AsymptoticSetup(base, F(1, 2), 500)
-        frac, h1, h2, h3, h4 = asymptotic_fraction(setup, rounded=False)
-        assert frac == h1 / (h2 * (h3 + h4))
-
-
 def test_asymptotic_msr_endpoint_is_exact():
     # s = 1 sits at the minimum-storage endpoint where P1 meets the capacity
     for base in (SystemParams(2, 1, 1), SystemParams(3, 1, 1), SystemParams(4, 2, 3)):
