@@ -192,6 +192,7 @@ def parse_recipe(text: str, budget: int | None = None) -> LinearDss:
             raise RecipeError(f"{name} takes {_ARITY[name]} arguments, got {len(args)}")
         if name == "base":
             base = rs_base(*map(_int, args))  # a code serves as its own Shape
+            constructions.Shape.predict(name, [base], budget=budget)
             return base, lambda: base
         inner, build = parse(args[0])
         numbers = [_int(a) for a in args[1:]]

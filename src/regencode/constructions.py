@@ -70,8 +70,9 @@ class Shape(NamedTuple):
 
         The one shape rule of each construction, applied before it
         materializes anything; parse_recipe applies it to a whole recipe
-        before building any part. `arg` is iterate's j or copy_blowup's l.
-        The budget bounds the dense generator entries n * alpha * B.
+        before building any composite part. `arg` is iterate's j or
+        copy_blowup's l. The budget bounds the dense generator entries
+        n * alpha * B; "base" applies that bound alone to a built base code.
         """
         p, alpha, file_len = parts[0].params, parts[0].alpha_symbols, parts[0].file_len
         n, gamma, fact = p.n, parts[0].gamma_symbols, math.factorial
@@ -119,6 +120,8 @@ class Shape(NamedTuple):
             out = cls(
                 params, alpha, sum(q.file_len for q in parts), max(q.gamma_symbols for q in parts)
             )
+        elif name == "base":  # a built base code: only the budget applies
+            out = cls(p, alpha, file_len, gamma)
         else:
             raise ValueError(f"unknown construction {name!r}")
         limit = DEFAULT_BUDGET if budget is None else budget

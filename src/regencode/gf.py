@@ -1,12 +1,20 @@
-"""Binary extension field arithmetic GF(2^m) and dense linear algebra over it.
+"""Binary extension field arithmetic GF(2^m) and exact linear algebra over it.
 
 Field elements are ints in [0, 2^m); addition is XOR. Multiplication, inverse
 and powers are lookups in log/antilog tables that each field builds once.
+Matrices keep dense rows. Rank and solve eliminate block by block: the rows
+are first grouped into column-connected blocks, as the stacked generators of
+a composed code split into its copies, and each block is eliminated on its
+own columns. The pivot-row and matrix-product loops find nonzero entries
+with itertools.compress, so they skip zeros at C speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 
 
 class SingularMatrixError(ArithmeticError):
@@ -124,6 +132,16 @@ GF16 = FieldSpec(4, 0x13)
 GF256 = FieldSpec(8, 0x11D)  # standard Reed-Solomon modulus
 
 
+@lru_cache(maxsize=64)
+def _index(n: int) -> tuple[int, ...]:
+    """The column indices 0..n-1, for compress to pick the nonzero ones from.
+
+    Built once per width: a range would make a new int for every entry past
+    256 as compress steps over it (25 against 11 ns an entry).
+    """
+    return tuple(range(n))
+
+
 class FieldMatrix:
     """Dense matrix over a FieldSpec, stored as row lists of ints.
 
@@ -160,16 +178,13 @@ class FieldMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         exp, log = self.field._exp, self.field._log
+        inner, outer = _index(self.cols), _index(other.cols)
         out = [[0] * other.cols for _ in range(self.rows)]
-        for i, arow in enumerate(self.data):
-            orow = out[i]
-            for t, a in enumerate(arow):
-                if a == 0:
-                    continue
-                la = log[a]
-                for j, b in enumerate(other.data[t]):
-                    if b:
-                        orow[j] ^= exp[la + log[b]]
+        for arow, orow in zip(self.data, out):
+            for t in compress(inner, arow):  # nonzeros only, found at C speed
+                la, brow = log[arow[t]], other.data[t]
+                for j in compress(outer, brow):
+                    orow[j] ^= exp[la + log[brow[j]]]
         return FieldMatrix(self.field, out)
 
     def __eq__(self, other) -> bool:
@@ -186,9 +201,11 @@ class FieldMatrix:
 def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
     """In-place forward elimination on the leading `cols` columns.
 
-    Returns the list of pivot row indices, one per pivoted column.
+    Returns the list of pivot row indices, one per column (None where the
+    column has no pivot).
     """
     exp, log, group = field._exp, field._log, field.order - 1
+    index = _index(len(work[0])) if work else ()
     pivots = []
     prow = 0
     nrows = len(work)
@@ -205,7 +222,7 @@ def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
         lead = work[prow]
         scale = log[field.inv(lead[col])]
         # the pivot row is zero left of col: each earlier pivot cleared its column
-        terms = [(j, log[v]) for j, v in enumerate(lead[col:], col) if v]
+        terms = [(j, log[lead[j]]) for j in compress(index, lead)]
         for j, lv in terms:  # scale the pivot to 1; terms keep the unscaled logs
             lead[j] = exp[scale + lv]
         for r in range(nrows):
@@ -220,31 +237,104 @@ def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
     return pivots
 
 
+# Matrices of at most this many entries are eliminated whole: below it the
+# split's fixed cost outweighs what it saves. Whole against split, measured
+# on block-diagonal GF(2^8) matrices (Python 3.11.7, 2-vCPU Xeon): a 2 x 2
+# identity solve 13 against 24 us; 32 x 32 ranks 210-240 against 250-300 us;
+# 64 x 64 within 12 % either way; 128 x 128 9-38 % and 256 x 256 34-56 %
+# less time split.
+WHOLE_MAX_ENTRIES = 4096
+
+
+def _blocks(A: FieldMatrix, rhs: list[list[int]]):
+    """Yield (columns, work rows) for each column-connected block of A.
+
+    Two rows share a block when their supports meet, directly or through a
+    chain of rows; a block's columns are the union of its rows' supports, in
+    ascending order. So the blocks are independent systems: ranks and
+    solutions add up block by block, and a column in no block is all zero.
+    Each work row is a new list, the row's entries in the block's columns
+    followed by its row of rhs. Zero rows come last, as a block with no
+    columns. A matrix of at most WHOLE_MAX_ENTRIES entries, or with a row
+    free of zeros (which connects every column), is yielded whole as one
+    block, without scanning its supports.
+    """
+    data, ncols = A.data, A.cols
+    if A.rows * ncols <= WHOLE_MAX_ENTRIES or any(0 not in row for row in data):
+        yield range(ncols), [arow + brow for arow, brow in zip(data, rhs)]
+        return
+    parent = list(range(ncols))  # union-find forest over the columns
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]  # path halving
+        return c
+
+    index, used = _index(ncols), bytearray(ncols)
+    firsts, zero_rows = [], []
+    for r, row in enumerate(data):
+        support = list(compress(index, row))
+        if not support:
+            zero_rows.append(r)
+            continue
+        root = find(support[0])
+        for c in support:
+            used[c] = 1
+            other = find(c)
+            if other != root:
+                parent[other] = root
+        firsts.append((r, support[0]))
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for c in compress(index, used):
+        blocks.setdefault(find(c), ([], []))[0].append(c)
+    for r, first in firsts:
+        blocks[find(first)][1].append(r)
+    for cols, rows in blocks.values():
+        lo, hi = cols[0], cols[-1] + 1
+        if hi - lo == len(cols):  # contiguous, as every composition places its copies
+            yield cols, [data[r][lo:hi] + rhs[r] for r in rows]
+        else:
+            get = itemgetter(*cols)
+            yield cols, [[*get(data[r]), *rhs[r]] for r in rows]
+    if zero_rows:
+        yield [], [rhs[r][:] for r in zero_rows]
+
+
 def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Solve A x = b exactly by Gauss-Jordan elimination.
+    """Solve A x = b exactly by Gauss-Jordan elimination, block by block.
 
     A may have more rows than columns; raises SingularMatrixError when the
     column rank is deficient and InconsistentSystemError when no x exists.
+    Deficient rank takes precedence: it is reported even when the system is
+    also inconsistent.
     """
     if A.rows != b.rows:
         raise ValueError("A and b row counts differ")
-    field = A.field
-    work = [arow + brow for arow, brow in zip(A.data, b.data)]
-    pivots = _eliminate(field, work, A.cols)
-    if any(p is None for p in pivots):
-        raise SingularMatrixError("coefficient matrix is rank deficient")
-    rank = A.cols
-    for r in range(rank, A.rows):
-        if any(work[r][A.cols :]):
-            raise InconsistentSystemError("no solution: inconsistent system")
-    x = [work[p][A.cols :] for p in pivots]
-    return FieldMatrix(field, x)
+    x: list = [None] * A.cols
+    consistent = True
+    for cols, work in _blocks(A, b.data):
+        width = len(cols)
+        pivots = _eliminate(A.field, work, width)
+        if None in pivots:
+            raise SingularMatrixError("coefficient matrix is rank deficient")
+        for w in work[width:]:  # zero on the left past the pivots: so must the right be
+            consistent = consistent and not any(w[width:])
+        for c, p in zip(cols, pivots):
+            x[c] = work[p][width:]
+    if None in x:
+        raise SingularMatrixError("coefficient matrix has a zero column")
+    if not consistent:
+        raise InconsistentSystemError("no solution: inconsistent system")
+    return FieldMatrix(A.field, x)
 
 
 def mat_rank(A: FieldMatrix) -> int:
-    work = [row[:] for row in A.data]
-    pivots = _eliminate(A.field, work, A.cols)
-    return sum(1 for p in pivots if p is not None)
+    """Rank of A: the sum of its column-connected blocks' ranks."""
+    rank = 0
+    for cols, work in _blocks(A, [[]] * A.rows):
+        pivots = _eliminate(A.field, work, len(cols))
+        rank += len(pivots) - pivots.count(None)
+    return rank
 
 
 def mat_inv(A: FieldMatrix) -> FieldMatrix:

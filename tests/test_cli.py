@@ -156,6 +156,12 @@ def test_cli_construct_budget_flag(tmp_path):
     assert code == EXIT_RESOURCE
 
 
+def test_cli_construct_budget_refuses_a_bare_base(capsys):
+    assert main(["construct", "base(3,2)", "--budget", "1"]) == EXIT_RESOURCE
+    assert "6 generator entries" in capsys.readouterr().err
+    assert main(["construct", "base(3,5)", "--budget", "1"]) == EXIT_INPUT  # argument errors first
+
+
 def test_cli_construct_budget_refuses_before_building(monkeypatch, capsys):
     import regencode.constructions as constructions
 

@@ -198,3 +198,126 @@ def test_matrix_keeps_its_rows_and_operations_leave_them_unchanged():
     assert mat_rank(A) == 3
     assert square.mul(mat_inv(square)) == FieldMatrix.identity(GF256, 3)
     assert [m.data for m in (A, x, b, square)] == before
+
+
+def _random_block(rnd, field, full):
+    """A rows x cols block; with full set, of full column rank (retried until so)."""
+    cols = rnd.randint(1, 9)
+    rows = cols + rnd.randint(0, 3) if full else rnd.randint(1, cols + 3)
+    while True:
+        block = [
+            [rnd.randrange(1, field.order) if rnd.random() < 0.6 else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if not full or mat_rank(FieldMatrix(field, block)) == cols:
+            return block
+
+
+def _block_diagonal_case(rnd, field):
+    """Blocks placed on the diagonal, plus zero rows and columns, then shuffled.
+
+    Returns the matrix and, per block, its rows' and columns' places in it;
+    zero rows are listed as blocks with no columns.
+    """
+    full = rnd.random() < 0.6  # every block of full column rank, so some solves succeed
+    blocks = [_random_block(rnd, field, full) for _ in range(rnd.randint(1, 24))]
+    zero_rows, zero_cols = rnd.randint(0, 3), rnd.choice([0, 0, 0, 1, 2])
+    ncols = sum(len(b[0]) for b in blocks) + zero_cols
+    col_at = list(range(ncols))
+    if rnd.random() < 0.5:  # otherwise every block keeps contiguous columns
+        rnd.shuffle(col_at)
+    data, places, col = [], [], 0
+    for block in blocks:
+        cols = [col_at[c] for c in range(col, col + len(block[0]))]
+        rows = list(range(len(data), len(data) + len(block)))
+        for brow in block:
+            row = [0] * ncols
+            for c, v in zip(cols, brow):
+                row[c] = v
+            data.append(row)
+        places.append((rows, cols))
+        col += len(block[0])
+    places.append((list(range(len(data), len(data) + zero_rows)), []))
+    data += [[0] * ncols for _ in range(zero_rows)]
+    order = list(range(len(data)))
+    rnd.shuffle(order)
+    row_at = {old: new for new, old in enumerate(order)}
+    places = [([row_at[r] for r in rows], cols) for rows, cols in places]
+    return FieldMatrix(field, [data[old] for old in order]), places
+
+
+def _sub(field, data, rows, cols):
+    return FieldMatrix(field, [[data[r][c] for c in cols] for r in rows])
+
+
+@pytest.mark.parametrize("field", [GF2, GF16, GF256], ids=["GF2", "GF16", "GF256"])
+def test_block_diagonal_systems_agree_with_their_blocks(field):
+    """Rank, solutions and failures of shuffled block-diagonal systems, block by block."""
+    rnd = random.Random(900 + field.m)
+    outcomes = set()
+    for _ in range(40):
+        A, places = _block_diagonal_case(rnd, field)
+        width = rnd.randint(1, 3)
+        x0 = [[rnd.randrange(field.order) for _ in range(width)] for _ in range(A.cols)]
+        b = A.mul(FieldMatrix(field, x0))
+        if rnd.random() < 0.5:  # one disturbed entry: inconsistent unless its block absorbs it
+            r = rnd.randrange(A.rows)
+            b.data[r][rnd.randrange(width)] ^= rnd.randrange(1, field.order)
+        before = ([row[:] for row in A.data], [row[:] for row in b.data])
+
+        ranks = [mat_rank(_sub(field, A.data, rows, cols)) if cols else 0 for rows, cols in places]
+        assert mat_rank(A) == sum(ranks)
+        singular = sum(ranks) < A.cols
+        inconsistent = any(
+            mat_rank(FieldMatrix(field, [[A.data[r][c] for c in cols] + b.data[r] for r in rows]))
+            > rank
+            for (rows, cols), rank in zip(places, ranks)
+            if rows
+        )
+        if singular:
+            with pytest.raises(SingularMatrixError) as info:
+                mat_solve(A, b)
+            assert type(info.value) is SingularMatrixError
+            outcomes.add("singular")
+        elif inconsistent:
+            with pytest.raises(InconsistentSystemError):
+                mat_solve(A, b)
+            outcomes.add("inconsistent")
+        else:
+            assert A.mul(mat_solve(A, b)) == b
+            outcomes.add("solved")
+        assert (A.data, b.data) == before
+    assert outcomes == {"singular", "inconsistent", "solved"}
+
+
+def test_rank_deficiency_outranks_inconsistency_across_blocks():
+    """One block rank deficient, another inconsistent: SingularMatrixError.
+
+    The rank error comes first whichever block holds the lower columns, in a
+    small matrix and in one past the size eliminated whole.
+    """
+    deficient = [[1, 2], [GF256.mul(3, 1), GF256.mul(3, 2)]]  # second row 3 x the first
+    assert mat_rank(FieldMatrix(GF256, deficient)) == 1
+    tall = [[1, 0], [0, 1], [1, 1]]  # consistent only when b3 = b1 + b2
+    for deficient_first in (True, False):
+        for pad in (0, 80):
+            n = 4 + pad
+            data = [[0] * n for _ in range(5 + pad)]
+            rhs = [[0] for _ in range(5 + pad)]
+            d, t = (0, 2) if deficient_first else (2, 0)  # each block's first column
+            for r, row in enumerate(deficient):
+                data[r][d : d + 2] = row
+            for r, row in enumerate(tall):
+                data[2 + r][t : t + 2] = row
+                rhs[2 + r][0] = 1  # 1 + 1 != 1
+            for i in range(pad):  # unit blocks with a consistent right side
+                data[5 + i][4 + i] = 1
+                rhs[5 + i][0] = 7
+            A, b = FieldMatrix(GF256, data), FieldMatrix(GF256, rhs)
+            with pytest.raises(SingularMatrixError) as info:
+                mat_solve(A, b)
+            assert type(info.value) is SingularMatrixError
+            data[1] = [0] * n  # a unit second row gives the first block full rank,
+            data[1][d + 1] = 1  # so the system is only inconsistent
+            with pytest.raises(InconsistentSystemError):
+                mat_solve(FieldMatrix(GF256, data), b)
