@@ -137,70 +137,62 @@ class Shape(NamedTuple):
 class _CopiesRule(RepairRule):
     """Repair rule shared by every composition: rebuild the failed node copy by copy.
 
-    For each copy the failed composite position hosts one node of the
-    copy's part, or nothing (a concat copy hosts nothing outside its part);
-    the cheapest legal route rebuilds it: nothing for an empty node, a
-    single download from an exact twin or from a file node when one is
-    among the helpers, otherwise the part's own repair with d part helpers.
-    When more than d distinct part helpers are available the ones with the
-    largest part index are excluded; the rule depends only on stored
-    content, never on position numbers, so it is equidistributed across the
-    permuted copies.
+    Each copy is one record (part, hosted, offsets): hosted[pos] is what the
+    copy places at composite position pos, and offsets[pos] is where its
+    content starts there. For each copy the failed composite position hosts
+    one node of the copy's part, or nothing (a concat copy hosts nothing
+    outside its part); the cheapest legal route rebuilds it: nothing for an
+    empty node, a single download from an exact twin or from a file node
+    when one is among the helpers, otherwise the part's own repair with d
+    part helpers. When more than d distinct part helpers are available the
+    ones with the largest part index are excluded; the rule depends only on
+    stored content, never on position numbers, so it is equidistributed
+    across the permuted copies.
     """
 
-    def __init__(self, kind, description, copies, offsets):
-        self.kind = kind
+    def __init__(self, description, copies):
         self.description = description
         self.copies = copies
-        self.offsets = offsets
-        # per copy: the position of each hosted node's twin, and of the file node
-        self.twin_at, self.file_at = [], []
-        for _, hosted in copies:
-            where = {desc: pos for pos, desc in enumerate(hosted)}
-            self.twin_at.append(tuple(where.get((_TWIN.get(d[0]),) + d[1:]) for d in hosted))
-            self.file_at.append(where.get((_FILE,)))
 
     def describe(self) -> dict:
         return self.description
 
-    def _extract(self, contents, c, pos, length):
-        off = self.offsets[c][pos]
-        return contents[pos][off : off + length]
-
     def execute(self, dss, failed, helpers, contents):
-        helper_set = set(helpers)
         counts = {q: 0 for q in helpers}
         out: list[int] = []
 
-        for c, (part, hosted) in enumerate(self.copies):
+        for part, hosted, offsets in self.copies:
             desc = hosted[failed]
             if desc[0] == _EMPTY:
                 continue
             alpha = part.alpha_symbols
+            # the position of each of this copy's nodes that a helper hosts
+            at = {hosted[q]: q for q in helpers}
 
             if desc[0] == _FILE:
-                # rebuild the file from the first k part-content helpers
-                used = [(q, hosted[q][1]) for q in helpers if hosted[q][0] in (_BASE, _DUP)]
+                # rebuild the file from the first k part nodes among the helpers
+                used = [(node[1], q) for node, q in at.items() if node[0] == _BASE]
                 used = used[: part.params.k]
                 sub = [None] * part.params.n
-                for q, w in used:
-                    sub[w] = self._extract(contents, c, q, alpha)
-                out.extend(reconstruct(part, [w for _, w in used], sub))
-                for q, _ in used:
+                for w, q in used:
+                    sub[w] = contents[q][offsets[q] : offsets[q] + alpha]
+                out.extend(reconstruct(part, [w for w, _ in used], sub))
+                for _, q in used:
                     counts[q] += alpha
                 continue
 
             u = desc[1]
-            twin = self.twin_at[c][failed]
-            if twin in helper_set:
+            twin = at.get((_TWIN[desc[0]], u))
+            if twin is not None:
                 # the exact copy of the lost node alone transfers
-                out.extend(self._extract(contents, c, twin, alpha))
+                out.extend(contents[twin][offsets[twin] : offsets[twin] + alpha])
                 counts[twin] += alpha
                 continue
-            file_q = self.file_at[c]
-            if file_q in helper_set:
+            file_q = at.get((_FILE,))
+            if file_q is not None:
                 # a file node computes the lost content and sends it
-                file_content = self._extract(contents, c, file_q, part.file_len)
+                start = offsets[file_q]
+                file_content = contents[file_q][start : start + part.file_len]
                 out.extend(apply_generator(part.node_gens[u], file_content))
                 counts[file_q] += alpha
                 continue
@@ -208,15 +200,15 @@ class _CopiesRule(RepairRule):
             # part repair: collect distinct part helpers, original preferred
             # over its twin, then keep the d smallest part indices
             cand: dict[int, int] = {}
-            for q in helpers:
-                node = hosted[q]
+            for node, q in at.items():
                 if node[0] in (_BASE, _DUP) and node[1] != u:
                     if node[1] not in cand or node[0] == _BASE:
                         cand[node[1]] = q
             chosen = sorted(cand)[: part.params.d]
             sub = [None] * part.params.n
             for w in chosen:
-                sub[w] = self._extract(contents, c, cand[w], alpha)
+                q = cand[w]
+                sub[w] = contents[q][offsets[q] : offsets[q] + alpha]
             rebuilt, report = repair(part, u, chosen, sub)
             out.extend(rebuilt)
             for w, amount in report.per_helper.items():
@@ -230,20 +222,21 @@ def _compose(name, parts, arg=None, budget=None):
 
     Its Shape is predicted, and admitted by the budget, before anything is
     materialized; `arg` is copy_blowup's l. Every composite is a list of
-    copies (part, hosted): hosted[pos] is what the copy places at composite
-    position pos, and the copies' files take consecutive column blocks.
+    placed copies (part, hosted): hosted[pos] is what the copy places at
+    composite position pos, and the copies' files take consecutive column
+    blocks.
     """
     shape = Shape.predict(name, parts, arg, budget)
     if len({p.field for p in parts}) != 1:
         raise InputError("parts must share the field")
     npos, file_len = shape.params.n, shape.file_len
-    copies = []
+    placed = []
     if name == "concat":  # part j hosts its nodes at positions starts[j]...
         starts = list(itertools.accumulate([p.params.n for p in parts[:-1]], initial=0))
         for part, start in zip(parts, starts):
             hosted = [(_EMPTY,)] * npos
             hosted[start : start + part.params.n] = [(_BASE, u) for u in range(part.params.n)]
-            copies.append((part, tuple(hosted)))
+            placed.append((part, tuple(hosted)))
         layout = {"node_offsets": starts, "part_gammas": [p.gamma_symbols for p in parts]}
         description = {"kind": name, "parts": [p.label for p in parts]}
     else:
@@ -257,21 +250,20 @@ def _compose(name, parts, arg=None, budget=None):
             hosted = [None] * npos
             for a, pos in enumerate(sigma):
                 hosted[pos] = aug_nodes[a]
-            copies.append((base, tuple(hosted)))
+            placed.append((base, tuple(hosted)))
         # where each copy put the appended nodes; only copy_blowup appends several
         kind = aug_nodes[n][0]
-        placed = [[int(s[a]) for a in range(n, npos)] for s in sigmas]
-        layout = {f"{kind}_positions": placed if kind == _DUP else [a[0] for a in placed]}
+        layout = {f"{kind}_positions": [list(s[n:]) if kind == _DUP else s[n] for s in sigmas]}
         if name != "blowup_simple":
             layout = {"permutations": [list(s) for s in sigmas], **layout}
-        description = {"kind": name, "copies": len(copies), "base": base.label}
+        description = {"kind": name, "copies": len(placed), "base": base.label}
 
     # one pass: each copy's rows go to the positions it hosts, its file to
-    # the next column block; offsets[c][pos] is where copy c's content starts
+    # the next column block; its record keeps where its content starts
     gens = [[] for _ in range(npos)]
-    offsets, running, col = [], [0] * npos, 0
-    for part, hosted in copies:
-        offsets.append(tuple(running))
+    copies, running, col = [], [0] * npos, 0
+    for part, hosted in placed:
+        copies.append((part, hosted, tuple(running)))
         B = part.file_len
         for pos, desc in enumerate(hosted):
             if desc[0] == _EMPTY:
@@ -302,7 +294,7 @@ def _compose(name, parts, arg=None, budget=None):
         field=field,
         file_len=file_len,
         node_gens=[FieldMatrix(field, rows) for rows in gens],
-        repair_rule=_CopiesRule(name, description, copies, offsets),
+        repair_rule=_CopiesRule(description, copies),
         label=f"{name}({','.join(p.label for p in parts)}{suffix})",
         gamma_symbols=shape.gamma_symbols,
         meta=meta,

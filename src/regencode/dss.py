@@ -122,15 +122,20 @@ def encode(dss: LinearDss, message: list[int]) -> list[list[int]]:
 def reconstruct(
     dss: LinearDss, subset: tuple[int, ...] | list[int], contents: list[list[int]]
 ) -> list[int]:
-    """Recover the message, one symbol per file position, from a k-subset."""
+    """Recover the message, one symbol per file position, from a k-subset.
+
+    Raises InputError when the subset is not k distinct node indices in
+    range, when contents does not hold one entry per node, when a node of
+    the subset does not hold alpha_symbols symbols, or when an element
+    symbol lies outside the field.
+    """
     subset = tuple(subset)
-    _check_indices(dss, subset)
     if len(subset) != dss.params.k:
         raise InputError(f"need exactly k={dss.params.k} nodes, got {len(subset)}")
-    gen_rows, symbols = [], []
+    symbols = _read(dss, subset, contents)
+    gen_rows = []
     for i in subset:
         gen_rows += dss.node_gens[i].data
-        symbols += contents[i]
     rows = _rows(symbols)
     rhs = FieldMatrix(dss.field, symbols) if rows else FieldMatrix.column(dss.field, symbols)
     try:
@@ -160,22 +165,49 @@ def repair(
     helpers: tuple[int, ...] | list[int],
     contents: list[list[int]],
 ) -> tuple[list[int], BandwidthReport]:
-    """Rebuild the failed node's exact content from d helpers."""
+    """Rebuild the failed node's exact content from d helpers.
+
+    Raises InputError when the helpers are not d distinct node indices in
+    range other than the failed one, when contents does not hold one entry
+    per node, when a helper does not hold alpha_symbols symbols, or when an
+    element symbol lies outside the field.
+    """
     helpers = tuple(sorted(helpers))
-    _check_indices(dss, helpers + (failed,))
     if failed in helpers:
         raise InputError("failed node cannot help itself")
     if len(helpers) != dss.params.d:
         raise InputError(f"need exactly d={dss.params.d} helpers, got {len(helpers)}")
+    if not 0 <= failed < dss.params.n:
+        raise InputError(f"node index {failed} out of range")
+    _read(dss, helpers, contents)
     return dss.repair_rule.execute(dss, failed, helpers, contents)
 
 
-def _check_indices(dss: LinearDss, indices: tuple[int, ...]):
-    if len(set(indices)) != len(indices):
-        raise InputError(f"duplicate node indices in {indices}")
-    for i in indices:
-        if not 0 <= i < dss.params.n:
+def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
+    """The symbols of the nodes read, in order; InputError if a call cannot read them.
+
+    The nodes read must be distinct indices in range, there must be one
+    content per node, each node read must hold alpha symbols, and element
+    symbols must lie in the field (one set test, at C speed). Rows of forms
+    are only counted, so proofs on the forms cost no more. A nested repair
+    makes thousands of calls, so this is one pass.
+    """
+    n, alpha = dss.params.n, dss.alpha_symbols
+    if len(set(read)) != len(read):
+        raise InputError(f"duplicate node indices in {read}")
+    if len(contents) != n:
+        raise InputError(f"need the contents of all n={n} nodes, got {len(contents)}")
+    symbols = []
+    for i in read:
+        if not 0 <= i < n:
             raise InputError(f"node index {i} out of range")
+        content = contents[i]
+        if content is None or len(content) != alpha:
+            raise InputError(f"node {i} must hold alpha={alpha} symbols")
+        symbols += content
+    if not _rows(symbols) and not dss.field.holds(symbols):
+        raise InputError(f"contents hold a symbol outside GF(2^{dss.field.m})")
+    return symbols
 
 
 class MdsReencodeRule(RepairRule):

@@ -67,6 +67,7 @@ class FieldSpec:
         exp, log = _tables(self.m, self.modulus)
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
+        object.__setattr__(self, "_elements", frozenset(range(1 << self.m)))
 
     @property
     def order(self) -> int:
@@ -76,6 +77,13 @@ class FieldSpec:
         if not 0 <= a < self.order:
             raise ValueError(f"{a} is not a GF(2^{self.m}) element")
         return a
+
+    def holds(self, symbols: list[int]) -> bool:
+        """Whether every one of symbols is an element: one set test at C speed.
+
+        Cheaper than min and max for the few symbols of a base repair.
+        """
+        return self._elements.issuperset(symbols)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b

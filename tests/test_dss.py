@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from regencode.constructions import blowup_full, copy_blowup
 from regencode.dss import (
     InputError,
     LinearDss,
@@ -127,6 +128,19 @@ def test_reconstruct_input_errors():
         reconstruct(dss, (0, 0), contents)
 
 
+def test_reconstruct_refuses_malformed_contents():
+    # a negative symbol would index the log table from its end
+    with pytest.raises(InputError):
+        reconstruct(rs_base(4, 2), (2, 3), [[0], [0], [-1], [3]])
+    with pytest.raises(InputError):
+        reconstruct(rs_base(4, 2), (2, 3), [[0], [0], [256], [3]])
+    # a missing node: InputError, not IndexError
+    dss = blowup_full(rs_base(3, 2))
+    contents = encode(dss, list(range(dss.file_len)))
+    with pytest.raises(InputError):
+        reconstruct(dss, (0, 1, 2), contents[:2])
+
+
 def test_repair_example_2_1():
     dss = rs_base(3, 2, GF2)
     contents = encode(dss, [1, 0])
@@ -151,6 +165,18 @@ def test_repair_input_errors():
         repair(dss, 2, (0,), contents)
     with pytest.raises(InputError):
         repair(dss, 2, (0, 2), contents)
+
+
+def test_repair_refuses_malformed_contents():
+    dss = copy_blowup(rs_base(3, 2), 1)
+    contents = encode(dss, list(range(dss.file_len)))
+    # a helper one symbol short would rebuild a node one symbol short
+    with pytest.raises(InputError):
+        repair(dss, 3, (0, 1, 2), [contents[0][:-1]] + contents[1:])
+    with pytest.raises(InputError):
+        repair(dss, 3, (0, 1, 2), [[-1] + contents[0][1:]] + contents[1:])
+    with pytest.raises(InputError):
+        repair(dss, 3, (0, 1, 2), contents[:3])
 
 
 def test_repair_exhaustive_rs52():
