@@ -1,16 +1,16 @@
 """Compositions that build storage codes from smaller ones by placing copies.
 
 Every composition places copies of smaller codes (its parts) on the
-composite nodes. A copy is a part and what it hosts at each composite
-position: one of the part's nodes, an exact twin of one, a node holding
-the part's whole file, or nothing. Each copy stores its own file in its
-own block of columns. The four blowups place permuted copies of one base
-augmented by appended nodes (an empty node, twins, or a file node), so
-composite node j stores the j-th node of every copy; concat places each
-part once, on its own run of positions, and nothing elsewhere.
-Reconstruction is one solve over the stacked generators. Repair runs copy
-by copy with one rule, so exact repair is inherited from the parts and
-bandwidth is accounted per copy.
+composite nodes. A copy is a part and a record of the positions it hosts:
+at each, one of the part's nodes, an exact twin of one, or a node holding
+the part's whole file. Each copy stores its own file in its own block of
+columns. The four blowups place permuted copies of one base augmented by
+appended nodes (an empty node, twins, or a file node), so composite node
+j stores the j-th node of every copy, and a copy hosts every position but
+the one its empty node would take; concat places each part once, on its
+own run of positions. Reconstruction is one solve over the stacked
+generators. Repair runs copy by copy with one rule, so exact repair is
+inherited from the parts and bandwidth is accounted per copy.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .dss import (
     LinearDss,
     RepairRule,
     ResourceError,
+    _decode,
     apply_generator,
-    reconstruct,
-    repair,
 )
 from .gf import FieldMatrix
 from .tradeoff import RangeError, SystemParams
@@ -35,10 +34,10 @@ from .tradeoff import RangeError, SystemParams
 # dense generator entries (n * alpha * B) a composite may hold; admits
 # iterate(base(3,2),2) at 49,766,400 entries
 DEFAULT_BUDGET = 5 * 10**7
-BLOWUP_FULL_MAX_BASE_N = 5  # (n+1)! copies beyond this is no longer desk scale
 
-# What a copy hosts at a position: part node (_BASE, u), its twin (_DUP, u),
-# the part's file (_FILE,) or nothing (_EMPTY,); appended kinds name layout keys
+# What a copy hosts at a position: part node (_BASE, u), its twin (_DUP, u) or
+# the part's file (_FILE,); an appended empty node (_EMPTY,) hosts nothing.
+# Appended kinds name layout keys
 _BASE = "base"
 _DUP = "copy"
 _EMPTY = "empty"
@@ -76,11 +75,6 @@ class Shape(NamedTuple):
         """
         p, alpha, file_len = parts[0].params, parts[0].alpha_symbols, parts[0].file_len
         n, gamma, fact = p.n, parts[0].gamma_symbols, math.factorial
-        if name == "blowup_full" and n > BLOWUP_FULL_MAX_BASE_N:
-            raise ResourceError(
-                f"blowup_full needs ({n}+1)! copies; base n is capped at "
-                f"{BLOWUP_FULL_MAX_BASE_N}"
-            )
         if name == "copy_blowup" and not 1 <= arg <= p.k - 1:
             raise RangeError(f"copy count l must lie in [1, {p.k - 1}], got {arg}")
         if name in _APPENDED:
@@ -137,17 +131,19 @@ class Shape(NamedTuple):
 class _CopiesRule(RepairRule):
     """Repair rule shared by every composition: rebuild the failed node copy by copy.
 
-    Each copy is one record (part, hosted, offsets): hosted[pos] is what the
-    copy places at composite position pos, and offsets[pos] is where its
-    content starts there. For each copy the failed composite position hosts
-    one node of the copy's part, or nothing (a concat copy hosts nothing
-    outside its part); the cheapest legal route rebuilds it: nothing for an
-    empty node, a single download from an exact twin or from a file node
-    when one is among the helpers, otherwise the part's own repair with d
-    part helpers. When more than d distinct part helpers are available the
-    ones with the largest part index are excluded; the rule depends only on
-    stored content, never on position numbers, so it is equidistributed
-    across the permuted copies.
+    Each copy is one record (part, hosts): hosts maps each composite
+    position the copy hosts to (node, start), the part node placed there
+    and where its content starts among that position's symbols. A copy
+    that does not host the failed position contributes nothing. For one
+    that does, the cheapest legal route rebuilds its node: a single
+    download from an exact twin or from a file node when one is among the
+    helpers, a decode from k part helpers for a lost file node, otherwise
+    the part's own repair rule with d part helpers. When more than d
+    distinct part helpers are available the ones with the largest part
+    index are excluded; the rule depends only on stored content, never on
+    position numbers, so it is equidistributed across the permuted copies.
+    Slices of the contents the public repair has checked go to _decode and
+    to the part's rule unchecked.
     """
 
     def __init__(self, description, copies):
@@ -161,58 +157,62 @@ class _CopiesRule(RepairRule):
         counts = {q: 0 for q in helpers}
         out: list[int] = []
 
-        for part, hosted, offsets in self.copies:
-            desc = hosted[failed]
-            if desc[0] == _EMPTY:
+        for part, hosts in self.copies:
+            lost = hosts.get(failed)
+            if lost is None:
                 continue
-            alpha = part.alpha_symbols
-            # the position of each of this copy's nodes that a helper hosts
-            at = {hosted[q]: q for q in helpers}
+            desc, alpha = lost[0], part.alpha_symbols
+            # where each of this copy's nodes that a helper hosts is read
+            at = {}
+            for q in helpers:
+                node = hosts.get(q)
+                if node is not None:
+                    at[node[0]] = (q, node[1])
 
             if desc[0] == _FILE:
                 # rebuild the file from the first k part nodes among the helpers
-                used = [(node[1], q) for node, q in at.items() if node[0] == _BASE]
+                used = [(node[1], q, s) for node, (q, s) in at.items() if node[0] == _BASE]
                 used = used[: part.params.k]
-                sub = [None] * part.params.n
-                for w, q in used:
-                    sub[w] = contents[q][offsets[q] : offsets[q] + alpha]
-                out.extend(reconstruct(part, [w for w, _ in used], sub))
-                for _, q in used:
+                symbols = []
+                for _, q, s in used:
+                    symbols += contents[q][s : s + alpha]
                     counts[q] += alpha
+                out.extend(_decode(part, tuple(w for w, _, _ in used), symbols))
                 continue
 
             u = desc[1]
             twin = at.get((_TWIN[desc[0]], u))
             if twin is not None:
                 # the exact copy of the lost node alone transfers
-                out.extend(contents[twin][offsets[twin] : offsets[twin] + alpha])
-                counts[twin] += alpha
+                q, s = twin
+                out.extend(contents[q][s : s + alpha])
+                counts[q] += alpha
                 continue
-            file_q = at.get((_FILE,))
-            if file_q is not None:
+            file_at = at.get((_FILE,))
+            if file_at is not None:
                 # a file node computes the lost content and sends it
-                start = offsets[file_q]
-                file_content = contents[file_q][start : start + part.file_len]
-                out.extend(apply_generator(part.node_gens[u], file_content))
-                counts[file_q] += alpha
+                q, s = file_at
+                out.extend(apply_generator(part.node_gens[u], contents[q][s : s + part.file_len]))
+                counts[q] += alpha
                 continue
 
-            # part repair: collect distinct part helpers, original preferred
-            # over its twin, then keep the d smallest part indices
-            cand: dict[int, int] = {}
-            for node, q in at.items():
-                if node[0] in (_BASE, _DUP) and node[1] != u:
+            # part repair: collect distinct part helpers (part nodes and
+            # twins), original preferred over its twin, then keep the d
+            # smallest part indices
+            cand: dict[int, tuple[int, int]] = {}
+            for node, where in at.items():
+                if node[0] != _FILE and node[1] != u:
                     if node[1] not in cand or node[0] == _BASE:
-                        cand[node[1]] = q
-            chosen = sorted(cand)[: part.params.d]
-            sub = [None] * part.params.n
+                        cand[node[1]] = where
+            chosen = tuple(sorted(cand)[: part.params.d])
+            sub = {}
             for w in chosen:
-                q = cand[w]
-                sub[w] = contents[q][offsets[q] : offsets[q] + alpha]
-            rebuilt, report = repair(part, u, chosen, sub)
+                q, s = cand[w]
+                sub[w] = contents[q][s : s + alpha]
+            rebuilt, report = part.repair_rule.execute(part, u, chosen, sub)
             out.extend(rebuilt)
             for w, amount in report.per_helper.items():
-                counts[cand[w]] += amount
+                counts[cand[w][0]] += amount
 
         return out, BandwidthReport(counts)
 
@@ -222,21 +222,18 @@ def _compose(name, parts, arg=None, budget=None):
 
     Its Shape is predicted, and admitted by the budget, before anything is
     materialized; `arg` is copy_blowup's l. Every composite is a list of
-    placed copies (part, hosted): hosted[pos] is what the copy places at
-    composite position pos, and the copies' files take consecutive column
-    blocks.
+    placed copies, each a part and the (position, node) pairs it hosts;
+    the copies' files take consecutive column blocks.
     """
     shape = Shape.predict(name, parts, arg, budget)
     if len({p.field for p in parts}) != 1:
         raise InputError("parts must share the field")
     npos, file_len = shape.params.n, shape.file_len
-    placed = []
+    placed = []  # (part, [(position, node hosted there), ...]) per copy
     if name == "concat":  # part j hosts its nodes at positions starts[j]...
         starts = list(itertools.accumulate([p.params.n for p in parts[:-1]], initial=0))
         for part, start in zip(parts, starts):
-            hosted = [(_EMPTY,)] * npos
-            hosted[start : start + part.params.n] = [(_BASE, u) for u in range(part.params.n)]
-            placed.append((part, tuple(hosted)))
+            placed.append((part, [(start + u, (_BASE, u)) for u in range(part.params.n)]))
         layout = {"node_offsets": starts, "part_gammas": [p.gamma_symbols for p in parts]}
         description = {"kind": name, "parts": [p.label for p in parts]}
     else:
@@ -247,10 +244,7 @@ def _compose(name, parts, arg=None, budget=None):
         else:
             sigmas = [tuple(p) for p in itertools.permutations(range(npos))]
         for sigma in sigmas:  # augmented node a sits at position sigma[a]
-            hosted = [None] * npos
-            for a, pos in enumerate(sigma):
-                hosted[pos] = aug_nodes[a]
-            placed.append((base, tuple(hosted)))
+            placed.append((base, [(pos, a) for pos, a in zip(sigma, aug_nodes) if a[0] != _EMPTY]))
         # where each copy put the appended nodes; only copy_blowup appends several
         kind = aug_nodes[n][0]
         layout = {f"{kind}_positions": [list(s[n:]) if kind == _DUP else s[n] for s in sigmas]}
@@ -261,24 +255,22 @@ def _compose(name, parts, arg=None, budget=None):
     # one pass: each copy's rows go to the positions it hosts, its file to
     # the next column block; its record keeps where its content starts
     gens = [[] for _ in range(npos)]
-    copies, running, col = [], [0] * npos, 0
-    for part, hosted in placed:
-        copies.append((part, hosted, tuple(running)))
-        B = part.file_len
-        for pos, desc in enumerate(hosted):
-            if desc[0] == _EMPTY:
-                continue
-            if desc[0] == _FILE:
+    copies, col = [], 0
+    for part, placement in placed:
+        B, hosts = part.file_len, {}
+        for pos, node in placement:
+            hosts[pos] = (node, len(gens[pos]))
+            if node[0] == _FILE:
                 block = [[int(i == r) for i in range(B)] for r in range(B)]
             else:
-                block = part.node_gens[desc[1]].data
+                block = part.node_gens[node[1]].data
             for part_row in block:
                 row = [0] * file_len
                 row[col : col + B] = part_row
                 gens[pos].append(row)
-            running[pos] += len(block)
+        copies.append((part, hosts))
         col += B
-    if set(running) != {shape.alpha_symbols} or col != file_len:
+    if {len(rows) for rows in gens} != {shape.alpha_symbols} or col != file_len:
         raise AssertionError("composition disagrees with its shape rule")
 
     field = parts[0].field

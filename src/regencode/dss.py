@@ -48,9 +48,12 @@ class RepairRule:
     A stored symbol given to execute, reconstruct and repair is a field
     element or a row of them, a linear form over the message (node i's forms
     are G_i's rows). execute returns the failed node's symbols in the shape
-    it got and each helper's transfer. It may slice, decode (reconstruct)
-    and multiply by fixed matrices (apply_generator), but not branch on
-    stored values: so one run on the forms proves it exact for every file.
+    it got and each helper's transfer. It may slice, decode (_decode) and
+    multiply by fixed matrices (apply_generator), but not branch on stored
+    values: so one run on the forms proves it exact for every file. The
+    public repair checks contents once and execute reads only the helpers'
+    entries (contents is indexed by node), so a rule runs its parts' rules
+    directly on slices of checked contents.
     """
 
     kind = "abstract"
@@ -114,8 +117,8 @@ def encode(dss: LinearDss, message: list[int]) -> list[list[int]]:
         raise InputError(
             f"message length {len(message)} != file_len {dss.file_len}"
         )
-    for v in message:
-        dss.field.check(v)
+    if not dss.field.holds(message):
+        raise InputError(f"message holds a symbol outside GF(2^{dss.field.m})")
     return [apply_generator(g, message) for g in dss.node_gens]
 
 
@@ -132,7 +135,15 @@ def reconstruct(
     subset = tuple(subset)
     if len(subset) != dss.params.k:
         raise InputError(f"need exactly k={dss.params.k} nodes, got {len(subset)}")
-    symbols = _read(dss, subset, contents)
+    return _decode(dss, subset, _read(dss, subset, contents))
+
+
+def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
+    """The message from the symbols of subset's nodes, read in order; no checks.
+
+    Callers pass symbols already checked: reconstruct's own, or slices a
+    repair rule takes from contents its public call has checked.
+    """
     gen_rows = []
     for i in subset:
         gen_rows += dss.node_gens[i].data
@@ -189,8 +200,9 @@ def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
     The nodes read must be distinct indices in range, there must be one
     content per node, each node read must hold alpha symbols, and element
     symbols must lie in the field (one set test, at C speed). Rows of forms
-    are only counted, so proofs on the forms cost no more. A nested repair
-    makes thousands of calls, so this is one pass.
+    are only counted, so proofs on the forms cost no more. Each public
+    reconstruct or repair makes this one check; nested parts are not checked
+    again.
     """
     n, alpha = dss.params.n, dss.alpha_symbols
     if len(set(read)) != len(read):
@@ -216,7 +228,10 @@ class MdsReencodeRule(RepairRule):
     kind = "mds_reencode"
 
     def execute(self, dss, failed, helpers, contents):
-        msg = reconstruct(dss, helpers, contents)
+        symbols = []
+        for h in helpers:
+            symbols += contents[h]
+        msg = _decode(dss, helpers, symbols)
         content = apply_generator(dss.node_gens[failed], msg)
         per_helper = {h: dss.alpha_symbols for h in helpers}
         return content, BandwidthReport(per_helper)

@@ -73,11 +73,6 @@ class FieldSpec:
     def order(self) -> int:
         return 1 << self.m
 
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise ValueError(f"{a} is not a GF(2^{self.m}) element")
-        return a
-
     def holds(self, symbols: list[int]) -> bool:
         """Whether every one of symbols is an element: one set test at C speed.
 

@@ -266,22 +266,6 @@ def perf_p4(base: SystemParams, alpha) -> OperatingPoint:
     return OperatingPoint(alpha, gamma, B)
 
 
-def perf_p4_raw(base: SystemParams, alpha) -> OperatingPoint:
-    """File-node construction before normalization: node size (n+k)*alpha.
-
-    This is the shape the verifier measures directly: alpha2 = n*alpha + B,
-    gamma2 = (n-d)gamma + (d+k)alpha with the base at its MSR point.
-    """
-    alpha = as_rational(alpha)
-    n, k, d = base.n, base.k, base.d
-    gamma_base = gamma_msr(base, alpha)
-    return OperatingPoint(
-        (n + k) * alpha,
-        (n - d) * gamma_base + (d + k) * alpha,
-        Fraction((n + 1) * k) * alpha,
-    )
-
-
 def points_at(p: SystemParams, alpha) -> dict[str, dict]:
     """The best P2, P3 and P4 point per bandwidth at node size alpha.
 

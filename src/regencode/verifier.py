@@ -93,7 +93,9 @@ def _plan(dss: LinearDss, seed: int):
     sweeps: all of them if it is at most EXHAUSTIVE_LIMIT, else a sample.
     Each sampled sweep draws from its own Random(seed) and skips repeats
     until it holds min(TRIALS, population) distinct subsets or pairs, so
-    every sampled check is a new proof. Returns (mode_info, subsets, pairs).
+    every sampled check is a new proof. A draw takes the smaller side: the
+    nodes left out when they are fewer than the nodes kept. Returns
+    (mode_info, subsets, pairs).
     """
     n, k, d = dss.params.n, dss.params.k, dss.params.d
     n_subsets, n_pairs = comb(n, k), n * comb(n - 1, d)
@@ -113,11 +115,18 @@ def _plan(dss: LinearDss, seed: int):
             drawn[draw(rnd)] = None
         return list(drawn)
 
+    def choose(rnd, pool, size):
+        """size members of pool, in its order, drawing those left out when fewer."""
+        if 2 * size > len(pool):
+            left_out = set(rnd.sample(pool, len(pool) - size))
+            return tuple(i for i in pool if i not in left_out)
+        return tuple(sorted(rnd.sample(pool, size)))
+
     def pair(rnd):
         f = rnd.randrange(n)
-        return f, tuple(sorted(rnd.sample([i for i in range(n) if i != f], d)))
+        return f, choose(rnd, [i for i in range(n) if i != f], d)
 
-    subsets = distinct(n_subsets, lambda rnd: tuple(sorted(rnd.sample(range(n), k))))
+    subsets = distinct(n_subsets, lambda rnd: choose(rnd, range(n), k))
     pairs = distinct(n_pairs, pair)
     return {"kind": "sampled", "seed": seed, "trials": TRIALS}, subsets, pairs
 

@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from regencode.constructions import (
-    BLOWUP_FULL_MAX_BASE_N,
     Shape,
     blowup_full,
     blowup_simple,
@@ -244,6 +243,21 @@ def test_concat_repair_is_the_owning_part_repair_shifted():
     assert pairs == 7
 
 
+def test_copies_are_placed_only_where_they_host():
+    # a concat part hosts its own run; a blowup copy all but its empty node
+    cases = [
+        (concat([rs_base(3, 2), rs_base(4, 3), rs_base(3, 2)]), [3, 4, 3]),
+        (blowup_full(rs_base(3, 2)), [3] * 24),
+        (filenode_blowup(rs_base(3, 2)), [4] * 24),
+    ]
+    for dss, sizes in cases:
+        records = [hosts for _, hosts in dss.repair_rule.copies]
+        assert [len(hosts) for hosts in records] == sizes
+        assert all(node[0] != "empty" for hosts in records for node, _ in hosts.values())
+    concat_records = [hosts for _, hosts in cases[0][0].repair_rule.copies]
+    assert [sorted(hosts) for hosts in concat_records] == [[0, 1, 2], [3, 4, 5, 6], [7, 8, 9]]
+
+
 def test_public_functions_are_the_six_constructions():
     # bench/tracing.py wraps every public function of the module and reads the
     # node_gens of what it returns, so any other public function fails it
@@ -327,9 +341,8 @@ def test_shape_rules_agree_with_tradeoff_without_building():
     for n in range(3, 9):
         for k in range(1, n):
             base = rs_base(n, k)
-            expected = [("blowup_simple", None, perf_p1(SystemParams(n + 1, k + 1, k + 1), 1, k))]
-            if n <= BLOWUP_FULL_MAX_BASE_N:
-                expected.append(("blowup_full", None, expected[0][2]))
+            p1 = perf_p1(SystemParams(n + 1, k + 1, k + 1), 1, k)
+            expected = [("blowup_simple", None, p1), ("blowup_full", None, p1)]
             expected += [
                 ("copy_blowup", l, perf_p3(SystemParams(n + l, k + l, k + l), 1, l))
                 for l in range(1, k)
@@ -344,4 +357,4 @@ def test_shape_rules_agree_with_tradeoff_without_building():
                 )
                 assert norm == (pt.gamma, pt.file_size), (name, n, k, arg)
                 cases += 1
-    assert cases == 119
+    assert cases == 137

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from regencode.constructions import blowup_full, copy_blowup
+import regencode.dss as dss_module
+from regencode.constructions import blowup_full, copy_blowup, iterate
 from regencode.dss import (
     InputError,
     LinearDss,
@@ -65,6 +66,13 @@ def test_encode_length_check():
     dss = rs_base(3, 2, GF2)
     with pytest.raises(InputError):
         encode(dss, [1])
+
+
+def test_encode_refuses_symbols_outside_the_field():
+    dss = rs_base(3, 2, GF256)
+    for bad in (256, -1):
+        with pytest.raises(InputError):
+            encode(dss, [bad, 0])
 
 
 def test_rs_base_matches_polynomial_evaluation():
@@ -177,6 +185,20 @@ def test_repair_refuses_malformed_contents():
         repair(dss, 3, (0, 1, 2), [[-1] + contents[0][1:]] + contents[1:])
     with pytest.raises(InputError):
         repair(dss, 3, (0, 1, 2), contents[:3])
+
+
+def test_public_calls_check_contents_once(monkeypatch):
+    # nested copies repair from slices of contents the top call has checked
+    dss = iterate(rs_base(2, 1), 2)
+    message = list(range(dss.file_len))
+    contents = encode(dss, message)
+    reads = []
+    read = dss_module._read
+    monkeypatch.setattr(dss_module, "_read", lambda *args: reads.append(args[1]) or read(*args))
+    rebuilt, _ = repair(dss, 0, (1, 2, 3), contents)
+    assert rebuilt == contents[0] and reads == [(1, 2, 3)]
+    assert reconstruct(dss, (1, 2, 3), contents) == message
+    assert reads == [(1, 2, 3)] * 2
 
 
 def test_repair_exhaustive_rs52():

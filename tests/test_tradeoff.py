@@ -24,7 +24,6 @@ from regencode.tradeoff import (
     perf_p2,
     perf_p3,
     perf_p4,
-    perf_p4_raw,
     points_at,
     rounded_index,
     split_params,
@@ -250,17 +249,6 @@ def test_perf_p4_examples():
             assert pt.file_size < ts
         else:
             assert pt.file_size <= ts  # k=1 collapses onto the MBR corner
-
-
-def test_perf_p4_raw_normalizes_to_perf_p4():
-    rnd = random.Random(7)
-    for _ in range(100):
-        p = random_params(rnd, n_max=20)
-        alpha = random_fraction(rnd)
-        raw = perf_p4_raw(p, alpha)
-        norm = raw.normalized()
-        pt = perf_p4(p, 1)
-        assert (norm.gamma, norm.file_size) == (pt.gamma, pt.file_size)
 
 
 def test_points_at_keeps_the_best_l_per_gamma():

@@ -1,5 +1,6 @@
 import inspect
 import json
+import random
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
@@ -235,6 +236,27 @@ def test_sampled_mode_deterministic(monkeypatch):
     a = measure_and_compare(dss, seed=7)
     b = measure_and_compare(dss, seed=7)
     assert a.to_json() == b.to_json()
+
+
+def test_sampled_draws_take_the_smaller_side(monkeypatch):
+    drawn = []
+
+    class Counting(random.Random):
+        def sample(self, population, k, **kwargs):
+            drawn.append(k)
+            return super().sample(population, k, **kwargs)
+
+    monkeypatch.setattr(verifier.random, "Random", Counting)
+    monkeypatch.setattr(verifier, "TRIALS", 20)
+    report = measure_and_compare(rs_base(40, 36, GF256), seed=1)
+    assert report.ok and report.mode["kind"] == "sampled"
+    assert report.checks_run == {"reconstruction": 20, "repair": 20, "total": 40}
+    # 4 nodes left out of each subset and 3 survivors left out of each pair,
+    # instead of 36 helpers or subset members drawn one by one
+    assert set(drawn) == {4, 3}
+    drawn.clear()
+    measure_and_compare(rs_base(50, 5, GF256), seed=1)
+    assert set(drawn) == {5}
 
 
 def test_measure_and_compare_is_the_one_public_function():
