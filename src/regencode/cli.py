@@ -118,6 +118,8 @@ def asymptotic_csv(base: SystemParams, s_list, M_list) -> str:
     lines = [ASYMPTOTIC_HEADER]
     for s in s_list:
         for M in M_list:
+            if M == 0:  # the last four columns are normalized by powers of M
+                raise RangeError("M must be positive to normalize by it")
             setup = AsymptoticSetup(base, s, M)
             frac, h1, h2, h3, h4 = asymptotic_fraction(setup)
             cells = [str(s), str(M), str(rounded_index(setup))]

@@ -129,8 +129,8 @@ def reconstruct(
 
     Raises InputError when the subset is not k distinct node indices in
     range, when contents does not hold one entry per node, when a node of
-    the subset does not hold alpha_symbols symbols, or when an element
-    symbol lies outside the field.
+    the subset does not hold a list of alpha_symbols symbols, or when the
+    symbols are not all field elements or all rows of forms.
     """
     subset = tuple(subset)
     if len(subset) != dss.params.k:
@@ -180,16 +180,16 @@ def repair(
 
     Raises InputError when the helpers are not d distinct node indices in
     range other than the failed one, when contents does not hold one entry
-    per node, when a helper does not hold alpha_symbols symbols, or when an
-    element symbol lies outside the field.
+    per node, when a helper does not hold a list of alpha_symbols symbols,
+    or when the symbols are not all field elements or all rows of forms.
     """
     helpers = tuple(sorted(helpers))
     if failed in helpers:
         raise InputError("failed node cannot help itself")
     if len(helpers) != dss.params.d:
         raise InputError(f"need exactly d={dss.params.d} helpers, got {len(helpers)}")
-    if not 0 <= failed < dss.params.n:
-        raise InputError(f"node index {failed} out of range")
+    if type(failed) is not int or not 0 <= failed < dss.params.n:
+        raise InputError(f"node index {failed!r} out of range")
     _read(dss, helpers, contents)
     return dss.repair_rule.execute(dss, failed, helpers, contents)
 
@@ -197,12 +197,12 @@ def repair(
 def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
     """The symbols of the nodes read, in order; InputError if a call cannot read them.
 
-    The nodes read must be distinct indices in range, there must be one
-    content per node, each node read must hold alpha symbols, and element
-    symbols must lie in the field (one set test, at C speed). Rows of forms
-    are only counted, so proofs on the forms cost no more. Each public
-    reconstruct or repair makes this one check; nested parts are not checked
-    again.
+    The nodes read must be distinct ints in range, there must be one
+    content per node, each node read must hold a list of alpha symbols, and
+    the symbols must be all elements of the field or all rows of forms (each
+    a set test, at C speed). Rows of forms are not looked into, so proofs on
+    the forms cost no more. Each public reconstruct or repair makes this one
+    check; nested parts are not checked again.
     """
     n, alpha = dss.params.n, dss.alpha_symbols
     if len(set(read)) != len(read):
@@ -211,13 +211,16 @@ def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
         raise InputError(f"need the contents of all n={n} nodes, got {len(contents)}")
     symbols = []
     for i in read:
-        if not 0 <= i < n:
-            raise InputError(f"node index {i} out of range")
+        if type(i) is not int or not 0 <= i < n:
+            raise InputError(f"node index {i!r} out of range")
         content = contents[i]
-        if content is None or len(content) != alpha:
-            raise InputError(f"node {i} must hold alpha={alpha} symbols")
+        if not isinstance(content, list) or len(content) != alpha:
+            raise InputError(f"node {i} must hold a list of alpha={alpha} symbols")
         symbols += content
-    if not _rows(symbols) and not dss.field.holds(symbols):
+    if _rows(symbols):
+        if not {list}.issuperset(map(type, symbols)):
+            raise InputError("contents mix rows of forms and field elements")
+    elif not dss.field.holds(symbols):
         raise InputError(f"contents hold a symbol outside GF(2^{dss.field.m})")
     return symbols
 

@@ -2,9 +2,10 @@
 
 Field elements are ints in [0, 2^m); addition is XOR. Multiplication, inverse
 and powers are lookups in log/antilog tables that each field builds once.
-Matrices keep dense rows. Rank and solve eliminate block by block: the rows
-are first grouped into column-connected blocks, as the stacked generators of
-a composed code split into its copies, and each block is eliminated on its
+Matrices keep dense rows. Rank and solve eliminate block by block: each row
+spans its first to its last nonzero column, overlapping spans merge into
+runs of columns that tile the matrix, as the stacked generators of a composed
+code split into its copies' column blocks, and each run is eliminated on its
 own columns. The pivot-row and matrix-product loops find nonzero entries
 with itertools.compress, so they skip zeros at C speed.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from operator import itemgetter
 
 
 class SingularMatrixError(ArithmeticError):
@@ -74,11 +74,13 @@ class FieldSpec:
         return 1 << self.m
 
     def holds(self, symbols: list[int]) -> bool:
-        """Whether every one of symbols is an element: one set test at C speed.
+        """Whether every one of symbols is an element: an int, and in range.
 
-        Cheaper than min and max for the few symbols of a base repair.
+        Two set tests at C speed, cheaper than min and max for the few
+        symbols of a base repair. The type test comes first: 1.0 == 1 passes
+        the range test, and a list cannot be looked up in a set.
         """
-        return self._elements.issuperset(symbols)
+        return {int}.issuperset(map(type, symbols)) and self._elements.issuperset(symbols)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -250,57 +252,36 @@ WHOLE_MAX_ENTRIES = 4096
 
 
 def _blocks(A: FieldMatrix, rhs: list[list[int]]):
-    """Yield (columns, work rows) for each column-connected block of A.
+    """Yield (width, work rows) for each column block of A, in column order.
 
-    Two rows share a block when their supports meet, directly or through a
-    chain of rows; a block's columns are the union of its rows' supports, in
-    ascending order. So the blocks are independent systems: ranks and
-    solutions add up block by block, and a column in no block is all zero.
-    Each work row is a new list, the row's entries in the block's columns
-    followed by its row of rhs. Zero rows come last, as a block with no
-    columns. A matrix of at most WHOLE_MAX_ENTRIES entries, or with a row
-    free of zeros (which connects every column), is yielded whole as one
-    block, without scanning its supports.
+    A row spans its first to its last nonzero column; overlapping spans merge,
+    and each block runs from the previous block's end to its merged span's
+    end, the last one to the final column. So the blocks tile the columns,
+    as the stacked generators of a composed code split into its copies, and
+    each row is zero outside its block: ranks and solutions add up block by
+    block, and a zero column is one of its block's columns. Each work row is
+    a new list, the row's entries in its block's columns followed by its row
+    of rhs. A zero row joins the last block. A matrix of at most
+    WHOLE_MAX_ENTRIES entries is yielded whole, without finding its spans.
     """
     data, ncols = A.data, A.cols
-    if A.rows * ncols <= WHOLE_MAX_ENTRIES or any(0 not in row for row in data):
-        yield range(ncols), [arow + brow for arow, brow in zip(data, rhs)]
+    if A.rows * ncols <= WHOLE_MAX_ENTRIES:
+        yield ncols, [arow + brow for arow, brow in zip(data, rhs)]
         return
-    parent = list(range(ncols))  # union-find forest over the columns
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]  # path halving
-        return c
-
-    index, used = _index(ncols), bytearray(ncols)
-    firsts, zero_rows = [], []
-    for r, row in enumerate(data):
-        support = list(compress(index, row))
-        if not support:
-            zero_rows.append(r)
-            continue
-        root = find(support[0])
-        for c in support:
-            used[c] = 1
-            other = find(c)
-            if other != root:
-                parent[other] = root
-        firsts.append((r, support[0]))
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
-    for c in compress(index, used):
-        blocks.setdefault(find(c), ([], []))[0].append(c)
-    for r, first in firsts:
-        blocks[find(first)][1].append(r)
-    for cols, rows in blocks.values():
-        lo, hi = cols[0], cols[-1] + 1
-        if hi - lo == len(cols):  # contiguous, as every composition places its copies
-            yield cols, [data[r][lo:hi] + rhs[r] for r in rows]
-        else:
-            get = itemgetter(*cols)
-            yield cols, [[*get(data[r]), *rhs[r]] for r in rows]
-    if zero_rows:
-        yield [], [rhs[r][:] for r in zero_rows]
+    index = _index(ncols)
+    spans = sorted(  # (first, end, row): a zero row spans the last column alone
+        (next(compress(index, row), ncols - 1), ncols - next(compress(index, reversed(row)), 0), r)
+        for r, row in enumerate(data)
+    )
+    lo = hi = 0
+    rows = []
+    for first, end, r in spans:
+        if first >= hi and rows:  # no span so far reaches this one: the block ends
+            yield hi - lo, [data[i][lo:hi] + rhs[i] for i in rows]
+            lo, rows = hi, []
+        hi = max(hi, end)
+        rows.append(r)
+    yield ncols - lo, [data[i][lo:] + rhs[i] for i in rows]
 
 
 def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
@@ -313,29 +294,25 @@ def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """
     if A.rows != b.rows:
         raise ValueError("A and b row counts differ")
-    x: list = [None] * A.cols
+    x = []
     consistent = True
-    for cols, work in _blocks(A, b.data):
-        width = len(cols)
+    for width, work in _blocks(A, b.data):
         pivots = _eliminate(A.field, work, width)
         if None in pivots:
             raise SingularMatrixError("coefficient matrix is rank deficient")
         for w in work[width:]:  # zero on the left past the pivots: so must the right be
             consistent = consistent and not any(w[width:])
-        for c, p in zip(cols, pivots):
-            x[c] = work[p][width:]
-    if None in x:
-        raise SingularMatrixError("coefficient matrix has a zero column")
+        x += [work[p][width:] for p in pivots]
     if not consistent:
         raise InconsistentSystemError("no solution: inconsistent system")
     return FieldMatrix(A.field, x)
 
 
 def mat_rank(A: FieldMatrix) -> int:
-    """Rank of A: the sum of its column-connected blocks' ranks."""
+    """Rank of A: the sum of its column blocks' ranks."""
     rank = 0
-    for cols, work in _blocks(A, [[]] * A.rows):
-        pivots = _eliminate(A.field, work, len(cols))
+    for width, work in _blocks(A, [[]] * A.rows):
+        pivots = _eliminate(A.field, work, width)
         rank += len(pivots) - pivots.count(None)
     return rank
 

@@ -25,7 +25,10 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (int, _RationalABC)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise RangeError(f"zero denominator: {value!r}") from None
     raise RangeError(f"not an exact rational: {value!r}")
 
 

@@ -189,6 +189,12 @@ def test_cli_construct_budget_refuses_before_building(monkeypatch, capsys):
         ["curve", "--n", "4", "--k", "3", "--d", "3", "--samples", "many"],
         ["construct", "base(4,2)", "--strict-basis"],  # removed flag
         ["construct", "blowup_simple(" * 1200 + "base(3,2)" + ")" * 1200],  # over-nested
+        # zero denominators
+        ["curve", "--n", "4", "--k", "3", "--d", "3", "--alpha", "1/0"],
+        ["compare", "--n", "4", "--k", "3", "--d", "3", "--gamma", "1/0"],
+        ["compare", "--n", "4", "--k", "3", "--d", "3", "--gamma", "1", "--alpha", "0/0"],
+        ["asymptotic", "--n", "2", "--k", "1", "--d", "1", "--s", "1/0", "--M", "100"],
+        ["asymptotic", "--n", "2", "--k", "1", "--d", "1", "--s", "1", "--M", "0"],
     ],
 )
 def test_cli_usage_errors_exit_input(argv, capsys):

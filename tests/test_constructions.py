@@ -21,7 +21,7 @@ from regencode.dss import (
     repair,
     rs_base,
 )
-from regencode.gf import GF2, GF16, GF256
+from regencode.gf import GF2, GF16, GF256, FieldMatrix, _blocks
 from regencode.tradeoff import (
     OperatingPoint,
     RangeError,
@@ -171,6 +171,12 @@ def test_iterate_twice_small_base():
     assert dss.file_len == 24 * 6
     report = measure_and_compare(dss, declared_point(dss))
     assert report.ok and report.symmetric
+    # each 3-subset stack (216 x 144) is past the size eliminated whole
+    rnd = random.Random(12)
+    message = [rnd.randrange(2) for _ in range(dss.file_len)]
+    contents = encode(dss, message)
+    for subset in combinations(range(4), 3):
+        assert reconstruct(dss, subset, contents) == message
     # normalized performance is (n+j)/n times the base ratio
     assert F(dss.file_len, dss.alpha_symbols) == F(4, 2) * F(
         base.file_len, base.alpha_symbols
@@ -358,3 +364,28 @@ def test_shape_rules_agree_with_tradeoff_without_building():
                 assert norm == (pt.gamma, pt.file_size), (name, n, k, arg)
                 cases += 1
     assert cases == 137
+
+
+def test_stacks_split_into_the_leaf_copies_column_blocks():
+    """Every k-subset stack of a twice-composed code splits along its leaf copies.
+
+    Each rs_base(3,2) copy holds its file in its own two columns. The blocks
+    come in column order: a copy's two columns, or each alone where no row
+    of the stack touches both. Each row lands once, in the block holding its
+    nonzeros.
+    """
+    dss = blowup_full(blowup_simple(rs_base(3, 2)))
+    for subset in combinations(range(dss.params.n), dss.params.k):
+        rows = [row for i in subset for row in dss.node_gens[i].data]
+        expected = []
+        for c in range(0, dss.file_len, 2):
+            joined = any(row[c] and row[c + 1] for row in rows)
+            expected += [(c, c + 2)] if joined else [(c, c + 1), (c + 1, c + 2)]
+        spans, placed, lo = [], [], 0
+        for width, work in _blocks(FieldMatrix(dss.field, rows), [[r] for r in range(len(rows))]):
+            spans.append((lo, lo + width))
+            for *entries, r in work:
+                assert entries == rows[r][lo : lo + width] and any(entries)
+                placed.append(r)
+            lo += width
+        assert spans == expected and sorted(placed) == list(range(len(rows)))

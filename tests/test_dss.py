@@ -70,9 +70,11 @@ def test_encode_length_check():
 
 def test_encode_refuses_symbols_outside_the_field():
     dss = rs_base(3, 2, GF256)
-    for bad in (256, -1):
+    for bad in (256, -1, 1.0, [1, 0]):  # 1.0 == 1, but it cannot index the log table
         with pytest.raises(InputError):
             encode(dss, [bad, 0])
+    with pytest.raises(InputError):
+        encode(dss, [1.0, 2])
 
 
 def test_rs_base_matches_polynomial_evaluation():
@@ -147,6 +149,20 @@ def test_reconstruct_refuses_malformed_contents():
     contents = encode(dss, list(range(dss.file_len)))
     with pytest.raises(InputError):
         reconstruct(dss, (0, 1, 2), contents[:2])
+    # each of these would fail later with a TypeError: a content that is no
+    # list, a float symbol, elements mixed with rows of forms (either one
+    # first), a float index
+    base = rs_base(4, 2)
+    with pytest.raises(InputError):
+        reconstruct(base, (0, 1), [5, [1], [2], [3]])
+    with pytest.raises(InputError):
+        reconstruct(base, (0, 1), [[1.0], [2], [3], [4]])
+    forms = [g.data for g in base.node_gens]
+    for mixed in ([[1]] + forms[1:], forms[:1] + [[1]] * 3):
+        with pytest.raises(InputError):
+            reconstruct(base, (0, 1), mixed)
+    with pytest.raises(InputError):
+        reconstruct(base, (0, 1.0), [[0], [1], [2], [3]])
 
 
 def test_repair_example_2_1():
@@ -185,6 +201,17 @@ def test_repair_refuses_malformed_contents():
         repair(dss, 3, (0, 1, 2), [[-1] + contents[0][1:]] + contents[1:])
     with pytest.raises(InputError):
         repair(dss, 3, (0, 1, 2), contents[:3])
+    with pytest.raises(InputError):
+        repair(dss, 3, (0, 1, 2), [tuple(contents[0])] + contents[1:])
+    with pytest.raises(InputError):
+        repair(dss, 3, (0, 1, 2), [[1.0] + contents[0][1:]] + contents[1:])
+    forms = [g.data for g in dss.node_gens]
+    with pytest.raises(InputError):
+        repair(dss, 3, (0, 1, 2), [contents[0]] + forms[1:])
+    with pytest.raises(InputError):
+        repair(dss, 3, (0, 1.0, 2), contents)
+    with pytest.raises(InputError):
+        repair(dss, 3.0, (0, 1, 2), contents)
 
 
 def test_public_calls_check_contents_once(monkeypatch):

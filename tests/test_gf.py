@@ -6,6 +6,7 @@ from regencode.gf import (
     GF2,
     GF16,
     GF256,
+    WHOLE_MAX_ENTRIES,
     FieldMatrix,
     FieldSpec,
     InconsistentSystemError,
@@ -321,3 +322,24 @@ def test_rank_deficiency_outranks_inconsistency_across_blocks():
             data[1][d + 1] = 1  # so the system is only inconsistent
             with pytest.raises(InconsistentSystemError):
                 mat_solve(FieldMatrix(GF256, data), b)
+
+
+def test_zero_column_is_singular_past_the_whole_size():
+    """A zero column before, between or after two full-rank blocks is a missing pivot."""
+    n = 40  # two n x n triangular blocks and a zero column: past WHOLE_MAX_ENTRIES
+    assert 2 * n * (2 * n + 1) > WHOLE_MAX_ENTRIES
+    for zero_col in (0, n, 2 * n):
+        cols = [c for c in range(2 * n + 1) if c != zero_col]
+        data = [[0] * (2 * n + 1) for _ in range(2 * n)]
+        for r in range(2 * n):  # row r: ones from its diagonal to its block's end
+            for c in cols[r : r - r % n + n]:
+                data[r][c] = 1
+        A = FieldMatrix(GF256, data)
+        assert mat_rank(A) == 2 * n
+        with pytest.raises(SingularMatrixError) as info:
+            mat_solve(A, FieldMatrix.column(GF256, [1] * (2 * n)))
+        assert type(info.value) is SingularMatrixError
+    zero = FieldMatrix(GF256, [[0] * 70 for _ in range(70)])
+    assert mat_rank(zero) == 0
+    with pytest.raises(SingularMatrixError):
+        mat_solve(zero, FieldMatrix.column(GF256, [0] * 70))
