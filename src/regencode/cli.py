@@ -40,6 +40,9 @@ EXIT_INPUT = 3
 EXIT_RESOURCE = 4
 
 SIG_DIGITS = 12
+# most gamma samples a curve takes: each is an exact Fraction in a set held
+# whole before the first line is written; 10^5 takes about 15 s
+MAX_SAMPLES = 10**5
 _CONTEXT = Context(prec=SIG_DIGITS, rounding=ROUND_HALF_EVEN)
 
 
@@ -83,10 +86,13 @@ def curve_csv(p: SystemParams, alpha: Fraction, samples: int) -> str:
 
     The gamma grid is `samples` uniform points over [alpha, gamma_MSR],
     merged with the discrete gammas where the P2/P3/P4 constructions are
-    defined so those columns are populated; sorted ascending.
+    defined so those columns are populated; sorted ascending. More than
+    MAX_SAMPLES samples raise ResourceError before any gamma is computed.
     """
     if samples < 2:
         raise RangeError("samples must be >= 2")
+    if samples > MAX_SAMPLES:
+        raise ResourceError(f"{samples} samples, over the ceiling of {MAX_SAMPLES}")
     g_lo, g_hi = alpha, gamma_msr(p, alpha)
     gammas = {g_lo + Fraction(t, samples - 1) * (g_hi - g_lo) for t in range(samples)}
     sizes = {
@@ -288,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curve", help="emit the tradeoff curve as CSV")
     add_params(sp)
     sp.add_argument("--alpha", default="1", help="node size, rational like 1 or 3/8")
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument(
+        "--samples", type=int, default=50, help=f"gamma grid points, 2 to {MAX_SAMPLES}"
+    )
     sp.add_argument("--out", default="-")
     sp.set_defaults(fn=_cmd_curve)
 

@@ -8,7 +8,10 @@ columns. The four blowups place permuted copies of one base augmented by
 appended nodes (an empty node, twins, or a file node), so composite node
 j stores the j-th node of every copy, and a copy hosts every position but
 the one its empty node would take; concat places each part once, on its
-own run of positions. Reconstruction is one solve over the stacked
+own run of positions. A composite's generator rows are its copies' rows,
+each the part's segment moved to the copy's columns: the placed segment
+shares the part's entries, so a composite stores a (column, entries) pair
+per row and no dense row. Reconstruction is one solve over the stacked
 generators. Repair runs copy by copy with one rule, so exact repair is
 inherited from the parts and bandwidth is accounted per copy.
 """
@@ -31,8 +34,8 @@ from .dss import (
 from .gf import FieldMatrix
 from .tradeoff import RangeError, SystemParams
 
-# dense generator entries (n * alpha * B) a composite may hold; admits
-# iterate(base(3,2),2) at 49,766,400 entries
+# generator entries n * alpha * B a composite may span, dense; the segments
+# it stores hold far fewer. Admits iterate(base(3,2),2) at 49,766,400
 DEFAULT_BUDGET = 5 * 10**7
 
 # What a copy hosts at a position: part node (_BASE, u), its twin (_DUP, u) or
@@ -70,8 +73,9 @@ class Shape(NamedTuple):
         The one shape rule of each construction, applied before it
         materializes anything; parse_recipe applies it to a whole recipe
         before building any composite part. `arg` is iterate's j or
-        copy_blowup's l. The budget bounds the dense generator entries
-        n * alpha * B; "base" applies that bound alone to a built base code.
+        copy_blowup's l. The budget bounds the generator entries n * alpha * B
+        counted dense, an upper bound on the entries the segments store;
+        "base" applies that bound alone to a built base code.
         """
         p, alpha, file_len = parts[0].params, parts[0].alpha_symbols, parts[0].file_len
         n, gamma, fact = p.n, parts[0].gamma_symbols, math.factorial
@@ -223,7 +227,9 @@ def _compose(name, parts, arg=None, budget=None):
     Its Shape is predicted, and admitted by the budget, before anything is
     materialized; `arg` is copy_blowup's l. Every composite is a list of
     placed copies, each a part and the (position, node) pairs it hosts;
-    the copies' files take consecutive column blocks.
+    the copies' files take consecutive column blocks. A placed row is the
+    part row's segment moved to its copy's block, sharing its entries; a
+    file node's rows are one-entry unit segments.
     """
     shape = Shape.predict(name, parts, arg, budget)
     if len({p.field for p in parts}) != 1:
@@ -252,22 +258,20 @@ def _compose(name, parts, arg=None, budget=None):
             layout = {"permutations": [list(s) for s in sigmas], **layout}
         description = {"kind": name, "copies": len(placed), "base": base.label}
 
-    # one pass: each copy's rows go to the positions it hosts, its file to
-    # the next column block; its record keeps where its content starts
+    # one pass: each copy's rows go to the positions it hosts, shifted to its
+    # file's column block and sharing the part's entries; its record keeps
+    # where its content starts
     gens = [[] for _ in range(npos)]
-    copies, col = [], 0
+    copies, col, unit = [], 0, [1]
     for part, placement in placed:
         B, hosts = part.file_len, {}
         for pos, node in placement:
             hosts[pos] = (node, len(gens[pos]))
             if node[0] == _FILE:
-                block = [[int(i == r) for i in range(B)] for r in range(B)]
+                gens[pos] += [(col + r, unit) for r in range(B)]
             else:
-                block = part.node_gens[node[1]].data
-            for part_row in block:
-                row = [0] * file_len
-                row[col : col + B] = part_row
-                gens[pos].append(row)
+                segments = part.node_gens[node[1]].segments
+                gens[pos] += [(col + start, entries) for start, entries in segments]
         copies.append((part, hosts))
         col += B
     if {len(rows) for rows in gens} != {shape.alpha_symbols} or col != file_len:
@@ -285,7 +289,7 @@ def _compose(name, parts, arg=None, budget=None):
         params=shape.params,
         field=field,
         file_len=file_len,
-        node_gens=[FieldMatrix(field, rows) for rows in gens],
+        node_gens=[FieldMatrix.from_segments(field, file_len, rows) for rows in gens],
         repair_rule=_CopiesRule(description, copies),
         label=f"{name}({','.join(p.label for p in parts)}{suffix})",
         gamma_symbols=shape.gamma_symbols,

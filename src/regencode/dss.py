@@ -119,7 +119,8 @@ def encode(dss: LinearDss, message: list[int]) -> list[list[int]]:
         )
     if not dss.field.holds(message):
         raise InputError(f"message holds a symbol outside GF(2^{dss.field.m})")
-    return [apply_generator(g, message) for g in dss.node_gens]
+    column = FieldMatrix.column(dss.field, message)
+    return [g.mul(column).col_vector() for g in dss.node_gens]
 
 
 def reconstruct(
@@ -144,25 +145,43 @@ def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
     Callers pass symbols already checked: reconstruct's own, or slices a
     repair rule takes from contents its public call has checked.
     """
-    gen_rows = []
+    return _shaped(_solve(dss, subset, symbols), symbols)
+
+
+def _solve(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> FieldMatrix:
+    """_decode's message as a matrix: the nodes' generator segments, stacked, solved."""
+    segments = []
     for i in subset:
-        gen_rows += dss.node_gens[i].data
-    rows = _rows(symbols)
-    rhs = FieldMatrix(dss.field, symbols) if rows else FieldMatrix.column(dss.field, symbols)
+        segments += dss.node_gens[i].segments
     try:
-        x = mat_solve(FieldMatrix(dss.field, gen_rows), rhs)
+        return mat_solve(
+            FieldMatrix.from_segments(dss.field, dss.file_len, segments),
+            _as_matrix(dss.field, symbols),
+        )
     except SingularMatrixError as exc:
         raise CodeInvariantError(
             f"subset {subset} does not determine the file: {exc}"
         ) from exc
-    return x.data if rows else x.col_vector()
 
 
 def apply_generator(gen: FieldMatrix, symbols: list) -> list:
     """gen times a column of symbols, e.g. a node's content from the file."""
+    return _shaped(gen.mul(_as_matrix(gen.field, symbols)), symbols)
+
+
+def _as_matrix(field: FieldSpec, symbols: list) -> FieldMatrix:
+    """Symbols as a matrix: rows of forms, each one full-width segment, or one column."""
     if _rows(symbols):
-        return gen.mul(FieldMatrix(gen.field, symbols)).data
-    return gen.mul(FieldMatrix.column(gen.field, symbols)).col_vector()
+        width = len(symbols[0])
+        if not {width}.issuperset(map(len, symbols)):  # a set test, at C speed
+            raise ValueError("ragged rows")
+        return FieldMatrix.from_segments(field, width, [(0, row) for row in symbols])
+    return FieldMatrix.column(field, symbols)
+
+
+def _shaped(matrix: FieldMatrix, symbols: list) -> list:
+    """matrix as symbols of the shape given: rows of forms, or a column of elements."""
+    return matrix.data if _rows(symbols) else matrix.col_vector()
 
 
 def _rows(symbols: list) -> bool:
@@ -202,7 +221,8 @@ def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
     the symbols must be all elements of the field or all rows of forms (each
     a set test, at C speed). Rows of forms are not looked into, so proofs on
     the forms cost no more. Each public reconstruct or repair makes this one
-    check; nested parts are not checked again.
+    check, and the verifier makes it once on the forms of a whole sweep;
+    nested parts are not checked again.
     """
     n, alpha = dss.params.n, dss.alpha_symbols
     if len(set(read)) != len(read):
@@ -234,8 +254,8 @@ class MdsReencodeRule(RepairRule):
         symbols = []
         for h in helpers:
             symbols += contents[h]
-        msg = _decode(dss, helpers, symbols)
-        content = apply_generator(dss.node_gens[failed], msg)
+        msg = _solve(dss, helpers, symbols)  # re-encoded as it is, no round trip
+        content = _shaped(dss.node_gens[failed].mul(msg), symbols)
         per_helper = {h: dss.alpha_symbols for h in helpers}
         return content, BandwidthReport(per_helper)
 

@@ -2,12 +2,16 @@
 
 Field elements are ints in [0, 2^m); addition is XOR. Multiplication, inverse
 and powers are lookups in log/antilog tables that each field builds once.
-Matrices keep dense rows. Rank and solve eliminate block by block: each row
-spans its first to its last nonzero column, overlapping spans merge into
-runs of columns that tile the matrix, as the stacked generators of a composed
-code split into its copies' column blocks, and each run is eliminated on its
-own columns. The pivot-row and matrix-product loops find nonzero entries
-with itertools.compress, so they skip zeros at C speed.
+A matrix keeps each row as one segment, a start column and the entries from
+there on, outside which the row is zero; a generator row keeps its first to
+its last nonzero column. Rank and solve eliminate block by
+block: each row spans its segment, overlapping spans merge into runs of
+columns that tile the matrix, as the stacked generators of a composed code
+split into its copies' column blocks, and each run is eliminated on its own
+columns, its rows made dense only there. So a split costs the rows and
+their nonzeros, not rows times columns. The pivot-row and matrix-product
+loops find nonzero entries with itertools.compress, so they skip zeros at C
+speed.
 """
 
 from __future__ import annotations
@@ -148,59 +152,108 @@ def _index(n: int) -> tuple[int, ...]:
 
 
 class FieldMatrix:
-    """Dense matrix over a FieldSpec, stored as row lists of ints.
+    """Matrix over a FieldSpec, stored as one segment per row.
 
-    The matrix takes ownership of `data` and its rows without copying them:
-    no operation in this module mutates an operand (elimination works on its
-    own rows), and a caller must not mutate `data` afterwards either.
+    A segment (start, entries) holds a row's entries from column `start`
+    on; the row is zero outside it. The constructor takes dense rows and
+    keeps each from its first to its last nonzero column (a zero row keeps
+    none), sharing a row whose ends are both nonzero; from_segments takes
+    segments as they are, zeros among their entries included. Products and
+    solutions keep each row whole, as wide as the matrix. `data` renders
+    the dense rows. A matrix shares what it is given without
+    copying: no operation in this module mutates an operand (elimination
+    works on its own rows), and a caller must not mutate rows or entries
+    afterwards either, so composed codes share their parts' entries.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "segments")
 
     def __init__(self, field: FieldSpec, data: list[list[int]]):
-        self.field = field
-        self.data = data
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.cols:
+        cols = len(data[0]) if data else 0
+        segments = []
+        for row in data:
+            if len(row) != cols:
                 raise ValueError("ragged rows")
+            segments.append((0, row) if row and row[0] and row[-1] else _trim(row))
+        self.field, self.rows, self.cols, self.segments = field, len(data), cols, segments
+
+    @classmethod
+    def from_segments(
+        cls, field: FieldSpec, cols: int, segments: list[tuple[int, list[int]]]
+    ) -> "FieldMatrix":
+        """The matrix of `cols` columns whose rows are the (start, entries) segments."""
+        for start, entries in segments:
+            if start < 0 or start + len(entries) > cols:
+                raise ValueError(f"segment at column {start} overruns {cols} columns")
+        return _matrix(field, cols, segments)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "FieldMatrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _matrix(field, n, [(i, [1]) for i in range(n)])
 
     @classmethod
     def column(cls, field: FieldSpec, vec: list[int]) -> "FieldMatrix":
-        return cls(field, [[v] for v in vec])
+        return _matrix(field, 1, [(0, [v]) for v in vec])
+
+    @property
+    def data(self) -> list[list[int]]:
+        """The dense rows; a segment as wide as the matrix is its own row."""
+        cols = self.cols
+        return [
+            entries
+            if len(entries) == cols
+            else [0] * start + entries + [0] * (cols - start - len(entries))
+            for start, entries in self.segments
+        ]
 
     def col_vector(self) -> list[int]:
         if self.cols != 1:
             raise ValueError("not a column vector")
-        return [row[0] for row in self.data]
+        return [entries[0] if entries else 0 for _, entries in self.segments]
 
     def mul(self, other: "FieldMatrix") -> "FieldMatrix":
+        """The product, one dense row per row of self; costs the nonzeros it meets."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         exp, log = self.field._exp, self.field._log
-        inner, outer = _index(self.cols), _index(other.cols)
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for arow, orow in zip(self.data, out):
-            for t in compress(inner, arow):  # nonzeros only, found at C speed
-                la, brow = log[arow[t]], other.data[t]
+        width, right = other.cols, other.segments
+        inner, outer = _index(self.cols), _index(width)
+        out = []
+        for start, entries in self.segments:
+            row = [0] * width
+            for t in compress(inner, entries):  # nonzeros only, found at C speed
+                la, (at, brow) = log[entries[t]], right[start + t]
                 for j in compress(outer, brow):
-                    orow[j] ^= exp[la + log[brow[j]]]
-        return FieldMatrix(self.field, out)
+                    row[at + j] ^= exp[la + log[brow[j]]]
+            out.append((0, row))
+        return _matrix(self.field, width, out)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldMatrix)
             and self.field == other.field
+            and self.cols == other.cols
             and self.data == other.data
         )
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.rows}x{self.cols} over GF(2^{self.field.m}))"
+
+
+def _matrix(field: FieldSpec, cols: int, segments: list) -> FieldMatrix:
+    """A FieldMatrix of segments that fit by construction: no check."""
+    matrix = FieldMatrix.__new__(FieldMatrix)
+    matrix.field, matrix.rows, matrix.cols, matrix.segments = field, len(segments), cols, segments
+    return matrix
+
+
+def _trim(row: list[int]) -> tuple[int, list[int]]:
+    """A dense row's segment, from its first to its last nonzero column."""
+    index = _index(len(row))
+    first = next(compress(index, row), None)
+    if first is None:
+        return 0, []
+    return first, row[first : len(row) - next(compress(index, reversed(row)))]
 
 
 def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
@@ -254,34 +307,49 @@ WHOLE_MAX_ENTRIES = 4096
 def _blocks(A: FieldMatrix, rhs: list[list[int]]):
     """Yield (width, work rows) for each column block of A, in column order.
 
-    A row spans its first to its last nonzero column; overlapping spans merge,
-    and each block runs from the previous block's end to its merged span's
-    end, the last one to the final column. So the blocks tile the columns,
-    as the stacked generators of a composed code split into its copies, and
-    each row is zero outside its block: ranks and solutions add up block by
-    block, and a zero column is one of its block's columns. Each work row is
-    a new list, the row's entries in its block's columns followed by its row
-    of rhs. A zero row joins the last block. A matrix of at most
+    A row spans its segment; overlapping spans merge, and each block runs
+    from the previous block's end to its merged span's end, the last one to
+    the final column. So the blocks tile the columns, as the stacked
+    generators of a composed code split into its copies, and each row is
+    zero outside its block: ranks and solutions add up block by block, and
+    a zero column is one of its block's columns. The spans are read off the
+    segments, so finding them costs one step a row. Each work row is a new
+    list, the row's entries in its block's columns followed by its row of
+    rhs. A zero row joins the last block. A matrix of at most
     WHOLE_MAX_ENTRIES entries is yielded whole, without finding its spans.
     """
-    data, ncols = A.data, A.cols
+    segments, ncols = A.segments, A.cols
     if A.rows * ncols <= WHOLE_MAX_ENTRIES:
-        yield ncols, [arow + brow for arow, brow in zip(data, rhs)]
+        yield ncols, _work(segments, range(A.rows), 0, ncols, rhs)
         return
-    index = _index(ncols)
     spans = sorted(  # (first, end, row): a zero row spans the last column alone
-        (next(compress(index, row), ncols - 1), ncols - next(compress(index, reversed(row)), 0), r)
-        for r, row in enumerate(data)
+        (start, start + len(entries), r) if entries else (ncols - 1, ncols, r)
+        for r, (start, entries) in enumerate(segments)
     )
     lo = hi = 0
     rows = []
     for first, end, r in spans:
         if first >= hi and rows:  # no span so far reaches this one: the block ends
-            yield hi - lo, [data[i][lo:hi] + rhs[i] for i in rows]
+            yield hi - lo, _work(segments, rows, lo, hi, rhs)
             lo, rows = hi, []
         hi = max(hi, end)
         rows.append(r)
-    yield ncols - lo, [data[i][lo:] + rhs[i] for i in rows]
+    yield ncols - lo, _work(segments, rows, lo, ncols, rhs)
+
+
+def _work(segments, rows, lo: int, hi: int, rhs: list[list[int]]) -> list[list[int]]:
+    """Each of rows, dense over columns lo..hi-1, followed by its row of rhs.
+
+    Every segment of a nonzero row lies within the columns; a zero row's
+    empty segment writes nothing.
+    """
+    work, zeros = [], [0] * (hi - lo)
+    for r in rows:
+        start, entries = segments[r]
+        row = zeros + rhs[r]
+        row[start - lo : start - lo + len(entries)] = entries
+        work.append(row)
+    return work
 
 
 def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
@@ -302,10 +370,10 @@ def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
             raise SingularMatrixError("coefficient matrix is rank deficient")
         for w in work[width:]:  # zero on the left past the pivots: so must the right be
             consistent = consistent and not any(w[width:])
-        x += [work[p][width:] for p in pivots]
+        x += [(0, work[p][width:]) for p in pivots]
     if not consistent:
         raise InconsistentSystemError("no solution: inconsistent system")
-    return FieldMatrix(A.field, x)
+    return _matrix(A.field, b.cols, x)
 
 
 def mat_rank(A: FieldMatrix) -> int:

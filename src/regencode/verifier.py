@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .dss import CodeInvariantError, LinearDss, repair
+from .dss import CodeInvariantError, LinearDss, _read
 from .gf import FieldMatrix, mat_rank
 from .tradeoff import OperatingPoint
 
@@ -135,8 +135,8 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
     """Prove subsets by rank up to the first that lacks column rank B; return the count run."""
     run = 0
     for run, subset in enumerate(subsets, 1):
-        stack = [row for i in subset for row in dss.node_gens[i].data]
-        if mat_rank(FieldMatrix(dss.field, stack)) != dss.file_len:
+        stack = [seg for i in subset for seg in dss.node_gens[i].segments]
+        if mat_rank(FieldMatrix.from_segments(dss.field, dss.file_len, stack)) != dss.file_len:
             report.reconstruction_ok = False
             report.reconstruction_counterexample = subset
             break
@@ -147,13 +147,18 @@ def _check_repair(dss: LinearDss, report: VerificationReport, pairs):
     """Prove pairs by one repair on the generator rows each, up to the first that fails.
 
     Records that pair as the counterexample. Returns (count run, the
-    BandwidthReport of every pair proved).
+    BandwidthReport of every pair proved). The forms are checked once, as
+    the public repair would check them, and each pair runs the repair rule
+    directly: the plan yields only d sorted helpers in range, never the
+    failed node.
     """
     forms = [g.data for g in dss.node_gens]
+    _read(dss, tuple(range(dss.params.n)), forms)
+    execute = dss.repair_rule.execute
     bandwidth = []
     for failed, helpers in pairs:
         try:
-            rebuilt, bw = repair(dss, failed, helpers, forms)
+            rebuilt, bw = execute(dss, failed, helpers, forms)
         except CodeInvariantError:
             rebuilt = None  # the rule decoded from helpers that do not determine the file
         if rebuilt != forms[failed]:

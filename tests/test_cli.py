@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from regencode.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFY_FAIL,
+    MAX_SAMPLES,
     RecipeError,
     asymptotic_csv,
     curve_csv,
@@ -18,7 +20,7 @@ from regencode.cli import (
     parse_recipe,
 )
 from regencode.constructions import Shape
-from regencode.dss import rs_base
+from regencode.dss import ResourceError, rs_base
 from regencode.tradeoff import SystemParams
 
 
@@ -229,6 +231,16 @@ def test_cli_curve_roundtrip(tmp_path):
     assert main(["curve", "--n", "4", "--k", "3", "--d", "3", "--samples", "5",
                  "--out", str(out)]) == EXIT_OK
     assert out.read_text() == text1  # byte-stable
+
+
+def test_cli_curve_refuses_samples_over_the_ceiling(capsys):
+    start = time.perf_counter()
+    argv = ["curve", "--n", "4", "--k", "3", "--d", "3", "--samples", "100000000"]
+    assert main(argv) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 1
+    assert "over the ceiling of 100000" in capsys.readouterr().err
+    with pytest.raises(ResourceError):
+        curve_csv(SystemParams(4, 3, 3), F(1), MAX_SAMPLES + 1)
 
 
 def test_cli_curve_bad_params(capsys):

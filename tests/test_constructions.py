@@ -264,6 +264,36 @@ def test_copies_are_placed_only_where_they_host():
     assert [sorted(hosts) for hosts in concat_records] == [[0, 1, 2], [3, 4, 5, 6], [7, 8, 9]]
 
 
+def test_composed_rows_share_their_part_segments():
+    # each placed row is its part row's segment moved to its copy's columns
+    base = rs_base(3, 2)
+    for dss in (blowup_full(base), concat([base, rs_base(4, 3), base]), filenode_blowup(base)):
+        col = 0
+        for part, hosts in dss.repair_rule.copies:
+            for pos, (node, at) in hosts.items():
+                if node[0] == "file":  # a file node holds the copy's B unit rows
+                    placed = dss.node_gens[pos].segments[at : at + part.file_len]
+                    assert placed == [(col + r, [1]) for r in range(part.file_len)]
+                    continue
+                placed = dss.node_gens[pos].segments[at : at + part.alpha_symbols]
+                own = part.node_gens[node[1]].segments
+                assert [start for start, _ in placed] == [col + start for start, _ in own]
+                assert all(p is o for (_, p), (_, o) in zip(placed, own))
+            col += part.file_len
+        assert col == dss.file_len
+
+
+def test_iterate_twice_stores_its_nonzeros_in_segments():
+    # 8,640 rows of 5,760 columns: 49,766,400 entries dense, 11,520 stored
+    dss = iterate(rs_base(3, 2), 2)
+    segments = [seg for g in dss.node_gens for seg in g.segments]
+    assert len(segments) == dss.params.n * dss.alpha_symbols == 8640
+    assert sum(len(entries) for _, entries in segments) == 11520
+    assert sum(len(entries) - entries.count(0) for _, entries in segments) == 11520
+    # every row shares one of the three base rows' entries
+    assert len({id(entries) for _, entries in segments}) == 3
+
+
 def test_public_functions_are_the_six_constructions():
     # bench/tracing.py wraps every public function of the module and reads the
     # node_gens of what it returns, so any other public function fails it

@@ -185,7 +185,15 @@ def test_mat_inv_round_trip():
 
 def test_matrix_keeps_its_rows_and_operations_leave_them_unchanged():
     rows = [[1, 2, 3], [4, 5, 6]]
-    assert FieldMatrix(GF256, rows).data is rows
+    # a row nonzero at both ends is its own segment, and renders as itself
+    kept = FieldMatrix(GF256, rows)
+    assert all(entries is row for (_, entries), row in zip(kept.segments, rows))
+    assert all(a is b for a, b in zip(kept.data, rows))
+    assert FieldMatrix(GF256, [[0, 5, 0, 6, 0], [0] * 5]).segments == [(1, [5, 0, 6]), (0, [])]
+    segments = [(1, [7, 0, 9]), (5, [])]
+    assert FieldMatrix.from_segments(GF256, 5, segments).segments is segments
+    with pytest.raises(ValueError, match="overruns"):
+        FieldMatrix.from_segments(GF256, 3, [(1, [7, 0, 9])])
     with pytest.raises(ValueError, match="ragged"):
         FieldMatrix(GF256, [[1, 2], [3]])
     rnd = random.Random(5)
@@ -260,17 +268,18 @@ def test_block_diagonal_systems_agree_with_their_blocks(field):
         A, places = _block_diagonal_case(rnd, field)
         width = rnd.randint(1, 3)
         x0 = [[rnd.randrange(field.order) for _ in range(width)] for _ in range(A.cols)]
-        b = A.mul(FieldMatrix(field, x0))
+        rhs = A.mul(FieldMatrix(field, x0)).data
         if rnd.random() < 0.5:  # one disturbed entry: inconsistent unless its block absorbs it
             r = rnd.randrange(A.rows)
-            b.data[r][rnd.randrange(width)] ^= rnd.randrange(1, field.order)
-        before = ([row[:] for row in A.data], [row[:] for row in b.data])
+            rhs[r][rnd.randrange(width)] ^= rnd.randrange(1, field.order)
+        b, data = FieldMatrix(field, rhs), A.data  # data renders the rows: once a case
+        before = ([row[:] for row in data], [row[:] for row in rhs])
 
-        ranks = [mat_rank(_sub(field, A.data, rows, cols)) if cols else 0 for rows, cols in places]
+        ranks = [mat_rank(_sub(field, data, rows, cols)) if cols else 0 for rows, cols in places]
         assert mat_rank(A) == sum(ranks)
         singular = sum(ranks) < A.cols
         inconsistent = any(
-            mat_rank(FieldMatrix(field, [[A.data[r][c] for c in cols] + b.data[r] for r in rows]))
+            mat_rank(FieldMatrix(field, [[data[r][c] for c in cols] + rhs[r] for r in rows]))
             > rank
             for (rows, cols), rank in zip(places, ranks)
             if rows
@@ -343,3 +352,80 @@ def test_zero_column_is_singular_past_the_whole_size():
     assert mat_rank(zero) == 0
     with pytest.raises(SingularMatrixError):
         mat_solve(zero, FieldMatrix.column(GF256, [0] * 70))
+
+
+def _segment_case(rnd, field):
+    """A block-structured matrix as segments, and the same rows as dense lists.
+
+    Each block is a run of columns whose rows' segments lie inside it; the
+    entries hold zeros at random, inside and at either end. With `full` set
+    every block has full column rank, so solves can succeed, and each row
+    spans its block, so the last block's rows end at the last column.
+    Otherwise a block may leave columns zero. Zero rows are empty segments
+    at any start. The rows come shuffled.
+    """
+    full = rnd.random() < 0.5
+    segments, lo = [], 0
+    for _ in range(rnd.randint(1, 40)):
+        width = rnd.randint(1, 6)
+        while True:
+            block = []
+            for _ in range(width + rnd.randint(0, 2) if full else rnd.randint(0, width + 2)):
+                start = lo if full else rnd.randint(lo, lo + width - 1)
+                end = lo + width if full else rnd.randint(start + 1, lo + width)
+                entries = [rnd.randrange(field.order) if rnd.random() < 0.7 else 0
+                           for _ in range(end - start)]
+                block.append((start, entries))
+            if not full or mat_rank(FieldMatrix.from_segments(field, lo + width, block)) == width:
+                break
+        segments += block
+        lo += width
+    segments += [(rnd.randint(0, lo), []) for _ in range(rnd.randint(0 if segments else 1, 3))]
+    rnd.shuffle(segments)
+    dense = []
+    for start, entries in segments:
+        row = [0] * lo
+        row[start : start + len(entries)] = entries
+        dense.append(row)
+    return FieldMatrix.from_segments(field, lo, segments), FieldMatrix(field, dense)
+
+
+def _random_matrix(rnd, field, rows, cols):
+    return FieldMatrix(field, [[rnd.randrange(field.order) for _ in range(cols)] for _ in range(rows)])
+
+
+def _solve_outcome(A, b):
+    try:
+        return mat_solve(A, b)
+    except SingularMatrixError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("field", [GF2, GF16, GF256], ids=["GF2", "GF16", "GF256"])
+def test_segments_and_dense_rows_agree(field):
+    """Rank, solve (its failures too) and products agree on segments and dense rows."""
+    rnd = random.Random(1300 + field.m)
+    outcomes, split = set(), 0
+    for _ in range(30):
+        A, D = _segment_case(rnd, field)
+        assert (A.rows, A.cols, A.data) == (D.rows, D.cols, D.data)
+        split += A.rows * A.cols > WHOLE_MAX_ENTRIES
+        assert mat_rank(A) == mat_rank(D)
+        width = rnd.randint(1, 3)
+        x0 = _random_matrix(rnd, field, A.cols, width)
+        assert A.mul(x0) == D.mul(x0)
+        left = _random_matrix(rnd, field, 3, A.rows)
+        assert left.mul(A) == left.mul(D)  # A's segments as the right operand
+        rhs = D.mul(x0).data
+        if rnd.random() < 0.5:  # one disturbed entry: inconsistent unless its block absorbs it
+            rhs[rnd.randrange(A.rows)][rnd.randrange(width)] ^= rnd.randrange(1, field.order)
+        b = FieldMatrix(field, rhs)
+        outcome = _solve_outcome(A, b)
+        assert outcome == _solve_outcome(D, b)
+        if isinstance(outcome, FieldMatrix):
+            assert A.mul(outcome) == b
+            outcomes.add("solved")
+        else:
+            outcomes.add(outcome.__name__)
+    assert outcomes == {"solved", "SingularMatrixError", "InconsistentSystemError"}
+    assert 0 < split < 30  # both the whole and the split elimination ran
