@@ -12,8 +12,10 @@ own run of positions. A composite's generator rows are its copies' rows,
 each the part's segment moved to the copy's columns: the placed segment
 shares the part's entries, so a composite stores a (column, entries) pair
 per row and no dense row. Reconstruction is one solve over the stacked
-generators. Repair runs copy by copy with one rule, so exact repair is
-inherited from the parts and bandwidth is accounted per copy.
+generators. Repair runs one rule over the copies, so exact repair is
+inherited from the parts and bandwidth is accounted per copy; on field
+elements, the copies that repair the same part node from the same part
+helpers share one part repair, each copy one column of its right-hand side.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .dss import (
     RepairRule,
     ResourceError,
     _decode,
+    _rows,
     apply_generator,
 )
 from .gf import FieldMatrix
@@ -133,7 +136,7 @@ class Shape(NamedTuple):
 
 
 class _CopiesRule(RepairRule):
-    """Repair rule shared by every composition: rebuild the failed node copy by copy.
+    """Repair rule shared by every composition: rebuild the failed node from its copies.
 
     Each copy is one record (part, hosts): hosts maps each composite
     position the copy hosts to (node, start), the part node placed there
@@ -147,7 +150,12 @@ class _CopiesRule(RepairRule):
     index are excluded; the rule depends only on stored content, never on
     position numbers, so it is equidistributed across the permuted copies.
     Slices of the contents the public repair has checked go to _decode and
-    to the part's rule unchecked.
+    to the part's rule unchecked. On field elements, the copies taking the
+    part repair are grouped by (part, lost part node, chosen part helpers),
+    and each group runs the part's rule once on rows that hold one symbol of
+    every copy in the group; rows of forms already hold many columns, and
+    go copy by copy. Each copy keeps its slots in the output and counts the
+    group's transfers through its own helpers.
     """
 
     def __init__(self, description, copies):
@@ -160,6 +168,8 @@ class _CopiesRule(RepairRule):
     def execute(self, dss, failed, helpers, contents):
         counts = {q: 0 for q in helpers}
         out: list[int] = []
+        # part repairs on field elements, grouped by (part, u, chosen)
+        batch, groups = not _rows(contents[helpers[0]]), {}
 
         for part, hosts in self.copies:
             lost = hosts.get(failed)
@@ -209,6 +219,11 @@ class _CopiesRule(RepairRule):
                     if node[1] not in cand or node[0] == _BASE:
                         cand[node[1]] = where
             chosen = tuple(sorted(cand)[: part.params.d])
+            if batch:  # reserve this copy's slots in out
+                # never via unit forms: they are inconsistent where a lost file decodes k*alpha > B
+                groups.setdefault((part, u, chosen), []).append((len(out), cand))
+                out += [0] * alpha
+                continue
             sub = {}
             for w in chosen:
                 q, s = cand[w]
@@ -217,6 +232,19 @@ class _CopiesRule(RepairRule):
             out.extend(rebuilt)
             for w, amount in report.per_helper.items():
                 counts[cand[w][0]] += amount
+
+        # a batched row holds one symbol of a chosen helper from every copy in
+        # the group; column i of the rebuilt rows fills copy i's slots
+        for (part, u, chosen), members in groups.items():
+            alpha, sub = part.alpha_symbols, {}
+            for w in chosen:
+                cols = [contents[q][s : s + alpha] for q, s in (c[w] for _, c in members)]
+                sub[w] = [list(row) for row in zip(*cols)]
+            rebuilt, report = part.repair_rule.execute(part, u, chosen, sub)
+            for (slot, cand), column in zip(members, zip(*rebuilt)):
+                out[slot : slot + alpha] = column
+                for w, amount in report.per_helper.items():
+                    counts[cand[w][0]] += amount
 
         return out, BandwidthReport(counts)
 

@@ -133,7 +133,7 @@ def reconstruct(
     the subset does not hold a list of alpha_symbols symbols, or when the
     symbols are not all field elements or all rows of forms.
     """
-    subset = tuple(subset)
+    subset = _indices(subset)
     if len(subset) != dss.params.k:
         raise InputError(f"need exactly k={dss.params.k} nodes, got {len(subset)}")
     return _decode(dss, subset, _read(dss, subset, contents))
@@ -202,31 +202,39 @@ def repair(
     per node, when a helper does not hold a list of alpha_symbols symbols,
     or when the symbols are not all field elements or all rows of forms.
     """
-    helpers = tuple(sorted(helpers))
-    if failed in helpers:
-        raise InputError("failed node cannot help itself")
+    helpers = _indices(helpers)
     if len(helpers) != dss.params.d:
         raise InputError(f"need exactly d={dss.params.d} helpers, got {len(helpers)}")
     if type(failed) is not int or not 0 <= failed < dss.params.n:
         raise InputError(f"node index {failed!r} out of range")
-    _read(dss, helpers, contents)
-    return dss.repair_rule.execute(dss, failed, helpers, contents)
+    if failed in helpers:
+        raise InputError("failed node cannot help itself")
+    _read(dss, helpers, contents)  # distinct ints in range: they sort
+    return dss.repair_rule.execute(dss, failed, tuple(sorted(helpers)), contents)
+
+
+def _indices(nodes) -> tuple:
+    """The node indices of a call as a tuple; InputError if they are no collection."""
+    try:
+        return tuple(nodes)
+    except TypeError:
+        raise InputError(f"node indices must be a collection, got {nodes!r}") from None
 
 
 def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
     """The symbols of the nodes read, in order; InputError if a call cannot read them.
 
-    The nodes read must be distinct ints in range, there must be one
-    content per node, each node read must hold a list of alpha symbols, and
-    the symbols must be all elements of the field or all rows of forms (each
-    a set test, at C speed). Rows of forms are not looked into, so proofs on
-    the forms cost no more. Each public reconstruct or repair makes this one
-    check, and the verifier makes it once on the forms of a whole sweep;
-    nested parts are not checked again.
+    The nodes read must be distinct ints in range, contents must be a list
+    of one content per node, each node read must hold a list of alpha
+    symbols, and the symbols must be all elements of the field or all rows
+    of forms (each a set test, at C speed). Rows of forms are not looked
+    into, so proofs on the forms cost no more. Each public reconstruct or
+    repair makes this one check, and the verifier makes it once on the forms
+    of a whole sweep; nested parts are not checked again.
     """
     n, alpha = dss.params.n, dss.alpha_symbols
-    if len(set(read)) != len(read):
-        raise InputError(f"duplicate node indices in {read}")
+    if not isinstance(contents, list):
+        raise InputError(f"contents must be a list of n={n} node contents")
     if len(contents) != n:
         raise InputError(f"need the contents of all n={n} nodes, got {len(contents)}")
     symbols = []
@@ -237,6 +245,8 @@ def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
         if not isinstance(content, list) or len(content) != alpha:
             raise InputError(f"node {i} must hold a list of alpha={alpha} symbols")
         symbols += content
+    if len(set(read)) != len(read):  # after the index checks: ints hash
+        raise InputError(f"duplicate node indices in {read}")
     if _rows(symbols):
         if not {list}.issuperset(map(type, symbols)):
             raise InputError("contents mix rows of forms and field elements")

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+import regencode.dss as dss_module
+from regencode.cli import parse_recipe
 from regencode.constructions import (
     Shape,
     blowup_full,
@@ -365,11 +367,57 @@ def test_composed_codes_verify_exhaustively():
         blowup_simple(blowup_simple(rs_base(2, 1, GF2))),
         concat([blowup_simple(rs_base(3, 2, GF2)) for _ in range(2)]),
         blowup_simple(concat([rs_base(3, 2, GF2) for _ in range(2)])),
+        # its parts rebuild lost file nodes by overdetermined decodes, where a
+        # repair map taken from unit forms would be inconsistent
+        blowup_simple(filenode_blowup(blowup_full(rs_base(2, 1, GF256)))),
     ]
     for dss in cases:
         report = measure_and_compare(dss, declared_point(dss))
         assert report.ok and report.match, dss.label
         assert report.mode == {"kind": "exhaustive"}
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        "blowup_simple(base(3,2))",
+        "blowup_full(base(3,2))",
+        "copy_blowup(base(4,3),1)",
+        "filenode_blowup(base(4,3))",
+        "concat(base(4,3),base(3,2))",
+        "iterate(base(2,1),2)",
+        "blowup_simple(filenode_blowup(blowup_full(base(2,1))))",
+    ],
+)
+def test_batched_element_repair_agrees_with_the_forms_route(recipe):
+    # element contents share one part repair per (part, lost node, part
+    # helpers), as columns; forms go copy by copy. Twins, file nodes and lost
+    # files are among the routes these recipes take
+    dss = parse_recipe(recipe)
+    rnd = random.Random(recipe)
+    contents = encode(dss, [rnd.randrange(256) for _ in range(dss.file_len)])
+    forms = [g.data for g in dss.node_gens]
+    n, d = dss.params.n, dss.params.d
+    for failed in range(n):
+        for helpers in combinations([i for i in range(n) if i != failed], d):
+            rebuilt, bw = repair(dss, failed, helpers, contents)
+            assert rebuilt == contents[failed], (recipe, failed, helpers)
+            _, by_forms = dss.repair_rule.execute(dss, failed, helpers, forms)
+            assert bw.per_helper == by_forms.per_helper, (recipe, failed, helpers)
+
+
+def test_nested_repair_solves_each_distinct_system_once(monkeypatch):
+    # 1,728 part repairs of 3 distinct 2 x 2 systems: one solve per group of
+    # the top level, then per copy of the nested level, which gets rows
+    dss = iterate(rs_base(3, 2), 2)
+    contents = encode(dss, [i % 256 for i in range(dss.file_len)])
+    calls = []
+    solve = dss_module.mat_solve
+    monkeypatch.setattr(dss_module, "mat_solve", lambda *a: calls.append(1) or solve(*a))
+    rebuilt, bw = repair(dss, 0, (1, 2, 3, 4), contents)
+    assert rebuilt == contents[0]
+    assert bw.per_helper == {h: 864 for h in (1, 2, 3, 4)}
+    assert len(calls) <= 72
 
 
 def test_shape_rules_agree_with_tradeoff_without_building():

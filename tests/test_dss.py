@@ -136,6 +136,14 @@ def test_reconstruct_input_errors():
         reconstruct(dss, (0, 3), contents)
     with pytest.raises(InputError):
         reconstruct(dss, (0, 0), contents)
+    # each of these would fail with a TypeError: a subset that is no
+    # collection, an index that does not hash, contents that are no list
+    with pytest.raises(InputError):
+        reconstruct(dss, 5, contents)
+    with pytest.raises(InputError):
+        reconstruct(dss, (0, [1]), contents)
+    with pytest.raises(InputError):
+        reconstruct(dss, (0, 1), 5)
 
 
 def test_reconstruct_refuses_malformed_contents():
@@ -195,6 +203,18 @@ def test_repair_input_errors():
         repair(dss, 2, (0,), contents)
     with pytest.raises(InputError):
         repair(dss, 2, (0, 2), contents)
+    # checked before they are sorted: a helper that does not compare with
+    # the others, or does not hash, and helpers that are no collection
+    big = rs_base(4, 3)
+    big_contents = encode(big, [1, 0, 1])
+    with pytest.raises(InputError):
+        repair(big, 0, [1, "2", 3], big_contents)
+    with pytest.raises(InputError):
+        repair(big, 0, [1, [2], 3], big_contents)
+    with pytest.raises(InputError):
+        repair(dss, 2, 5, contents)
+    with pytest.raises(InputError):
+        repair(dss, 2, (0, 1), None)
 
 
 def test_repair_refuses_malformed_contents():
