@@ -13,16 +13,18 @@ each the part's segment moved to the copy's columns: the placed segment
 shares the part's entries, so a composite stores a (column, entries) pair
 per row and no dense row. Reconstruction is one solve over the stacked
 generators. Repair runs one rule over the copies, so exact repair is
-inherited from the parts and bandwidth is accounted per copy; on field
-elements, the copies that repair the same part node from the same part
-helpers share one part repair, each copy one column of its right-hand side.
+inherited from the parts and bandwidth is accounted per copy. The copies
+that repair the same part node from the same part helpers share one part
+repair, on field elements and on forms alike: an element copy is one column
+of its right-hand side, a form copy the span of columns its segments cover,
+so a proof on the forms is not repaired copy by copy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .dss import (
     BandwidthReport,
@@ -31,10 +33,12 @@ from .dss import (
     RepairRule,
     ResourceError,
     _decode,
-    _rows,
+    _dense,
+    _forms,
+    _span,
     apply_generator,
 )
-from .gf import FieldMatrix
+from .gf import FieldMatrix, _trim
 from .tradeoff import RangeError, SystemParams
 
 # generator entries n * alpha * B a composite may span, dense; the segments
@@ -150,12 +154,13 @@ class _CopiesRule(RepairRule):
     index are excluded; the rule depends only on stored content, never on
     position numbers, so it is equidistributed across the permuted copies.
     Slices of the contents the public repair has checked go to _decode and
-    to the part's rule unchecked. On field elements, the copies taking the
-    part repair are grouped by (part, lost part node, chosen part helpers),
-    and each group runs the part's rule once on rows that hold one symbol of
-    every copy in the group; rows of forms already hold many columns, and
-    go copy by copy. Each copy keeps its slots in the output and counts the
-    group's transfers through its own helpers.
+    to the part's rule unchecked. The copies taking the part repair are
+    grouped by (part, lost part node, chosen part helpers), and each group
+    of several runs the part's rule once on its copies' symbols laid side by
+    side (_side_by_side), whether they are elements, forms, or the rows a
+    level above handed down; a copy alone repairs its own slices. Each copy
+    keeps its slots in the output and counts the group's transfers through
+    its own helpers.
     """
 
     def __init__(self, description, copies):
@@ -166,10 +171,9 @@ class _CopiesRule(RepairRule):
         return self.description
 
     def execute(self, dss, failed, helpers, contents):
-        counts = {q: 0 for q in helpers}
-        out: list[int] = []
-        # part repairs on field elements, grouped by (part, u, chosen)
-        batch, groups = not _rows(contents[helpers[0]]), {}
+        counts = dict.fromkeys(helpers, 0)
+        out: list = []
+        groups = {}  # part repairs, grouped by (part, lost part node, chosen part helpers)
 
         for part, hosts in self.copies:
             lost = hosts.get(failed)
@@ -212,41 +216,81 @@ class _CopiesRule(RepairRule):
 
             # part repair: collect distinct part helpers (part nodes and
             # twins), original preferred over its twin, then keep the d
-            # smallest part indices
+            # smallest part indices; the copy's slots in out are filled
+            # once its group is repaired
             cand: dict[int, tuple[int, int]] = {}
             for node, where in at.items():
                 if node[0] != _FILE and node[1] != u:
                     if node[1] not in cand or node[0] == _BASE:
                         cand[node[1]] = where
             chosen = tuple(sorted(cand)[: part.params.d])
-            if batch:  # reserve this copy's slots in out
-                # never via unit forms: they are inconsistent where a lost file decodes k*alpha > B
-                groups.setdefault((part, u, chosen), []).append((len(out), cand))
-                out += [0] * alpha
-                continue
-            sub = {}
-            for w in chosen:
-                q, s = cand[w]
-                sub[w] = contents[q][s : s + alpha]
-            rebuilt, report = part.repair_rule.execute(part, u, chosen, sub)
-            out.extend(rebuilt)
-            for w, amount in report.per_helper.items():
-                counts[cand[w][0]] += amount
+            groups.setdefault((part, u, chosen), []).append((len(out), cand))
+            out += [0] * alpha
 
-        # a batched row holds one symbol of a chosen helper from every copy in
-        # the group; column i of the rebuilt rows fills copy i's slots
+        # one part repair per group, on the actual symbols of its copies
+        # (never a repair map taken from unit forms: they are inconsistent
+        # where a lost file decodes k*alpha > B symbols)
         for (part, u, chosen), members in groups.items():
-            alpha, sub = part.alpha_symbols, {}
-            for w in chosen:
-                cols = [contents[q][s : s + alpha] for q, s in (c[w] for _, c in members)]
-                sub[w] = [list(row) for row in zip(*cols)]
-            rebuilt, report = part.repair_rule.execute(part, u, chosen, sub)
-            for (slot, cand), column in zip(members, zip(*rebuilt)):
-                out[slot : slot + alpha] = column
+            alpha = part.alpha_symbols
+            if len(members) == 1:  # a copy alone repairs its own slices
+                slot, cand = members[0]
+                sub = {}
+                for w in chosen:
+                    q, s = cand[w]
+                    sub[w] = contents[q][s : s + alpha]
+                rebuilt, report = part.repair_rule.execute(part, u, chosen, sub)
+                pieces = [rebuilt]
+            else:
+                copies = [
+                    [contents[q][s : s + alpha] for q, s in map(cand.__getitem__, chosen)]
+                    for _, cand in members
+                ]
+                rows, unlay = _side_by_side(copies)
+                rebuilt, report = part.repair_rule.execute(part, u, chosen, dict(zip(chosen, rows)))
+                pieces = unlay(rebuilt)
+            for (slot, cand), piece in zip(members, pieces):
+                out[slot : slot + alpha] = piece
                 for w, amount in report.per_helper.items():
                     counts[cand[w][0]] += amount
 
         return out, BandwidthReport(counts)
+
+
+def _side_by_side(copies: list) -> tuple[list, Callable]:
+    """The symbols of one part repair's copies, laid side by side as rows of forms.
+
+    copies[i][j] holds what copy i reads from its j-th chosen helper. An
+    element copy takes one column, a form copy the span of columns its
+    segments cover, so row t of helper j holds every copy's t-th symbol
+    from it. Returns the rows, per helper, and the function that splits the
+    rebuilt rows back into each copy's symbols.
+    """
+    reads = range(len(copies[0]))
+    if not _forms(copies[0][0]):
+        rows = [[(0, list(row)) for row in zip(*[c[j] for c in copies])] for j in reads]
+        return rows, lambda rebuilt: list(zip(*_dense(rebuilt, len(copies))))
+
+    spans = [_span([symbol for read in copy for symbol in read]) for copy in copies]
+    offsets = list(itertools.accumulate([end - first for first, end in spans], initial=0))
+    width, rows = offsets.pop(), []
+    for j in reads:
+        helper_rows = []
+        for t in range(len(copies[0][j])):
+            row = [0] * width
+            for copy, (first, _), off in zip(copies, spans, offsets):
+                start, entries = copy[j][t]
+                row[off + start - first : off + start - first + len(entries)] = entries
+            helper_rows.append((0, row))
+        rows.append(helper_rows)
+
+    def unlay(rebuilt):
+        dense = _dense(rebuilt, width)
+        return [
+            [_trim(row[off : off + end - first], first) for row in dense]
+            for (first, end), off in zip(spans, offsets)
+        ]
+
+    return rows, unlay
 
 
 def _compose(name, parts, arg=None, budget=None):

@@ -11,7 +11,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .gf import GF256, FieldMatrix, FieldSpec, SingularMatrixError, mat_inv, mat_solve
+from .gf import (
+    GF256,
+    FieldMatrix,
+    FieldSpec,
+    SingularMatrixError,
+    _matrix,
+    _trim,
+    mat_inv,
+    mat_solve,
+)
 from .tradeoff import SystemParams
 
 
@@ -45,15 +54,19 @@ class BandwidthReport:
 class RepairRule:
     """Total procedure rebuilding any failed node from any d-subset of survivors.
 
-    A stored symbol given to execute, reconstruct and repair is a field
-    element or a row of them, a linear form over the message (node i's forms
-    are G_i's rows). execute returns the failed node's symbols in the shape
-    it got and each helper's transfer. It may slice, decode (_decode) and
-    multiply by fixed matrices (apply_generator), but not branch on stored
-    values: so one run on the forms proves it exact for every file. The
-    public repair checks contents once and execute reads only the helpers'
-    entries (contents is indexed by node), so a rule runs its parts' rules
-    directly on slices of checked contents.
+    A stored symbol is a field element or a linear form over the message
+    (node i's forms are G_i's rows). The public reconstruct and repair take
+    and return forms as dense rows; inside, a form is a segment (start,
+    entries), as a generator stores its rows, so a proof on the forms costs
+    the columns they cover, not the file's width. execute gets elements or
+    segments and returns the failed node's symbols in that shape (segments
+    trimmed to their nonzeros, a zero row (0, [])) with each helper's
+    transfer. It may slice, decode (_decode) and multiply by fixed matrices
+    (apply_generator), but not branch on stored values: so one run on the
+    forms proves it exact for every file. The public repair checks contents
+    once and execute reads only the helpers' entries (contents is indexed by
+    node), so a rule runs its parts' rules directly on slices of checked
+    contents.
     """
 
     kind = "abstract"
@@ -131,12 +144,17 @@ def reconstruct(
     Raises InputError when the subset is not k distinct node indices in
     range, when contents does not hold one entry per node, when a node of
     the subset does not hold a list of alpha_symbols symbols, or when the
-    symbols are not all field elements or all rows of forms.
+    symbols are not all field elements or all rows of forms; ValueError
+    when the rows are ragged.
     """
     subset = _indices(subset)
     if len(subset) != dss.params.k:
         raise InputError(f"need exactly k={dss.params.k} nodes, got {len(subset)}")
-    return _decode(dss, subset, _read(dss, subset, contents))
+    symbols = _read(dss, subset, contents)
+    if not _rows(symbols):
+        return _decode(dss, subset, symbols)
+    width = _width(symbols)
+    return _dense(_decode(dss, subset, [(0, row) for row in symbols]), width)
 
 
 def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
@@ -145,19 +163,17 @@ def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
     Callers pass symbols already checked: reconstruct's own, or slices a
     repair rule takes from contents its public call has checked.
     """
-    return _shaped(_solve(dss, subset, symbols), symbols)
+    rhs, at = _as_matrix(dss.field, symbols)
+    return _shaped(_solve(dss, subset, rhs), at)
 
 
-def _solve(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> FieldMatrix:
+def _solve(dss: LinearDss, subset: tuple[int, ...], rhs: FieldMatrix) -> FieldMatrix:
     """_decode's message as a matrix: the nodes' generator segments, stacked, solved."""
     segments = []
     for i in subset:
         segments += dss.node_gens[i].segments
     try:
-        return mat_solve(
-            FieldMatrix.from_segments(dss.field, dss.file_len, segments),
-            _as_matrix(dss.field, symbols),
-        )
+        return mat_solve(_matrix(dss.field, dss.file_len, segments), rhs)
     except SingularMatrixError as exc:
         raise CodeInvariantError(
             f"subset {subset} does not determine the file: {exc}"
@@ -166,27 +182,64 @@ def _solve(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> FieldMatri
 
 def apply_generator(gen: FieldMatrix, symbols: list) -> list:
     """gen times a column of symbols, e.g. a node's content from the file."""
-    return _shaped(gen.mul(_as_matrix(gen.field, symbols)), symbols)
+    rhs, at = _as_matrix(gen.field, symbols)
+    return _shaped(gen.mul(rhs), at)
 
 
-def _as_matrix(field: FieldSpec, symbols: list) -> FieldMatrix:
-    """Symbols as a matrix: rows of forms, each one full-width segment, or one column."""
-    if _rows(symbols):
-        width = len(symbols[0])
-        if not {width}.issuperset(map(len, symbols)):  # a set test, at C speed
-            raise ValueError("ragged rows")
-        return FieldMatrix.from_segments(field, width, [(0, row) for row in symbols])
-    return FieldMatrix.column(field, symbols)
+def _as_matrix(field: FieldSpec, symbols: list) -> tuple[FieldMatrix, int | None]:
+    """Symbols as a matrix, and the column its first column stands for.
+
+    Segments become rows over the columns they cover, from the first they
+    start at (a zero row (0, []) starts at 0); elements become one column,
+    at None.
+    """
+    if not _forms(symbols):
+        return FieldMatrix.column(field, symbols), None
+    at, end = _span(symbols)
+    if at:
+        symbols = [(start - at, entries) for start, entries in symbols]
+    return _matrix(field, end - at, symbols), at
 
 
-def _shaped(matrix: FieldMatrix, symbols: list) -> list:
-    """matrix as symbols of the shape given: rows of forms, or a column of elements."""
-    return matrix.data if _rows(symbols) else matrix.col_vector()
+def _shaped(matrix: FieldMatrix, at: int | None) -> list:
+    """_as_matrix undone on a result: its rows trimmed and moved back by at, or a column."""
+    if at is None:
+        return matrix.col_vector()
+    return [_trim(row, at) for _, row in matrix.segments]  # results keep rows whole
+
+
+def _span(segments: list) -> tuple[int, int]:
+    """The columns the segments cover, first to past the last."""
+    first, end = segments[0][0], 0
+    for start, entries in segments:
+        if start < first:
+            first = start
+        if start + len(entries) > end:
+            end = start + len(entries)
+    return first, end
+
+
+def _forms(symbols: list) -> bool:
+    """Segments or field elements: the one test of the shape execute gets."""
+    return type(symbols[0]) is tuple
 
 
 def _rows(symbols: list) -> bool:
-    """Rows or field elements: the one test of the symbol shape."""
+    """Dense rows or field elements: the one test of the public symbol shape."""
     return isinstance(symbols[0], list)
+
+
+def _width(rows: list) -> int:
+    """The width of dense rows; ValueError if they are ragged."""
+    width = len(rows[0])
+    if not {width}.issuperset(map(len, rows)):  # a set test, at C speed
+        raise ValueError("ragged rows")
+    return width
+
+
+def _dense(segments: list, width: int) -> list[list[int]]:
+    """Segments as dense rows of the width given."""
+    return [[0] * s + e + [0] * (width - s - len(e)) for s, e in segments]
 
 
 def repair(
@@ -200,7 +253,8 @@ def repair(
     Raises InputError when the helpers are not d distinct node indices in
     range other than the failed one, when contents does not hold one entry
     per node, when a helper does not hold a list of alpha_symbols symbols,
-    or when the symbols are not all field elements or all rows of forms.
+    or when the symbols are not all field elements or all rows of forms;
+    ValueError when the rows are ragged.
     """
     helpers = _indices(helpers)
     if len(helpers) != dss.params.d:
@@ -209,8 +263,14 @@ def repair(
         raise InputError(f"node index {failed!r} out of range")
     if failed in helpers:
         raise InputError("failed node cannot help itself")
-    _read(dss, helpers, contents)  # distinct ints in range: they sort
-    return dss.repair_rule.execute(dss, failed, tuple(sorted(helpers)), contents)
+    symbols = _read(dss, helpers, contents)  # distinct ints in range: they sort
+    helpers = tuple(sorted(helpers))
+    if not _rows(symbols):
+        return dss.repair_rule.execute(dss, failed, helpers, contents)
+    width = _width(symbols)
+    forms = {h: [(0, row) for row in contents[h]] for h in helpers}
+    rebuilt, report = dss.repair_rule.execute(dss, failed, helpers, forms)
+    return _dense(rebuilt, width), report
 
 
 def _indices(nodes) -> tuple:
@@ -228,9 +288,8 @@ def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
     of one content per node, each node read must hold a list of alpha
     symbols, and the symbols must be all elements of the field or all rows
     of forms (each a set test, at C speed). Rows of forms are not looked
-    into, so proofs on the forms cost no more. Each public reconstruct or
-    repair makes this one check, and the verifier makes it once on the forms
-    of a whole sweep; nested parts are not checked again.
+    into; the public calls then test their widths. Each public reconstruct
+    or repair makes this one check; nested parts are not checked again.
     """
     n, alpha = dss.params.n, dss.alpha_symbols
     if not isinstance(contents, list):
@@ -264,9 +323,10 @@ class MdsReencodeRule(RepairRule):
         symbols = []
         for h in helpers:
             symbols += contents[h]
-        msg = _solve(dss, helpers, symbols)  # re-encoded as it is, no round trip
-        content = _shaped(dss.node_gens[failed].mul(msg), symbols)
-        per_helper = {h: dss.alpha_symbols for h in helpers}
+        rhs, at = _as_matrix(dss.field, symbols)
+        msg = _solve(dss, helpers, rhs)  # re-encoded as it is, no round trip
+        content = _shaped(dss.node_gens[failed].mul(msg), at)
+        per_helper = dict.fromkeys(helpers, dss.alpha_symbols)
         return content, BandwidthReport(per_helper)
 
 

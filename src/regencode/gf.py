@@ -9,9 +9,10 @@ block: each row spans its segment, overlapping spans merge into runs of
 columns that tile the matrix, as the stacked generators of a composed code
 split into its copies' column blocks, and each run is eliminated on its own
 columns, its rows made dense only there. So a split costs the rows and
-their nonzeros, not rows times columns. The pivot-row and matrix-product
-loops find nonzero entries with itertools.compress, so they skip zeros at C
-speed.
+their nonzeros, not rows times columns. A solve reads its right-hand
+side's segments as they are, made dense only in the rows it eliminates.
+The pivot-row and matrix-product loops find nonzero entries with
+itertools.compress, so they skip zeros at C speed.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class FieldMatrix:
         for row in data:
             if len(row) != cols:
                 raise ValueError("ragged rows")
-            segments.append((0, row) if row and row[0] and row[-1] else _trim(row))
+            segments.append(_trim(row))
         self.field, self.rows, self.cols, self.segments = field, len(data), cols, segments
 
     @classmethod
@@ -247,13 +248,19 @@ def _matrix(field: FieldSpec, cols: int, segments: list) -> FieldMatrix:
     return matrix
 
 
-def _trim(row: list[int]) -> tuple[int, list[int]]:
-    """A dense row's segment, from its first to its last nonzero column."""
+def _trim(row: list[int], at: int = 0) -> tuple[int, list[int]]:
+    """A dense row's segment, from its first to its last nonzero column.
+
+    The row starts at column `at`; a zero row is (0, []), and a row whose
+    ends are both nonzero is its own entries.
+    """
+    if row and row[0] and row[-1]:
+        return at, row
     index = _index(len(row))
     first = next(compress(index, row), None)
     if first is None:
         return 0, []
-    return first, row[first : len(row) - next(compress(index, reversed(row)))]
+    return at + first, row[first : len(row) - next(compress(index, reversed(row)))]
 
 
 def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
@@ -278,7 +285,7 @@ def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
             continue
         work[prow], work[piv] = work[piv], work[prow]
         lead = work[prow]
-        scale = log[field.inv(lead[col])]
+        scale = group - log[lead[col]]  # the inverse's log; exp is doubled, so no reduction
         # the pivot row is zero left of col: each earlier pivot cleared its column
         terms = [(j, log[lead[j]]) for j in compress(index, lead)]
         for j, lv in terms:  # scale the pivot to 1; terms keep the unscaled logs
@@ -304,7 +311,7 @@ def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
 WHOLE_MAX_ENTRIES = 4096
 
 
-def _blocks(A: FieldMatrix, rhs: list[list[int]]):
+def _blocks(A: FieldMatrix, rhs: list[tuple[int, list[int]]] | None, rhs_cols: int):
     """Yield (width, work rows) for each column block of A, in column order.
 
     A row spans its segment; overlapping spans merge, and each block runs
@@ -314,13 +321,14 @@ def _blocks(A: FieldMatrix, rhs: list[list[int]]):
     zero outside its block: ranks and solutions add up block by block, and
     a zero column is one of its block's columns. The spans are read off the
     segments, so finding them costs one step a row. Each work row is a new
-    list, the row's entries in its block's columns followed by its row of
-    rhs. A zero row joins the last block. A matrix of at most
+    list, the row's entries in its block's columns followed by its segment
+    of rhs made dense over rhs_cols columns (rank passes no rhs and 0). A
+    zero row joins the last block. A matrix of at most
     WHOLE_MAX_ENTRIES entries is yielded whole, without finding its spans.
     """
     segments, ncols = A.segments, A.cols
     if A.rows * ncols <= WHOLE_MAX_ENTRIES:
-        yield ncols, _work(segments, range(A.rows), 0, ncols, rhs)
+        yield ncols, _work(segments, range(A.rows), 0, ncols, rhs, rhs_cols)
         return
     spans = sorted(  # (first, end, row): a zero row spans the last column alone
         (start, start + len(entries), r) if entries else (ncols - 1, ncols, r)
@@ -330,24 +338,28 @@ def _blocks(A: FieldMatrix, rhs: list[list[int]]):
     rows = []
     for first, end, r in spans:
         if first >= hi and rows:  # no span so far reaches this one: the block ends
-            yield hi - lo, _work(segments, rows, lo, hi, rhs)
+            yield hi - lo, _work(segments, rows, lo, hi, rhs, rhs_cols)
             lo, rows = hi, []
         hi = max(hi, end)
         rows.append(r)
-    yield ncols - lo, _work(segments, rows, lo, ncols, rhs)
+    yield ncols - lo, _work(segments, rows, lo, ncols, rhs, rhs_cols)
 
 
-def _work(segments, rows, lo: int, hi: int, rhs: list[list[int]]) -> list[list[int]]:
-    """Each of rows, dense over columns lo..hi-1, followed by its row of rhs.
+def _work(segments, rows, lo: int, hi: int, rhs, rhs_cols: int) -> list[list[int]]:
+    """Each of rows, dense over columns lo..hi-1, then its rhs segment over rhs_cols.
 
     Every segment of a nonzero row lies within the columns; a zero row's
     empty segment writes nothing.
     """
-    work, zeros = [], [0] * (hi - lo)
+    width = hi - lo
+    work, zeros = [], [0] * (width + rhs_cols)
     for r in rows:
         start, entries = segments[r]
-        row = zeros + rhs[r]
+        row = zeros[:]
         row[start - lo : start - lo + len(entries)] = entries
+        if rhs_cols:
+            at, tail = rhs[r]
+            row[width + at : width + at + len(tail)] = tail
         work.append(row)
     return work
 
@@ -364,7 +376,7 @@ def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
         raise ValueError("A and b row counts differ")
     x = []
     consistent = True
-    for width, work in _blocks(A, b.data):
+    for width, work in _blocks(A, b.segments, b.cols):
         pivots = _eliminate(A.field, work, width)
         if None in pivots:
             raise SingularMatrixError("coefficient matrix is rank deficient")
@@ -379,7 +391,7 @@ def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
 def mat_rank(A: FieldMatrix) -> int:
     """Rank of A: the sum of its column blocks' ranks."""
     rank = 0
-    for width, work in _blocks(A, [[]] * A.rows):
+    for width, work in _blocks(A, None, 0):
         pivots = _eliminate(A.field, work, width)
         rank += len(pivots) - pivots.count(None)
     return rank

@@ -25,8 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .dss import CodeInvariantError, LinearDss, _read
-from .gf import FieldMatrix, mat_rank
+from .dss import CodeInvariantError, LinearDss, _dense
+from .gf import _matrix, mat_rank
 from .tradeoff import OperatingPoint
 
 EXHAUSTIVE_LIMIT = 10**5
@@ -136,7 +136,7 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
     run = 0
     for run, subset in enumerate(subsets, 1):
         stack = [seg for i in subset for seg in dss.node_gens[i].segments]
-        if mat_rank(FieldMatrix.from_segments(dss.field, dss.file_len, stack)) != dss.file_len:
+        if mat_rank(_matrix(dss.field, dss.file_len, stack)) != dss.file_len:
             report.reconstruction_ok = False
             report.reconstruction_counterexample = subset
             break
@@ -147,13 +147,14 @@ def _check_repair(dss: LinearDss, report: VerificationReport, pairs):
     """Prove pairs by one repair on the generator rows each, up to the first that fails.
 
     Records that pair as the counterexample. Returns (count run, the
-    BandwidthReport of every pair proved). The forms are checked once, as
-    the public repair would check them, and each pair runs the repair rule
-    directly: the plan yields only d sorted helpers in range, never the
-    failed node.
+    BandwidthReport of every pair proved). The forms are the generators'
+    own segments, alpha per node as LinearDss holds them, and each pair
+    runs the repair rule directly: the plan yields only d sorted helpers in
+    range, never the failed node. A rebuilt node must be its generator's
+    segments, or, where those keep zeros at their ends (rebuilt ones are
+    trimmed), its dense rows.
     """
-    forms = [g.data for g in dss.node_gens]
-    _read(dss, tuple(range(dss.params.n)), forms)
+    forms = [g.segments for g in dss.node_gens]
     execute = dss.repair_rule.execute
     bandwidth = []
     for failed, helpers in pairs:
@@ -161,7 +162,9 @@ def _check_repair(dss: LinearDss, report: VerificationReport, pairs):
             rebuilt, bw = execute(dss, failed, helpers, forms)
         except CodeInvariantError:
             rebuilt = None  # the rule decoded from helpers that do not determine the file
-        if rebuilt != forms[failed]:
+        if rebuilt != forms[failed] and (
+            rebuilt is None or _dense(rebuilt, dss.file_len) != dss.node_gens[failed].data
+        ):
             report.repair_ok = False
             report.repair_counterexample = (failed, helpers)
             return len(bandwidth) + 1, bandwidth

@@ -1,12 +1,13 @@
 import inspect
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
 
 import regencode.verifier as verifier
-from regencode.constructions import blowup_full, blowup_simple, concat, filenode_blowup
+from regencode.constructions import blowup_full, blowup_simple, concat, filenode_blowup, iterate
 from regencode.cli import main
 from regencode.dss import LinearDss, MdsReencodeRule, RepairRule, rs_base
 from regencode.gf import GF2, GF256, FieldMatrix
@@ -40,10 +41,16 @@ class ZeroedTransferRule(RepairRule):
 
     def execute(self, dss, failed, helpers, contents):
         tampered = list(contents)
-        tampered[helpers[0]] = [
-            [0] * len(s) if isinstance(s, list) else 0 for s in contents[helpers[0]]
-        ]
+        tampered[helpers[0]] = [_zeroed(s) for s in contents[helpers[0]]]
         return self.inner.execute(dss, failed, helpers, tampered)
+
+
+def _zeroed(symbol):
+    """A symbol with every entry zeroed: a segment form, a dense row or an element."""
+    if isinstance(symbol, tuple):
+        start, entries = symbol
+        return start, [0] * len(entries)
+    return [0] * len(symbol) if isinstance(symbol, list) else 0
 
 
 def test_verify_reconstruction_blowup_full():
@@ -110,6 +117,42 @@ def test_verify_exact_repair_corrupted_rule():
             report = measure_and_compare(bad, seed=seed)
             assert not report.repair_ok, seed
             assert report.repair_counterexample is not None
+
+
+def test_repair_proofs_on_the_nested_code_cost_its_segments():
+    # the proofs run on the generators' segments: dense forms of the nested
+    # code are 8,640 rows of 5,760 entries, about 400 MB
+    dss = iterate(rs_base(3, 2), 2)
+    tracemalloc.start()
+    try:
+        report = measure_and_compare(dss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mode == {"kind": "exhaustive"}
+    assert report.ok and report.symmetric
+    assert peak < 64 * 2**20, peak
+
+
+def test_generators_keeping_zeros_at_their_segment_ends_verify():
+    # rebuilt forms are trimmed segments; a generator may keep zeros at its
+    # segments' ends and still be rebuilt exactly
+    base = rs_base(3, 2, GF256)
+    padded = [
+        FieldMatrix.from_segments(GF256, 2, [(0, row) for row in g.data]) for g in base.node_gens
+    ]
+    assert padded[0].segments != base.node_gens[0].segments  # (0, [1, 0]), not (0, [1])
+    code = LinearDss(
+        base.params,
+        base.field,
+        base.file_len,
+        padded,
+        base.repair_rule,
+        base.label + "/padded",
+        base.gamma_symbols,
+    )
+    report = measure_and_compare(code)
+    assert report.ok and report.checks_run["repair"] == 3
 
 
 def test_check_symmetric_repair():
