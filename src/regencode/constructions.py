@@ -15,9 +15,10 @@ per row and no dense row. Reconstruction is one solve over the stacked
 generators. Repair runs one rule over the copies, so exact repair is
 inherited from the parts and bandwidth is accounted per copy. The copies
 that repair the same part node from the same part helpers share one part
-repair, on field elements and on forms alike: an element copy is one column
-of its right-hand side, a form copy the span of columns its segments cover,
-so a proof on the forms is not repaired copy by copy.
+repair, and those whose lost file node decodes from the same part nodes
+share one decode, on field elements and on forms alike: an element copy is
+one column of its right-hand side, a form copy the span of columns its
+segments cover, so a proof on the forms is not repaired copy by copy.
 """
 
 from __future__ import annotations
@@ -155,12 +156,14 @@ class _CopiesRule(RepairRule):
     position numbers, so it is equidistributed across the permuted copies.
     Slices of the contents the public repair has checked go to _decode and
     to the part's rule unchecked. The copies taking the part repair are
-    grouped by (part, lost part node, chosen part helpers), and each group
-    of several runs the part's rule once on its copies' symbols laid side by
-    side (_side_by_side), whether they are elements, forms, or the rows a
-    level above handed down; a copy alone repairs its own slices. Each copy
-    keeps its slots in the output and counts the group's transfers through
-    its own helpers.
+    grouped by (part, lost part node, chosen part helpers), and the copies
+    whose lost file node decodes from the same part nodes, read in part
+    order, by (part, _FILE, those nodes). Each group of several runs the
+    part's rule or _decode once on its copies' symbols laid side by side
+    (_side_by_side), whether they are elements, forms, or the rows a level
+    above handed down; a copy alone reads its own slices. Each copy keeps
+    its slots in the output and counts the group's transfers through its
+    own helpers.
     """
 
     def __init__(self, description, copies):
@@ -173,7 +176,9 @@ class _CopiesRule(RepairRule):
     def execute(self, dss, failed, helpers, contents):
         counts = dict.fromkeys(helpers, 0)
         out: list = []
-        groups = {}  # part repairs, grouped by (part, lost part node, chosen part helpers)
+        # part repairs, grouped by (part, lost part node, chosen part helpers),
+        # and file decodes, by (part, _FILE, part nodes read)
+        groups = {}
 
         for part, hosts in self.copies:
             lost = hosts.get(failed)
@@ -188,14 +193,13 @@ class _CopiesRule(RepairRule):
                     at[node[0]] = (q, node[1])
 
             if desc[0] == _FILE:
-                # rebuild the file from the first k part nodes among the helpers
-                used = [(node[1], q, s) for node, (q, s) in at.items() if node[0] == _BASE]
-                used = used[: part.params.k]
-                symbols = []
-                for _, q, s in used:
-                    symbols += contents[q][s : s + alpha]
-                    counts[q] += alpha
-                out.extend(_decode(part, tuple(w for w, _, _ in used), symbols))
+                # rebuild the file from the first k part nodes among the helpers,
+                # read in part order; the copy's slots in out are filled once
+                # its group is decoded
+                used = [(node[1], where) for node, where in at.items() if node[0] == _BASE]
+                cand = dict(sorted(used[: part.params.k]))
+                groups.setdefault((part, _FILE, tuple(cand)), []).append((len(out), cand))
+                out += [0] * part.file_len
                 continue
 
             u = desc[1]
@@ -227,30 +231,28 @@ class _CopiesRule(RepairRule):
             groups.setdefault((part, u, chosen), []).append((len(out), cand))
             out += [0] * alpha
 
-        # one part repair per group, on the actual symbols of its copies
-        # (never a repair map taken from unit forms: they are inconsistent
-        # where a lost file decodes k*alpha > B symbols)
+        # one part repair or file decode per group, on the actual symbols of
+        # its copies (never a repair map taken from unit forms: they are
+        # inconsistent where a lost file decodes k*alpha > B symbols)
         for (part, u, chosen), members in groups.items():
             alpha = part.alpha_symbols
-            if len(members) == 1:  # a copy alone repairs its own slices
-                slot, cand = members[0]
-                sub = {}
-                for w in chosen:
-                    q, s = cand[w]
-                    sub[w] = contents[q][s : s + alpha]
-                rebuilt, report = part.repair_rule.execute(part, u, chosen, sub)
-                pieces = [rebuilt]
+            copies = [
+                [contents[q][s : s + alpha] for q, s in map(cand.__getitem__, chosen)]
+                for _, cand in members
+            ]
+            if len(members) == 1:  # a copy alone reads its own slices
+                rows, unlay = copies[0], lambda rebuilt: [rebuilt]
             else:
-                copies = [
-                    [contents[q][s : s + alpha] for q, s in map(cand.__getitem__, chosen)]
-                    for _, cand in members
-                ]
                 rows, unlay = _side_by_side(copies)
+            if u == _FILE:
+                rebuilt = _decode(part, chosen, [symbol for read in rows for symbol in read])
+                per_helper = dict.fromkeys(chosen, alpha)
+            else:
                 rebuilt, report = part.repair_rule.execute(part, u, chosen, dict(zip(chosen, rows)))
-                pieces = unlay(rebuilt)
-            for (slot, cand), piece in zip(members, pieces):
-                out[slot : slot + alpha] = piece
-                for w, amount in report.per_helper.items():
+                per_helper = report.per_helper
+            for (slot, cand), piece in zip(members, unlay(rebuilt)):
+                out[slot : slot + len(piece)] = piece
+                for w, amount in per_helper.items():
                     counts[cand[w][0]] += amount
 
         return out, BandwidthReport(counts)

@@ -314,35 +314,45 @@ WHOLE_MAX_ENTRIES = 4096
 def _blocks(A: FieldMatrix, rhs: list[tuple[int, list[int]]] | None, rhs_cols: int):
     """Yield (width, work rows) for each column block of A, in column order.
 
-    A row spans its segment; overlapping spans merge, and each block runs
-    from the previous block's end to its merged span's end, the last one to
-    the final column. So the blocks tile the columns, as the stacked
-    generators of a composed code split into its copies, and each row is
-    zero outside its block: ranks and solutions add up block by block, and
-    a zero column is one of its block's columns. The spans are read off the
-    segments, so finding them costs one step a row. Each work row is a new
-    list, the row's entries in its block's columns followed by its segment
-    of rhs made dense over rhs_cols columns (rank passes no rhs and 0). A
-    zero row joins the last block. A matrix of at most
+    The blocks are the merged column spans of A's segments (_tiles). They
+    tile the columns, as the stacked generators of a composed code split
+    into its copies, and each row is zero outside its block: ranks and
+    solutions add up block by block, and a zero column is one of its
+    block's columns. The spans are read off the segments, so finding them
+    costs one step a row. Each work row is a new list, the row's entries in
+    its block's columns followed by its segment of rhs made dense over
+    rhs_cols columns (rank passes no rhs and 0). A matrix of at most
     WHOLE_MAX_ENTRIES entries is yielded whole, without finding its spans.
     """
     segments, ncols = A.segments, A.cols
     if A.rows * ncols <= WHOLE_MAX_ENTRIES:
         yield ncols, _work(segments, range(A.rows), 0, ncols, rhs, rhs_cols)
         return
-    spans = sorted(  # (first, end, row): a zero row spans the last column alone
+    for lo, hi, rows in _tiles(segments, ncols):
+        yield hi - lo, _work(segments, rows, lo, hi, rhs, rhs_cols)
+
+
+def _tiles(segments, ncols: int):
+    """Yield (lo, hi, rows) for each merged column span of the segments, in column order.
+
+    Each tile runs from the previous tile's end to its merged span's end,
+    the last one to column ncols, so the tiles cover every column; rows
+    lists the indices of the segments inside it, in span order. A zero
+    row spans the last column alone.
+    """
+    spans = sorted(
         (start, start + len(entries), r) if entries else (ncols - 1, ncols, r)
         for r, (start, entries) in enumerate(segments)
     )
     lo = hi = 0
     rows = []
     for first, end, r in spans:
-        if first >= hi and rows:  # no span so far reaches this one: the block ends
-            yield hi - lo, _work(segments, rows, lo, hi, rhs, rhs_cols)
+        if first >= hi and rows:  # no span so far reaches this one: the tile ends
+            yield lo, hi, rows
             lo, rows = hi, []
         hi = max(hi, end)
         rows.append(r)
-    yield ncols - lo, _work(segments, rows, lo, ncols, rhs, rhs_cols)
+    yield lo, ncols, rows
 
 
 def _work(segments, rows, lo: int, hi: int, rhs, rhs_cols: int) -> list[list[int]]:

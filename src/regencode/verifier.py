@@ -9,8 +9,18 @@ have column rank B, and a linear repair rule (dss.RepairRule) is exact for
 every file iff one run on the generator rows returns the failed node's
 rows. That run, holding no data, measures the bandwidth.
 
+Reconstruction is proved on column blocks, from the generators alone. The
+stacked generators of all n nodes tile into merged column spans, each row
+zero outside its block. If N_b is the set of nodes touching block b and
+t_b = max(0, k - (n - |N_b|)), every k-subset has rank B iff every
+t_b-subset of N_b has full rank on b, and blocks of equal width, t_b and
+sorted node contents share one verdict. A failure is reported as the
+first deficient k-subset in combinations order, found by walking the
+subsets against the failing blocks only.
+
 One plan sweeps every subset and pair when their total count is at most
-EXHAUSTIVE_LIMIT, and otherwise draws up to TRIALS distinct ones of each.
+EXHAUSTIVE_LIMIT, and otherwise draws up to TRIALS distinct ones of each;
+a drawn k-subset is checked against every block.
 One gamma rule holds for the declared gamma and the predicted gamma/alpha:
 an exhaustive sweep must equal it, a sample (which sees only some repairs)
 must not exceed it. B/alpha must always match exactly.
@@ -26,7 +36,7 @@ from itertools import combinations
 from math import comb
 
 from .dss import CodeInvariantError, LinearDss, _dense
-from .gf import _matrix, mat_rank
+from .gf import _matrix, _tiles, mat_rank
 from .tradeoff import OperatingPoint
 
 EXHAUSTIVE_LIMIT = 10**5
@@ -132,15 +142,80 @@ def _plan(dss: LinearDss, seed: int):
 
 
 def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -> int:
-    """Prove subsets by rank up to the first that lacks column rank B; return the count run."""
+    """Prove subsets by rank on column blocks up to the first that lacks rank B.
+
+    Returns the count run. The stacked generators tile into merged column
+    spans (_column_blocks), each row zero outside its block, so a subset's
+    rank is the sum of its ranks on the blocks. Block b is touched by the
+    nodes N_b; every k-subset holds at least t_b = max(0, k - (n - |N_b|))
+    of them, can hold any t_b of them, and only gains rows with more. So
+    every k-subset has rank B iff every t_b-subset of N_b has full rank on
+    b. An exhaustive plan proves that once per distinct block (its width,
+    t_b and sorted node contents: the check is symmetric in node labels)
+    and on a pass counts all C(n, k) subsets. A subset is deficient iff
+    its nodes lack full rank on some block, so on a failure the subsets
+    are walked in order against the failing blocks, and a sampled plan
+    walks its drawn subsets against every block, ranks memoized per block
+    and nodes met: the first deficient subset is the counterexample, its
+    1-based position the count.
+    """
+    n, k, field = dss.params.n, dss.params.k, dss.field
+    blocks = _column_blocks(dss)
+    if report.mode["kind"] != "exhaustive":
+        blocks = list(blocks)
+    else:  # only the failing blocks are kept
+        verdicts = {}
+        failing = []
+        for width, nodes in blocks:
+            t = max(0, k - n + len(nodes))
+            key = (width, t, tuple(sorted(map(tuple, nodes.values()))))
+            if key not in verdicts:
+                verdicts[key] = all(
+                    _full_rank(field, width, chosen) for chosen in combinations(nodes.values(), t)
+                )
+            if not verdicts[key]:
+                failing.append((width, nodes))
+        if not failing:
+            return comb(n, k)
+        blocks = failing
+    ranks = {}
     run = 0
     for run, subset in enumerate(subsets, 1):
-        stack = [seg for i in subset for seg in dss.node_gens[i].segments]
-        if mat_rank(_matrix(dss.field, dss.file_len, stack)) != dss.file_len:
-            report.reconstruction_ok = False
-            report.reconstruction_counterexample = subset
-            break
+        members = set(subset)
+        for b, (width, nodes) in enumerate(blocks):
+            met = tuple(filter(members.__contains__, nodes))
+            if (b, met) not in ranks:
+                ranks[b, met] = _full_rank(field, width, [nodes[i] for i in met])
+            if not ranks[b, met]:
+                report.reconstruction_ok = False
+                report.reconstruction_counterexample = subset
+                return run
     return run
+
+
+def _column_blocks(dss: LinearDss):
+    """Yield (width, {node: its rows there}) for each column block of the stacked generators.
+
+    The generators of all n nodes stack in node order and tile into merged
+    column spans (gf._tiles); each block keeps its nodes' nonzero rows in
+    their order, as segments moved to the block's first column, their
+    entries tuples so that blocks can be compared by value.
+    """
+    alpha = dss.alpha_symbols
+    stack = [seg for g in dss.node_gens for seg in g.segments]
+    for lo, hi, rows in _tiles(stack, dss.file_len):
+        nodes = {}
+        for r in sorted(rows):
+            start, entries = stack[r]
+            if entries:
+                nodes.setdefault(r // alpha, []).append((start - lo, tuple(entries)))
+        yield hi - lo, nodes
+
+
+def _full_rank(field, width: int, node_rows) -> bool:
+    """Whether the rows of these nodes in a block have rank `width`."""
+    stack = [seg for rows in node_rows for seg in rows]
+    return mat_rank(_matrix(field, width, stack)) == width
 
 
 def _check_repair(dss: LinearDss, report: VerificationReport, pairs):

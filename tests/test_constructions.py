@@ -424,6 +424,18 @@ def test_nested_repair_solves_each_distinct_system_once(monkeypatch):
     assert len(calls) == 12
 
 
+def test_lost_file_nodes_decode_once_per_shared_system(monkeypatch):
+    # in each of the 20 repair proofs, the 24 copies whose file node is lost
+    # read 4 distinct sets of 3 part nodes: 4 decodes, beside 4 part repairs
+    # (one a copy, 28 a pair, before the decodes were shared)
+    calls = []
+    solve = dss_module.mat_solve
+    monkeypatch.setattr(dss_module, "mat_solve", lambda *a: calls.append(1) or solve(*a))
+    report = measure_and_compare(filenode_blowup(rs_base(4, 3)))
+    assert report.ok and report.checks_run == {"reconstruction": 10, "repair": 20, "total": 30}
+    assert len(calls) == 160
+
+
 def test_shape_rules_agree_with_tradeoff_without_building():
     cases = 0
     for n in range(3, 9):

@@ -7,10 +7,17 @@ from math import comb
 from pathlib import Path
 
 import regencode.verifier as verifier
-from regencode.constructions import blowup_full, blowup_simple, concat, filenode_blowup, iterate
+from regencode.constructions import (
+    blowup_full,
+    blowup_simple,
+    concat,
+    copy_blowup,
+    filenode_blowup,
+    iterate,
+)
 from regencode.cli import main
 from regencode.dss import LinearDss, MdsReencodeRule, RepairRule, rs_base
-from regencode.gf import GF2, GF256, FieldMatrix
+from regencode.gf import GF2, GF256, FieldMatrix, mat_rank
 from regencode.tradeoff import OperatingPoint, SystemParams, perf_p1
 from regencode.verifier import measure_and_compare
 
@@ -76,6 +83,102 @@ def test_verify_reconstruction_corrupted_generator():
         assert report.reconstruction_counterexample == counterexample
         # the sweep stopped at its first subset, the counterexample
         assert report.checks_run["reconstruction"] == 1
+
+
+def test_concat_reconstruction_is_proved_once_per_distinct_block(monkeypatch):
+    # the three parts' column blocks are one system: its 20 3-subsets of 6
+    # nodes prove all 816 15-subsets, which the stacked sweep ranked one by one
+    calls = []
+    rank = verifier.mat_rank
+    monkeypatch.setattr(verifier, "mat_rank", lambda a: calls.append(1) or rank(a))
+    report = measure_and_compare(concat([rs_base(6, 3)] * 3))
+    assert report.ok
+    assert report.checks_run == {"reconstruction": 816, "repair": 2448, "total": 3264}
+    assert len(calls) <= 20
+
+
+def _stacked_sweep(dss, report, subsets):
+    """The stacked-rank sweep the block proof replaced, kept as its oracle.
+
+    A subset rebuilds the file iff its stacked generators have column rank
+    B; the first subset that does not is the counterexample.
+    """
+    run = 0
+    for run, subset in enumerate(subsets, 1):
+        stack = [seg for i in subset for seg in dss.node_gens[i].segments]
+        if mat_rank(FieldMatrix.from_segments(dss.field, dss.file_len, stack)) != dss.file_len:
+            report.reconstruction_ok = False
+            report.reconstruction_counterexample = subset
+            break
+    return run
+
+
+def _with_one_fault(dss, rnd):
+    """dss with one seeded fault in its generators.
+
+    The fault zeroes a row, zeroes a node, or overwrites a row with a
+    scaled copy of another row whose columns it shares, so of a row in
+    the same column block.
+    """
+    rows = [g.data for g in dss.node_gens]  # new lists of rows: rows are replaced, never mutated
+    n, alpha, file_len = dss.params.n, dss.alpha_symbols, dss.file_len
+    fault = rnd.choice(["row", "node", "duplicate", "duplicate"])
+    if fault == "row":
+        rows[rnd.randrange(n)][rnd.randrange(alpha)] = [0] * file_len
+    elif fault == "node":
+        rows[rnd.randrange(n)] = [[0] * file_len for _ in range(alpha)]
+    else:
+        i, a = rnd.choice([(i, a) for i in range(n) for a in range(alpha) if any(rows[i][a])])
+        sharing = [
+            (j, b)
+            for j in range(n)
+            for b in range(alpha)
+            if (j, b) != (i, a) and any(x and y for x, y in zip(rows[i][a], rows[j][b]))
+        ]
+        j, b = rnd.choice(sharing)
+        scale = rnd.randrange(1, dss.field.order)
+        rows[j][b] = [dss.field.mul(scale, x) for x in rows[i][a]]
+    gens = [FieldMatrix(dss.field, node) for node in rows]
+    return LinearDss(
+        dss.params, dss.field, file_len, gens, dss.repair_rule, f"{dss.label}/{fault}",
+        dss.gamma_symbols,
+    )
+
+
+def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
+    # seeded faults in small compositions, each verified exhaustively and
+    # sampled, by the block proof and by the stacked-rank sweep: the reports
+    # must be equal, counterexample and checks_run included
+    recipes = [
+        concat([rs_base(3, 2)] * 3),
+        filenode_blowup(rs_base(3, 2)),
+        copy_blowup(rs_base(3, 2), 1),
+        blowup_simple(rs_base(4, 3)),
+        blowup_full(rs_base(3, 2)),
+        blowup_full(blowup_simple(rs_base(3, 2))),
+        iterate(rs_base(2, 1), 2),
+    ]
+    rnd = random.Random(16)
+    broken = later = kept = 0
+    exhaustive = verifier.EXHAUSTIVE_LIMIT
+    monkeypatch.setattr(verifier, "TRIALS", 12)
+    for code in recipes:
+        for _ in range(6):
+            faulty = _with_one_fault(code, rnd)
+            for limit in (exhaustive, 0):
+                monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", limit)
+                proof = measure_and_compare(faulty, seed=limit)
+                with monkeypatch.context() as m:
+                    m.setattr(verifier, "_check_reconstruction", _stacked_sweep)
+                    oracle = measure_and_compare(faulty, seed=limit)
+                assert proof.to_json() == oracle.to_json(), faulty.label
+                if limit:
+                    kept += proof.reconstruction_ok
+                    broken += not proof.reconstruction_ok
+                    later += proof.checks_run["reconstruction"] > 1 and not proof.reconstruction_ok
+    # most faults break reconstruction, many first at a later subset; some
+    # duplicated rows leave every k-subset at rank B
+    assert broken >= 25 and later >= 15 and kept >= 5, (broken, later, kept)
 
 
 def test_repair_through_a_corrupted_generator_is_a_counterexample():
