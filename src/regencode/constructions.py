@@ -39,7 +39,7 @@ from .dss import (
     _span,
     apply_generator,
 )
-from .gf import FieldMatrix, _trim
+from .gf import _matrix, _trim
 from .tradeoff import RangeError, SystemParams
 
 # generator entries n * alpha * B a composite may span, dense; the segments
@@ -363,7 +363,7 @@ def _compose(name, parts, arg=None, budget=None):
         params=shape.params,
         field=field,
         file_len=file_len,
-        node_gens=[FieldMatrix.from_segments(field, file_len, rows) for rows in gens],
+        node_gens=[_matrix(field, file_len, rows) for rows in gens],
         repair_rule=_CopiesRule(description, copies),
         label=f"{name}({','.join(p.label for p in parts)}{suffix})",
         gamma_symbols=shape.gamma_symbols,

@@ -55,18 +55,18 @@ class RepairRule:
     """Total procedure rebuilding any failed node from any d-subset of survivors.
 
     A stored symbol is a field element or a linear form over the message
-    (node i's forms are G_i's rows). The public reconstruct and repair take
-    and return forms as dense rows; inside, a form is a segment (start,
-    entries), as a generator stores its rows, so a proof on the forms costs
-    the columns they cover, not the file's width. execute gets elements or
-    segments and returns the failed node's symbols in that shape (segments
-    trimmed to their nonzeros, a zero row (0, [])) with each helper's
-    transfer. It may slice, decode (_decode) and multiply by fixed matrices
-    (apply_generator), but not branch on stored values: so one run on the
-    forms proves it exact for every file. The public repair checks contents
-    once and execute reads only the helpers' entries (contents is indexed by
-    node), so a rule runs its parts' rules directly on slices of checked
-    contents.
+    (node i's forms are G_i's rows). The public calls take field elements
+    only; forms are private to execute and the verifier, and have one shape,
+    the segment (start, entries) a generator stores its rows as, so a proof
+    on the forms costs the columns they cover, not the file's width. execute
+    gets elements or segments and returns the failed node's symbols in that
+    shape (segments trimmed to their nonzeros, a zero row (0, [])) with each
+    helper's transfer. It may slice, decode (_decode) and multiply by fixed
+    matrices (apply_generator), but not branch on stored values: so one run
+    on the forms proves it exact for every file. The public repair checks
+    contents once and execute reads only the helpers' entries (contents is
+    indexed by node), so a rule runs its parts' rules directly on slices of
+    checked contents.
     """
 
     kind = "abstract"
@@ -139,22 +139,16 @@ def encode(dss: LinearDss, message: list[int]) -> list[list[int]]:
 def reconstruct(
     dss: LinearDss, subset: tuple[int, ...] | list[int], contents: list[list[int]]
 ) -> list[int]:
-    """Recover the message, one symbol per file position, from a k-subset.
+    """Recover the message, one field element per file position, from a k-subset.
 
     Raises InputError when the subset is not k distinct node indices in
-    range, when contents does not hold one entry per node, when a node of
-    the subset does not hold a list of alpha_symbols symbols, or when the
-    symbols are not all field elements or all rows of forms; ValueError
-    when the rows are ragged.
+    range, when contents does not hold one entry per node, or when a node
+    of the subset does not hold a list of alpha_symbols field elements.
     """
     subset = _indices(subset)
     if len(subset) != dss.params.k:
         raise InputError(f"need exactly k={dss.params.k} nodes, got {len(subset)}")
-    symbols = _read(dss, subset, contents)
-    if not _rows(symbols):
-        return _decode(dss, subset, symbols)
-    width = _width(symbols)
-    return _dense(_decode(dss, subset, [(0, row) for row in symbols]), width)
+    return _decode(dss, subset, _read(dss, subset, contents))
 
 
 def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
@@ -224,19 +218,6 @@ def _forms(symbols: list) -> bool:
     return type(symbols[0]) is tuple
 
 
-def _rows(symbols: list) -> bool:
-    """Dense rows or field elements: the one test of the public symbol shape."""
-    return isinstance(symbols[0], list)
-
-
-def _width(rows: list) -> int:
-    """The width of dense rows; ValueError if they are ragged."""
-    width = len(rows[0])
-    if not {width}.issuperset(map(len, rows)):  # a set test, at C speed
-        raise ValueError("ragged rows")
-    return width
-
-
 def _dense(segments: list, width: int) -> list[list[int]]:
     """Segments as dense rows of the width given."""
     return [[0] * s + e + [0] * (width - s - len(e)) for s, e in segments]
@@ -248,13 +229,12 @@ def repair(
     helpers: tuple[int, ...] | list[int],
     contents: list[list[int]],
 ) -> tuple[list[int], BandwidthReport]:
-    """Rebuild the failed node's exact content from d helpers.
+    """Rebuild the failed node's exact content, field elements, from d helpers.
 
     Raises InputError when the helpers are not d distinct node indices in
     range other than the failed one, when contents does not hold one entry
-    per node, when a helper does not hold a list of alpha_symbols symbols,
-    or when the symbols are not all field elements or all rows of forms;
-    ValueError when the rows are ragged.
+    per node, or when a helper does not hold a list of alpha_symbols field
+    elements. Forms are repaired by repair_rule.execute (see RepairRule).
     """
     helpers = _indices(helpers)
     if len(helpers) != dss.params.d:
@@ -263,14 +243,8 @@ def repair(
         raise InputError(f"node index {failed!r} out of range")
     if failed in helpers:
         raise InputError("failed node cannot help itself")
-    symbols = _read(dss, helpers, contents)  # distinct ints in range: they sort
-    helpers = tuple(sorted(helpers))
-    if not _rows(symbols):
-        return dss.repair_rule.execute(dss, failed, helpers, contents)
-    width = _width(symbols)
-    forms = {h: [(0, row) for row in contents[h]] for h in helpers}
-    rebuilt, report = dss.repair_rule.execute(dss, failed, helpers, forms)
-    return _dense(rebuilt, width), report
+    _read(dss, helpers, contents)  # distinct ints in range: they sort
+    return dss.repair_rule.execute(dss, failed, tuple(sorted(helpers)), contents)
 
 
 def _indices(nodes) -> tuple:
@@ -285,11 +259,10 @@ def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
     """The symbols of the nodes read, in order; InputError if a call cannot read them.
 
     The nodes read must be distinct ints in range, contents must be a list
-    of one content per node, each node read must hold a list of alpha
-    symbols, and the symbols must be all elements of the field or all rows
-    of forms (each a set test, at C speed). Rows of forms are not looked
-    into; the public calls then test their widths. Each public reconstruct
-    or repair makes this one check; nested parts are not checked again.
+    of one content per node, and each node read must hold a list of alpha
+    field elements (a set test, at C speed), so a row of forms is refused.
+    Each public reconstruct or repair makes this one check; nested parts
+    are not checked again.
     """
     n, alpha = dss.params.n, dss.alpha_symbols
     if not isinstance(contents, list):
@@ -306,10 +279,7 @@ def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
         symbols += content
     if len(set(read)) != len(read):  # after the index checks: ints hash
         raise InputError(f"duplicate node indices in {read}")
-    if _rows(symbols):
-        if not {list}.issuperset(map(type, symbols)):
-            raise InputError("contents mix rows of forms and field elements")
-    elif not dss.field.holds(symbols):
+    if not dss.field.holds(symbols):
         raise InputError(f"contents hold a symbol outside GF(2^{dss.field.m})")
     return symbols
 

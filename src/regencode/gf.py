@@ -159,12 +159,13 @@ class FieldMatrix:
     on; the row is zero outside it. The constructor takes dense rows and
     keeps each from its first to its last nonzero column (a zero row keeps
     none), sharing a row whose ends are both nonzero; from_segments takes
-    segments as they are, zeros among their entries included. Products and
+    segments as they are, zeros among their entries included. Both refuse
+    an entry that is not a field element with ValueError. Products and
     solutions keep each row whole, as wide as the matrix. `data` renders
-    the dense rows. A matrix shares what it is given without
-    copying: no operation in this module mutates an operand (elimination
-    works on its own rows), and a caller must not mutate rows or entries
-    afterwards either, so composed codes share their parts' entries.
+    the dense rows. A matrix shares what it is given without copying: no
+    operation in this module mutates an operand (elimination works on its
+    own rows), and a caller must not mutate rows or entries afterwards
+    either, so composed codes share their parts' entries.
     """
 
     __slots__ = ("field", "rows", "cols", "segments")
@@ -175,6 +176,8 @@ class FieldMatrix:
         for row in data:
             if len(row) != cols:
                 raise ValueError("ragged rows")
+            if not field.holds(row):
+                raise ValueError(f"row holds an entry outside GF(2^{field.m})")
             segments.append(_trim(row))
         self.field, self.rows, self.cols, self.segments = field, len(data), cols, segments
 
@@ -184,6 +187,8 @@ class FieldMatrix:
     ) -> "FieldMatrix":
         """The matrix of `cols` columns whose rows are the (start, entries) segments."""
         for start, entries in segments:
+            if type(start) is not int or not field.holds(entries):
+                raise ValueError(f"segment at {start!r} needs an int start and field entries")
             if start < 0 or start + len(entries) > cols:
                 raise ValueError(f"segment at column {start} overruns {cols} columns")
         return _matrix(field, cols, segments)

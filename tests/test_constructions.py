@@ -18,6 +18,7 @@ from regencode.constructions import (
 from regencode.dss import (
     InputError,
     ResourceError,
+    _dense,
     encode,
     reconstruct,
     repair,
@@ -231,22 +232,24 @@ def test_concat_mixed_sizes():
 def test_concat_repair_is_the_owning_part_repair_shifted():
     parts = [rs_base(4, 3, GF256), rs_base(3, 2, GF256)]
     dss = concat(parts)
-    forms = [g.data for g in dss.node_gens]
+    forms = [g.segments for g in dss.node_gens]
+    part_forms = [[g.segments for g in part.node_gens] for part in parts]
     pairs = 0
     for failed in range(7):
         j = 0 if failed < 4 else 1
         part, node_off, col_off = parts[j], [0, 4][j], [0, 3][j]
         others = [i for i in range(7) if i != failed]
         for helpers in combinations(others, 6):
-            rebuilt, bw = repair(dss, failed, helpers, forms)
+            rebuilt, bw = dss.repair_rule.execute(dss, failed, helpers, forms)
             # the part repairs with its d smallest own helpers
             local = [q - node_off for q in helpers if 0 <= q - node_off < part.params.n]
-            own_rows, own = repair(
-                part, failed - node_off, local[: part.params.d], [g.data for g in part.node_gens]
+            own_forms, own = part.repair_rule.execute(
+                part, failed - node_off, tuple(local[: part.params.d]), part_forms[j]
             )
+            own_rows = _dense(own_forms, part.file_len)
             assert bw.per_helper == {q: own.per_helper.get(q - node_off, 0) for q in helpers}
             pad = 5 - col_off - part.file_len
-            assert rebuilt == [[0] * col_off + row + [0] * pad for row in own_rows]
+            assert _dense(rebuilt, 5) == [[0] * col_off + row + [0] * pad for row in own_rows]
             pairs += 1
     assert pairs == 7
 

@@ -171,12 +171,14 @@ def test_reconstruct_refuses_malformed_contents():
             reconstruct(base, (0, 1), mixed)
     with pytest.raises(InputError):
         reconstruct(base, (0, 1.0), [[0], [1], [2], [3]])
-    # rows of forms of unequal widths: refused, not zero-padded
+    # contents are field elements only: rows of forms, of equal widths or
+    # not, are refused; forms are repaired by the rule's execute
     ragged = [forms[0], [forms[1][0][:1]]] + forms[2:]
-    with pytest.raises(ValueError, match="ragged"):
-        reconstruct(base, (0, 1), ragged)
-    with pytest.raises(ValueError, match="ragged"):
-        repair(base, 2, (0, 1), ragged)
+    for rows in (forms, ragged):
+        with pytest.raises(InputError):
+            reconstruct(base, (0, 1), rows)
+        with pytest.raises(InputError):
+            repair(base, 2, (0, 1), rows)
 
 
 def test_repair_example_2_1():

@@ -209,6 +209,20 @@ def test_matrix_keeps_its_rows_and_operations_leave_them_unchanged():
     assert [m.data for m in (A, x, b, square)] == before
 
 
+def test_matrix_refuses_entries_outside_the_field():
+    # a negative entry would index the log table from its end (a rank of 1),
+    # 300 would overrun it, a float start would fail later with a TypeError
+    for data in ([[-1, 2]], [[300, 1]], [[1, 2.0]], [[1, [2]]]):
+        with pytest.raises(ValueError, match="outside"):
+            FieldMatrix(GF256, data)
+    with pytest.raises(ValueError, match="outside"):
+        FieldMatrix(GF2, [[1, 2]])
+    for segments in ([(0.5, [1])], [(0, [-1])], [(1, [256])], [(0, [1.0])]):
+        with pytest.raises(ValueError, match="needs an int start"):
+            FieldMatrix.from_segments(GF256, 3, segments)
+    assert mat_rank(FieldMatrix(GF256, [[255, 2]])) == 1
+
+
 def _random_block(rnd, field, full):
     """A rows x cols block; with full set, of full column rank (retried until so)."""
     cols = rnd.randint(1, 9)

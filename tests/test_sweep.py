@@ -4,8 +4,9 @@ Recipes up to depth 3 over small bases are drawn with random.Random and
 admitted by a small budget. Every recipe must build to the Shape its
 recipe predicts, parse to the same JSON twice and verify exhaustively at
 its declared point. One digest over every recipe's JSON and every repair
-on the forms (rebuilt rows and per-helper transfers) pins the whole sweep:
-a change to any repair route, helper choice or transfer changes it.
+on the forms (the rule run on the generators' segments, its rebuilt rows
+made dense, and per-helper transfers) pins the whole sweep: a change to
+any repair route, helper choice or transfer changes it.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from itertools import combinations
 
 from regencode.cli import parse_recipe
 from regencode.constructions import Shape
-from regencode.dss import InputError, ResourceError, repair, rs_base, to_json_dict
+from regencode.dss import InputError, ResourceError, _dense, rs_base, to_json_dict
 from regencode.tradeoff import OperatingPoint, RangeError
 from regencode.verifier import measure_and_compare
 
@@ -91,9 +92,10 @@ def test_random_recipes_build_verify_and_repair_as_recorded():
 
         digest.update(as_json.encode())
         n, d = code.params.n, code.params.d
-        forms = [g.data for g in code.node_gens]
+        forms = [g.segments for g in code.node_gens]
         for failed in range(n):
             for helpers in combinations([i for i in range(n) if i != failed], d):
-                rebuilt, bandwidth = repair(code, failed, helpers, forms)
-                digest.update(repr((failed, helpers, rebuilt, bandwidth.per_helper)).encode())
+                rebuilt, bandwidth = code.repair_rule.execute(code, failed, helpers, forms)
+                rows = _dense(rebuilt, code.file_len)
+                digest.update(repr((failed, helpers, rows, bandwidth.per_helper)).encode())
     assert digest.hexdigest() == SWEEP_DIGEST
