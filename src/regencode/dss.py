@@ -16,6 +16,7 @@ from .gf import (
     FieldMatrix,
     FieldSpec,
     SingularMatrixError,
+    _column,
     _matrix,
     _trim,
     mat_inv,
@@ -132,7 +133,7 @@ def encode(dss: LinearDss, message: list[int]) -> list[list[int]]:
         )
     if not dss.field.holds(message):
         raise InputError(f"message holds a symbol outside GF(2^{dss.field.m})")
-    column = FieldMatrix.column(dss.field, message)
+    column = _column(dss.field, message)
     return [g.mul(column).col_vector() for g in dss.node_gens]
 
 
@@ -188,7 +189,7 @@ def _as_matrix(field: FieldSpec, symbols: list) -> tuple[FieldMatrix, int | None
     at None.
     """
     if not _forms(symbols):
-        return FieldMatrix.column(field, symbols), None
+        return _column(field, symbols), None
     at, end = _span(symbols)
     if at:
         symbols = [(start - at, entries) for start, entries in symbols]
@@ -285,17 +286,33 @@ def _read(dss: LinearDss, read: tuple[int, ...], contents: list) -> list:
 
 
 class MdsReencodeRule(RepairRule):
-    """Repair for d = k codes: download the d helpers, decode, re-encode."""
+    """Repair for d = k codes: download the d helpers, decode, re-encode.
+
+    At d = k the helpers' stacked generators G_H are square (d * alpha =
+    B), and the failed node's content is G_failed * G_H^-1 * the helpers'
+    symbols. The rule keeps the decoder of the last helper system it
+    eliminated: one (code, helpers, G_H^-1) triple, set in one assignment
+    and reused only for the same code object and the same helpers. So
+    repairs that take one helper set in a row, as the verifier's sweep
+    does, eliminate G_H once; a code that shares the rule object with
+    other generators never reads another code's decoder; and the rule holds
+    at most one B x B matrix, which the code's budget already covers. A
+    single repair pays an inverse where a solve on its own symbols would do.
+    """
 
     kind = "mds_reencode"
+    _decoder = None
 
     def execute(self, dss, failed, helpers, contents):
         symbols = []
         for h in helpers:
             symbols += contents[h]
         rhs, at = _as_matrix(dss.field, symbols)
-        msg = _solve(dss, helpers, rhs)  # re-encoded as it is, no round trip
-        content = _shaped(dss.node_gens[failed].mul(msg), at)
+        decoder = self._decoder
+        if decoder is None or decoder[0] is not dss or decoder[1] != helpers:
+            inverse = _solve(dss, helpers, FieldMatrix.identity(dss.field, len(symbols)))
+            self._decoder = decoder = (dss, helpers, inverse)
+        content = _shaped(dss.node_gens[failed].mul(decoder[2]).mul(rhs), at)
         per_helper = dict.fromkeys(helpers, dss.alpha_symbols)
         return content, BandwidthReport(per_helper)
 

@@ -159,13 +159,14 @@ class FieldMatrix:
     on; the row is zero outside it. The constructor takes dense rows and
     keeps each from its first to its last nonzero column (a zero row keeps
     none), sharing a row whose ends are both nonzero; from_segments takes
-    segments as they are, zeros among their entries included. Both refuse
-    an entry that is not a field element with ValueError. Products and
-    solutions keep each row whole, as wide as the matrix. `data` renders
-    the dense rows. A matrix shares what it is given without copying: no
-    operation in this module mutates an operand (elimination works on its
-    own rows), and a caller must not mutate rows or entries afterwards
-    either, so composed codes share their parts' entries.
+    segments as they are, zeros among their entries included; column takes
+    one entry per row. All three refuse an entry that is not a field
+    element with ValueError. Products and solutions keep each row whole, as
+    wide as the matrix. `data` renders the dense rows. A matrix shares what
+    it is given without copying: no operation in this module mutates an
+    operand (elimination works on its own rows), and a caller must not
+    mutate rows or entries afterwards either, so composed codes share their
+    parts' entries.
     """
 
     __slots__ = ("field", "rows", "cols", "segments")
@@ -199,7 +200,10 @@ class FieldMatrix:
 
     @classmethod
     def column(cls, field: FieldSpec, vec: list[int]) -> "FieldMatrix":
-        return _matrix(field, 1, [(0, [v]) for v in vec])
+        """The one-column matrix of vec; ValueError if an entry is not a field element."""
+        if not field.holds(vec):
+            raise ValueError(f"column holds an entry outside GF(2^{field.m})")
+        return _column(field, vec)
 
     @property
     def data(self) -> list[list[int]]:
@@ -251,6 +255,11 @@ def _matrix(field: FieldSpec, cols: int, segments: list) -> FieldMatrix:
     matrix = FieldMatrix.__new__(FieldMatrix)
     matrix.field, matrix.rows, matrix.cols, matrix.segments = field, len(segments), cols, segments
     return matrix
+
+
+def _column(field: FieldSpec, vec: list[int]) -> FieldMatrix:
+    """FieldMatrix.column of elements already checked: no check."""
+    return _matrix(field, 1, [(0, [v]) for v in vec])
 
 
 def _trim(row: list[int], at: int = 0) -> tuple[int, list[int]]:

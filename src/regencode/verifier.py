@@ -18,6 +18,14 @@ sorted node contents share one verdict. A failure is reported as the
 first deficient k-subset in combinations order, found by walking the
 subsets against the failing blocks only.
 
+Repair is proved helper set by helper set: the pairs that share their
+helpers run in a row, so a rule that keeps the decoder of its last helper
+system (dss.MdsReencodeRule) eliminates each system once, and the sweep
+keeps running bandwidth totals, not a report per pair. If a pair fails,
+the pairs are walked again in plan order up to the first failure, so the
+counterexample, the count and the measurement over the pairs before it
+are those of a sweep in plan order.
+
 One plan sweeps every subset and pair when their total count is at most
 EXHAUSTIVE_LIMIT, and otherwise draws up to TRIALS distinct ones of each;
 a drawn k-subset is checked against every block.
@@ -34,6 +42,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from .dss import CodeInvariantError, LinearDss, _dense
 from .gf import _matrix, _tiles, mat_rank
@@ -105,7 +114,9 @@ def _plan(dss: LinearDss, seed: int):
     until it holds min(TRIALS, population) distinct subsets or pairs, so
     every sampled check is a new proof. A draw takes the smaller side: the
     nodes left out when they are fewer than the nodes kept. Returns
-    (mode_info, subsets, pairs).
+    (mode_info, subsets, pairs, by_helpers): the pairs in plan order
+    (failed node first, or draw order) and the same pairs grouped by their
+    helpers, both lazy when exhaustive.
     """
     n, k, d = dss.params.n, dss.params.k, dss.params.d
     n_subsets, n_pairs = comb(n, k), n * comb(n - 1, d)
@@ -116,7 +127,13 @@ def _plan(dss: LinearDss, seed: int):
             for f in range(n)
             for helpers in combinations([i for i in range(n) if i != f], d)
         )
-        return {"kind": "exhaustive"}, subsets, pairs
+        by_helpers = (
+            (f, helpers)
+            for helpers in combinations(range(n), d)
+            for f in range(n)
+            if f not in helpers
+        )
+        return {"kind": "exhaustive"}, subsets, pairs, by_helpers
 
     def distinct(population, draw):
         rnd = random.Random(seed)
@@ -138,7 +155,8 @@ def _plan(dss: LinearDss, seed: int):
 
     subsets = distinct(n_subsets, lambda rnd: choose(rnd, range(n), k))
     pairs = distinct(n_pairs, pair)
-    return {"kind": "sampled", "seed": seed, "trials": TRIALS}, subsets, pairs
+    by_helpers = sorted(pairs, key=itemgetter(1))
+    return {"kind": "sampled", "seed": seed, "trials": TRIALS}, subsets, pairs, by_helpers
 
 
 def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -> int:
@@ -218,21 +236,41 @@ def _full_rank(field, width: int, node_rows) -> bool:
     return mat_rank(_matrix(field, width, stack)) == width
 
 
-def _check_repair(dss: LinearDss, report: VerificationReport, pairs):
-    """Prove pairs by one repair on the generator rows each, up to the first that fails.
+def _check_repair(dss: LinearDss, report: VerificationReport, pairs, by_helpers):
+    """Prove the pairs by one repair on the generator rows each, grouped by helpers.
 
-    Records that pair as the counterexample. Returns (count run, the
-    BandwidthReport of every pair proved). The forms are the generators'
-    own segments, alpha per node as LinearDss holds them, and each pair
-    runs the repair rule directly: the plan yields only d sorted helpers in
-    range, never the failed node. A rebuilt node must be its generator's
-    segments, or, where those keep zeros at their ends (rebuilt ones are
-    trimmed), its dense rows.
+    by_helpers holds the plan's pairs with those that share their helpers
+    in a row, so a rule that keeps its last decoder eliminates each helper
+    system once. If one fails, the pairs are walked again in plan order up
+    to the first failure, which is recorded as the counterexample. Returns
+    (count run, bandwidth), bandwidth the (least total, largest total,
+    largest max_deviation) of the pairs proved, or None if none was: the
+    same as a sweep in plan order that stops at its first failure.
+    """
+    run, failure, bandwidth = _sweep(dss, by_helpers)
+    if failure is not None:
+        run, failure, bandwidth = _sweep(dss, pairs)
+        report.repair_ok = False
+        report.repair_counterexample = failure
+    return run, bandwidth
+
+
+def _sweep(dss: LinearDss, pairs):
+    """Repair the pairs in order up to the first that fails.
+
+    Returns (count run, the failing pair or None, bandwidth as
+    _check_repair returns it). The forms are the generators' own segments,
+    alpha per node as LinearDss holds them, and each pair runs the repair
+    rule directly: the plan yields only d sorted helpers in range, never
+    the failed node. A rebuilt node must be its generator's segments, or,
+    where those keep zeros at their ends (rebuilt ones are trimmed), its
+    dense rows.
     """
     forms = [g.segments for g in dss.node_gens]
     execute = dss.repair_rule.execute
-    bandwidth = []
+    run, bandwidth = 0, None
     for failed, helpers in pairs:
+        run += 1
         try:
             rebuilt, bw = execute(dss, failed, helpers, forms)
         except CodeInvariantError:
@@ -240,11 +278,14 @@ def _check_repair(dss: LinearDss, report: VerificationReport, pairs):
         if rebuilt != forms[failed] and (
             rebuilt is None or _dense(rebuilt, dss.file_len) != dss.node_gens[failed].data
         ):
-            report.repair_ok = False
-            report.repair_counterexample = (failed, helpers)
-            return len(bandwidth) + 1, bandwidth
-        bandwidth.append(bw)
-    return len(bandwidth), bandwidth
+            return run, (failed, helpers), bandwidth
+        total, deviation = bw.total, bw.max_deviation()
+        if bandwidth is None:
+            bandwidth = total, total, deviation
+        else:
+            low, high, most = bandwidth
+            bandwidth = min(low, total), max(high, total), max(most, deviation)
+    return run, None, bandwidth
 
 
 def measure_and_compare(
@@ -259,22 +300,20 @@ def measure_and_compare(
     alpha-normalized ratios agree: B/alpha exactly, gamma/alpha by the one
     gamma rule.
     """
-    mode_info, subsets, pairs = _plan(dss, seed)
+    mode_info, subsets, pairs, by_helpers = _plan(dss, seed)
     report = VerificationReport(
         dss.label, mode_info, predicted=predicted, gamma_declared=dss.gamma_symbols
     )
     recon = _check_reconstruction(dss, report, subsets)
-    rep, bandwidth = _check_repair(dss, report, pairs)
+    rep, bandwidth = _check_repair(dss, report, pairs, by_helpers)
     report.checks_run = {"reconstruction": recon, "repair": rep, "total": recon + rep}
 
-    totals = [bw.total for bw in bandwidth]
-    report.gamma_constant = not totals or min(totals) == max(totals)
-    report.symmetry_max_deviation = max((bw.max_deviation() for bw in bandwidth), default=0)
-    report.symmetric = report.symmetry_max_deviation == 0
+    low, high, deviation = bandwidth or (dss.gamma_symbols, dss.gamma_symbols, 0)
+    report.gamma_constant = low == high
+    report.symmetry_max_deviation = deviation
+    report.symmetric = deviation == 0
     measured = OperatingPoint(
-        Fraction(dss.alpha_symbols),
-        Fraction(max(totals, default=dss.gamma_symbols)),
-        Fraction(dss.file_len),
+        Fraction(dss.alpha_symbols), Fraction(high), Fraction(dss.file_len)
     )
     report.measured = measured
     if predicted is not None:

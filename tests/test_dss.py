@@ -18,7 +18,7 @@ from regencode.dss import (
     to_json,
     to_json_dict,
 )
-from regencode.gf import GF2, GF16, GF256, FieldSpec
+from regencode.gf import GF2, GF16, GF256, FieldMatrix, FieldSpec
 from regencode.tradeoff import SystemParams
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -269,6 +269,25 @@ def test_repair_exhaustive_rs52():
             assert bw.total == 2
             pairs += 1
     assert pairs == 30
+
+
+def test_mds_rule_reuses_a_decoder_only_for_its_own_code_and_helpers(monkeypatch):
+    # a second code shares the rule object, with node 0's generator scaled
+    # by 3: the first code's decoder for helpers (0, 1) would rebuild it wrong
+    base = rs_base(4, 2, GF256)
+    scaled = [GF256.mul(3, x) for x in base.node_gens[0].data[0]]
+    gens = [FieldMatrix(GF256, [scaled])] + base.node_gens[1:]
+    other = LinearDss(base.params, GF256, 2, gens, base.repair_rule, "scaled", 2)
+    calls = []
+    solve = dss_module.mat_solve
+    monkeypatch.setattr(dss_module, "mat_solve", lambda *a: calls.append(1) or solve(*a))
+    for code, helpers in [(base, (0, 1)), (base, (0, 1)), (other, (0, 1)), (other, (0, 1)),
+                          (other, (1, 2)), (base, (0, 1))]:
+        contents = encode(code, [7, 9])
+        rebuilt, _ = repair(code, 3, helpers, contents)
+        assert rebuilt == contents[3], (code.label, helpers)
+    # a repair that meets the last code and helpers eliminates nothing
+    assert len(calls) == 4
 
 
 def test_extended_point_at_infinity():

@@ -221,6 +221,11 @@ def test_matrix_refuses_entries_outside_the_field():
         with pytest.raises(ValueError, match="needs an int start"):
             FieldMatrix.from_segments(GF256, 3, segments)
     assert mat_rank(FieldMatrix(GF256, [[255, 2]])) == 1
+    # -1 would multiply as 255, 300 would overrun the log table in a solve
+    for vec in ([-1], [300], [1.0]):
+        with pytest.raises(ValueError, match="outside"):
+            FieldMatrix.column(GF256, vec)
+    assert FieldMatrix(GF256, [[2]]).mul(FieldMatrix.column(GF256, [255])).col_vector() == [227]
 
 
 def _random_block(rnd, field, full):

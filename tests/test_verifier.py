@@ -16,7 +16,15 @@ from regencode.constructions import (
     iterate,
 )
 from regencode.cli import main
-from regencode.dss import LinearDss, MdsReencodeRule, RepairRule, rs_base
+import regencode.dss as dss_module
+from regencode.dss import (
+    CodeInvariantError,
+    LinearDss,
+    MdsReencodeRule,
+    RepairRule,
+    _dense,
+    rs_base,
+)
 from regencode.gf import GF2, GF256, FieldMatrix, mat_rank
 from regencode.tradeoff import OperatingPoint, SystemParams, perf_p1
 from regencode.verifier import measure_and_compare
@@ -179,6 +187,120 @@ def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
     # most faults break reconstruction, many first at a later subset; some
     # duplicated rows leave every k-subset at rank B
     assert broken >= 25 and later >= 15 and kept >= 5, (broken, later, kept)
+
+
+def _f_major_sweep(dss, report, pairs, by_helpers):
+    """The plan-order repair sweep the helper-grouped one replaced, kept as its oracle.
+
+    Each pair, failed node first, runs the rule once on the generators'
+    segments, up to the first that fails; the bandwidth is folded from the
+    reports of the pairs proved.
+    """
+    forms = [g.segments for g in dss.node_gens]
+    bandwidth = []
+    for failed, helpers in pairs:
+        try:
+            rebuilt, bw = dss.repair_rule.execute(dss, failed, helpers, forms)
+        except CodeInvariantError:
+            rebuilt = None
+        if rebuilt != forms[failed] and (
+            rebuilt is None or _dense(rebuilt, dss.file_len) != dss.node_gens[failed].data
+        ):
+            report.repair_ok = False
+            report.repair_counterexample = (failed, helpers)
+            return len(bandwidth) + 1, _folded(bandwidth)
+        bandwidth.append(bw)
+    return len(bandwidth), _folded(bandwidth)
+
+
+def _folded(bandwidth):
+    if not bandwidth:
+        return None
+    totals = [bw.total for bw in bandwidth]
+    return min(totals), max(totals), max(bw.max_deviation() for bw in bandwidth)
+
+
+def _with_rule(dss, rule):
+    return LinearDss(
+        dss.params, dss.field, dss.file_len, dss.node_gens, rule,
+        f"{dss.label}/{rule.kind}", dss.gamma_symbols,
+    )
+
+
+def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
+    # seeded faults, each verified exhaustively and sampled, by the
+    # helper-grouped sweep and by the plan-order one: the reports must be
+    # equal, counterexample, checks_run, measured point and symmetry included
+    recipes = [
+        rs_base(5, 3),
+        rs_base(6, 2),
+        concat([rs_base(3, 2)] * 3),
+        blowup_simple(rs_base(4, 3)),
+        filenode_blowup(rs_base(3, 2)),
+        copy_blowup(rs_base(3, 2), 1),
+        blowup_full(rs_base(3, 2)),
+    ]
+    rnd = random.Random(18)
+    faulty = []
+    for code in recipes:
+        faulty += [_with_one_fault(code, rnd) for _ in range(4)]
+        faulty.append(_with_rule(code, ZeroedTransferRule(code.repair_rule)))
+    # helper order meets (2, (0, 1, 4)) first, plan order (0, (1, 2, 4))
+    node_4 = corrupt_generator(rs_base(5, 3), 4)
+    faulty.append(node_4)
+    # a clean code, then one sharing its rule object with node 0 zeroed
+    clean = rs_base(4, 2)
+    faulty += [clean, corrupt_generator(clean, 0)]
+
+    sweeps = []
+    sweep = verifier._sweep
+    monkeypatch.setattr(verifier, "_sweep", lambda *a: sweeps.append(sweep(*a)) or sweeps[-1])
+    monkeypatch.setattr(verifier, "TRIALS", 12)
+    exhaustive = verifier.EXHAUSTIVE_LIMIT
+    failed = later = reordered = 0
+    for code in faulty:
+        for limit in (exhaustive, 0):
+            monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", limit)
+            sweeps.clear()
+            proof = measure_and_compare(code, seed=limit)
+            with monkeypatch.context() as m:
+                m.setattr(verifier, "_check_repair", _f_major_sweep)
+                oracle = measure_and_compare(code, seed=limit)
+            assert proof.to_json() == oracle.to_json(), (code.label, limit)
+            if not proof.repair_ok:
+                assert len(sweeps) == 2  # the helper-grouped sweep, then plan order
+                failed += 1
+                later += proof.checks_run["repair"] > 1
+                reordered += sweeps[0][1] != sweeps[1][1]
+                if code is node_4 and limit:
+                    assert sweeps[0][1] == (2, (0, 1, 4))
+                    assert proof.repair_counterexample == (0, (1, 2, 4))
+    assert measure_and_compare(clean).ok
+    assert not measure_and_compare(faulty[-1]).repair_ok
+    assert failed >= 60 and later >= 20 and reordered >= 40, (failed, later, reordered)
+
+
+def test_repair_proof_eliminates_each_helper_system_once(monkeypatch):
+    # 168 pairs share 56 helper sets, each serving the 3 nodes outside it
+    calls = []
+    solve = dss_module.mat_solve
+    monkeypatch.setattr(dss_module, "mat_solve", lambda *a: calls.append(1) or solve(*a))
+    report = measure_and_compare(rs_base(8, 5))
+    assert report.ok and report.checks_run["repair"] == 168
+    assert len(calls) == comb(8, 5) == 56
+
+
+def test_repair_proof_keeps_running_bandwidth_totals():
+    # no bandwidth report is kept per pair: 660 pairs of rs_base(12, 9)
+    dss = rs_base(12, 9)
+    tracemalloc.start()
+    try:
+        report = measure_and_compare(dss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checks_run["repair"] == 660
+    assert peak < 64 * 2**10, peak
 
 
 def test_repair_through_a_corrupted_generator_is_a_counterexample():
