@@ -9,6 +9,7 @@ of every helper is accounted in symbols.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
 from .gf import (
@@ -291,13 +292,15 @@ class MdsReencodeRule(RepairRule):
     At d = k the helpers' stacked generators G_H are square (d * alpha =
     B), and the failed node's content is G_failed * G_H^-1 * the helpers'
     symbols. The rule keeps the decoder of the last helper system it
-    eliminated: one (code, helpers, G_H^-1) triple, set in one assignment
-    and reused only for the same code object and the same helpers. So
-    repairs that take one helper set in a row, as the verifier's sweep
-    does, eliminate G_H once; a code that shares the rule object with
-    other generators never reads another code's decoder; and the rule holds
-    at most one B x B matrix, which the code's budget already covers. A
-    single repair pays an inverse where a solve on its own symbols would do.
+    eliminated: one (weakref to the code, helpers, G_H^-1) triple, set in
+    one assignment and reused only for the same code object and the same
+    helpers. So repairs that take one helper set in a row, as the
+    verifier's sweep does, eliminate G_H once; a code that shares the rule
+    object with other generators never reads another code's decoder; the
+    rule holds at most one B x B matrix, which the code's budget already
+    covers; and a code is freed at its last reference, not kept alive by
+    its own rule. A single repair pays an inverse where a solve on its own
+    symbols would do.
     """
 
     kind = "mds_reencode"
@@ -309,9 +312,9 @@ class MdsReencodeRule(RepairRule):
             symbols += contents[h]
         rhs, at = _as_matrix(dss.field, symbols)
         decoder = self._decoder
-        if decoder is None or decoder[0] is not dss or decoder[1] != helpers:
+        if decoder is None or decoder[0]() is not dss or decoder[1] != helpers:
             inverse = _solve(dss, helpers, FieldMatrix.identity(dss.field, len(symbols)))
-            self._decoder = decoder = (dss, helpers, inverse)
+            self._decoder = decoder = (weakref.ref(dss), helpers, inverse)
         content = _shaped(dss.node_gens[failed].mul(decoder[2]).mul(rhs), at)
         per_helper = dict.fromkeys(helpers, dss.alpha_symbols)
         return content, BandwidthReport(per_helper)

@@ -7,10 +7,12 @@ there on, outside which the row is zero; a generator row keeps its first to
 its last nonzero column. Rank and solve eliminate block by
 block: each row spans its segment, overlapping spans merge into runs of
 columns that tile the matrix, as the stacked generators of a composed code
-split into its copies' column blocks, and each run is eliminated on its own
+split into its copies' column blocks, and each run is laid out on its own
 columns, its rows made dense only there. So a split costs the rows and
-their nonzeros, not rows times columns. A solve reads its right-hand
-side's segments as they are, made dense only in the rows it eliminates.
+their nonzeros, not rows times columns. Each distinct column block is
+eliminated once, its members' right-hand sides side by side. A solve
+reads its right-hand side's segments as they are, made dense only in the
+rows it eliminates.
 The pivot-row and matrix-product loops find nonzero entries with
 itertools.compress, so they skip zeros at C speed.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 
 
 class SingularMatrixError(ArithmeticError):
@@ -335,15 +337,25 @@ def _blocks(A: FieldMatrix, rhs: list[tuple[int, list[int]]] | None, rhs_cols: i
     block's columns. The spans are read off the segments, so finding them
     costs one step a row. Each work row is a new list, the row's entries in
     its block's columns followed by its segment of rhs made dense over
-    rhs_cols columns (rank passes no rhs and 0). A matrix of at most
-    WHOLE_MAX_ENTRIES entries is yielded whole, without finding its spans.
+    rhs_cols columns (rank passes no rhs and 0); a zero row's empty
+    segment writes nothing. A matrix of at most WHOLE_MAX_ENTRIES entries
+    is yielded whole, without finding its spans.
     """
     segments, ncols = A.segments, A.cols
-    if A.rows * ncols <= WHOLE_MAX_ENTRIES:
-        yield ncols, _work(segments, range(A.rows), 0, ncols, rhs, rhs_cols)
-        return
-    for lo, hi, rows in _tiles(segments, ncols):
-        yield hi - lo, _work(segments, rows, lo, hi, rhs, rhs_cols)
+    whole = A.rows * ncols <= WHOLE_MAX_ENTRIES
+    tiles = [(0, ncols, range(A.rows))] if whole else _tiles(segments, ncols)
+    for lo, hi, rows in tiles:
+        width = hi - lo
+        work, zeros = [], [0] * (width + rhs_cols)
+        for r in rows:
+            start, entries = segments[r]
+            row = zeros[:]
+            row[start - lo : start - lo + len(entries)] = entries
+            if rhs_cols:
+                at, tail = rhs[r]
+                row[width + at : width + at + len(tail)] = tail
+            work.append(row)
+        yield width, work
 
 
 def _tiles(segments, ncols: int):
@@ -364,60 +376,75 @@ def _tiles(segments, ncols: int):
         if first >= hi and rows:  # no span so far reaches this one: the tile ends
             yield lo, hi, rows
             lo, rows = hi, []
-        hi = max(hi, end)
+        if end > hi:
+            hi = end
         rows.append(r)
     yield lo, ncols, rows
 
 
-def _work(segments, rows, lo: int, hi: int, rhs, rhs_cols: int) -> list[list[int]]:
-    """Each of rows, dense over columns lo..hi-1, then its rhs segment over rhs_cols.
+def _groups(A: FieldMatrix, rhs: list[tuple[int, list[int]]] | None, rhs_cols: int):
+    """Yield (width, work rows, los) for each distinct column block of A.
 
-    Every segment of a nonzero row lies within the columns; a zero row's
-    empty segment writes nothing.
+    Each distinct column block of _blocks is eliminated once, its members'
+    right-hand sides side by side: los lists the first columns of the
+    blocks whose rows equal the first's, in order, and a work row is the
+    first's followed by that row's rhs in each later one. A single block,
+    the whole matrix or its one tile, is yielded as it is, without a key.
     """
-    width = hi - lo
-    work, zeros = [], [0] * (width + rhs_cols)
-    for r in rows:
-        start, entries = segments[r]
-        row = zeros[:]
-        row[start - lo : start - lo + len(entries)] = entries
-        if rhs_cols:
-            at, tail = rhs[r]
-            row[width + at : width + at + len(tail)] = tail
-        work.append(row)
-    return work
+    groups, lo = {}, 0
+    for width, work in _blocks(A, rhs, rhs_cols):
+        if width == A.cols:  # the whole matrix, or its one tile
+            yield width, work, [0]
+            return
+        key = [width]
+        for row in work:  # the block's rows on its columns, in order
+            key += row[:width]
+        key = tuple(key)
+        if key in groups:
+            groups[key][1].append(lo)
+            for row, member in zip(groups[key][0], work):
+                row += member[width:]
+        else:
+            groups[key] = (work, [lo])
+        lo += width
+    for key, (work, los) in groups.items():
+        yield key[0], work, los
 
 
 def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Solve A x = b exactly by Gauss-Jordan elimination, block by block.
 
-    A may have more rows than columns; raises SingularMatrixError when the
-    column rank is deficient and InconsistentSystemError when no x exists.
-    Deficient rank takes precedence: it is reported even when the system is
-    also inconsistent.
+    Each distinct column block is eliminated once, its members' right-hand
+    sides side by side (_groups). A may have more rows than columns; raises
+    SingularMatrixError when the column rank is deficient and
+    InconsistentSystemError when no x exists. Deficient rank takes
+    precedence: it is reported even when the system is also inconsistent.
     """
     if A.rows != b.rows:
         raise ValueError("A and b row counts differ")
-    x = []
+    x = [None] * A.cols
     consistent = True
-    for width, work in _blocks(A, b.segments, b.cols):
+    for width, work, los in _groups(A, b.segments, b.cols):
         pivots = _eliminate(A.field, work, width)
         if None in pivots:
             raise SingularMatrixError("coefficient matrix is rank deficient")
         for w in work[width:]:  # zero on the left past the pivots: so must the right be
             consistent = consistent and not any(w[width:])
-        x += [(0, work[p][width:]) for p in pivots]
+        places = list(zip(los, count(width, b.cols)))  # each member's first unknown and rhs column
+        for j, p in enumerate(pivots):
+            for lo, at in places:
+                x[lo + j] = (0, work[p][at : at + b.cols])
     if not consistent:
         raise InconsistentSystemError("no solution: inconsistent system")
     return _matrix(A.field, b.cols, x)
 
 
 def mat_rank(A: FieldMatrix) -> int:
-    """Rank of A: the sum of its column blocks' ranks."""
+    """Rank of A: the sum of its column blocks' ranks, each distinct block ranked once."""
     rank = 0
-    for width, work in _blocks(A, None, 0):
+    for width, work, los in _groups(A, None, 0):
         pivots = _eliminate(A.field, work, width)
-        rank += len(pivots) - pivots.count(None)
+        rank += (len(pivots) - pivots.count(None)) * len(los)
     return rank
 
 

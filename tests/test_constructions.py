@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 import regencode.dss as dss_module
+import regencode.gf as gf_module
 from regencode.cli import parse_recipe
 from regencode.constructions import (
     Shape,
@@ -439,6 +440,40 @@ def test_lost_file_nodes_decode_once_per_shared_system(monkeypatch):
     report = measure_and_compare(filenode_blowup(rs_base(4, 3)))
     assert report.ok and report.checks_run == {"reconstruction": 10, "repair": 20, "total": 30}
     assert len(calls) == 155
+
+
+def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):
+    # the stack of nodes (0, 1, 2, 4) tiles into 3,456 column blocks, the
+    # copies of base(3,2) it holds, of 4 distinct contents
+    dss = iterate(rs_base(3, 2), 2)
+    message = [i * 7 % 256 for i in range(dss.file_len)]
+    contents = encode(dss, message)
+    calls = []
+    eliminate = gf_module._eliminate
+    monkeypatch.setattr(gf_module, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
+    assert reconstruct(dss, (0, 1, 2, 4), contents) == message
+    assert len(calls) <= 4
+
+
+def test_composite_decodes_eliminate_each_distinct_block_once(monkeypatch):
+    # 720 copies of base(3,2) stack into 4,032 column blocks per 3-subset:
+    # the 10 reconstructs eliminate 70 distinct blocks, and each node's
+    # repair, its copies' file nodes among them, is exact from every helper set
+    dss = filenode_blowup(blowup_full(rs_base(3, 2)), budget=10**12)
+    rnd = random.Random(19)
+    message = [rnd.randrange(256) for _ in range(dss.file_len)]
+    contents = encode(dss, message)
+    n, k, d = dss.params.n, dss.params.k, dss.params.d
+    calls = []
+    eliminate = gf_module._eliminate
+    monkeypatch.setattr(gf_module, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
+    for subset in combinations(range(n), k):
+        assert reconstruct(dss, subset, contents) == message, subset
+    assert len(calls) <= 70
+    for failed in range(n):
+        for helpers in combinations([i for i in range(n) if i != failed], d):
+            rebuilt, _ = repair(dss, failed, helpers, contents)
+            assert rebuilt == contents[failed], (failed, helpers)
 
 
 def test_shape_rules_agree_with_tradeoff_without_building():

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -288,6 +290,31 @@ def test_mds_rule_reuses_a_decoder_only_for_its_own_code_and_helpers(monkeypatch
         assert rebuilt == contents[3], (code.label, helpers)
     # a repair that meets the last code and helpers eliminates nothing
     assert len(calls) == 4
+
+
+def test_a_repaired_mds_code_is_freed_at_its_last_reference():
+    # the rule's decoder refers to its code weakly: no cycle code -> rule ->
+    # code for the cyclic collector to find, and a dead code's decoder is
+    # not reused by a code that shares its rule
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code = rs_base(5, 3)
+        rule = code.repair_rule
+        contents = encode(code, [1, 2, 3])
+        assert repair(code, 4, (0, 1, 2), contents)[0] == contents[4]
+        ref = weakref.ref(code)
+        del code
+        assert ref() is None
+        base = rs_base(5, 3)
+        scaled = [GF256.mul(3, x) for x in base.node_gens[4].data[0]]
+        gens = base.node_gens[:4] + [FieldMatrix(GF256, [scaled])]
+        other = LinearDss(base.params, GF256, 3, gens, rule, "scaled", 3)
+        contents = encode(other, [1, 2, 3])
+        assert repair(other, 4, (0, 1, 2), contents)[0] == contents[4]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_extended_point_at_infinity():

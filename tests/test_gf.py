@@ -11,6 +11,9 @@ from regencode.gf import (
     FieldSpec,
     InconsistentSystemError,
     SingularMatrixError,
+    _blocks,
+    _eliminate,
+    _groups,
     is_irreducible,
     mat_inv,
     mat_rank,
@@ -448,3 +451,94 @@ def test_segments_and_dense_rows_agree(field):
             outcomes.add(outcome.__name__)
     assert outcomes == {"solved", "SingularMatrixError", "InconsistentSystemError"}
     assert 0 < split < 30  # both the whole and the split elimination ran
+
+
+def _per_tile_solve(A, b):
+    """The oracle: mat_solve with each column block eliminated on its own."""
+    x = []
+    consistent = True
+    for width, work in _blocks(A, b.segments, b.cols):
+        pivots = _eliminate(A.field, work, width)
+        if None in pivots:
+            raise SingularMatrixError("coefficient matrix is rank deficient")
+        for w in work[width:]:
+            consistent = consistent and not any(w[width:])
+        x += [(0, work[p][width:]) for p in pivots]
+    if not consistent:
+        raise InconsistentSystemError("no solution: inconsistent system")
+    return FieldMatrix.from_segments(A.field, b.cols, x)
+
+
+def _repeated_blocks_case(rnd, field, fault):
+    """A block-diagonal system of a few distinct blocks, each placed many times.
+
+    The blocks run down the diagonal in order, zero rows between them, so
+    equal blocks have equal rows in the same order (the zero rows join the
+    last block, which is never a tall one). The right-hand side is A x0 over
+    1-3 columns, its first column zero half the time, so its segments start
+    past column 0. fault "singular" places a rank-deficient block once,
+    "inconsistent" disturbs the right side of the last of four equal tall
+    blocks, not the first of its group, and "both" does the two in
+    different blocks.
+    """
+    templates = []
+    for _ in range(3):
+        width = rnd.randint(1, 4)
+        while True:
+            block = [[rnd.randrange(field.order) for _ in range(width)]
+                     for _ in range(width + rnd.randint(0, 2))]
+            if mat_rank(FieldMatrix(field, block)) == width:
+                break
+        templates.append(block)
+    tall = [[1, 0], [0, 1], [1, 1]]
+    deficient = [[1, 2], [field.mul(3, 1), field.mul(3, 2)]]
+    layout = [rnd.choice(templates) for _ in range(rnd.randint(50, 70))]
+    for _ in range(4):
+        layout.insert(rnd.randrange(len(layout)), tall)
+    singular_at = rnd.randrange(len(layout)) if fault in ("singular", "both") else None
+    if singular_at is not None:
+        layout[singular_at] = deficient
+    ncols = sum(len(block[0]) for block in layout)
+    data, tall_rows, lo = [], [], 0
+    for block in layout:
+        for row in block:
+            data.append([0] * lo + row + [0] * (ncols - lo - len(row)))
+        if block is tall:
+            tall_rows.append(len(data) - 1)
+        data += [[0] * ncols for _ in range(rnd.choice([0, 0, 1]))]
+        lo += len(block[0])
+    A = FieldMatrix(field, data)
+    assert A.rows * A.cols > WHOLE_MAX_ENTRIES
+    width = rnd.randint(1, 3)
+    x0 = _random_matrix(rnd, field, A.cols, width)
+    rhs = A.mul(x0).data
+    if rnd.random() < 0.5:
+        for row in rhs:
+            row[0] = 0
+    if fault in ("inconsistent", "both"):
+        rhs[tall_rows[-1]][width - 1] ^= 1
+    return A, FieldMatrix(field, rhs)
+
+
+@pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
+def test_grouped_solve_agrees_with_the_per_tile_solve(field):
+    """Each distinct block eliminated once gives the per-tile solve's result or error."""
+    rnd = random.Random(1900 + field.m)
+    starts_past_zero = False
+    for fault in [None, "singular", "inconsistent", "both"] * 5:
+        A, b = _repeated_blocks_case(rnd, field, fault)
+        starts_past_zero |= any(start for start, entries in b.segments if entries)
+        assert len(list(_groups(A, None, 0))) < len(list(_blocks(A, None, 0)))
+        expected = {None: FieldMatrix, "singular": SingularMatrixError,
+                    "inconsistent": InconsistentSystemError, "both": SingularMatrixError}[fault]
+        try:
+            oracle = _per_tile_solve(A, b)
+        except SingularMatrixError as exc:
+            oracle = type(exc)
+        outcome = _solve_outcome(A, b)
+        if expected is FieldMatrix:
+            assert outcome == oracle and A.mul(outcome) == b
+        else:
+            assert outcome is oracle is expected
+        assert mat_rank(A) == A.cols - (fault in ("singular", "both"))
+    assert starts_past_zero
