@@ -337,9 +337,10 @@ def _blocks(A: FieldMatrix, rhs: list[tuple[int, list[int]]] | None, rhs_cols: i
     block's columns. The spans are read off the segments, so finding them
     costs one step a row. Each work row is a new list, the row's entries in
     its block's columns followed by its segment of rhs made dense over
-    rhs_cols columns (rank passes no rhs and 0); a zero row's empty
-    segment writes nothing. A matrix of at most WHOLE_MAX_ENTRIES entries
-    is yielded whole, without finding its spans.
+    rhs_cols columns (rank passes no rhs and 0). A matrix of at most
+    WHOLE_MAX_ENTRIES entries is yielded whole, without finding its spans.
+    Each distinct column block is eliminated once, its members' right-hand
+    sides side by side (_groups).
     """
     segments, ncols = A.segments, A.cols
     whole = A.rows * ncols <= WHOLE_MAX_ENTRIES
