@@ -18,6 +18,7 @@ from .gf import (
     FieldSpec,
     SingularMatrixError,
     _column,
+    _mat_vec,
     _matrix,
     _trim,
     mat_inv,
@@ -127,15 +128,14 @@ class LinearDss:
 
 
 def encode(dss: LinearDss, message: list[int]) -> list[list[int]]:
-    """Node contents G_i * message for every node."""
+    """Node contents G_i * message for every node, one stored row at a time (gf._mat_vec)."""
     if len(message) != dss.file_len:
         raise InputError(
             f"message length {len(message)} != file_len {dss.file_len}"
         )
     if not dss.field.holds(message):
         raise InputError(f"message holds a symbol outside GF(2^{dss.field.m})")
-    column = _column(dss.field, message)
-    return [g.mul(column).col_vector() for g in dss.node_gens]
+    return [_mat_vec(dss.field, g.segments, message) for g in dss.node_gens]
 
 
 def reconstruct(
@@ -177,7 +177,12 @@ def _solve(dss: LinearDss, subset: tuple[int, ...], rhs: FieldMatrix) -> FieldMa
 
 
 def apply_generator(gen: FieldMatrix, symbols: list) -> list:
-    """gen times a column of symbols, e.g. a node's content from the file."""
+    """gen times a column of symbols, e.g. a node's content from the file.
+
+    Elements go row by row (gf._mat_vec), forms through FieldMatrix.mul.
+    """
+    if not _forms(symbols):
+        return _mat_vec(gen.field, gen.segments, symbols)
     rhs, at = _as_matrix(gen.field, symbols)
     return _shaped(gen.mul(rhs), at)
 
@@ -310,12 +315,11 @@ class MdsReencodeRule(RepairRule):
         symbols = []
         for h in helpers:
             symbols += contents[h]
-        rhs, at = _as_matrix(dss.field, symbols)
         decoder = self._decoder
         if decoder is None or decoder[0]() is not dss or decoder[1] != helpers:
             inverse = _solve(dss, helpers, FieldMatrix.identity(dss.field, len(symbols)))
             self._decoder = decoder = (weakref.ref(dss), helpers, inverse)
-        content = _shaped(dss.node_gens[failed].mul(decoder[2]).mul(rhs), at)
+        content = apply_generator(dss.node_gens[failed].mul(decoder[2]), symbols)
         per_helper = dict.fromkeys(helpers, dss.alpha_symbols)
         return content, BandwidthReport(per_helper)
 

@@ -4,17 +4,15 @@ Field elements are ints in [0, 2^m); addition is XOR. Multiplication, inverse
 and powers are lookups in log/antilog tables that each field builds once.
 A matrix keeps each row as one segment, a start column and the entries from
 there on, outside which the row is zero; a generator row keeps its first to
-its last nonzero column. Rank and solve eliminate block by
-block: each row spans its segment, overlapping spans merge into runs of
-columns that tile the matrix, as the stacked generators of a composed code
-split into its copies' column blocks, and each run is laid out on its own
-columns, its rows made dense only there. So a split costs the rows and
-their nonzeros, not rows times columns. Each distinct column block is
-eliminated once, its members' right-hand sides side by side. A solve
-reads its right-hand side's segments as they are, made dense only in the
-rows it eliminates.
-The pivot-row and matrix-product loops find nonzero entries with
-itertools.compress, so they skip zeros at C speed.
+its last nonzero column. Rank and solve eliminate block by block: each row
+spans its segment, and overlapping spans merge into runs of columns that
+tile the matrix, as the stacked generators of a composed code split into
+its copies' column blocks. The blocks are grouped by their segments, and
+each distinct one is laid out once, dense only on its own columns with its
+members' right-hand sides side by side, and eliminated once. So a split
+costs the rows and their nonzeros, not rows times columns. A matrix times
+a vector of elements walks each row's segment (_mat_vec); the pivot-row and
+matrix-product loops find nonzeros with itertools.compress, at C speed.
 """
 
 from __future__ import annotations
@@ -264,6 +262,23 @@ def _column(field: FieldSpec, vec: list[int]) -> FieldMatrix:
     return _matrix(field, 1, [(0, [v]) for v in vec])
 
 
+def _mat_vec(field: FieldSpec, segments: list, vec: list[int]) -> list[int]:
+    """The segments' matrix times the column vec, as a list; no check.
+
+    Row by row, the XOR over the nonzeros e of its segment, against vec's
+    nonzeros m, of exp[log e + log m]: a product costs its nonzeros.
+    """
+    exp, log, out = field._exp, field._log, []
+    for start, entries in segments:
+        acc, j = 0, start
+        for e in entries:
+            if e and (m := vec[j]):
+                acc ^= exp[log[e] + log[m]]
+            j += 1
+        out.append(acc)
+    return out
+
+
 def _trim(row: list[int], at: int = 0) -> tuple[int, list[int]]:
     """A dense row's segment, from its first to its last nonzero column.
 
@@ -327,45 +342,14 @@ def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
 WHOLE_MAX_ENTRIES = 4096
 
 
-def _blocks(A: FieldMatrix, rhs: list[tuple[int, list[int]]] | None, rhs_cols: int):
-    """Yield (width, work rows) for each column block of A, in column order.
-
-    The blocks are the merged column spans of A's segments (_tiles). They
-    tile the columns, as the stacked generators of a composed code split
-    into its copies, and each row is zero outside its block: ranks and
-    solutions add up block by block, and a zero column is one of its
-    block's columns. The spans are read off the segments, so finding them
-    costs one step a row. Each work row is a new list, the row's entries in
-    its block's columns followed by its segment of rhs made dense over
-    rhs_cols columns (rank passes no rhs and 0). A matrix of at most
-    WHOLE_MAX_ENTRIES entries is yielded whole, without finding its spans.
-    Each distinct column block is eliminated once, its members' right-hand
-    sides side by side (_groups).
-    """
-    segments, ncols = A.segments, A.cols
-    whole = A.rows * ncols <= WHOLE_MAX_ENTRIES
-    tiles = [(0, ncols, range(A.rows))] if whole else _tiles(segments, ncols)
-    for lo, hi, rows in tiles:
-        width = hi - lo
-        work, zeros = [], [0] * (width + rhs_cols)
-        for r in rows:
-            start, entries = segments[r]
-            row = zeros[:]
-            row[start - lo : start - lo + len(entries)] = entries
-            if rhs_cols:
-                at, tail = rhs[r]
-                row[width + at : width + at + len(tail)] = tail
-            work.append(row)
-        yield width, work
-
-
 def _tiles(segments, ncols: int):
     """Yield (lo, hi, rows) for each merged column span of the segments, in column order.
 
     Each tile runs from the previous tile's end to its merged span's end,
     the last one to column ncols, so the tiles cover every column; rows
     lists the indices of the segments inside it, in span order. A zero
-    row spans the last column alone.
+    row spans the last column alone. Each row is zero outside its tile, so
+    ranks and solutions add up tile by tile; the tiles are found by a sort.
     """
     spans = sorted(
         (start, start + len(entries), r) if entries else (ncols - 1, ncols, r)
@@ -383,33 +367,60 @@ def _tiles(segments, ncols: int):
     yield lo, ncols, rows
 
 
+def _layout(segments, lo: int, width: int, rows, rhs, rhs_cols: int, later=()):
+    """The work rows of the block of rows on the width columns from lo.
+
+    Work row i is a new list: row i's entries there, then its rhs segment
+    dense over rhs_cols columns (rank: no rhs, 0), then those of row i of
+    each later group member, whose segments later holds member by member.
+    """
+    n, work = len(rows), []
+    zeros = [0] * (width + (len(later) // (n or 1) + 1) * rhs_cols)
+    for i, r in enumerate(rows):
+        start, entries = segments[r]
+        row = zeros[:]
+        row[start - lo : start - lo + len(entries)] = entries
+        if rhs_cols:
+            at, tail = rhs[r]
+            row[width + at : width + at + len(tail)] = tail
+            at = width + rhs_cols
+            for s, tail in later[i::n] if later else ():
+                row[at + s : at + s + len(tail)] = tail
+                at += rhs_cols
+        work.append(row)
+    return work
+
+
 def _groups(A: FieldMatrix, rhs: list[tuple[int, list[int]]] | None, rhs_cols: int):
     """Yield (width, work rows, los) for each distinct column block of A.
 
-    Each distinct column block of _blocks is eliminated once, its members'
-    right-hand sides side by side: los lists the first columns of the
-    blocks whose rows equal the first's, in order, and a work row is the
-    first's followed by that row's rhs in each later one. A single block,
-    the whole matrix or its one tile, is yielded as it is, without a key.
+    The blocks are A's tiles, keyed on their segments: the width, then each
+    row's start in the block, length and entries. Each distinct block is
+    laid out once (_layout), its first tile's rows with every member's rhs
+    beside them, so one elimination serves them all; los lists the
+    members' first columns, in order. The whole matrix (at most
+    WHOLE_MAX_ENTRIES entries) or its one tile is laid out without a key.
     """
-    groups, lo = {}, 0
-    for width, work in _blocks(A, rhs, rhs_cols):
-        if width == A.cols:  # the whole matrix, or its one tile
-            yield width, work, [0]
+    segments, ncols, groups = A.segments, A.cols, {}
+    whole = A.rows * ncols <= WHOLE_MAX_ENTRIES
+    for lo, hi, rows in [(0, ncols, range(A.rows))] if whole else _tiles(segments, ncols):
+        width = hi - lo
+        if width == ncols:  # the whole matrix, or its one tile
+            yield width, _layout(segments, 0, width, rows, rhs, rhs_cols), [0]
             return
         key = [width]
-        for row in work:  # the block's rows on its columns, in order
-            key += row[:width]
+        for r in rows:
+            start, entries = segments[r]
+            key += (start - lo, len(entries))
+            key += entries
         key = tuple(key)
         if key in groups:
             groups[key][1].append(lo)
-            for row, member in zip(groups[key][0], work):
-                row += member[width:]
+            groups[key][2] += [rhs[r] for r in rows] if rhs_cols else []
         else:
-            groups[key] = (work, [lo])
-        lo += width
-    for key, (work, los) in groups.items():
-        yield key[0], work, los
+            groups[key] = [rows, [lo], []]
+    for key, (rows, los, later) in groups.items():
+        yield key[0], _layout(segments, los[0], key[0], rows, rhs, rhs_cols, later), los
 
 
 def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -25,7 +26,7 @@ from regencode.dss import (
     repair,
     rs_base,
 )
-from regencode.gf import GF2, GF16, GF256, FieldMatrix, _blocks
+from regencode.gf import GF2, GF16, GF256, FieldMatrix, _layout, _tiles
 from regencode.tradeoff import (
     OperatingPoint,
     RangeError,
@@ -455,6 +456,26 @@ def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):
     assert len(calls) <= 4
 
 
+def test_nested_encode_and_reconstruct_cost_their_segments(monkeypatch):
+    # encode walks each stored row's segment and builds no product matrix;
+    # a reconstruct lays out the coefficient rows of each of its 4 distinct
+    # column blocks once, not those of each of its 3,456 tiles
+    dss = iterate(rs_base(3, 2), 2)
+    message = [i * 7 % 256 for i in range(dss.file_len)]
+    tracemalloc.start()
+    try:
+        contents = encode(dss, message)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300_000
+    calls = []
+    layout = gf_module._layout
+    monkeypatch.setattr(gf_module, "_layout", lambda *a: calls.append(1) or layout(*a))
+    assert reconstruct(dss, (0, 1, 2, 4), contents) == message
+    assert len(calls) <= 4
+
+
 def test_composite_decodes_eliminate_each_distinct_block_once(monkeypatch):
     # 720 copies of base(3,2) stack into 4,032 column blocks per 3-subset:
     # the 10 reconstructs eliminate 70 distinct blocks, and each node's
@@ -517,7 +538,10 @@ def test_stacks_split_into_the_leaf_copies_column_blocks():
             expected += [(c, c + 2)] if joined else [(c, c + 1), (c + 1, c + 2)]
         spans, placed, lo = [], [], 0
         tags = [(0, [r]) for r in range(len(rows))]  # each row's index, as its rhs
-        for width, work in _blocks(FieldMatrix(dss.field, rows), tags, 1):
+        stack = FieldMatrix(dss.field, rows)
+        for at, end, tile in _tiles(stack.segments, stack.cols):
+            width = end - at
+            work = _layout(stack.segments, at, width, tile, tags, 1)
             spans.append((lo, lo + width))
             for *entries, r in work:
                 assert entries == rows[r][lo : lo + width] and any(entries)

@@ -11,9 +11,12 @@ from regencode.gf import (
     FieldSpec,
     InconsistentSystemError,
     SingularMatrixError,
-    _blocks,
+    _column,
     _eliminate,
     _groups,
+    _layout,
+    _mat_vec,
+    _tiles,
     is_irreducible,
     mat_inv,
     mat_rank,
@@ -453,11 +456,33 @@ def test_segments_and_dense_rows_agree(field):
     assert 0 < split < 30  # both the whole and the split elimination ran
 
 
+@pytest.mark.parametrize("field", [GF2, GF16, GF256], ids=["GF2", "GF16", "GF256"])
+def test_mat_vec_agrees_with_the_one_column_product(field):
+    """_mat_vec equals the product with a one-column matrix, read off as a column."""
+    rnd = random.Random(2000 + field.m)
+    seen = set()
+    for _ in range(40):
+        A, _ = _segment_case(rnd, field)
+        segments = A.segments + [(0, [])]
+        rnd.shuffle(segments)
+        A = FieldMatrix.from_segments(field, A.cols, segments)
+        vec = [rnd.randrange(field.order) if rnd.random() < 0.7 else 0 for _ in range(A.cols)]
+        product = _mat_vec(field, A.segments, vec)
+        assert product == A.mul(_column(field, vec)).col_vector()
+        seen.add("interior zero" if any(0 in e[1:-1] for _, e in segments) else None)
+        seen.add("start past 0" if any(s and e for s, e in segments) else None)
+        seen.add("zero symbol" if 0 in vec else None)
+        seen.add("nonzero row" if any(product) else None)
+    assert seen >= {"interior zero", "start past 0", "zero symbol", "nonzero row"}
+
+
 def _per_tile_solve(A, b):
     """The oracle: mat_solve with each column block eliminated on its own."""
     x = []
     consistent = True
-    for width, work in _blocks(A, b.segments, b.cols):
+    for lo, hi, rows in _tiles(A.segments, A.cols):
+        width = hi - lo
+        work = _layout(A.segments, lo, width, rows, b.segments, b.cols)
         pivots = _eliminate(A.field, work, width)
         if None in pivots:
             raise SingularMatrixError("coefficient matrix is rank deficient")
@@ -528,7 +553,7 @@ def test_grouped_solve_agrees_with_the_per_tile_solve(field):
     for fault in [None, "singular", "inconsistent", "both"] * 5:
         A, b = _repeated_blocks_case(rnd, field, fault)
         starts_past_zero |= any(start for start, entries in b.segments if entries)
-        assert len(list(_groups(A, None, 0))) < len(list(_blocks(A, None, 0)))
+        assert len(list(_groups(A, None, 0))) < len(list(_tiles(A.segments, A.cols)))
         expected = {None: FieldMatrix, "singular": SingularMatrixError,
                     "inconsistent": InconsistentSystemError, "both": SingularMatrixError}[fault]
         try:
