@@ -16,16 +16,16 @@ generators. Repair runs one rule over the copies, so exact repair is
 inherited from the parts and bandwidth is accounted per copy. The copies
 that repair the same part node from the same part helpers share one part
 repair, and those whose lost file node decodes from the same part nodes
-share one decode, on field elements and on forms alike: an element copy is
-one column of its right-hand side, a form copy the span of columns its
-segments cover, so a proof on the forms is not repaired copy by copy.
+share one decode: element copies as rows, a column per copy (a part
+handed rows concatenates its copies'), and form copies equal up to a
+column shift as one run, its result moved to each copy's columns.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .dss import (
     BandwidthReport,
@@ -34,12 +34,9 @@ from .dss import (
     RepairRule,
     ResourceError,
     _decode,
-    _dense,
-    _forms,
-    _span,
     apply_generator,
 )
-from .gf import _matrix, _trim
+from .gf import _matrix
 from .tradeoff import RangeError, SystemParams
 
 # generator entries n * alpha * B a composite may span, dense; the segments
@@ -158,12 +155,13 @@ class _CopiesRule(RepairRule):
     to the part's rule unchecked. The copies taking the part repair are
     grouped by (part, lost part node, chosen part helpers), and the copies
     whose lost file node decodes from the same part nodes, read in part
-    order, by (part, _FILE, those nodes). Each group of several runs the
-    part's rule or _decode once on its copies' symbols laid side by side
-    (_side_by_side), whether they are elements, forms, or the rows a level
-    above handed down; a copy alone reads its own slices. Each copy keeps
-    its slots in the output and counts the group's transfers through its
-    own helpers.
+    order, by (part, _FILE, those nodes). A group runs the part's rule or
+    _decode once on its element copies zipped into rows, or on its row
+    copies concatenated; a copy alone reads its own slices. Form copies run
+    once per key (_relative), on its first member's reads, and each takes
+    the result moved to its own columns (see RepairRule). Each copy keeps
+    its slots in the output and counts its run's transfers through its own
+    helpers.
     """
 
     def __init__(self, description, copies):
@@ -240,17 +238,30 @@ class _CopiesRule(RepairRule):
                 [contents[q][s : s + alpha] for q, s in map(cand.__getitem__, chosen)]
                 for _, cand in members
             ]
-            if len(members) == 1:  # a copy alone reads its own slices
-                rows, unlay = copies[0], lambda rebuilt: [rebuilt]
+            shape = type(copies[0][0][0])
+            if shape is tuple and len(members) > 1:  # forms: a run per value up to a shift
+                runs, done = {}, []
+                for reads in copies:
+                    first, key = _relative(reads)
+                    if key not in runs:
+                        runs[key] = first, _run(part, u, chosen, reads)
+                    origin, (rebuilt, per_helper) = runs[key]
+                    moved = [(s + first - origin, e) if e else (0, []) for s, e in rebuilt]
+                    done.append((moved, per_helper))
             else:
-                rows, unlay = _side_by_side(copies)
-            if u == _FILE:
-                rebuilt = _decode(part, chosen, [symbol for read in rows for symbol in read])
-                per_helper = dict.fromkeys(chosen, alpha)
-            else:
-                rebuilt, report = part.repair_rule.execute(part, u, chosen, dict(zip(chosen, rows)))
-                per_helper = report.per_helper
-            for (slot, cand), piece in zip(members, unlay(rebuilt)):
+                if len(members) == 1:  # a copy alone reads its own slices
+                    rows, unlay = copies[0], lambda rebuilt: [rebuilt]
+                elif shape is int:  # element copies zipped into rows, a column each
+                    rows = [[list(t) for t in zip(*h)] for h in zip(*copies)]
+                    unlay = lambda rebuilt: zip(*rebuilt)
+                else:  # row copies concatenated, each on its own run of columns
+                    rows = [[list(itertools.chain(*t)) for t in zip(*h)] for h in zip(*copies)]
+                    width = len(copies[0][0][0])
+                    cuts = range(0, len(members) * width, width)
+                    unlay = lambda rebuilt: [[r[i : i + width] for r in rebuilt] for i in cuts]
+                rebuilt, per_helper = _run(part, u, chosen, rows)
+                done = [(piece, per_helper) for piece in unlay(rebuilt)]
+            for (slot, cand), (piece, per_helper) in zip(members, done):
                 out[slot : slot + len(piece)] = piece
                 for w, amount in per_helper.items():
                     counts[cand[w][0]] += amount
@@ -258,41 +269,27 @@ class _CopiesRule(RepairRule):
         return out, BandwidthReport(counts)
 
 
-def _side_by_side(copies: list) -> tuple[list, Callable]:
-    """The symbols of one part repair's copies, laid side by side as rows of forms.
+def _run(part, u, chosen, reads):
+    """Part node u (or for _FILE the file) rebuilt from reads, and each chosen helper's transfer."""
+    if u == _FILE:
+        symbols = [symbol for read in reads for symbol in read]
+        return _decode(part, chosen, symbols), dict.fromkeys(chosen, part.alpha_symbols)
+    rebuilt, report = part.repair_rule.execute(part, u, chosen, dict(zip(chosen, reads)))
+    return rebuilt, report.per_helper
 
-    copies[i][j] holds what copy i reads from its j-th chosen helper. An
-    element copy takes one column, a form copy the span of columns its
-    segments cover, so row t of helper j holds every copy's t-th symbol
-    from it. Returns the rows, per helper, and the function that splits the
-    rebuilt rows back into each copy's symbols.
+
+def _relative(reads):
+    """A form copy's first column, and a key shared by the copies equal to it up to a shift.
+
+    The key holds each segment's start from that column (0 for a zero row), length and entries.
     """
-    reads = range(len(copies[0]))
-    if not _forms(copies[0][0]):
-        rows = [[(0, list(row)) for row in zip(*[c[j] for c in copies])] for j in reads]
-        return rows, lambda rebuilt: list(zip(*_dense(rebuilt, len(copies))))
-
-    spans = [_span([symbol for read in copy for symbol in read]) for copy in copies]
-    offsets = list(itertools.accumulate([end - first for first, end in spans], initial=0))
-    width, rows = offsets.pop(), []
-    for j in reads:
-        helper_rows = []
-        for t in range(len(copies[0][j])):
-            row = [0] * width
-            for copy, (first, _), off in zip(copies, spans, offsets):
-                start, entries = copy[j][t]
-                row[off + start - first : off + start - first + len(entries)] = entries
-            helper_rows.append((0, row))
-        rows.append(helper_rows)
-
-    def unlay(rebuilt):
-        dense = _dense(rebuilt, width)
-        return [
-            [_trim(row[off : off + end - first], first) for row in dense]
-            for (first, end), off in zip(spans, offsets)
-        ]
-
-    return rows, unlay
+    first = min((start for read in reads for start, entries in read if entries), default=0)
+    key = []
+    for read in reads:
+        for start, entries in read:
+            key += (start - first if entries else 0, len(entries))
+            key += entries
+    return first, tuple(key)
 
 
 def _compose(name, parts, arg=None, budget=None):

@@ -59,17 +59,19 @@ class RepairRule:
 
     A stored symbol is a field element or a linear form over the message
     (node i's forms are G_i's rows). The public calls take field elements
-    only; forms are private to execute and the verifier, and have one shape,
-    the segment (start, entries) a generator stores its rows as, so a proof
-    on the forms costs the columns they cover, not the file's width. execute
-    gets elements or segments and returns the failed node's symbols in that
-    shape (segments trimmed to their nonzeros, a zero row (0, [])) with each
-    helper's transfer. It may slice, decode (_decode) and multiply by fixed
-    matrices (apply_generator), but not branch on stored values: so one run
-    on the forms proves it exact for every file. The public repair checks
-    contents once and execute reads only the helpers' entries (contents is
-    indexed by node), so a rule runs its parts' rules directly on slices of
-    checked contents.
+    only. Inside, a symbol is an element; a row, a plain list of one element
+    per copy of a batch a composite hands its part; or a form, the segment
+    (start, entries) a generator stores its rows as, so a proof on the
+    forms costs the columns they cover, not the file's width. execute gets
+    symbols of one shape and returns the failed node's symbols in that
+    shape (segments trimmed to their nonzeros, a zero row (0, [])) with
+    each helper's transfer. It may slice, decode (_decode) and multiply by
+    fixed matrices (apply_generator), but not branch on stored values: so
+    one run on the forms proves it exact for every file, and a rule acts on
+    each column alone, so its output on input moved by some columns is that
+    output moved as far. The public repair checks contents once and
+    execute reads only the helpers' entries (contents is indexed by node),
+    so a rule runs its parts' rules directly on slices of checked contents.
     """
 
     kind = "abstract"
@@ -160,7 +162,7 @@ def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
     repair rule takes from contents its public call has checked.
     """
     rhs, at = _as_matrix(dss.field, symbols)
-    return _shaped(_solve(dss, subset, rhs), at)
+    return _shaped(_solve(dss, subset, rhs), symbols, at)
 
 
 def _solve(dss: LinearDss, subset: tuple[int, ...], rhs: FieldMatrix) -> FieldMatrix:
@@ -179,34 +181,40 @@ def _solve(dss: LinearDss, subset: tuple[int, ...], rhs: FieldMatrix) -> FieldMa
 def apply_generator(gen: FieldMatrix, symbols: list) -> list:
     """gen times a column of symbols, e.g. a node's content from the file.
 
-    Elements go row by row (gf._mat_vec), forms through FieldMatrix.mul.
+    Elements go row by row (gf._mat_vec), rows and forms through FieldMatrix.mul.
     """
-    if not _forms(symbols):
+    if type(symbols[0]) is int:
         return _mat_vec(gen.field, gen.segments, symbols)
     rhs, at = _as_matrix(gen.field, symbols)
-    return _shaped(gen.mul(rhs), at)
+    return _shaped(gen.mul(rhs), symbols, at)
 
 
-def _as_matrix(field: FieldSpec, symbols: list) -> tuple[FieldMatrix, int | None]:
-    """Symbols as a matrix, and the column its first column stands for.
+def _as_matrix(field: FieldSpec, symbols: list) -> tuple[FieldMatrix, int]:
+    """Symbols of one shape (see RepairRule) as a matrix, and the column its first stands for.
 
-    Segments become rows over the columns they cover, from the first they
-    start at (a zero row (0, []) starts at 0); elements become one column,
-    at None.
+    Elements become one column and rows the matrix's rows, both at 0;
+    segments cover their columns from the first they start at (a zero row
+    (0, []) starts at 0).
     """
-    if not _forms(symbols):
-        return _column(field, symbols), None
+    shape = type(symbols[0])
+    if shape is int:
+        return _column(field, symbols), 0
+    if shape is list:
+        return _matrix(field, len(symbols[0]), [(0, row) for row in symbols]), 0
     at, end = _span(symbols)
     if at:
         symbols = [(start - at, entries) for start, entries in symbols]
     return _matrix(field, end - at, symbols), at
 
 
-def _shaped(matrix: FieldMatrix, at: int | None) -> list:
-    """_as_matrix undone on a result: its rows trimmed and moved back by at, or a column."""
-    if at is None:
+def _shaped(matrix: FieldMatrix, like: list, at: int) -> list:
+    """_as_matrix(like) undone on a result, whose rows are whole: like's shape, moved back by at."""
+    shape = type(like[0])
+    if shape is int:
         return matrix.col_vector()
-    return [_trim(row, at) for _, row in matrix.segments]  # results keep rows whole
+    if shape is list:
+        return [row for _, row in matrix.segments]
+    return [_trim(row, at) for _, row in matrix.segments]
 
 
 def _span(segments: list) -> tuple[int, int]:
@@ -218,11 +226,6 @@ def _span(segments: list) -> tuple[int, int]:
         if start + len(entries) > end:
             end = start + len(entries)
     return first, end
-
-
-def _forms(symbols: list) -> bool:
-    """Segments or field elements: the one test of the shape execute gets."""
-    return type(symbols[0]) is tuple
 
 
 def _dense(segments: list, width: int) -> list[list[int]]:

@@ -395,8 +395,8 @@ def test_composed_codes_verify_exhaustively():
     ],
 )
 def test_batched_element_repair_agrees_with_the_forms_route(recipe):
-    # copies share one part repair per (part, lost node, part helpers): an
-    # element copy as one column, a form copy as the span its segments cover.
+    # copies share one part repair per (part, lost node, part helpers): element
+    # copies as rows, a column per copy, and form copies once per column shift.
     # Twins, file nodes and lost files are among the routes these recipes
     # take; the last recipe's lost file nodes decode overdetermined systems,
     # where a repair map taken from unit forms would be inconsistent
@@ -416,17 +416,23 @@ def test_batched_element_repair_agrees_with_the_forms_route(recipe):
 
 def test_nested_repair_solves_each_distinct_system_once(monkeypatch):
     # 1,728 part repairs of 3 distinct 2 x 2 systems: the top level makes 4
-    # groups, and the nested level batches the rows each group hands it into
-    # one solve per distinct system
+    # groups and hands each its copies as rows, a column per copy; the nested
+    # level runs its copies' rows concatenated, so the base rule runs 12 times
+    # and solves each distinct system once per run (as forms keyed by column
+    # shift, the batches would run it 72 times)
     dss = iterate(rs_base(3, 2), 2)
     contents = encode(dss, [i % 256 for i in range(dss.file_len)])
-    calls = []
-    solve = dss_module.mat_solve
+    calls, runs = [], []
+    solve, execute = dss_module.mat_solve, dss_module.MdsReencodeRule.execute
     monkeypatch.setattr(dss_module, "mat_solve", lambda *a: calls.append(1) or solve(*a))
+    monkeypatch.setattr(
+        dss_module.MdsReencodeRule, "execute", lambda *a: runs.append(1) or execute(*a)
+    )
     rebuilt, bw = repair(dss, 0, (1, 2, 3, 4), contents)
     assert rebuilt == contents[0]
     assert bw.per_helper == {h: 864 for h in (1, 2, 3, 4)}
     assert len(calls) == 12
+    assert len(runs) == 12
 
 
 def test_lost_file_nodes_decode_once_per_shared_system(monkeypatch):
