@@ -228,11 +228,6 @@ def _span(segments: list) -> tuple[int, int]:
     return first, end
 
 
-def _dense(segments: list, width: int) -> list[list[int]]:
-    """Segments as dense rows of the width given."""
-    return [[0] * s + e + [0] * (width - s - len(e)) for s, e in segments]
-
-
 def repair(
     dss: LinearDss,
     failed: int,

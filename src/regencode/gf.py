@@ -3,16 +3,17 @@
 Field elements are ints in [0, 2^m); addition is XOR. Multiplication, inverse
 and powers are lookups in log/antilog tables that each field builds once.
 A matrix keeps each row as one segment, a start column and the entries from
-there on, outside which the row is zero; a generator row keeps its first to
-its last nonzero column. Rank and solve eliminate block by block: each row
-spans its segment, and overlapping spans merge into runs of columns that
-tile the matrix, as the stacked generators of a composed code split into
-its copies' column blocks. The blocks are grouped by their segments, and
-each distinct one is laid out once, dense only on its own columns with its
-members' right-hand sides side by side, and eliminated once. So a split
-costs the rows and their nonzeros, not rows times columns. A matrix times
-a vector of elements walks each row's segment (_mat_vec); the pivot-row and
-matrix-product loops find nonzeros with itertools.compress, at C speed.
+there on, outside which the row is zero; a generator row keeps its first to its
+last nonzero column. Rank and solve take two paths: a matrix of at most
+WHOLE_MAX_ENTRIES entries is eliminated whole, a larger one block by block.
+Each row spans its segment, and overlapping spans merge into runs of columns
+that tile the matrix, as the stacked generators of a composed code split into
+its copies' column blocks. The blocks are grouped by their segments, and each
+distinct one is laid out once, dense only on its own columns with its members'
+right-hand sides side by side, and eliminated once. So a split costs the rows
+and their nonzeros, not rows times columns. A matrix times a vector of elements
+walks each row's segment (_mat_vec); the pivot-row and matrix-product loops
+find nonzeros with itertools.compress, at C speed.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ class FieldMatrix:
             isinstance(other, FieldMatrix)
             and self.field == other.field
             and self.cols == other.cols
-            and self.data == other.data
+            and _trimmed(self.segments) == _trimmed(other.segments)
         )
 
     def __repr__(self) -> str:
@@ -292,6 +293,11 @@ def _trim(row: list[int], at: int = 0) -> tuple[int, list[int]]:
     if first is None:
         return 0, []
     return at + first, row[first : len(row) - next(compress(index, reversed(row)))]
+
+
+def _trimmed(segments: list) -> list:
+    """The segments with their end zeros trimmed: equal iff their dense rows are."""
+    return [_trim(entries, start) for start, entries in segments]
 
 
 def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
@@ -394,20 +400,20 @@ def _layout(segments, lo: int, width: int, rows, rhs, rhs_cols: int, later=()):
 def _groups(A: FieldMatrix, rhs: list[tuple[int, list[int]]] | None, rhs_cols: int):
     """Yield (width, work rows, los) for each distinct column block of A.
 
-    The blocks are A's tiles, keyed on their segments: the width, then each
-    row's start in the block, length and entries. Each distinct block is
-    laid out once (_layout), its first tile's rows with every member's rhs
-    beside them, so one elimination serves them all; los lists the
-    members' first columns, in order. The whole matrix (at most
-    WHOLE_MAX_ENTRIES entries) or its one tile is laid out without a key.
+    Two paths. A matrix of at most WHOLE_MAX_ENTRIES entries is one block,
+    laid out whole without a key. Otherwise the blocks are A's tiles,
+    keyed on their segments: the width, then each row's start in the
+    block, length and entries. Each distinct block is laid out once
+    (_layout), its first tile's rows with every member's rhs beside them,
+    so one elimination serves them all; los lists the members' first
+    columns, in order.
     """
     segments, ncols, groups = A.segments, A.cols, {}
-    whole = A.rows * ncols <= WHOLE_MAX_ENTRIES
-    for lo, hi, rows in [(0, ncols, range(A.rows))] if whole else _tiles(segments, ncols):
+    if A.rows * ncols <= WHOLE_MAX_ENTRIES:
+        yield ncols, _layout(segments, 0, ncols, range(A.rows), rhs, rhs_cols), [0]
+        return
+    for lo, hi, rows in _tiles(segments, ncols):
         width = hi - lo
-        if width == ncols:  # the whole matrix, or its one tile
-            yield width, _layout(segments, 0, width, rows, rhs, rhs_cols), [0]
-            return
         key = [width]
         for r in rows:
             start, entries = segments[r]

@@ -229,9 +229,6 @@ def split_params(p: SystemParams, l: int) -> SplitSpec:
     sizes = tuple([n1] * (l - 1) + [p.n - (l - 1) * n1])
     k_parts = tuple(s - p.epsilon for s in sizes)
     d_parts = tuple(s - p.delta for s in sizes)
-    for s, kj, dj in zip(sizes, k_parts, d_parts):
-        if not 1 <= kj <= dj <= s - 1:
-            raise RangeError(f"split piece ({s},{kj},{dj}) is not a valid system")
     return SplitSpec(l, sizes, k_parts, d_parts)
 
 

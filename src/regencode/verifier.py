@@ -7,7 +7,8 @@ gamma and with a predicted operating point. The code is linear, so both
 sweeps are proofs: a k-subset rebuilds the file iff its stacked generators
 have column rank B, and a linear repair rule (dss.RepairRule) is exact for
 every file iff one run on the generator rows returns the failed node's
-rows. That run, holding no data, measures the bandwidth.
+rows, compared by segments, then by segments trimmed: never dense. That
+run, holding no data, measures the bandwidth.
 
 Reconstruction is proved on column blocks, from the generators alone. The
 stacked generators of all n nodes tile into merged column spans, each row
@@ -44,8 +45,8 @@ from itertools import combinations
 from math import comb
 from operator import itemgetter
 
-from .dss import CodeInvariantError, LinearDss, _dense
-from .gf import _matrix, _tiles, mat_rank
+from .dss import CodeInvariantError, LinearDss
+from .gf import _matrix, _tiles, _trimmed, mat_rank
 from .tradeoff import OperatingPoint
 
 EXHAUSTIVE_LIMIT = 10**5
@@ -262,9 +263,9 @@ def _sweep(dss: LinearDss, pairs):
     _check_repair returns it). The forms are the generators' own segments,
     alpha per node as LinearDss holds them, and each pair runs the repair
     rule directly: the plan yields only d sorted helpers in range, never
-    the failed node. A rebuilt node must be its generator's segments, or,
-    where those keep zeros at their ends (rebuilt ones are trimmed), its
-    dense rows.
+    the failed node. A rebuilt node is compared by its generator's
+    segments, then, as generators may keep zeros at their ends, by both
+    sides' segments trimmed (gf._trimmed), never as dense rows.
     """
     forms = [g.segments for g in dss.node_gens]
     execute = dss.repair_rule.execute
@@ -276,7 +277,7 @@ def _sweep(dss: LinearDss, pairs):
         except CodeInvariantError:
             rebuilt = None  # the rule decoded from helpers that do not determine the file
         if rebuilt != forms[failed] and (
-            rebuilt is None or _dense(rebuilt, dss.file_len) != dss.node_gens[failed].data
+            rebuilt is None or _trimmed(rebuilt) != _trimmed(forms[failed])
         ):
             return run, (failed, helpers), bandwidth
         total, deviation = bw.total, bw.max_deviation()

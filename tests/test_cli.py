@@ -189,6 +189,7 @@ def test_cli_construct_budget_refuses_before_building(monkeypatch, capsys):
         ["construct", "base(4,2)", "--frobnicate"],
         ["construct"],
         ["curve", "--n", "4", "--k", "3", "--d", "3", "--samples", "many"],
+        ["curve", "--n", "4", "--k", "3", "--d", "3", "--samples", "1"],
         ["construct", "base(4,2)", "--strict-basis"],  # removed flag
         ["construct", "blowup_simple(" * 1200 + "base(3,2)" + ")" * 1200],  # over-nested
         # zero denominators
@@ -243,6 +244,22 @@ def test_cli_curve_refuses_samples_over_the_ceiling(capsys):
         curve_csv(SystemParams(4, 3, 3), F(1), MAX_SAMPLES + 1)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--n", "4", "--k", "3", "--d", "3"],
+        ["asymptotic", "--n", "2", "--k", "1", "--d", "1"],
+        ["construct", "base(3,2)"],
+    ],
+    ids=["curve", "asymptotic", "construct"],
+)
+def test_cli_unwritable_out_exits_input(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"  # its directory does not exist
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_curve_bad_params(capsys):
     assert main(["curve", "--n", "4", "--k", "3", "--d", "2"]) == EXIT_INPUT
     capsys.readouterr()
@@ -255,6 +272,16 @@ def test_cli_compare_output(capsys):
     assert "capacity   8/3  (2.66666666667)" in out
     assert "p1         8/3  (2.66666666667)  x=2" in out
     assert "timeshare  5/2  (2.5)" in out
+
+
+@pytest.mark.parametrize("gamma", ["1/2", "4"], ids=["below_alpha", "above_msr"])
+def test_cli_compare_outside_the_curve_prints_dashes(gamma, capsys):
+    # (4,3,3) at alpha 1 has gamma_MSR = 3: timeshare and p1 hold only on [1, 3]
+    assert main(["compare", "--n", "4", "--k", "3", "--d", "3",
+                 "--alpha", "1", "--gamma", gamma]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "timeshare  -" in lines and "p1         -" in lines
+    assert lines[0].startswith("capacity   ")
 
 
 def test_cli_compare_rational_alpha(capsys):

@@ -20,13 +20,12 @@ from regencode.constructions import (
 from regencode.dss import (
     InputError,
     ResourceError,
-    _dense,
     encode,
     reconstruct,
     repair,
     rs_base,
 )
-from regencode.gf import GF2, GF16, GF256, FieldMatrix, _layout, _tiles
+from regencode.gf import GF2, GF16, GF256, FieldMatrix, _layout, _matrix, _tiles
 from regencode.tradeoff import (
     OperatingPoint,
     RangeError,
@@ -248,10 +247,11 @@ def test_concat_repair_is_the_owning_part_repair_shifted():
             own_forms, own = part.repair_rule.execute(
                 part, failed - node_off, tuple(local[: part.params.d]), part_forms[j]
             )
-            own_rows = _dense(own_forms, part.file_len)
+            own_rows = _matrix(GF256, part.file_len, own_forms).data
             assert bw.per_helper == {q: own.per_helper.get(q - node_off, 0) for q in helpers}
             pad = 5 - col_off - part.file_len
-            assert _dense(rebuilt, 5) == [[0] * col_off + row + [0] * pad for row in own_rows]
+            placed = _matrix(GF256, 5, rebuilt).data
+            assert placed == [[0] * col_off + row + [0] * pad for row in own_rows]
             pairs += 1
     assert pairs == 7
 
@@ -329,6 +329,11 @@ def test_concat_mismatch_errors():
         concat([rs_base(3, 2, GF2), rs_base(3, 2, GF256)])  # field differs
     with pytest.raises(InputError):
         concat([])
+
+
+def test_shape_predict_refuses_an_unknown_construction():
+    with pytest.raises(ValueError, match="unknown construction 'unfold'"):
+        Shape.predict("unfold", [rs_base(3, 2, GF2)])
 
 
 def test_copy_blowup_example():

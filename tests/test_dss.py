@@ -340,6 +340,20 @@ def test_uniform_alpha_enforced():
         LinearDss(SystemParams(3, 2, 2), GF2, 2, gens, MdsReencodeRule(), "bad", 2)
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [FieldMatrix(GF2, [[1, 0]]), FieldMatrix(GF2, [[0, 1]])],  # two generators for n = 3
+        [FieldMatrix(GF2, [[1, 0]]), FieldMatrix(GF2, [[0, 1]]), FieldMatrix(GF2, [[1, 1, 0]])],
+        [FieldMatrix(GF2, [[1, 0]]), FieldMatrix(GF2, [[0, 1]]), FieldMatrix(GF16, [[1, 1]])],
+    ],
+    ids=["count", "shape", "field"],
+)
+def test_linear_dss_refuses_mismatched_generators(gens):
+    with pytest.raises(InputError):
+        LinearDss(SystemParams(3, 2, 2), GF2, 2, gens, MdsReencodeRule(), "bad", 2)
+
+
 def test_json_serialization_stable():
     dss = rs_base(3, 2, GF2)
     doc = to_json(dss)

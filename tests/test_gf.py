@@ -131,6 +131,7 @@ def test_field_axioms_random(field):
 
 
 def test_irreducibility_check():
+    assert not is_irreducible(1)  # degree 0: a unit, no field extension
     assert is_irreducible(0b111)  # x^2 + x + 1
     assert not is_irreducible(0b101)  # x^2 + 1 = (x+1)^2
     assert is_irreducible(0x11D)
@@ -187,6 +188,33 @@ def test_mat_inv_round_trip():
         pts = rnd.sample(range(256), 3)
         A = FieldMatrix(GF256, [[GF256.pow(x, j) for j in range(3)] for x in pts])
         assert A.mul(mat_inv(A)) == FieldMatrix.identity(GF256, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FieldMatrix(GF256, [[1, 2]]).col_vector(),  # two columns
+        lambda: FieldMatrix(GF256, [[1, 2]]).mul(FieldMatrix.identity(GF256, 3)),
+        lambda: mat_solve(FieldMatrix.identity(GF256, 2), FieldMatrix.column(GF256, [1, 2, 3])),
+        lambda: mat_inv(FieldMatrix(GF256, [[1, 2]])),  # not square
+    ],
+    ids=["col_vector", "mul", "mat_solve", "mat_inv"],
+)
+def test_shape_mismatches_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_matrices_equal_by_their_rows_not_their_segments():
+    # a segment may keep zeros at its ends; equality reads the rows they render
+    A = FieldMatrix(GF256, [[0, 5, 0], [0, 0, 0], [1, 2, 3]])
+    padded = FieldMatrix.from_segments(GF256, 3, [(0, [0, 5, 0]), (1, [0, 0]), (0, [1, 2, 3])])
+    assert padded.segments != A.segments and padded == A
+    assert FieldMatrix.from_segments(GF256, 3, [(1, [5]), (0, []), (0, [1, 2, 3])]) == A
+    assert FieldMatrix.from_segments(GF256, 3, [(2, [5]), (0, []), (0, [1, 2, 3])]) != A
+    assert FieldMatrix(GF256, [[0, 5, 0], [0, 0, 0]]) != A  # a row fewer
+    assert FieldMatrix(GF16, A.data) != A  # another field
+    assert FieldMatrix(GF256, [row + [0] for row in A.data]) != A  # a column more
 
 
 def test_matrix_keeps_its_rows_and_operations_leave_them_unchanged():

@@ -23,7 +23,6 @@ from regencode.dss import (
     CodeInvariantError,
     LinearDss,
     _decode,
-    _dense,
     _span,
     apply_generator,
 )
@@ -31,7 +30,7 @@ from regencode.gf import _matrix, _trim
 from regencode.verifier import measure_and_compare
 
 
-def _side_by_side(copies):
+def _side_by_side(field, copies):
     """The old forms layout: each copy dense over the span of its segments, side by side."""
     spans = [_span([symbol for read in copy for symbol in read]) for copy in copies]
     offsets = list(itertools.accumulate([end - first for first, end in spans], initial=0))
@@ -47,7 +46,7 @@ def _side_by_side(copies):
         rows.append(helper_rows)
 
     def unlay(rebuilt):
-        dense = _dense(rebuilt, width)
+        dense = _matrix(field, width, rebuilt).data
         return [
             [_trim(row[off : off + end - first], first) for row in dense]
             for (first, end), off in zip(spans, offsets)
@@ -107,7 +106,7 @@ def _oracle_execute(self, dss, failed, helpers, contents):
         if len(members) == 1:
             rows, unlay = copies[0], lambda rebuilt: [rebuilt]
         else:
-            rows, unlay = _side_by_side(copies)
+            rows, unlay = _side_by_side(part.field, copies)
         if u == _FILE:
             rebuilt = _decode(part, chosen, [symbol for read in rows for symbol in read])
             per_helper = dict.fromkeys(chosen, alpha)

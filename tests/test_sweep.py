@@ -17,7 +17,8 @@ from itertools import combinations
 
 from regencode.cli import parse_recipe
 from regencode.constructions import Shape
-from regencode.dss import InputError, ResourceError, _dense, rs_base, to_json_dict
+from regencode.dss import InputError, ResourceError, rs_base, to_json_dict
+from regencode.gf import _matrix
 from regencode.tradeoff import OperatingPoint, RangeError
 from regencode.verifier import measure_and_compare
 
@@ -96,6 +97,6 @@ def test_random_recipes_build_verify_and_repair_as_recorded():
         for failed in range(n):
             for helpers in combinations([i for i in range(n) if i != failed], d):
                 rebuilt, bandwidth = code.repair_rule.execute(code, failed, helpers, forms)
-                rows = _dense(rebuilt, code.file_len)
+                rows = _matrix(code.field, code.file_len, rebuilt).data
                 digest.update(repr((failed, helpers, rows, bandwidth.per_helper)).encode())
     assert digest.hexdigest() == SWEEP_DIGEST

@@ -199,6 +199,38 @@ def test_split_params_examples():
         split_params(SystemParams(9, 8, 8), 5)
 
 
+def test_every_admitted_split_yields_valid_pieces():
+    # split_params checks no piece: l <= n // (n+1-k) leaves every piece at
+    # least n+1-k nodes, so 1 <= k_j <= d_j <= s-1 follows from the params
+    splits = 0
+    for n in range(2, 41):
+        for k in range(1, n):
+            for d in range(k, n):
+                p = SystemParams(n, k, d)
+                for l in range(1, max_split_count(p) + 1):
+                    spec = split_params(p, l)
+                    assert sum(spec.sizes) == n
+                    for piece in zip(spec.sizes, spec.k_parts, spec.d_parts):
+                        SystemParams(*piece)  # RangeError unless a valid system
+                    splits += 1
+    assert splits == 15634
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: functional_capacity(SystemParams(4, 3, 3), 0, 1),
+        lambda: functional_capacity(SystemParams(4, 3, 3), 1, F(-1, 2)),
+        lambda: msr_point(SystemParams(4, 3, 3), 0),
+        lambda: mbr_point(SystemParams(4, 3, 3), -1),
+    ],
+    ids=["capacity_alpha", "capacity_gamma", "msr", "mbr"],
+)
+def test_non_positive_sizes_raise_range_error(call):
+    with pytest.raises(RangeError):
+        call()
+
+
 def test_perf_p2_examples():
     pt = perf_p2(SystemParams(9, 8, 8), 1, 3)
     assert (pt.gamma, pt.file_size) == (2, 6)

@@ -22,10 +22,9 @@ from regencode.dss import (
     LinearDss,
     MdsReencodeRule,
     RepairRule,
-    _dense,
     rs_base,
 )
-from regencode.gf import GF2, GF256, FieldMatrix, mat_rank
+from regencode.gf import GF2, GF256, FieldMatrix, _matrix, mat_rank
 from regencode.tradeoff import OperatingPoint, SystemParams, perf_p1
 from regencode.verifier import measure_and_compare
 
@@ -204,7 +203,8 @@ def _f_major_sweep(dss, report, pairs, by_helpers):
         except CodeInvariantError:
             rebuilt = None
         if rebuilt != forms[failed] and (
-            rebuilt is None or _dense(rebuilt, dss.file_len) != dss.node_gens[failed].data
+            rebuilt is None
+            or _matrix(dss.field, dss.file_len, rebuilt).data != dss.node_gens[failed].data
         ):
             report.repair_ok = False
             report.repair_counterexample = (failed, helpers)
@@ -357,6 +357,35 @@ def test_repair_proofs_on_the_nested_code_cost_its_segments():
     assert report.mode == {"kind": "exhaustive"}
     assert report.ok and report.symmetric
     assert peak < 64 * 2**20, peak
+
+
+def _first_row_flipped(dss):
+    """The code with 1 XORed into the nonzero entries of node 0's first generator segment."""
+    gens = list(dss.node_gens)
+    (start, entries), *rest = gens[0].segments
+    first = (start, [e ^ 1 if e else 0 for e in entries])
+    gens[0] = _matrix(dss.field, dss.file_len, [first] + rest)
+    return LinearDss(
+        dss.params, dss.field, dss.file_len, gens, dss.repair_rule,
+        dss.label + "/flipped", dss.gamma_symbols,
+    )
+
+
+def test_a_failing_repair_proof_of_the_nested_code_costs_its_segments():
+    # a rebuilt node that differs from its generator is compared on trimmed
+    # segments: rendering both sides dense peaked at about 152 MB traced
+    dss = _first_row_flipped(iterate(rs_base(3, 2), 2))
+    tracemalloc.start()
+    try:
+        report = measure_and_compare(dss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mode == {"kind": "exhaustive"}
+    assert report.reconstruction_counterexample == (0, 1, 3, 4)
+    assert report.repair_counterexample == (0, (1, 2, 3, 4))
+    assert report.checks_run == {"reconstruction": 3, "repair": 1, "total": 4}
+    assert peak < 5 * 2**20, peak
 
 
 def test_generators_keeping_zeros_at_their_segment_ends_verify():
