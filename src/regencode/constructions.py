@@ -15,8 +15,9 @@ per row and no dense row. Reconstruction is one solve over the stacked
 generators. Repair runs one rule over the copies, so exact repair is
 inherited from the parts and bandwidth is accounted per copy. The copies
 that repair the same part node from the same part helpers share one part
-repair, and those whose lost file node decodes from the same part nodes
-share one decode: element copies as rows, a column per copy (a part
+repair, those that compute it from a file node share one product, and
+those whose lost file node decodes from the same part nodes share one
+decode: element copies as rows, a column per copy (a part
 handed rows concatenates its copies'), and form copies equal up to a
 column shift as one run, its result moved to each copy's columns.
 """
@@ -153,15 +154,16 @@ class _CopiesRule(RepairRule):
     position numbers, so it is equidistributed across the permuted copies.
     Slices of the contents the public repair has checked go to _decode and
     to the part's rule unchecked. The copies taking the part repair are
-    grouped by (part, lost part node, chosen part helpers), and the copies
-    whose lost file node decodes from the same part nodes, read in part
-    order, by (part, _FILE, those nodes). A group runs the part's rule or
-    _decode once on its element copies zipped into rows, or on its row
-    copies concatenated; a copy alone reads its own slices. Form copies run
-    once per key (_relative), on its first member's reads, and each takes
-    the result moved to its own columns (see RepairRule). Each copy keeps
-    its slots in the output and counts its run's transfers through its own
-    helpers.
+    grouped by (part, lost part node, chosen part helpers), those that
+    download it from a file node by (part, lost part node, (_FILE,)), and
+    the copies whose lost file node decodes from the same part nodes, read
+    in part order, by (part, _FILE, those nodes). A group runs the part's
+    rule, the product by the lost node's generator or _decode once on its
+    element copies zipped into rows, or on its row copies concatenated; a
+    copy alone reads its own slices. Form copies run once per key
+    (_relative), on its first member's reads, and each takes the result
+    moved to its own columns (see RepairRule). Each copy keeps its slots in
+    the output and counts its run's transfers through its own helpers.
     """
 
     def __init__(self, description, copies):
@@ -175,7 +177,8 @@ class _CopiesRule(RepairRule):
         counts = dict.fromkeys(helpers, 0)
         out: list = []
         # part repairs, grouped by (part, lost part node, chosen part helpers),
-        # and file decodes, by (part, _FILE, part nodes read)
+        # file-node downloads by (part, lost part node, (_FILE,)), and file
+        # decodes by (part, _FILE, part nodes read)
         groups = {}
 
         for part, hosts in self.copies:
@@ -210,10 +213,10 @@ class _CopiesRule(RepairRule):
                 continue
             file_at = at.get((_FILE,))
             if file_at is not None:
-                # a file node computes the lost content and sends it
-                q, s = file_at
-                out.extend(apply_generator(part.node_gens[u], contents[q][s : s + part.file_len]))
-                counts[q] += alpha
+                # a file node computes the lost content and sends it; the
+                # copy's slots in out are filled once its group has run
+                groups.setdefault((part, u, (_FILE,)), []).append((len(out), {_FILE: file_at}))
+                out += [0] * alpha
                 continue
 
             # part repair: collect distinct part helpers (part nodes and
@@ -233,9 +236,9 @@ class _CopiesRule(RepairRule):
         # its copies (never a repair map taken from unit forms: they are
         # inconsistent where a lost file decodes k*alpha > B symbols)
         for (part, u, chosen), members in groups.items():
-            alpha = part.alpha_symbols
+            size = part.file_len if chosen == (_FILE,) else part.alpha_symbols
             copies = [
-                [contents[q][s : s + alpha] for q, s in map(cand.__getitem__, chosen)]
+                [contents[q][s : s + size] for q, s in map(cand.__getitem__, chosen)]
                 for _, cand in members
             ]
             shape = type(copies[0][0][0])
@@ -270,10 +273,15 @@ class _CopiesRule(RepairRule):
 
 
 def _run(part, u, chosen, reads):
-    """Part node u (or for _FILE the file) rebuilt from reads, and each chosen helper's transfer."""
+    """Part node u (or for _FILE the file) rebuilt from reads, and each chosen helper's transfer.
+
+    chosen is part nodes, or (_FILE,) for node u computed from the file a file node holds.
+    """
     if u == _FILE:
         symbols = [symbol for read in reads for symbol in read]
         return _decode(part, chosen, symbols), dict.fromkeys(chosen, part.alpha_symbols)
+    if chosen == (_FILE,):
+        return apply_generator(part.node_gens[u], reads[0]), {_FILE: part.alpha_symbols}
     rebuilt, report = part.repair_rule.execute(part, u, chosen, dict(zip(chosen, reads)))
     return rebuilt, report.per_helper
 

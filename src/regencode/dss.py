@@ -18,8 +18,10 @@ from .gf import (
     FieldSpec,
     SingularMatrixError,
     _column,
+    _mat_forms,
     _mat_vec,
     _matrix,
+    _span,
     _trim,
     mat_inv,
     mat_solve,
@@ -181,10 +183,15 @@ def _solve(dss: LinearDss, subset: tuple[int, ...], rhs: FieldMatrix) -> FieldMa
 def apply_generator(gen: FieldMatrix, symbols: list) -> list:
     """gen times a column of symbols, e.g. a node's content from the file.
 
-    Elements go row by row (gf._mat_vec), rows and forms through FieldMatrix.mul.
+    Elements go row by row (gf._mat_vec), forms too, each output form
+    summed from the input forms' segments (gf._mat_forms); rows, one
+    element per copy of a batch, go through FieldMatrix.mul.
     """
-    if type(symbols[0]) is int:
+    shape = type(symbols[0])
+    if shape is int:
         return _mat_vec(gen.field, gen.segments, symbols)
+    if shape is tuple:
+        return _mat_forms(gen.field, gen.segments, symbols)
     rhs, at = _as_matrix(gen.field, symbols)
     return _shaped(gen.mul(rhs), symbols, at)
 
@@ -215,17 +222,6 @@ def _shaped(matrix: FieldMatrix, like: list, at: int) -> list:
     if shape is list:
         return [row for _, row in matrix.segments]
     return [_trim(row, at) for _, row in matrix.segments]
-
-
-def _span(segments: list) -> tuple[int, int]:
-    """The columns the segments cover, first to past the last."""
-    first, end = segments[0][0], 0
-    for start, entries in segments:
-        if start < first:
-            first = start
-        if start + len(entries) > end:
-            end = start + len(entries)
-    return first, end
 
 
 def repair(
@@ -294,32 +290,115 @@ class MdsReencodeRule(RepairRule):
 
     At d = k the helpers' stacked generators G_H are square (d * alpha =
     B), and the failed node's content is G_failed * G_H^-1 * the helpers'
-    symbols. The rule keeps the decoder of the last helper system it
-    eliminated: one (weakref to the code, helpers, G_H^-1) triple, set in
-    one assignment and reused only for the same code object and the same
-    helpers. So repairs that take one helper set in a row, as the
-    verifier's sweep does, eliminate G_H once; a code that shares the rule
-    object with other generators never reads another code's decoder; the
-    rule holds at most one B x B matrix, which the code's budget already
-    covers; and a code is freed at its last reference, not kept alive by
-    its own rule. A single repair pays an inverse where a solve on its own
-    symbols would do.
+    symbols. The rule decodes by exchange: the first helper system H0 it
+    meets for a code, and that is invertible, is eliminated once, and node
+    i's rows in that basis, X_i = G_i * G_H0^-1, are built when first read
+    (_Basis). Since G_H = X_H * G_H0, a helper set H that swaps the nodes Q
+    in for the nodes M of H0 (S = H & H0 stays) inverts only the square
+    minor X_{Q,M}, j * alpha wide for j = |Q| <= min(k, n - k); call its
+    inverse Z. The failed node's coefficients over the helpers are then
+    X_{f,S} + X_{f,M} Z X_{Q,S} on S's symbols and X_{f,M} Z on Q's, the
+    first term skipped when S is empty. A singular minor is a singular
+    G_H: CodeInvariantError. The rule keeps one basis, the last code's,
+    which refers to its code weakly, so a code is freed at its last
+    reference and a code sharing the rule object never reads another's
+    basis; the basis keeps the decoder of its last helper set, so the
+    verifier's sweep, which takes one helper set in a row, inverts each
+    minor once. Everything it keeps is built from generators alone, and
+    at most n * alpha x B entries, the generators' own size laid out dense.
     """
 
     kind = "mds_reencode"
-    _decoder = None
+    _basis = None
 
     def execute(self, dss, failed, helpers, contents):
         symbols = []
         for h in helpers:
             symbols += contents[h]
-        decoder = self._decoder
-        if decoder is None or decoder[0]() is not dss or decoder[1] != helpers:
-            inverse = _solve(dss, helpers, FieldMatrix.identity(dss.field, len(symbols)))
-            self._decoder = decoder = (weakref.ref(dss), helpers, inverse)
-        content = apply_generator(dss.node_gens[failed].mul(decoder[2]), symbols)
+        basis = self._basis
+        if basis is None or basis.code() is not dss:
+            basis = self._basis = _Basis(dss, helpers)
+        coefficients = basis.row(dss, failed).mul(basis.decoder(dss, helpers))
         per_helper = dict.fromkeys(helpers, dss.alpha_symbols)
-        return content, BandwidthReport(per_helper)
+        return apply_generator(coefficients, symbols), BandwidthReport(per_helper)
+
+
+class _Basis:
+    """A d = k code's node rows X_i = G_i * G_H0^-1 in the basis of one helper system H0.
+
+    `decoder(helpers)` is X_H^-1 with its columns in the helpers' symbol
+    order, so X_f * decoder is the failed node's coefficients over the
+    helpers' symbols: a unit row for each column of a node of H0 that
+    stays, and for the columns of the nodes M swapped out the rows of
+    Z * [X_{Q,S} | I], one solve of the minor X_{Q,M}. The last decoder
+    built is kept with its helpers.
+    """
+
+    __slots__ = ("code", "first", "unit", "inverse", "x", "last")
+
+    def __init__(self, dss: LinearDss, helpers: tuple[int, ...]):
+        alpha = dss.alpha_symbols
+        size = len(helpers) * alpha
+        self.unit = FieldMatrix.identity(dss.field, size)
+        self.inverse = _solve(dss, helpers, self.unit)
+        self.code = weakref.ref(dss)
+        self.first = dict(zip(helpers, range(0, size, alpha)))  # H0's nodes, first column each
+        self.x = [None] * dss.params.n  # X_i by node, built when first read
+        self.last = None, None
+
+    def row(self, dss: LinearDss, i: int) -> FieldMatrix:
+        """X_i, dense rows."""
+        x = self.x[i]
+        if x is None:
+            x = self.x[i] = dss.node_gens[i].mul(self.inverse)
+        return x
+
+    def decoder(self, dss: LinearDss, helpers: tuple[int, ...]) -> FieldMatrix:
+        """X_H^-1, its columns in the helpers' symbol order, the last one kept."""
+        if self.last[0] == helpers:
+            return self.last[1]
+        alpha, first = dss.alpha_symbols, self.first
+        width = len(helpers) * alpha
+        if first.keys().isdisjoint(helpers):  # every node swapped: the minor is X_H
+            minor = []
+            for q in helpers:
+                minor += self.row(dss, q).segments
+            decoder = _minor(dss, helpers, minor, self.unit)
+        else:
+            rows, stay, swapped = [None] * width, [], []  # stay: (column, helper symbol)
+            for t, h in zip(range(0, width, alpha), helpers):
+                c = first.get(h)
+                if c is None:
+                    swapped.append((h, t))
+                else:  # a unit row: the column is the helper's own symbol
+                    for r in range(alpha):
+                        rows[c + r] = (t + r, [1])
+                        stay.append((c + r, t + r))
+            if swapped:
+                out = [c for c in range(width) if rows[c] is None]  # the columns of M
+                minor, right = [], []  # X_{Q,M}, and [X_{Q,S} | I] at the helpers' symbols
+                for q, t in swapped:
+                    for r, (_, x) in enumerate(self.row(dss, q).segments):
+                        minor.append((0, [x[c] for c in out]))
+                        row = [0] * width
+                        for c, s in stay:
+                            row[s] = x[c]
+                        row[t + r] = 1
+                        right.append((0, row))
+                z = _minor(dss, helpers, minor, _matrix(dss.field, width, right))
+                for c, row in zip(out, z.segments):
+                    rows[c] = row
+            decoder = _matrix(dss.field, width, rows)
+        self.last = helpers, decoder
+        return decoder
+
+
+def _minor(dss: LinearDss, helpers: tuple[int, ...], minor: list, right: FieldMatrix):
+    """Z * right for the square minor's rows, Z its inverse; CodeInvariantError if singular."""
+    try:
+        return mat_solve(_matrix(dss.field, len(minor), minor), right)
+    except SingularMatrixError as exc:
+        raise CodeInvariantError(f"helpers {helpers} do not determine the file: {exc}") from exc
 
 
 def rs_base(n: int, k: int, field: FieldSpec = GF256) -> LinearDss:

@@ -12,8 +12,9 @@ its copies' column blocks. The blocks are grouped by their segments, and each
 distinct one is laid out once, dense only on its own columns with its members'
 right-hand sides side by side, and eliminated once. So a split costs the rows
 and their nonzeros, not rows times columns. A matrix times a vector of elements
-walks each row's segment (_mat_vec); the pivot-row and matrix-product loops
-find nonzeros with itertools.compress, at C speed.
+(_mat_vec), or of forms, segments themselves (_mat_forms), walks each row's
+segment; the pivot-row and matrix-product loops find nonzeros with
+itertools.compress, at C speed.
 """
 
 from __future__ import annotations
@@ -278,6 +279,41 @@ def _mat_vec(field: FieldSpec, segments: list, vec: list[int]) -> list[int]:
             j += 1
         out.append(acc)
     return out
+
+
+def _mat_forms(field: FieldSpec, segments: list, forms: list) -> list:
+    """The segments' matrix times a column of forms (segments), as forms; no check.
+
+    Row by row, the XOR over the nonzeros e of its segment of e times the
+    form at e's column, summed over the columns the forms cover and trimmed
+    to its nonzeros (a zero row (0, [])): as in _mat_vec, a product costs
+    the nonzeros it meets, and no form is laid out as a matrix.
+    """
+    exp, log, out = field._exp, field._log, []
+    first, end = _span(forms)
+    for start, entries in segments:
+        acc = [0] * (end - first)
+        for j, e in enumerate(entries, start):
+            if e:
+                at, form = forms[j]
+                le, at = log[e], at - first
+                for m in form:
+                    if m:
+                        acc[at] ^= exp[le + log[m]]
+                    at += 1
+        out.append(_trim(acc, first))
+    return out
+
+
+def _span(segments: list) -> tuple[int, int]:
+    """The columns the segments cover, first to past the last."""
+    first, end = segments[0][0], 0
+    for start, entries in segments:
+        if start < first:
+            first = start
+        if start + len(entries) > end:
+            end = start + len(entries)
+    return first, end
 
 
 def _trim(row: list[int], at: int = 0) -> tuple[int, list[int]]:

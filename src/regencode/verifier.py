@@ -21,8 +21,10 @@ subsets against the failing blocks only.
 
 Repair is proved helper set by helper set: the pairs that share their
 helpers run in a row, so a rule that keeps the decoder of its last helper
-system (dss.MdsReencodeRule) eliminates each system once, and the sweep
-keeps running bandwidth totals, not a report per pair. If a pair fails,
+set (dss.MdsReencodeRule, which eliminates one reference system per code
+and, for each other helper set, the minor of the nodes it swaps in) builds
+each decoder once, and the sweep keeps running bandwidth totals, not a
+report per pair. If a pair fails,
 the pairs are walked again in plan order up to the first failure, so the
 counterexample, the count and the measurement over the pairs before it
 are those of a sweep in plan order.
@@ -241,8 +243,8 @@ def _check_repair(dss: LinearDss, report: VerificationReport, pairs, by_helpers)
     """Prove the pairs by one repair on the generator rows each, grouped by helpers.
 
     by_helpers holds the plan's pairs with those that share their helpers
-    in a row, so a rule that keeps its last decoder eliminates each helper
-    system once. If one fails, the pairs are walked again in plan order up
+    in a row, so a rule that keeps its last decoder builds each helper
+    set's once. If one fails, the pairs are walked again in plan order up
     to the first failure, which is recorded as the counterexample. Returns
     (count run, bandwidth), bandwidth the (least total, largest total,
     largest max_deviation) of the pairs proved, or None if none was: the

@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
+import regencode.constructions as constructions_module
 import regencode.dss as dss_module
 import regencode.gf as gf_module
 from regencode.cli import parse_recipe
@@ -423,35 +425,52 @@ def test_nested_repair_solves_each_distinct_system_once(monkeypatch):
     # 1,728 part repairs of 3 distinct 2 x 2 systems: the top level makes 4
     # groups and hands each its copies as rows, a column per copy; the nested
     # level runs its copies' rows concatenated, so the base rule runs 12 times
-    # and solves each distinct system once per run (as forms keyed by column
-    # shift, the batches would run it 72 times)
+    # (as forms keyed by column shift, the batches would run it 72 times).
+    # The rule eliminates the first helper system it meets, 2 wide, once; a
+    # run on another helper set than the one before it solves the 1 x 1
+    # minor of the node it swaps in, and 3 runs meet the last or the first
     dss = iterate(rs_base(3, 2), 2)
     contents = encode(dss, [i % 256 for i in range(dss.file_len)])
-    calls, runs = [], []
+    widths, runs = [], []
     solve, execute = dss_module.mat_solve, dss_module.MdsReencodeRule.execute
-    monkeypatch.setattr(dss_module, "mat_solve", lambda *a: calls.append(1) or solve(*a))
+    monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: widths.append(A.cols) or solve(A, b))
     monkeypatch.setattr(
         dss_module.MdsReencodeRule, "execute", lambda *a: runs.append(1) or execute(*a)
     )
     rebuilt, bw = repair(dss, 0, (1, 2, 3, 4), contents)
     assert rebuilt == contents[0]
     assert bw.per_helper == {h: 864 for h in (1, 2, 3, 4)}
-    assert len(calls) == 12
+    assert widths == [2] + [1] * 8
     assert len(runs) == 12
 
 
 def test_lost_file_nodes_decode_once_per_shared_system(monkeypatch):
     # in each of the 20 repair proofs, the 24 copies whose file node is lost
-    # read 4 distinct sets of 3 part nodes: 4 decodes, beside 4 part repairs
-    # (one a copy, 28 a pair, before the decodes were shared); the base's
-    # rule keeps its last decoder, so 5 part repairs meet the helper system
-    # the one before them eliminated
-    calls = []
+    # read 4 distinct sets of 3 part nodes: 4 decodes, 3 wide, beside 4 part
+    # repairs (one a copy, 28 a pair, before the decodes were shared); the
+    # base's rule eliminates the first helper system it meets once, 3 wide,
+    # and 56 of the 80 part repairs solve the 1 x 1 minor of the node their
+    # helper set swaps in (the others meet the last helper set or the first)
+    widths = []
     solve = dss_module.mat_solve
-    monkeypatch.setattr(dss_module, "mat_solve", lambda *a: calls.append(1) or solve(*a))
+    monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: widths.append(A.cols) or solve(A, b))
     report = measure_and_compare(filenode_blowup(rs_base(4, 3)))
     assert report.ok and report.checks_run == {"reconstruction": 10, "repair": 20, "total": 30}
-    assert len(calls) == 155
+    assert Counter(widths) == {3: 80 + 1, 1: 56}
+
+
+def test_file_node_downloads_run_once_per_shift(monkeypatch):
+    # the copies that compute part node u from a file node read equal forms
+    # up to a column shift: one product per (part, u) and shift key, 4 a
+    # pair, where each of the 72 such copies of a pair took its own
+    products = []
+    product = constructions_module.apply_generator
+    monkeypatch.setattr(
+        constructions_module, "apply_generator", lambda *a: products.append(1) or product(*a)
+    )
+    report = measure_and_compare(filenode_blowup(rs_base(4, 3)))
+    assert report.ok and report.checks_run["repair"] == 20
+    assert len(products) == 20 * 4
 
 
 def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):

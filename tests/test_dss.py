@@ -275,21 +275,25 @@ def test_repair_exhaustive_rs52():
 
 def test_mds_rule_reuses_a_decoder_only_for_its_own_code_and_helpers(monkeypatch):
     # a second code shares the rule object, with node 0's generator scaled
-    # by 3: the first code's decoder for helpers (0, 1) would rebuild it wrong
+    # by 3: the first code's basis or decoder for helpers (0, 1) would
+    # rebuild it wrong
     base = rs_base(4, 2, GF256)
     scaled = [GF256.mul(3, x) for x in base.node_gens[0].data[0]]
     gens = [FieldMatrix(GF256, [scaled])] + base.node_gens[1:]
     other = LinearDss(base.params, GF256, 2, gens, base.repair_rule, "scaled", 2)
-    calls = []
+    widths = []
     solve = dss_module.mat_solve
-    monkeypatch.setattr(dss_module, "mat_solve", lambda *a: calls.append(1) or solve(*a))
+    monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: widths.append(A.cols) or solve(A, b))
     for code, helpers in [(base, (0, 1)), (base, (0, 1)), (other, (0, 1)), (other, (0, 1)),
                           (other, (1, 2)), (base, (0, 1))]:
         contents = encode(code, [7, 9])
         rebuilt, _ = repair(code, 3, helpers, contents)
         assert rebuilt == contents[3], (code.label, helpers)
-    # a repair that meets the last code and helpers eliminates nothing
-    assert len(calls) == 4
+    # the rule keeps one basis, its last code's: a repair that meets another
+    # code eliminates that code's helper system whole (2 wide), one that
+    # meets the last code and helpers nothing, and (1, 2) swaps node 2 in
+    # for node 0 of other's reference (0, 1): a 1 x 1 minor
+    assert widths == [2, 2, 1, 2]
 
 
 def test_a_repaired_mds_code_is_freed_at_its_last_reference():

@@ -15,8 +15,10 @@ from regencode.gf import (
     _eliminate,
     _groups,
     _layout,
+    _mat_forms,
     _mat_vec,
     _tiles,
+    _trimmed,
     is_irreducible,
     mat_inv,
     mat_rank,
@@ -595,3 +597,25 @@ def test_grouped_solve_agrees_with_the_per_tile_solve(field):
             assert outcome is oracle is expected
         assert mat_rank(A) == A.cols - (fault in ("singular", "both"))
     assert starts_past_zero
+
+
+@pytest.mark.parametrize("field", [GF2, GF16, GF256], ids=["GF2", "GF16", "GF256"])
+def test_mat_forms_agrees_with_the_product_by_the_forms_as_a_matrix(field):
+    """_mat_forms equals the product with the forms' matrix, its rows trimmed."""
+    rnd = random.Random(2400 + field.m)
+    seen = set()
+    for _ in range(40):
+        A, _ = _segment_case(rnd, field)
+        width = rnd.randint(1, 30)
+        forms = []
+        for _ in range(A.cols):
+            start = rnd.randrange(width)
+            entries = [rnd.randrange(field.order) if rnd.random() < 0.6 else 0
+                       for _ in range(rnd.randint(0, width - start))]
+            forms.append((start, entries))
+        product = _mat_forms(field, A.segments, forms)
+        assert product == _trimmed(A.mul(FieldMatrix.from_segments(field, width, forms)).segments)
+        seen.add("zero form" if any(not any(e) for _, e in forms) else None)
+        seen.add("zero product row" if (0, []) in product else None)
+        seen.add("nonzero product row" if any(e for _, e in product) else None)
+    assert seen >= {"zero form", "zero product row", "nonzero product row"}

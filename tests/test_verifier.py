@@ -2,6 +2,7 @@ import inspect
 import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
@@ -281,13 +282,21 @@ def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
 
 
 def test_repair_proof_eliminates_each_helper_system_once(monkeypatch):
-    # 168 pairs share 56 helper sets, each serving the 3 nodes outside it
-    calls = []
+    # the C(n, k) helper sets each serve the n - k nodes outside them. The
+    # first is eliminated whole, k wide; every other one that swaps j nodes
+    # into it solves a j x j minor, j <= min(k, n - k), and there are
+    # C(k, j) * C(n - k, j) of those: at most 3 wide for rs_base(8, 5), 4
+    # for rs_base(16, 12)
+    widths = []
     solve = dss_module.mat_solve
-    monkeypatch.setattr(dss_module, "mat_solve", lambda *a: calls.append(1) or solve(*a))
-    report = measure_and_compare(rs_base(8, 5))
-    assert report.ok and report.checks_run["repair"] == 168
-    assert len(calls) == comb(8, 5) == 56
+    monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: widths.append(A.cols) or solve(A, b))
+    for n, k in [(8, 5), (16, 12)]:
+        widths.clear()
+        report = measure_and_compare(rs_base(n, k))
+        assert report.ok and report.checks_run["repair"] == comb(n, k) * (n - k)
+        minors = {j: comb(k, j) * comb(n - k, j) for j in range(1, min(k, n - k) + 1)}
+        assert Counter(widths) == {k: 1, **minors}
+        assert len(widths) == comb(n, k)
 
 
 def test_repair_proof_keeps_running_bandwidth_totals():
