@@ -299,25 +299,28 @@ class MdsReencodeRule(RepairRule):
     inverse Z. The failed node's coefficients over the helpers are then
     X_{f,S} + X_{f,M} Z X_{Q,S} on S's symbols and X_{f,M} Z on Q's, the
     first term skipped when S is empty. A singular minor is a singular
-    G_H: CodeInvariantError. The rule keeps one basis, the last code's,
-    which refers to its code weakly, so a code is freed at its last
-    reference and a code sharing the rule object never reads another's
-    basis; the basis keeps the decoder of its last helper set, so the
-    verifier's sweep, which takes one helper set in a row, inverts each
-    minor once. Everything it keeps is built from generators alone, and
-    at most n * alpha x B entries, the generators' own size laid out dense.
+    G_H: CodeInvariantError. The rule keeps one basis per code, keyed
+    weakly, so codes that share the rule object each keep their own and
+    switching between them eliminates nothing, and a code's basis goes
+    with its last reference; a basis keeps the decoder of its last helper
+    set, so the verifier's sweep, which takes one helper set in a row,
+    inverts each minor once. Everything a basis keeps is built from
+    generators alone, and at most n * alpha x B entries, the generators'
+    own size laid out dense.
     """
 
     kind = "mds_reencode"
-    _basis = None
+
+    def __init__(self):
+        self._bases = weakref.WeakKeyDictionary()
 
     def execute(self, dss, failed, helpers, contents):
         symbols = []
         for h in helpers:
             symbols += contents[h]
-        basis = self._basis
-        if basis is None or basis.code() is not dss:
-            basis = self._basis = _Basis(dss, helpers)
+        basis = self._bases.get(dss)
+        if basis is None:
+            basis = self._bases[dss] = _Basis(dss, helpers)
         coefficients = basis.row(dss, failed).mul(basis.decoder(dss, helpers))
         per_helper = dict.fromkeys(helpers, dss.alpha_symbols)
         return apply_generator(coefficients, symbols), BandwidthReport(per_helper)
@@ -334,14 +337,13 @@ class _Basis:
     built is kept with its helpers.
     """
 
-    __slots__ = ("code", "first", "unit", "inverse", "x", "last")
+    __slots__ = ("first", "unit", "inverse", "x", "last")
 
     def __init__(self, dss: LinearDss, helpers: tuple[int, ...]):
         alpha = dss.alpha_symbols
         size = len(helpers) * alpha
         self.unit = FieldMatrix.identity(dss.field, size)
         self.inverse = _solve(dss, helpers, self.unit)
-        self.code = weakref.ref(dss)
         self.first = dict(zip(helpers, range(0, size, alpha)))  # H0's nodes, first column each
         self.x = [None] * dss.params.n  # X_i by node, built when first read
         self.last = None, None

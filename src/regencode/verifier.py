@@ -15,9 +15,16 @@ stacked generators of all n nodes tile into merged column spans, each row
 zero outside its block. If N_b is the set of nodes touching block b and
 t_b = max(0, k - (n - |N_b|)), every k-subset has rank B iff every
 t_b-subset of N_b has full rank on b, and blocks of equal width, t_b and
-sorted node contents share one verdict. A failure is reported as the
-first deficient k-subset in combinations order, found by walking the
-subsets against the failing blocks only.
+sorted node contents share one verdict. Each block is eliminated once, as
+a reference (_Reference): its first independent rows R, and every row's
+coordinates X over them. Since G_S = X_S * G_R with G_R of full row rank,
+a set S of the block's rows has rank |S & R| + rank X[S - R, R - S]. The
+identity is exact, so the minor's rank proves S's as a rank of G_S
+would: S has full rank iff the block's rows have rank width (G_R is
+square) and the minor of the rows S swaps in has rank |R - S|. A subset
+covering R needs no elimination, and any other only that minor. A
+failure is reported as the first deficient k-subset in combinations
+order, found by walking the subsets against the failing blocks only.
 
 Repair is proved helper set by helper set: the pairs that share their
 helpers run in a row, so a rule that keeps the decoder of its last helper
@@ -48,7 +55,7 @@ from math import comb
 from operator import itemgetter
 
 from .dss import CodeInvariantError, LinearDss
-from .gf import _matrix, _tiles, _trimmed, mat_rank
+from .gf import _eliminate, _tiles, _trimmed
 from .tradeoff import OperatingPoint
 
 EXHAUSTIVE_LIMIT = 10**5
@@ -171,43 +178,49 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
     nodes N_b; every k-subset holds at least t_b = max(0, k - (n - |N_b|))
     of them, can hold any t_b of them, and only gains rows with more. So
     every k-subset has rank B iff every t_b-subset of N_b has full rank on
-    b. An exhaustive plan proves that once per distinct block (its width,
-    t_b and sorted node contents: the check is symmetric in node labels)
-    and on a pass counts all C(n, k) subsets. A subset is deficient iff
-    its nodes lack full rank on some block, so on a failure the subsets
-    are walked in order against the failing blocks, and a sampled plan
-    walks its drawn subsets against every block, ranks memoized per block
-    and nodes met: the first deficient subset is the counterexample, its
-    1-based position the count.
+    b. Each block is eliminated once, as a _Reference: its first
+    independent rows R and every row's coordinates X over them. For a set
+    S of the block's rows G_S = X_S * G_R, G_R of full row rank, so
+    rank G_S = |S & R| + rank X[S - R, R - S], an identity of linear
+    algebra: S has full rank iff the block's rows have rank width and that
+    minor has rank |R - S|. A subset covering R eliminates nothing, and
+    any other only the rows it swaps in. An exhaustive plan proves that
+    once per distinct block (its width, t_b and sorted node contents: the
+    check is symmetric in node labels) and on a pass counts all C(n, k)
+    subsets. A subset is deficient iff its nodes lack full rank on some
+    block, so on a failure the subsets are walked in order against the
+    failing blocks, and a sampled plan walks its drawn subsets against
+    every block, verdicts memoized per block and nodes met: the first
+    deficient subset is the counterexample, its 1-based position the count.
     """
     n, k, field = dss.params.n, dss.params.k, dss.field
     blocks = _column_blocks(dss)
     if report.mode["kind"] != "exhaustive":
-        blocks = list(blocks)
-    else:  # only the failing blocks are kept
+        blocks = [(nodes, _Reference(field, width, nodes)) for width, nodes in blocks]
+    else:  # only the failing blocks are kept, each with its reference
         verdicts = {}
         failing = []
         for width, nodes in blocks:
             t = max(0, k - n + len(nodes))
             key = (width, t, tuple(sorted(map(tuple, nodes.values()))))
+            reference = None
             if key not in verdicts:
-                verdicts[key] = all(
-                    _full_rank(field, width, chosen) for chosen in combinations(nodes.values(), t)
-                )
+                reference = _Reference(field, width, nodes)
+                verdicts[key] = all(map(reference.full_rank, combinations(nodes, t)))
             if not verdicts[key]:
-                failing.append((width, nodes))
+                failing.append((nodes, reference or _Reference(field, width, nodes)))
         if not failing:
             return comb(n, k)
         blocks = failing
-    ranks = {}
+    memo = {}
     run = 0
     for run, subset in enumerate(subsets, 1):
         members = set(subset)
-        for b, (width, nodes) in enumerate(blocks):
+        for b, (nodes, reference) in enumerate(blocks):
             met = tuple(filter(members.__contains__, nodes))
-            if (b, met) not in ranks:
-                ranks[b, met] = _full_rank(field, width, [nodes[i] for i in met])
-            if not ranks[b, met]:
+            if (b, met) not in memo:
+                memo[b, met] = reference.full_rank(met)
+            if not memo[b, met]:
                 report.reconstruction_ok = False
                 report.reconstruction_counterexample = subset
                 return run
@@ -233,10 +246,49 @@ def _column_blocks(dss: LinearDss):
         yield hi - lo, nodes
 
 
-def _full_rank(field, width: int, node_rows) -> bool:
-    """Whether the rows of these nodes in a block have rank `width`."""
-    stack = [seg for rows in node_rows for seg in rows]
-    return mat_rank(_matrix(field, width, stack)) == width
+class _Reference:
+    """A column block's rows as coordinates over its first independent rows.
+
+    The block's rows, in node order, are laid out transposed (width x
+    rows) and eliminated once (gf._eliminate, Gauss-Jordan): the pivot
+    columns are the reference rows R, each independent of the rows before
+    it, and every column then holds its row's coordinates over R, since
+    row operations keep the linear relations among columns. full_rank
+    applies _check_reconstruction's identity: X_S's rows in R are unit
+    rows, which clear their own columns, leaving the minor.
+    """
+
+    __slots__ = ("field", "owned", "coords", "full")
+
+    def __init__(self, field, width: int, nodes: dict):
+        self.field, self.owned, rows = field, {}, []
+        for node, node_rows in nodes.items():
+            self.owned[node] = range(len(rows), len(rows) + len(node_rows))
+            rows += node_rows
+        work = [[0] * len(rows) for _ in range(width)]
+        for i, (start, entries) in enumerate(rows):
+            for c, e in enumerate(entries, start):
+                work[c][i] = e
+        pivots = _eliminate(field, work, len(rows))
+        # reference row r: the coordinates over r of every row, by row index
+        self.coords = {r: work[p] for r, p in enumerate(pivots) if p is not None}
+        self.full = len(self.coords) == width
+
+    def full_rank(self, chosen) -> bool:
+        """Whether the rows of the chosen nodes have rank `width` on the block."""
+        if not self.full:
+            return False
+        coords, owned = self.coords, self.owned
+        rows = [i for node in chosen for i in owned[node]]
+        swapped = [i for i in rows if i not in coords]  # S - R
+        if len(rows) - len(swapped) == len(coords):  # S covers R
+            return True
+        taken = set(rows)
+        left = [coords[r] for r in coords if r not in taken]  # R - S
+        if len(swapped) < len(left):
+            return False
+        minor = [[x[i] for x in left] for i in swapped]
+        return None not in _eliminate(self.field, minor, len(left))
 
 
 def _check_repair(dss: LinearDss, report: VerificationReport, pairs, by_helpers):

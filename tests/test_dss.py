@@ -289,17 +289,18 @@ def test_mds_rule_reuses_a_decoder_only_for_its_own_code_and_helpers(monkeypatch
         contents = encode(code, [7, 9])
         rebuilt, _ = repair(code, 3, helpers, contents)
         assert rebuilt == contents[3], (code.label, helpers)
-    # the rule keeps one basis, its last code's: a repair that meets another
-    # code eliminates that code's helper system whole (2 wide), one that
-    # meets the last code and helpers nothing, and (1, 2) swaps node 2 in
-    # for node 0 of other's reference (0, 1): a 1 x 1 minor
-    assert widths == [2, 2, 1, 2]
+    # the rule keeps one basis per code: the first repair of each code
+    # eliminates its helper system whole (2 wide), a repair that meets a
+    # code's last helpers nothing, (1, 2) swaps node 2 in for node 0 of
+    # other's reference (0, 1), a 1 x 1 minor, and base, met again, still
+    # holds its own basis and its decoder for (0, 1)
+    assert widths == [2, 2, 1]
 
 
 def test_a_repaired_mds_code_is_freed_at_its_last_reference():
-    # the rule's decoder refers to its code weakly: no cycle code -> rule ->
-    # code for the cyclic collector to find, and a dead code's decoder is
-    # not reused by a code that shares its rule
+    # the rule keys its bases by code weakly: no cycle code -> rule -> code
+    # for the cyclic collector to find, and a dead code's basis goes with
+    # it, never reused by a code that shares its rule
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -309,7 +310,7 @@ def test_a_repaired_mds_code_is_freed_at_its_last_reference():
         assert repair(code, 4, (0, 1, 2), contents)[0] == contents[4]
         ref = weakref.ref(code)
         del code
-        assert ref() is None
+        assert ref() is None and not rule._bases
         base = rs_base(5, 3)
         scaled = [GF256.mul(3, x) for x in base.node_gens[4].data[0]]
         gens = base.node_gens[:4] + [FieldMatrix(GF256, [scaled])]

@@ -10,7 +10,9 @@ field elements, rows and forms.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -200,6 +202,11 @@ def test_two_codes_sharing_one_rule_called_alternately(monkeypatch):
     pairs = _all_pairs(base)
     raised, widths = _agree([(base, pairs, 2), (other, list(reversed(pairs)), 3)], monkeypatch)
     assert raised == 0
-    # the rule keeps one basis, its last code's: every switch of code
-    # eliminates the helper system met then as that code's reference
-    assert widths == {base.label: [3] * len(pairs), "scaled": [3] * len(pairs)}
+    # the rule keeps one basis per code, so a switch of code eliminates
+    # nothing: each code solves its own reference once, 3 wide, then one
+    # minor per other helper set, C(3, j) * C(3, j) of j nodes, as it would
+    # alone; its helper sets run in a row, so each decoder is built once
+    minors = {j: comb(3, j) * comb(3, j) for j in range(1, 4)}
+    for label in (base.label, "scaled"):
+        reference, *rest = widths[label]
+        assert reference == 3 and Counter(rest) == minors, label

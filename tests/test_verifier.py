@@ -25,7 +25,7 @@ from regencode.dss import (
     RepairRule,
     rs_base,
 )
-from regencode.gf import GF2, GF256, FieldMatrix, _matrix, mat_rank
+from regencode.gf import GF2, GF16, GF256, FieldMatrix, _matrix, mat_rank
 from regencode.tradeoff import OperatingPoint, SystemParams, perf_p1
 from regencode.verifier import measure_and_compare
 
@@ -93,16 +93,30 @@ def test_verify_reconstruction_corrupted_generator():
         assert report.checks_run["reconstruction"] == 1
 
 
+def _eliminations(monkeypatch):
+    """The (rows, columns) of each elimination the verifier runs, as a live list."""
+    calls = []
+    eliminate = verifier._eliminate
+
+    def spy(field, work, cols):
+        calls.append((len(work), cols))
+        return eliminate(field, work, cols)
+
+    monkeypatch.setattr(verifier, "_eliminate", spy)
+    return calls
+
+
 def test_concat_reconstruction_is_proved_once_per_distinct_block(monkeypatch):
     # the three parts' column blocks are one system: its 20 3-subsets of 6
-    # nodes prove all 816 15-subsets, which the stacked sweep ranked one by one
-    calls = []
-    rank = verifier.mat_rank
-    monkeypatch.setattr(verifier, "mat_rank", lambda a: calls.append(1) or rank(a))
+    # nodes prove all 816 15-subsets, which the stacked sweep ranked one by
+    # one. The proof eliminates that block once as its reference, then at
+    # most one minor per 3-subset, none for the subset that covers the
+    # reference rows
+    calls = _eliminations(monkeypatch)
     report = measure_and_compare(concat([rs_base(6, 3)] * 3))
     assert report.ok
     assert report.checks_run == {"reconstruction": 816, "repair": 2448, "total": 3264}
-    assert len(calls) <= 20
+    assert 1 < len(calls) <= 20
 
 
 def _stacked_sweep(dss, report, subsets):
@@ -154,9 +168,10 @@ def _with_one_fault(dss, rnd):
 
 
 def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
-    # seeded faults in small compositions, each verified exhaustively and
-    # sampled, by the block proof and by the stacked-rank sweep: the reports
-    # must be equal, counterexample and checks_run included
+    # seeded faults in small compositions and in wide MDS codes over GF(2^8),
+    # GF(2^4) and GF(2), each verified exhaustively and sampled, by the
+    # block proof and by the stacked-rank sweep: the reports must be equal,
+    # counterexample and checks_run included
     recipes = [
         concat([rs_base(3, 2)] * 3),
         filenode_blowup(rs_base(3, 2)),
@@ -165,6 +180,10 @@ def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
         blowup_full(rs_base(3, 2)),
         blowup_full(blowup_simple(rs_base(3, 2))),
         iterate(rs_base(2, 1), 2),
+        rs_base(8, 5),
+        rs_base(16, 12),
+        rs_base(9, 4, GF16),
+        blowup_full(rs_base(3, 2, GF2)),
     ]
     rnd = random.Random(16)
     broken = later = kept = 0
@@ -186,7 +205,64 @@ def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
                     later += proof.checks_run["reconstruction"] > 1 and not proof.reconstruction_ok
     # most faults break reconstruction, many first at a later subset; some
     # duplicated rows leave every k-subset at rank B
-    assert broken >= 25 and later >= 15 and kept >= 5, (broken, later, kept)
+    assert broken >= 45 and later >= 30 and kept >= 8, (broken, later, kept)
+
+
+def test_reconstruction_eliminates_one_reference_then_minors(monkeypatch):
+    # rs_base(n, k) is one k-wide block of n one-row nodes, and every
+    # k-subset must have full rank on it. The reference is the block laid
+    # out transposed, k x n, eliminated once; its reference rows are nodes
+    # 0..k-1, so the subset (0, ..., k-1) needs nothing and one that swaps j
+    # nodes in solves a j x j minor, j <= min(k, n - k): C(k, j) * C(n - k, j)
+    # of them, where each subset took a k x k rank
+    calls = _eliminations(monkeypatch)
+    for n, k in [(16, 12), (14, 7)]:
+        calls.clear()
+        report = measure_and_compare(rs_base(n, k))
+        assert report.ok and report.checks_run["reconstruction"] == comb(n, k)
+        reference, *minors = calls
+        assert reference == (k, n)
+        assert all(rows == cols <= min(k, n - k) for rows, cols in minors)
+        widths = {j: comb(k, j) * comb(n - k, j) for j in range(1, min(k, n - k) + 1)}
+        assert Counter(cols for _, cols in minors) == widths
+        assert len(minors) == comb(n, k) - 1
+
+
+def test_a_block_of_rank_below_its_width_fails_every_subset(monkeypatch):
+    # every node stores a multiple of node 0's row: the one 2-wide block has
+    # rank 1, so the reference has too few rows, no subset has full rank,
+    # and no minor is eliminated
+    base = rs_base(4, 2)
+    row = base.node_gens[0].data[0]
+    gens = [FieldMatrix(GF256, [[GF256.mul(c, x) for x in row]]) for c in (1, 2, 3, 4)]
+    code = LinearDss(base.params, GF256, 2, gens, base.repair_rule, "rank 1", 2)
+    calls = _eliminations(monkeypatch)
+    monkeypatch.setattr(verifier, "TRIALS", 4)
+    for limit in (verifier.EXHAUSTIVE_LIMIT, 0):
+        monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", limit)
+        calls.clear()
+        report = measure_and_compare(code, seed=limit)
+        assert calls == [(2, 4)]
+        # the first subset run, in combinations or draw order, is the counterexample
+        assert report.checks_run["reconstruction"] == 1
+        assert report.reconstruction_counterexample == ((0, 1) if limit else (1, 3))
+        with monkeypatch.context() as m:
+            m.setattr(verifier, "_check_reconstruction", _stacked_sweep)
+            assert measure_and_compare(code, seed=limit).to_json() == report.to_json()
+
+
+def test_subsets_holding_more_rows_than_the_block_is_wide(monkeypatch):
+    # each block of filenode_blowup(rs_base(3, 2)) is 2 wide and touched by
+    # 4 nodes, the file node with 2 rows: a 2-subset that holds it holds 3
+    # rows, so its minor has more rows than columns
+    code = filenode_blowup(rs_base(3, 2))
+    blocks = list(verifier._column_blocks(code))
+    assert {width for width, _ in blocks} == {2}
+    assert all(max(map(len, nodes.values())) == 2 for _, nodes in blocks)
+    calls = _eliminations(monkeypatch)
+    report = measure_and_compare(code)
+    assert report.ok and report.checks_run["reconstruction"] == 6
+    assert any(rows > cols for rows, cols in calls[1:])
 
 
 def _f_major_sweep(dss, report, pairs, by_helpers):
