@@ -17,6 +17,7 @@ from .gf import (
     FieldMatrix,
     FieldSpec,
     SingularMatrixError,
+    _Tableau,
     _column,
     _mat_forms,
     _mat_vec,
@@ -290,23 +291,21 @@ class MdsReencodeRule(RepairRule):
 
     At d = k the helpers' stacked generators G_H are square (d * alpha =
     B), and the failed node's content is G_failed * G_H^-1 * the helpers'
-    symbols. The rule decodes by exchange: the first helper system H0 it
-    meets for a code, and that is invertible, is eliminated once, and node
-    i's rows in that basis, X_i = G_i * G_H0^-1, are built when first read
-    (_Basis). Since G_H = X_H * G_H0, a helper set H that swaps the nodes Q
-    in for the nodes M of H0 (S = H & H0 stays) inverts only the square
-    minor X_{Q,M}, j * alpha wide for j = |Q| <= min(k, n - k); call its
-    inverse Z. The failed node's coefficients over the helpers are then
-    X_{f,S} + X_{f,M} Z X_{Q,S} on S's symbols and X_{f,M} Z on Q's, the
-    first term skipped when S is empty. A singular minor is a singular
-    G_H: CodeInvariantError. The rule keeps one basis per code, keyed
-    weakly, so codes that share the rule object each keep their own and
-    switching between them eliminates nothing, and a code's basis goes
-    with its last reference; a basis keeps the decoder of its last helper
-    set, so the verifier's sweep, which takes one helper set in a row,
-    inverts each minor once. Everything a basis keeps is built from
-    generators alone, and at most n * alpha x B entries, the generators'
-    own size laid out dense.
+    symbols, G_failed * G_H^-1 being its rows' coordinates over the
+    helpers' rows. The rule keeps every node's rows as coordinates over a
+    basis of rows (gf._Tableau), built once per code from its first
+    independent rows, and moves that basis to the helpers' rows: one
+    Gauss-Jordan pivot per helper row not yet in it, so a helper set next
+    to the last costs the rows it swaps in. A row with no pivot left means
+    a singular G_H, as does a code of rank below B: CodeInvariantError.
+    The failed node's coordinates, reordered to the helpers' symbols, are
+    then the coefficients on them (apply_generator). The rule keeps one
+    tableau per code, keyed weakly, so codes that share the rule object
+    each keep their own, and a code's tableau goes with its last
+    reference; it moves only when the helpers differ from the last call's,
+    so the verifier's sweep, which takes one helper set in a row, moves
+    once per helper set. A tableau holds (n - k) * alpha rows of B
+    coordinates and nothing of its code.
     """
 
     kind = "mds_reencode"
@@ -318,89 +317,27 @@ class MdsReencodeRule(RepairRule):
         symbols = []
         for h in helpers:
             symbols += contents[h]
-        basis = self._bases.get(dss)
-        if basis is None:
-            basis = self._bases[dss] = _Basis(dss, helpers)
-        coefficients = basis.row(dss, failed).mul(basis.decoder(dss, helpers))
+        kept = self._bases.get(dss)
+        if kept is None:
+            nodes = dict(enumerate(g.segments for g in dss.node_gens))
+            kept = self._bases[dss] = [_Tableau(dss.field, dss.file_len, nodes), None, None]
+        tableau, last, order = kept
+        if last != helpers:
+            kept[1] = None  # a walk that raises leaves the basis moved partway
+            try:
+                order = kept[2] = tableau.move([r for h in helpers for r in tableau.owned[h]])
+            except SingularMatrixError as exc:
+                raise CodeInvariantError(
+                    f"helpers {helpers} do not determine the file: {exc}"
+                ) from exc
+            kept[1] = helpers
+        coords = tableau.coords
+        coefficients = [(0, [coords[r][p] for p in order]) for r in tableau.owned[failed]]
         per_helper = dict.fromkeys(helpers, dss.alpha_symbols)
-        return apply_generator(coefficients, symbols), BandwidthReport(per_helper)
-
-
-class _Basis:
-    """A d = k code's node rows X_i = G_i * G_H0^-1 in the basis of one helper system H0.
-
-    `decoder(helpers)` is X_H^-1 with its columns in the helpers' symbol
-    order, so X_f * decoder is the failed node's coefficients over the
-    helpers' symbols: a unit row for each column of a node of H0 that
-    stays, and for the columns of the nodes M swapped out the rows of
-    Z * [X_{Q,S} | I], one solve of the minor X_{Q,M}. The last decoder
-    built is kept with its helpers.
-    """
-
-    __slots__ = ("first", "unit", "inverse", "x", "last")
-
-    def __init__(self, dss: LinearDss, helpers: tuple[int, ...]):
-        alpha = dss.alpha_symbols
-        size = len(helpers) * alpha
-        self.unit = FieldMatrix.identity(dss.field, size)
-        self.inverse = _solve(dss, helpers, self.unit)
-        self.first = dict(zip(helpers, range(0, size, alpha)))  # H0's nodes, first column each
-        self.x = [None] * dss.params.n  # X_i by node, built when first read
-        self.last = None, None
-
-    def row(self, dss: LinearDss, i: int) -> FieldMatrix:
-        """X_i, dense rows."""
-        x = self.x[i]
-        if x is None:
-            x = self.x[i] = dss.node_gens[i].mul(self.inverse)
-        return x
-
-    def decoder(self, dss: LinearDss, helpers: tuple[int, ...]) -> FieldMatrix:
-        """X_H^-1, its columns in the helpers' symbol order, the last one kept."""
-        if self.last[0] == helpers:
-            return self.last[1]
-        alpha, first = dss.alpha_symbols, self.first
-        width = len(helpers) * alpha
-        if first.keys().isdisjoint(helpers):  # every node swapped: the minor is X_H
-            minor = []
-            for q in helpers:
-                minor += self.row(dss, q).segments
-            decoder = _minor(dss, helpers, minor, self.unit)
-        else:
-            rows, stay, swapped = [None] * width, [], []  # stay: (column, helper symbol)
-            for t, h in zip(range(0, width, alpha), helpers):
-                c = first.get(h)
-                if c is None:
-                    swapped.append((h, t))
-                else:  # a unit row: the column is the helper's own symbol
-                    for r in range(alpha):
-                        rows[c + r] = (t + r, [1])
-                        stay.append((c + r, t + r))
-            if swapped:
-                out = [c for c in range(width) if rows[c] is None]  # the columns of M
-                minor, right = [], []  # X_{Q,M}, and [X_{Q,S} | I] at the helpers' symbols
-                for q, t in swapped:
-                    for r, (_, x) in enumerate(self.row(dss, q).segments):
-                        minor.append((0, [x[c] for c in out]))
-                        row = [0] * width
-                        for c, s in stay:
-                            row[s] = x[c]
-                        row[t + r] = 1
-                        right.append((0, row))
-                z = _minor(dss, helpers, minor, _matrix(dss.field, width, right))
-                for c, row in zip(out, z.segments):
-                    rows[c] = row
-            decoder = _matrix(dss.field, width, rows)
-        self.last = helpers, decoder
-        return decoder
-
-
-def _minor(dss: LinearDss, helpers: tuple[int, ...], minor: list, right: FieldMatrix):
-    """Z * right for the square minor's rows, Z its inverse; CodeInvariantError if singular."""
-    try:
-        return mat_solve(_matrix(dss.field, len(minor), minor), right)
-    except SingularMatrixError as exc:
-        raise CodeInvariantError(f"helpers {helpers} do not determine the file: {exc}") from exc
+        return (
+            apply_generator(_matrix(dss.field, len(order), coefficients), symbols),
+            BandwidthReport(per_helper),
+        )
 
 
 def rs_base(n: int, k: int, field: FieldSpec = GF256) -> LinearDss:

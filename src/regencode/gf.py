@@ -14,7 +14,9 @@ right-hand sides side by side, and eliminated once. So a split costs the rows
 and their nonzeros, not rows times columns. A matrix times a vector of elements
 (_mat_vec), or of forms, segments themselves (_mat_forms), walks each row's
 segment; the pivot-row and matrix-product loops find nonzeros with
-itertools.compress, at C speed.
+itertools.compress, at C speed. An exchange tableau (_Tableau) keeps rows
+grouped by node as coordinates over a basis of them: the verifier ranks node
+sets by it, and MDS repair walks its basis from helper set to helper set.
 """
 
 from __future__ import annotations
@@ -506,3 +508,107 @@ def mat_inv(A: FieldMatrix) -> FieldMatrix:
     if A.rows != A.cols:
         raise ValueError("not square")
     return mat_solve(A, FieldMatrix.identity(A.field, A.rows))
+
+
+class _Tableau:
+    """Rows grouped by node, kept as coordinates over a basis of some of them.
+
+    The rows, node by node, are laid out transposed (width x rows) and
+    eliminated once (_eliminate, Gauss-Jordan): the pivot columns are the
+    first independent rows, the basis, and each column then holds its row's
+    coordinates over them, since row operations keep the linear relations
+    among columns. `basis` lists the basic rows by position and `coords`
+    maps each other row to its coordinates by position. Two uses:
+    full_rank reads the minor a set of nodes swaps in and never moves the
+    basis; move swaps rows into the basis one Gauss-Jordan step (pivot) at
+    a time, so the basis walks from one row set to the next at the cost of
+    the rows swapped in. A tableau holds only its own lists.
+    """
+
+    __slots__ = ("field", "owned", "basis", "coords", "full")
+
+    def __init__(self, field: FieldSpec, width: int, nodes: dict):
+        """nodes maps each node to its rows: segments, starts counted from the first column."""
+        self.field, self.owned, rows = field, {}, []
+        for node, node_rows in nodes.items():
+            self.owned[node] = range(len(rows), len(rows) + len(node_rows))
+            rows += node_rows
+        work = [[0] * len(rows) for _ in range(width)]
+        for i, (start, entries) in enumerate(rows):
+            for c, e in enumerate(entries, start):
+                work[c][i] = e
+        pivots = _eliminate(field, work, len(rows))
+        self.basis = [r for r, p in enumerate(pivots) if p is not None]
+        columns = [work[pivots[r]] for r in self.basis]  # each basic row's coordinate in every row
+        self.coords = {i: [c[i] for c in columns] for i, p in enumerate(pivots) if p is None}
+        self.full = len(self.basis) == width
+
+    def full_rank(self, chosen) -> bool:
+        """Whether the rows of the chosen nodes have rank `width`.
+
+        The rows S of the chosen nodes are X_S * G_R over the basis rows R,
+        G_R of full row rank, so rank G_S = |S & R| + rank X[S - R, R - S]:
+        S's basic rows are unit rows, which clear their own positions,
+        leaving the minor of the rows S swaps in on the positions it leaves.
+        """
+        if not self.full:
+            return False
+        rows = [i for node in chosen for i in self.owned[node]]
+        swapped = [self.coords[i] for i in rows if i in self.coords]  # S - R
+        if len(rows) - len(swapped) == len(self.basis):  # S covers R
+            return True
+        taken = set(rows)
+        left = [p for p, r in enumerate(self.basis) if r not in taken]  # R - S
+        if len(swapped) < len(left):
+            return False
+        minor = [[x[p] for p in left] for x in swapped]
+        return None not in _eliminate(self.field, minor, len(left))
+
+    def move(self, rows: list[int]) -> list[int]:
+        """Make rows the basis; return their positions in it, in rows' order.
+
+        Each row not yet basic enters at a position whose basic row is not
+        among rows and where its coordinate is nonzero; SingularMatrixError
+        if there is none (the row lies in the span of rows already basic),
+        or if rows are not as many as the basis. Rows already basic stay,
+        so each pivot swaps one of rows in for good. A raise can leave the
+        basis moved partway, a basis all the same.
+        """
+        if len(rows) != len(self.basis):
+            raise SingularMatrixError(f"{len(rows)} rows are no basis of rank {len(self.basis)}")
+        basis, targets = self.basis, set(rows)
+        index = _index(len(basis))
+        for q in rows:
+            entering = self.coords.get(q)
+            if entering is None:  # already basic
+                continue
+            for p in compress(index, entering):
+                if basis[p] not in targets:
+                    break
+            else:
+                raise SingularMatrixError(f"row {q} lies in the span of the others")
+            self.pivot(q, p)
+        place = {r: p for p, r in enumerate(basis)}
+        return [place[r] for r in rows]
+
+    def pivot(self, q: int, p: int) -> None:
+        """Swap the non-basic row q in for the basic row at position p, where q is nonzero.
+
+        The leaving row gets q's coordinates scaled by their inverse at p,
+        its own coordinate on q that inverse; every other row with a
+        nonzero coordinate at p takes one scaled XOR of it.
+        """
+        exp, log, coords = self.field._exp, self.field._log, self.coords
+        entering = coords.pop(q)
+        scale = self.field.order - 1 - log[entering[p]]  # the inverse's log
+        leaving = [exp[scale + log[e]] if e else 0 for e in entering]
+        leaving[p] = exp[scale]
+        terms = [(j, log[leaving[j]]) for j in compress(_index(len(leaving)), leaving)]
+        for row in coords.values():
+            factor = row[p]
+            if factor:
+                row[p], lf = 0, log[factor]
+                for j, lv in terms:
+                    row[j] ^= exp[lf + lv]
+        coords[self.basis[p]] = leaving
+        self.basis[p] = q

@@ -16,10 +16,10 @@ zero outside its block. If N_b is the set of nodes touching block b and
 t_b = max(0, k - (n - |N_b|)), every k-subset has rank B iff every
 t_b-subset of N_b has full rank on b, and blocks of equal width, t_b and
 sorted node contents share one verdict. Each block is eliminated once, as
-a reference (_Reference): its first independent rows R, and every row's
-coordinates X over them. Since G_S = X_S * G_R with G_R of full row rank,
-a set S of the block's rows has rank |S & R| + rank X[S - R, R - S]. The
-identity is exact, so the minor's rank proves S's as a rank of G_S
+an exchange tableau (gf._Tableau): its first independent rows R, and every
+row's coordinates X over them. Since G_S = X_S * G_R with G_R of full row
+rank, a set S of the block's rows has rank |S & R| + rank X[S - R, R - S].
+The identity is exact, so the minor's rank proves S's as a rank of G_S
 would: S has full rank iff the block's rows have rank width (G_R is
 square) and the minor of the rows S swaps in has rank |R - S|. A subset
 covering R needs no elimination, and any other only that minor. A
@@ -27,14 +27,13 @@ failure is reported as the first deficient k-subset in combinations
 order, found by walking the subsets against the failing blocks only.
 
 Repair is proved helper set by helper set: the pairs that share their
-helpers run in a row, so a rule that keeps the decoder of its last helper
-set (dss.MdsReencodeRule, which eliminates one reference system per code
-and, for each other helper set, the minor of the nodes it swaps in) builds
-each decoder once, and the sweep keeps running bandwidth totals, not a
-report per pair. If a pair fails,
-the pairs are walked again in plan order up to the first failure, so the
-counterexample, the count and the measurement over the pairs before it
-are those of a sweep in plan order.
+helpers run in a row, so a rule that keeps its last helper set
+(dss.MdsReencodeRule, which walks one exchange tableau per code from
+helper set to helper set, a pivot per row swapped in) moves once per
+helper set, and the sweep keeps running bandwidth totals, not a report
+per pair. If a pair fails, the pairs are walked again in plan order up
+to the first failure, so the counterexample, the count and the
+measurement over the pairs before it are those of a sweep in plan order.
 
 One plan sweeps every subset and pair when their total count is at most
 EXHAUSTIVE_LIMIT, and otherwise draws up to TRIALS distinct ones of each;
@@ -55,7 +54,7 @@ from math import comb
 from operator import itemgetter
 
 from .dss import CodeInvariantError, LinearDss
-from .gf import _eliminate, _tiles, _trimmed
+from .gf import _Tableau, _tiles, _trimmed
 from .tradeoff import OperatingPoint
 
 EXHAUSTIVE_LIMIT = 10**5
@@ -178,16 +177,12 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
     nodes N_b; every k-subset holds at least t_b = max(0, k - (n - |N_b|))
     of them, can hold any t_b of them, and only gains rows with more. So
     every k-subset has rank B iff every t_b-subset of N_b has full rank on
-    b. Each block is eliminated once, as a _Reference: its first
-    independent rows R and every row's coordinates X over them. For a set
-    S of the block's rows G_S = X_S * G_R, G_R of full row rank, so
-    rank G_S = |S & R| + rank X[S - R, R - S], an identity of linear
-    algebra: S has full rank iff the block's rows have rank width and that
-    minor has rank |R - S|. A subset covering R eliminates nothing, and
-    any other only the rows it swaps in. An exhaustive plan proves that
-    once per distinct block (its width, t_b and sorted node contents: the
-    check is symmetric in node labels) and on a pass counts all C(n, k)
-    subsets. A subset is deficient iff its nodes lack full rank on some
+    b. Each block is eliminated once, as a gf._Tableau, whose full_rank
+    eliminates only the minor of the rows a node set swaps in for its
+    basis (the identity in the module docstring). An exhaustive plan
+    proves that once per distinct block (its width, t_b and sorted node
+    contents: the check is symmetric in node labels) and on a pass counts
+    all C(n, k) subsets. A subset is deficient iff its nodes lack full rank on some
     block, so on a failure the subsets are walked in order against the
     failing blocks, and a sampled plan walks its drawn subsets against
     every block, verdicts memoized per block and nodes met: the first
@@ -196,19 +191,19 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
     n, k, field = dss.params.n, dss.params.k, dss.field
     blocks = _column_blocks(dss)
     if report.mode["kind"] != "exhaustive":
-        blocks = [(nodes, _Reference(field, width, nodes)) for width, nodes in blocks]
-    else:  # only the failing blocks are kept, each with its reference
+        blocks = [(nodes, _Tableau(field, width, nodes)) for width, nodes in blocks]
+    else:  # only the failing blocks are kept, each with its tableau
         verdicts = {}
         failing = []
         for width, nodes in blocks:
             t = max(0, k - n + len(nodes))
             key = (width, t, tuple(sorted(map(tuple, nodes.values()))))
-            reference = None
+            tableau = None
             if key not in verdicts:
-                reference = _Reference(field, width, nodes)
-                verdicts[key] = all(map(reference.full_rank, combinations(nodes, t)))
+                tableau = _Tableau(field, width, nodes)
+                verdicts[key] = all(map(tableau.full_rank, combinations(nodes, t)))
             if not verdicts[key]:
-                failing.append((nodes, reference or _Reference(field, width, nodes)))
+                failing.append((nodes, tableau or _Tableau(field, width, nodes)))
         if not failing:
             return comb(n, k)
         blocks = failing
@@ -216,10 +211,10 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
     run = 0
     for run, subset in enumerate(subsets, 1):
         members = set(subset)
-        for b, (nodes, reference) in enumerate(blocks):
+        for b, (nodes, tableau) in enumerate(blocks):
             met = tuple(filter(members.__contains__, nodes))
             if (b, met) not in memo:
-                memo[b, met] = reference.full_rank(met)
+                memo[b, met] = tableau.full_rank(met)
             if not memo[b, met]:
                 report.reconstruction_ok = False
                 report.reconstruction_counterexample = subset
@@ -246,61 +241,17 @@ def _column_blocks(dss: LinearDss):
         yield hi - lo, nodes
 
 
-class _Reference:
-    """A column block's rows as coordinates over its first independent rows.
-
-    The block's rows, in node order, are laid out transposed (width x
-    rows) and eliminated once (gf._eliminate, Gauss-Jordan): the pivot
-    columns are the reference rows R, each independent of the rows before
-    it, and every column then holds its row's coordinates over R, since
-    row operations keep the linear relations among columns. full_rank
-    applies _check_reconstruction's identity: X_S's rows in R are unit
-    rows, which clear their own columns, leaving the minor.
-    """
-
-    __slots__ = ("field", "owned", "coords", "full")
-
-    def __init__(self, field, width: int, nodes: dict):
-        self.field, self.owned, rows = field, {}, []
-        for node, node_rows in nodes.items():
-            self.owned[node] = range(len(rows), len(rows) + len(node_rows))
-            rows += node_rows
-        work = [[0] * len(rows) for _ in range(width)]
-        for i, (start, entries) in enumerate(rows):
-            for c, e in enumerate(entries, start):
-                work[c][i] = e
-        pivots = _eliminate(field, work, len(rows))
-        # reference row r: the coordinates over r of every row, by row index
-        self.coords = {r: work[p] for r, p in enumerate(pivots) if p is not None}
-        self.full = len(self.coords) == width
-
-    def full_rank(self, chosen) -> bool:
-        """Whether the rows of the chosen nodes have rank `width` on the block."""
-        if not self.full:
-            return False
-        coords, owned = self.coords, self.owned
-        rows = [i for node in chosen for i in owned[node]]
-        swapped = [i for i in rows if i not in coords]  # S - R
-        if len(rows) - len(swapped) == len(coords):  # S covers R
-            return True
-        taken = set(rows)
-        left = [coords[r] for r in coords if r not in taken]  # R - S
-        if len(swapped) < len(left):
-            return False
-        minor = [[x[i] for x in left] for i in swapped]
-        return None not in _eliminate(self.field, minor, len(left))
-
-
 def _check_repair(dss: LinearDss, report: VerificationReport, pairs, by_helpers):
     """Prove the pairs by one repair on the generator rows each, grouped by helpers.
 
     by_helpers holds the plan's pairs with those that share their helpers
-    in a row, so a rule that keeps its last decoder builds each helper
-    set's once. If one fails, the pairs are walked again in plan order up
-    to the first failure, which is recorded as the counterexample. Returns
-    (count run, bandwidth), bandwidth the (least total, largest total,
-    largest max_deviation) of the pairs proved, or None if none was: the
-    same as a sweep in plan order that stops at its first failure.
+    in a row, so a rule that keeps its last helper set prepares each
+    helper set once. If one fails, the pairs are walked again in plan
+    order up to the first failure, which is recorded as the
+    counterexample. Returns (count run, bandwidth), bandwidth the (least
+    total, largest total, largest max_deviation) of the pairs proved, or
+    None if none was: the same as a sweep in plan order that stops at its
+    first failure.
     """
     run, failure, bandwidth = _sweep(dss, by_helpers)
     if failure is not None:

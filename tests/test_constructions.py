@@ -421,26 +421,36 @@ def test_batched_element_repair_agrees_with_the_forms_route(recipe):
             assert bw.per_helper == forms_bw.per_helper, (recipe, failed, helpers)
 
 
+def _rule_steps(monkeypatch):
+    """What the MDS rule does, live: "build" a tableau, "pivot", or a dss solve's width."""
+    steps = []
+    tableau, pivot, solve = dss_module._Tableau, gf_module._Tableau.pivot, dss_module.mat_solve
+    monkeypatch.setattr(dss_module, "_Tableau", lambda *a: steps.append("build") or tableau(*a))
+    monkeypatch.setattr(gf_module._Tableau, "pivot", lambda *a: steps.append("pivot") or pivot(*a))
+    monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: steps.append(A.cols) or solve(A, b))
+    return steps
+
+
 def test_nested_repair_solves_each_distinct_system_once(monkeypatch):
     # 1,728 part repairs of 3 distinct 2 x 2 systems: the top level makes 4
     # groups and hands each its copies as rows, a column per copy; the nested
     # level runs its copies' rows concatenated, so the base rule runs 12 times
     # (as forms keyed by column shift, the batches would run it 72 times).
-    # The rule eliminates the first helper system it meets, 2 wide, once; a
-    # run on another helper set than the one before it solves the 1 x 1
-    # minor of the node it swaps in, and 3 runs meet the last or the first
+    # The rule builds its tableau once, on nodes 0 and 1, and solves
+    # nothing; no run meets the helper set of the run before it, and any
+    # two of the 2-subsets of 3 nodes differ by one node: one pivot a run
     dss = iterate(rs_base(3, 2), 2)
     contents = encode(dss, [i % 256 for i in range(dss.file_len)])
-    widths, runs = [], []
-    solve, execute = dss_module.mat_solve, dss_module.MdsReencodeRule.execute
-    monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: widths.append(A.cols) or solve(A, b))
+    runs = []
+    execute = dss_module.MdsReencodeRule.execute
+    steps = _rule_steps(monkeypatch)
     monkeypatch.setattr(
         dss_module.MdsReencodeRule, "execute", lambda *a: runs.append(1) or execute(*a)
     )
     rebuilt, bw = repair(dss, 0, (1, 2, 3, 4), contents)
     assert rebuilt == contents[0]
     assert bw.per_helper == {h: 864 for h in (1, 2, 3, 4)}
-    assert widths == [2] + [1] * 8
+    assert steps == ["build"] + ["pivot"] * 12
     assert len(runs) == 12
 
 
@@ -448,15 +458,14 @@ def test_lost_file_nodes_decode_once_per_shared_system(monkeypatch):
     # in each of the 20 repair proofs, the 24 copies whose file node is lost
     # read 4 distinct sets of 3 part nodes: 4 decodes, 3 wide, beside 4 part
     # repairs (one a copy, 28 a pair, before the decodes were shared); the
-    # base's rule eliminates the first helper system it meets once, 3 wide,
-    # and 56 of the 80 part repairs solve the 1 x 1 minor of the node their
-    # helper set swaps in (the others meet the last helper set or the first)
-    widths = []
-    solve = dss_module.mat_solve
-    monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: widths.append(A.cols) or solve(A, b))
+    # base's rule builds its tableau once, on nodes 0..2, and 74 of the 80
+    # part repairs meet another helper set than the one before them (the
+    # first against nodes 0..2): one pivot each, as two 3-subsets of 4
+    # nodes differ by one
+    steps = _rule_steps(monkeypatch)
     report = measure_and_compare(filenode_blowup(rs_base(4, 3)))
     assert report.ok and report.checks_run == {"reconstruction": 10, "repair": 20, "total": 30}
-    assert Counter(widths) == {3: 80 + 1, 1: 56}
+    assert Counter(steps) == {3: 80, "build": 1, "pivot": 74}
 
 
 def test_file_node_downloads_run_once_per_shift(monkeypatch):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import regencode.dss as dss_module
+import regencode.gf as gf_module
 from regencode.constructions import blowup_full, copy_blowup, iterate
 from regencode.dss import (
     InputError,
@@ -275,26 +276,29 @@ def test_repair_exhaustive_rs52():
 
 def test_mds_rule_reuses_a_decoder_only_for_its_own_code_and_helpers(monkeypatch):
     # a second code shares the rule object, with node 0's generator scaled
-    # by 3: the first code's basis or decoder for helpers (0, 1) would
-    # rebuild it wrong
+    # by 3: the first code's tableau, or its positions for helpers (0, 1),
+    # would rebuild it wrong
     base = rs_base(4, 2, GF256)
     scaled = [GF256.mul(3, x) for x in base.node_gens[0].data[0]]
     gens = [FieldMatrix(GF256, [scaled])] + base.node_gens[1:]
     other = LinearDss(base.params, GF256, 2, gens, base.repair_rule, "scaled", 2)
-    widths = []
-    solve = dss_module.mat_solve
-    monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: widths.append(A.cols) or solve(A, b))
+    counted, runs = [], []
+    tableau, pivot = dss_module._Tableau, gf_module._Tableau.pivot
+    monkeypatch.setattr(dss_module, "_Tableau", lambda *a: counted.append(0) or tableau(*a))
+    monkeypatch.setattr(gf_module._Tableau, "pivot", lambda *a: counted.append(1) or pivot(*a))
+    monkeypatch.setattr(dss_module, "mat_solve", None)  # the rule solves no system
     for code, helpers in [(base, (0, 1)), (base, (0, 1)), (other, (0, 1)), (other, (0, 1)),
                           (other, (1, 2)), (base, (0, 1))]:
         contents = encode(code, [7, 9])
+        counted.clear()
         rebuilt, _ = repair(code, 3, helpers, contents)
         assert rebuilt == contents[3], (code.label, helpers)
-    # the rule keeps one basis per code: the first repair of each code
-    # eliminates its helper system whole (2 wide), a repair that meets a
-    # code's last helpers nothing, (1, 2) swaps node 2 in for node 0 of
-    # other's reference (0, 1), a 1 x 1 minor, and base, met again, still
-    # holds its own basis and its decoder for (0, 1)
-    assert widths == [2, 2, 1]
+        runs.append((counted.count(0), counted.count(1)))
+    # the rule keeps one tableau per code: the first repair of each code
+    # builds its own, whose basis is nodes 0 and 1, so (0, 1) moves nothing;
+    # (1, 2) pivots node 2 in for node 0 of other's basis, and base, met
+    # again, still holds its own tableau at (0, 1)
+    assert runs == [(1, 0), (0, 0), (1, 0), (0, 0), (0, 1), (0, 0)]
 
 
 def test_a_repaired_mds_code_is_freed_at_its_last_reference():

@@ -1,22 +1,22 @@
 """MDS repair by exchange against the inverse of each whole helper system.
 
-dss.MdsReencodeRule eliminates one reference helper system per code and,
-for every other helper set, only the minor of the nodes it swaps in. The
-oracle below is the rule it replaced: G_failed * G_H^-1 * the helpers'
-symbols, G_H inverted whole for every repair and the product taken through
+dss.MdsReencodeRule keeps each code's node rows as coordinates over a basis
+of rows (gf._Tableau), eliminated once per code, and walks that basis to
+each helper set by one Gauss-Jordan pivot per row swapped in. The oracle
+below is the rule it replaced: G_failed * G_H^-1 * the helpers' symbols,
+G_H inverted whole for every repair and the product taken through
 FieldMatrix.mul. It lives here only, to show that the exchange rebuilds the
 same contents, reports the same transfers and fails on the same pairs, for
 field elements, rows and forms.
 """
 
 import random
-from collections import Counter
 from itertools import combinations
-from math import comb
 
 import pytest
 
 import regencode.dss as dss_module
+import regencode.gf as gf_module
 from regencode.dss import (
     BandwidthReport,
     CodeInvariantError,
@@ -131,12 +131,15 @@ def _outcome(rule, code, failed, helpers, contents):
 def _agree(runs, monkeypatch):
     """Each (code, pairs, seed) run, interleaved pair by pair, agrees with the oracle.
 
-    Returns how many pair and shape runs raised, and the widths of the
-    systems the rule eliminated (reference and minors) by code label.
+    Returns how many pair and shape runs raised, and by code label the
+    (eliminations, pivots) of each run the rule made: the tableau's build
+    is one elimination, and the rule solves no system.
     """
-    solved, widths = [], {}
-    solve = dss_module.mat_solve
-    monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: solved.append(A.cols) or solve(A, b))
+    counted, runs_by_label = [], {}
+    eliminate, pivot = gf_module._eliminate, gf_module._Tableau.pivot
+    monkeypatch.setattr(gf_module, "_eliminate", lambda *a: counted.append(0) or eliminate(*a))
+    monkeypatch.setattr(gf_module._Tableau, "pivot", lambda *a: counted.append(1) or pivot(*a))
+    monkeypatch.setattr(dss_module, "mat_solve", None)  # the rule must not call it
     oracle, raised, steps = InverseRule(), 0, []
     for code, pairs, seed in runs:
         shapes = _shapes(code, seed)
@@ -144,13 +147,23 @@ def _agree(runs, monkeypatch):
     for group in zip(*steps):
         for code, shapes, (failed, helpers) in group:
             for shape, contents in shapes.items():
-                solved.clear()
+                counted.clear()
                 got = _outcome(code.repair_rule, code, failed, helpers, contents)
-                widths.setdefault(code.label, []).extend(solved)
+                runs = runs_by_label.setdefault(code.label, [])
+                runs.append((counted.count(0), counted.count(1)))
                 want = _outcome(oracle, code, failed, helpers, contents)
                 assert got == want, (code.label, shape, failed, helpers)
                 raised += got is CodeInvariantError
-    return raised, widths
+    return raised, runs_by_label
+
+
+def _walk(helper_sets, start):
+    """Nodes swapped in along a walk from start through helper_sets, each set from the last."""
+    swapped, last = 0, set(start)
+    for helpers in helper_sets:
+        swapped += len(set(helpers) - last)
+        last = set(helpers)
+    return swapped
 
 
 CODES = [
@@ -167,14 +180,17 @@ def test_exchange_agrees_with_the_whole_inverse(monkeypatch, make):
     code = make()
     pairs = _all_pairs(code)
     random.Random(code.label).shuffle(pairs)  # helper sets met in no particular order
-    raised, widths = _agree([(code, pairs, 0)], monkeypatch)
+    raised, runs = _agree([(code, pairs, 0)], monkeypatch)
     assert raised == 0
-    # one solve of the file's width, the first helper system; every other
-    # one is a minor of at most min(k, n - k) nodes
+    # one elimination, the tableau's build at the first call, and no solve
+    # after it; the basis starts at the first k nodes' rows (each code's
+    # are independent) and each call pivots in the rows of the nodes its
+    # helpers hold and the last call's did not, at most min(k, n - k) nodes
     p, alpha = code.params, code.alpha_symbols
-    reference, *minors = widths[code.label]
-    assert reference == code.file_len
-    assert max(minors) <= min(p.k, p.n - p.k) * alpha
+    eliminations, pivots = zip(*runs[code.label])
+    assert eliminations == (1,) + (0,) * (len(eliminations) - 1)
+    assert max(pivots) <= min(p.k, p.n - p.k) * alpha
+    assert sum(pivots) == alpha * _walk([helpers for _, helpers in pairs], range(p.k))
 
 
 def test_a_singular_first_helper_set_is_refused_and_a_later_one_fails_in_its_minor(monkeypatch):
@@ -182,16 +198,51 @@ def test_a_singular_first_helper_set_is_refused_and_a_later_one_fails_in_its_min
     pairs = _all_pairs(code)
     first = [pair for pair in pairs if pair[1] == (0, 1, 5)]
     pairs = first + [pair for pair in pairs if pair not in first]
-    raised, widths = _agree([(code, pairs, 1)], monkeypatch)
+    raised, runs = _agree([(code, pairs, 1)], monkeypatch)
     # 4 helper sets hold both twins, each serving the 3 nodes outside it,
     # each pair run on three shapes
     assert raised == 4 * 3 * 3
-    # a failed elimination keeps nothing, so each of those 36 runs eliminates
-    # again: the first singular set whole (9 runs, no reference yet), the 3
-    # later ones in their minors (27); the first invertible set met becomes
-    # the reference, and each of the other 15 invertible sets solves a minor
-    assert widths[code.label][:10] == [code.file_len] * 10
-    assert len(widths[code.label]) == 9 + 1 + 15 + 27
+    # the tableau is built once, from nodes 0..2, and never again. A raise
+    # clears the last helper set, so each of those 36 runs walks again: in
+    # this order each already holds node 0's row and the other non-twin,
+    # and refuses twin 5 at once, whose one nonzero coordinate is at node
+    # 0's row, without a pivot. So the basis walks the 16 invertible sets
+    # alone, each at its first run
+    eliminations, pivots = zip(*runs[code.label])
+    assert eliminations == (1,) + (0,) * (len(eliminations) - 1)
+    singular = [{0, 5} <= set(helpers) for _, helpers in pairs for _ in range(3)]
+    assert not any(p for p, refused in zip(pivots, singular) if refused)
+    invertible = [helpers for _, helpers in pairs if not {0, 5} <= set(helpers)]
+    assert sum(pivots) == _walk(invertible, range(3))
+
+
+def test_a_walk_that_raises_partway_is_walked_again(monkeypatch):
+    # (2, 3, 4) moves the basis to nodes 2..4; the singular set (0, 1, 5)
+    # then pivots nodes 0 and 1 in before it meets twin 5, whose one nonzero
+    # coordinate is at node 0's row, and raises with the basis moved
+    # partway. Met again, (2, 3, 4) must walk back, not reuse the positions
+    # its last move returned
+    code = _twinned(6, 3, GF256)
+    pairs = [(0, (2, 3, 4)), (2, (0, 1, 5)), (0, (2, 3, 4))]
+    raised, runs = _agree([(code, pairs, 4)], monkeypatch)
+    assert raised == 3
+    assert [p for _, p in runs[code.label]] == [2, 0, 0, 2, 0, 0, 2, 0, 0]
+
+
+def test_a_rank_deficient_code_fails_every_helper_set(monkeypatch):
+    # every node's row lies in the span of nodes 0 and 1, so the tableau's
+    # basis holds 2 rows where a helper set brings 3: each pair is refused
+    # before any pivot, as the oracle refuses each singular G_H
+    x, y = (g.data[0] for g in rs_base(5, 3, GF256).node_gens[:2])
+    gens = [
+        FieldMatrix(GF256, [[GF256.mul(a, u) ^ GF256.mul(b, v) for u, v in zip(x, y)]])
+        for a, b in [(1, 0), (0, 1), (1, 1), (3, 1), (1, 3)]
+    ]
+    code = _code("deficient(5,3)", GF256, gens, 3)
+    pairs = _all_pairs(code)
+    raised, runs = _agree([(code, pairs, 5)], monkeypatch)
+    assert raised == len(pairs) * 3
+    assert runs[code.label] == [(1, 0)] + [(0, 0)] * (len(pairs) * 3 - 1)
 
 
 def test_two_codes_sharing_one_rule_called_alternately(monkeypatch):
@@ -200,13 +251,15 @@ def test_two_codes_sharing_one_rule_called_alternately(monkeypatch):
     gens = [FieldMatrix(GF256, [scaled])] + base.node_gens[1:]
     other = LinearDss(base.params, GF256, 3, gens, base.repair_rule, "scaled", 3)
     pairs = _all_pairs(base)
-    raised, widths = _agree([(base, pairs, 2), (other, list(reversed(pairs)), 3)], monkeypatch)
+    raised, runs = _agree([(base, pairs, 2), (other, list(reversed(pairs)), 3)], monkeypatch)
     assert raised == 0
-    # the rule keeps one basis per code, so a switch of code eliminates
-    # nothing: each code solves its own reference once, 3 wide, then one
-    # minor per other helper set, C(3, j) * C(3, j) of j nodes, as it would
-    # alone; its helper sets run in a row, so each decoder is built once
-    minors = {j: comb(3, j) * comb(3, j) for j in range(1, 4)}
-    for label in (base.label, "scaled"):
-        reference, *rest = widths[label]
-        assert reference == 3 and Counter(rest) == minors, label
+    # the rule keeps one tableau per code, so a switch of code eliminates
+    # nothing: each code builds its own once, at its first call, and walks
+    # it through its own helper sets as it would alone, from nodes 0..2;
+    # its helper sets run in a row, so each moves the tableau once
+    for label, order in [(base.label, pairs), ("scaled", list(reversed(pairs)))]:
+        eliminations, pivots = zip(*runs[label])
+        assert eliminations == (1,) + (0,) * (len(eliminations) - 1), label
+        assert sum(pivots) == _walk([helpers for _, helpers in order], range(3)), label
+        sets = [helpers for _, helpers in order for _ in range(3)]
+        assert not any(p for i, p in enumerate(pivots) if i and sets[i - 1] == sets[i]), label

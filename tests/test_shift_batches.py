@@ -252,7 +252,7 @@ def test_a_forms_repair_of_a_deep_blowup_lays_nothing_out_dense():
     code = parse_recipe("blowup_simple(blowup_full(filenode_blowup(base(2,1))))")
     forms = [g.segments for g in code.node_gens]
     helpers = tuple(range(1, code.params.d + 1))
-    code.repair_rule.execute(code, 0, helpers, forms)  # the part decoders are kept
+    code.repair_rule.execute(code, 0, helpers, forms)  # the base rule's tableau is kept
     tracemalloc.start()
     try:
         rebuilt, _ = code.repair_rule.execute(code, 0, helpers, forms)

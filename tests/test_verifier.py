@@ -4,9 +4,11 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
+import regencode.gf as gf_module
 import regencode.verifier as verifier
 from regencode.constructions import (
     blowup_full,
@@ -94,15 +96,24 @@ def test_verify_reconstruction_corrupted_generator():
 
 
 def _eliminations(monkeypatch):
-    """The (rows, columns) of each elimination the verifier runs, as a live list."""
+    """The (rows, columns) of each elimination the reconstruction proof runs, as a live list.
+
+    Its tableaux (gf._Tableau) eliminate in gf; the repair proof's rule
+    builds one too, which is not counted here.
+    """
     calls = []
-    eliminate = verifier._eliminate
+    eliminate, check = gf_module._eliminate, verifier._check_reconstruction
 
     def spy(field, work, cols):
         calls.append((len(work), cols))
         return eliminate(field, work, cols)
 
-    monkeypatch.setattr(verifier, "_eliminate", spy)
+    def proof(*args):
+        with monkeypatch.context() as m:
+            m.setattr(gf_module, "_eliminate", spy)
+            return check(*args)
+
+    monkeypatch.setattr(verifier, "_check_reconstruction", proof)
     return calls
 
 
@@ -358,21 +369,26 @@ def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
 
 
 def test_repair_proof_eliminates_each_helper_system_once(monkeypatch):
-    # the C(n, k) helper sets each serve the n - k nodes outside them. The
-    # first is eliminated whole, k wide; every other one that swaps j nodes
-    # into it solves a j x j minor, j <= min(k, n - k), and there are
-    # C(k, j) * C(n - k, j) of those: at most 3 wide for rs_base(8, 5), 4
-    # for rs_base(16, 12)
-    widths = []
-    solve = dss_module.mat_solve
-    monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: widths.append(A.cols) or solve(A, b))
-    for n, k in [(8, 5), (16, 12)]:
-        widths.clear()
+    # the C(n, k) helper sets each serve the n - k nodes outside them, and
+    # run in a row in combinations order. The rule builds its code's
+    # tableau once, on nodes 0..k-1, the first helper set, and solves no
+    # system: each later helper set pivots in the nodes it holds and the
+    # one before it did not, 1.24 a set for rs_base(16, 12)
+    builds, pivots = [], []
+    tableau, pivot = dss_module._Tableau, gf_module._Tableau.pivot
+    monkeypatch.setattr(dss_module, "_Tableau", lambda *a: builds.append(1) or tableau(*a))
+    monkeypatch.setattr(gf_module._Tableau, "pivot", lambda *a: pivots.append(1) or pivot(*a))
+    monkeypatch.setattr(dss_module, "mat_solve", None)
+    for n, k, walked in [(8, 5, 72), (16, 12, 2256)]:
+        builds.clear()
+        pivots.clear()
         report = measure_and_compare(rs_base(n, k))
         assert report.ok and report.checks_run["repair"] == comb(n, k) * (n - k)
-        minors = {j: comb(k, j) * comb(n - k, j) for j in range(1, min(k, n - k) + 1)}
-        assert Counter(widths) == {k: 1, **minors}
-        assert len(widths) == comb(n, k)
+        assert len(builds) == 1
+        swapped, last = 0, set(range(k))
+        for helpers in combinations(range(n), k):
+            swapped, last = swapped + len(set(helpers) - last), set(helpers)
+        assert len(pivots) == swapped == walked
 
 
 def test_repair_proof_keeps_running_bandwidth_totals():
