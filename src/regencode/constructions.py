@@ -12,14 +12,14 @@ own run of positions. A composite's generator rows are its copies' rows,
 each the part's segment moved to the copy's columns: the placed segment
 shares the part's entries, so a composite stores a (column, entries) pair
 per row and no dense row. Reconstruction is one solve over the stacked
-generators. Repair runs one rule over the copies, so exact repair is
-inherited from the parts and bandwidth is accounted per copy. The copies
-that repair the same part node from the same part helpers share one part
-repair, those that compute it from a file node share one product, and
-those whose lost file node decodes from the same part nodes share one
-decode: element copies as rows, a column per copy (a part
-handed rows concatenates its copies'), and form copies equal up to a
-column shift as one run, its result moved to each copy's columns.
+generators. Repair runs one rule over the copies for all failed nodes,
+so exact repair is inherited from the parts and bandwidth is accounted
+per copy. The copies that repair the same part nodes from the same part
+helpers share one part repair, those that compute a part node from a
+file node share one product, and those whose lost file node decodes from
+the same part nodes share one decode: element copies as rows, a column
+per copy (a part handed rows concatenates its copies'), and form copies
+equal up to a column shift as one run, moved to each copy's columns.
 """
 
 from __future__ import annotations
@@ -139,31 +139,33 @@ class Shape(NamedTuple):
 
 
 class _CopiesRule(RepairRule):
-    """Repair rule shared by every composition: rebuild the failed node from its copies.
+    """Repair rule shared by every composition: rebuild the failed nodes from their copies.
 
     Each copy is one record (part, hosts): hosts maps each composite
     position the copy hosts to (node, start), the part node placed there
     and where its content starts among that position's symbols. A copy
-    that does not host the failed position contributes nothing. For one
-    that does, the cheapest legal route rebuilds its node: a single
+    that hosts no failed position contributes nothing. For one that does,
+    the cheapest legal route rebuilds each node it loses: a single
     download from an exact twin or from a file node when one is among the
     helpers, a decode from k part helpers for a lost file node, otherwise
-    the part's own repair rule with d part helpers. When more than d
-    distinct part helpers are available the ones with the largest part
-    index are excluded; the rule depends only on stored content, never on
-    position numbers, so it is equidistributed across the permuted copies.
-    Slices of the contents the public repair has checked go to _decode and
-    to the part's rule unchecked. The copies taking the part repair are
-    grouped by (part, lost part node, chosen part helpers), those that
-    download it from a file node by (part, lost part node, (_FILE,)), and
-    the copies whose lost file node decodes from the same part nodes, read
-    in part order, by (part, _FILE, those nodes). A group runs the part's
+    the part's own repair rule with d part helpers, one call for all such
+    nodes of the copy (none has a twin among the helpers, so they share
+    their part helpers). When more than d distinct part helpers are
+    available the ones with the largest part index are excluded; the rule
+    depends only on stored content, never on position numbers, so it is
+    equidistributed across the permuted copies. Slices of the contents the
+    public repair has checked go to _decode and to the part's rule
+    unchecked. The copies taking the part repair are grouped by (part, lost
+    part nodes, chosen part helpers), those that download a node from a
+    file node by (part, (that node,), (_FILE,)), and those whose lost file
+    node decodes from the same part nodes, read in part order, by (part,
+    _FILE, those nodes), over all the failed nodes. A group runs the part's
     rule, the product by the lost node's generator or _decode once on its
     element copies zipped into rows, or on its row copies concatenated; a
-    copy alone reads its own slices. Form copies run once per key
-    (_relative), on its first member's reads, and each takes the result
-    moved to its own columns (see RepairRule). Each copy keeps its slots in
-    the output and counts its run's transfers through its own helpers.
+    copy alone reads its own slices. Form copies run once per column shift
+    (_shift), and each takes the result moved to its own columns (see
+    RepairRule). Each copy keeps its slots in the output and counts its
+    run's transfers through its own helpers.
     """
 
     def __init__(self, description, copies):
@@ -174,87 +176,91 @@ class _CopiesRule(RepairRule):
         return self.description
 
     def execute(self, dss, failed, helpers, contents):
-        counts = dict.fromkeys(helpers, 0)
-        out: list = []
-        # part repairs, grouped by (part, lost part node, chosen part helpers),
-        # file-node downloads by (part, lost part node, (_FILE,)), and file
-        # decodes by (part, _FILE, part nodes read)
+        alpha = dss.alpha_symbols
+        out = [0] * (len(failed) * alpha)  # failed node i's symbols from i * alpha on
+        counts = [dict.fromkeys(helpers, 0) for _ in failed]
+        # part repairs, grouped by (part, lost part nodes, chosen part helpers),
+        # file-node downloads by (part, (lost part node,), (_FILE,)), and file
+        # decodes by (part, _FILE, part nodes read); a member is a copy's slots
+        # in out, one per node its group rebuilds, and its part helpers
         groups = {}
 
+        firsts = list(zip(range(0, len(out), alpha), failed))
         for part, hosts in self.copies:
-            lost = hosts.get(failed)
-            if lost is None:
-                continue
-            desc, alpha = lost[0], part.alpha_symbols
-            # where each of this copy's nodes that a helper hosts is read
-            at = {}
-            for q in helpers:
-                node = hosts.get(q)
-                if node is not None:
-                    at[node[0]] = (q, node[1])
+            at, slots, us = None, (), ()
+            for first, f in firsts:
+                lost = hosts.get(f)
+                if lost is None:
+                    continue
+                if at is None:
+                    # where each of this copy's nodes that a helper hosts is read,
+                    # and its distinct part helpers (part nodes and twins), an
+                    # original preferred over its twin; a lost part node with a
+                    # twin among them takes the twin, so the part repairs share cand
+                    at, cand = {}, {}
+                    for q in helpers:
+                        node = hosts.get(q)
+                        if node is not None:
+                            desc = node[0]
+                            at[desc] = where = (q, node[1])
+                            if desc[0] != _FILE and (desc[1] not in cand or desc[0] == _BASE):
+                                cand[desc[1]] = where
+                desc, slot = lost[0], first + lost[1]
 
-            if desc[0] == _FILE:
-                # rebuild the file from the first k part nodes among the helpers,
-                # read in part order; the copy's slots in out are filled once
-                # its group is decoded
-                used = [(node[1], where) for node, where in at.items() if node[0] == _BASE]
-                cand = dict(sorted(used[: part.params.k]))
-                groups.setdefault((part, _FILE, tuple(cand)), []).append((len(out), cand))
-                out += [0] * part.file_len
-                continue
+                if desc[0] == _FILE:
+                    # rebuild the file from the first k part nodes among the helpers,
+                    # read in part order
+                    used = [(node[1], where) for node, where in at.items() if node[0] == _BASE]
+                    read = dict(sorted(used[: part.params.k]))
+                    groups.setdefault((part, _FILE, tuple(read)), []).append(((slot,), read))
+                    continue
 
-            u = desc[1]
-            twin = at.get((_TWIN[desc[0]], u))
-            if twin is not None:
-                # the exact copy of the lost node alone transfers
-                q, s = twin
-                out.extend(contents[q][s : s + alpha])
-                counts[q] += alpha
-                continue
-            file_at = at.get((_FILE,))
-            if file_at is not None:
-                # a file node computes the lost content and sends it; the
-                # copy's slots in out are filled once its group has run
-                groups.setdefault((part, u, (_FILE,)), []).append((len(out), {_FILE: file_at}))
-                out += [0] * alpha
-                continue
+                u = desc[1]
+                twin = at.get((_TWIN[desc[0]], u))
+                if twin is not None:
+                    # the exact copy of the lost node alone transfers
+                    (q, s), size = twin, part.alpha_symbols
+                    out[slot : slot + size] = contents[q][s : s + size]
+                    counts[first // alpha][q] += size
+                elif (_FILE,) in at:  # a file node computes the lost content and sends it
+                    file_at = {_FILE: at[(_FILE,)]}
+                    groups.setdefault((part, (u,), (_FILE,)), []).append(((slot,), file_at))
+                else:
+                    slots, us = slots + (slot,), us + (u,)
 
-            # part repair: collect distinct part helpers (part nodes and
-            # twins), original preferred over its twin, then keep the d
-            # smallest part indices; the copy's slots in out are filled
-            # once its group is repaired
-            cand: dict[int, tuple[int, int]] = {}
-            for node, where in at.items():
-                if node[0] != _FILE and node[1] != u:
-                    if node[1] not in cand or node[0] == _BASE:
-                        cand[node[1]] = where
-            chosen = tuple(sorted(cand)[: part.params.d])
-            groups.setdefault((part, u, chosen), []).append((len(out), cand))
-            out += [0] * alpha
+            if slots:  # part repair from the d smallest part helper indices
+                chosen = tuple(sorted(cand)[: part.params.d])
+                groups.setdefault((part, us, chosen), []).append((slots, cand))
 
         # one part repair or file decode per group, on the actual symbols of
         # its copies (never a repair map taken from unit forms: they are
-        # inconsistent where a lost file decodes k*alpha > B symbols)
-        for (part, u, chosen), members in groups.items():
+        # inconsistent where a lost file decodes k*alpha > B symbols); done
+        # holds per node of the group each member's (piece, transfer report)
+        for (part, us, chosen), members in groups.items():
             size = part.file_len if chosen == (_FILE,) else part.alpha_symbols
             copies = [
                 [contents[q][s : s + size] for q, s in map(cand.__getitem__, chosen)]
                 for _, cand in members
             ]
             shape = type(copies[0][0][0])
-            if shape is tuple and len(members) > 1:  # forms: a run per value up to a shift
-                runs, done = {}, []
+            if len(members) == 1:  # a copy alone reads its own slices
+                done = zip(_run(part, us, chosen, copies[0]))
+            elif shape is tuple:  # forms: a run per value up to a column shift
+                runs, moved = [], []
                 for reads in copies:
-                    first, key = _relative(reads)
-                    if key not in runs:
-                        runs[key] = first, _run(part, u, chosen, reads)
-                    origin, (rebuilt, per_helper) = runs[key]
-                    moved = [(s + first - origin, e) if e else (0, []) for s, e in rebuilt]
-                    done.append((moved, per_helper))
+                    for origin, results in runs:
+                        if (shift := _shift(reads, origin)) is not None:
+                            break
+                    else:
+                        shift, results = 0, _run(part, us, chosen, reads)
+                        runs.append((reads, results))
+                    moved.append([
+                        ([(s + shift, e) if e else (0, []) for s, e in rebuilt], report)
+                        for rebuilt, report in results
+                    ])
+                done = zip(*moved)
             else:
-                if len(members) == 1:  # a copy alone reads its own slices
-                    rows, unlay = copies[0], lambda rebuilt: [rebuilt]
-                elif shape is int:  # element copies zipped into rows, a column each
+                if shape is int:  # element copies zipped into rows, a column each
                     rows = [[list(t) for t in zip(*h)] for h in zip(*copies)]
                     unlay = lambda rebuilt: zip(*rebuilt)
                 else:  # row copies concatenated, each on its own run of columns
@@ -262,42 +268,54 @@ class _CopiesRule(RepairRule):
                     width = len(copies[0][0][0])
                     cuts = range(0, len(members) * width, width)
                     unlay = lambda rebuilt: [[r[i : i + width] for r in rebuilt] for i in cuts]
-                rebuilt, per_helper = _run(part, u, chosen, rows)
-                done = [(piece, per_helper) for piece in unlay(rebuilt)]
-            for (slot, cand), (piece, per_helper) in zip(members, done):
-                out[slot : slot + len(piece)] = piece
-                for w, amount in per_helper.items():
-                    counts[cand[w][0]] += amount
+                results = _run(part, us, chosen, rows)
+                done = [zip(unlay(rebuilt), itertools.repeat(bw)) for rebuilt, bw in results]
+            for j, pieces in enumerate(done):
+                for (slots, cand), (piece, report) in zip(members, pieces):
+                    slot = slots[j]
+                    out[slot : slot + len(piece)] = piece
+                    count = counts[slot // alpha]
+                    for w, amount in report.per_helper.items():
+                        count[cand[w][0]] += amount
 
-        return out, BandwidthReport(counts)
+        if len(failed) == 1:  # out is the one node's symbols
+            return [(out, BandwidthReport(counts[0]))]
+        return [(out[j : j + alpha], BandwidthReport(c)) for (j, _), c in zip(firsts, counts)]
 
 
-def _run(part, u, chosen, reads):
-    """Part node u (or for _FILE the file) rebuilt from reads, and each chosen helper's transfer.
+def _run(part, us, chosen, reads):
+    """Part nodes us (for _FILE the file) rebuilt from reads of chosen, as RepairRule.execute.
 
-    chosen is part nodes, or (_FILE,) for node u computed from the file a file node holds.
+    chosen is part nodes, or (_FILE,) for node us[0] computed from the file a file node holds.
     """
-    if u == _FILE:
+    if us == _FILE:
         symbols = [symbol for read in reads for symbol in read]
-        return _decode(part, chosen, symbols), dict.fromkeys(chosen, part.alpha_symbols)
+        report = BandwidthReport(dict.fromkeys(chosen, part.alpha_symbols))
+        return [(_decode(part, chosen, symbols), report)]
     if chosen == (_FILE,):
-        return apply_generator(part.node_gens[u], reads[0]), {_FILE: part.alpha_symbols}
-    rebuilt, report = part.repair_rule.execute(part, u, chosen, dict(zip(chosen, reads)))
-    return rebuilt, report.per_helper
+        report = BandwidthReport({_FILE: part.alpha_symbols})
+        return [(apply_generator(part.node_gens[us[0]], reads[0]), report)]
+    return part.repair_rule.execute(part, us, chosen, dict(zip(chosen, reads)))
 
 
-def _relative(reads):
-    """A form copy's first column, and a key shared by the copies equal to it up to a shift.
+def _shift(reads, origin):
+    """The column shift that moves the form copy origin's reads onto reads, or None.
 
-    The key holds each segment's start from that column (0 for a zero row), length and entries.
+    It is the start difference of the first nonzero segments; every nonzero
+    segment must move by it and hold equal entries (placed segments share
+    the part's lists: identity first), and a zero row must meet a zero row.
     """
-    first = min((start for read in reads for start, entries in read if entries), default=0)
-    key = []
-    for read in reads:
-        for start, entries in read:
-            key += (start - first if entries else 0, len(entries))
-            key += entries
-    return first, tuple(key)
+    shift = None
+    for read, seen in zip(reads, origin):
+        for (start, entries), (s, e) in zip(read, seen):
+            if entries is not e and entries != e:
+                return None
+            if entries:
+                if shift is None:
+                    shift = start - s
+                elif start - s != shift:
+                    return None
+    return shift or 0
 
 
 def _compose(name, parts, arg=None, budget=None):

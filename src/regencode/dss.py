@@ -53,12 +53,12 @@ class BandwidthReport:
         return sum(self.per_helper.values())
 
     def max_deviation(self) -> int:
-        counts = list(self.per_helper.values())
+        counts = self.per_helper.values()
         return max(counts) - min(counts)
 
 
 class RepairRule:
-    """Total procedure rebuilding any failed node from any d-subset of survivors.
+    """Total procedure rebuilding any failed nodes from any d-subset of survivors.
 
     A stored symbol is a field element or a linear form over the message
     (node i's forms are G_i's rows). The public calls take field elements
@@ -66,10 +66,12 @@ class RepairRule:
     per copy of a batch a composite hands its part; or a form, the segment
     (start, entries) a generator stores its rows as, so a proof on the
     forms costs the columns they cover, not the file's width. execute gets
-    symbols of one shape and returns the failed node's symbols in that
-    shape (segments trimmed to their nonzeros, a zero row (0, [])) with
-    each helper's transfer. It may slice, decode (_decode) and multiply by
-    fixed matrices (apply_generator), but not branch on stored values: so
+    a tuple of failed nodes outside the helpers (a part node and its lost
+    twin come as one node twice) and symbols of one shape, and returns per
+    failed node, in order, its symbols in that shape (segments trimmed to
+    their nonzeros, a zero row (0, [])) with each helper's transfer, a
+    report the nodes may share. It may slice, decode (_decode) and multiply
+    by fixed matrices (apply_generator), but not branch on stored values: so
     one run on the forms proves it exact for every file, and a rule acts on
     each column alone, so its output on input moved by some columns is that
     output moved as far. The public repair checks contents once and
@@ -82,10 +84,10 @@ class RepairRule:
     def execute(
         self,
         dss: "LinearDss",
-        failed: int,
+        failed: tuple[int, ...],
         helpers: tuple[int, ...],
         contents: list[list[int]],
-    ) -> tuple[list[int], BandwidthReport]:
+    ) -> list[tuple[list[int], BandwidthReport]]:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -246,7 +248,7 @@ def repair(
     if failed in helpers:
         raise InputError("failed node cannot help itself")
     _read(dss, helpers, contents)  # distinct ints in range: they sort
-    return dss.repair_rule.execute(dss, failed, tuple(sorted(helpers)), contents)
+    return dss.repair_rule.execute(dss, (failed,), tuple(sorted(helpers)), contents)[0]
 
 
 def _indices(nodes) -> tuple:
@@ -298,14 +300,14 @@ class MdsReencodeRule(RepairRule):
     Gauss-Jordan pivot per helper row not yet in it, so a helper set next
     to the last costs the rows it swaps in. A row with no pivot left means
     a singular G_H, as does a code of rank below B: CodeInvariantError.
-    The failed node's coordinates, reordered to the helpers' symbols, are
-    then the coefficients on them (apply_generator). The rule keeps one
-    tableau per code, keyed weakly, so codes that share the rule object
-    each keep their own, and a code's tableau goes with its last
-    reference; it moves only when the helpers differ from the last call's,
-    so the verifier's sweep, which takes one helper set in a row, moves
-    once per helper set. A tableau holds (n - k) * alpha rows of B
-    coordinates and nothing of its code.
+    The failed nodes' coordinates are then their coefficients on the
+    helpers' symbols read in basis order, all in one apply_generator, and
+    the nodes share one report. The rule keeps one tableau per code, keyed
+    weakly, so codes that share the rule object each keep their own, and a
+    code's tableau goes with its last reference; it moves only when the
+    helpers differ from the last call's: once per helper set in the
+    verifier's sweep. A tableau holds (n - k) * alpha rows of B coordinates
+    and nothing of its code.
     """
 
     kind = "mds_reencode"
@@ -314,30 +316,30 @@ class MdsReencodeRule(RepairRule):
         self._bases = weakref.WeakKeyDictionary()
 
     def execute(self, dss, failed, helpers, contents):
-        symbols = []
-        for h in helpers:
-            symbols += contents[h]
-        kept = self._bases.get(dss)
+        alpha, kept = dss.alpha_symbols, self._bases.get(dss)
         if kept is None:
             nodes = dict(enumerate(g.segments for g in dss.node_gens))
             kept = self._bases[dss] = [_Tableau(dss.field, dss.file_len, nodes), None, None]
-        tableau, last, order = kept
+        tableau, last, reads = kept
         if last != helpers:
             kept[1] = None  # a walk that raises leaves the basis moved partway
             try:
-                order = kept[2] = tableau.move([r for h in helpers for r in tableau.owned[h]])
+                tableau.move([r for h in helpers for r in tableau.owned[h]])
             except SingularMatrixError as exc:
                 raise CodeInvariantError(
                     f"helpers {helpers} do not determine the file: {exc}"
                 ) from exc
+            # the symbol each basis position reads: node i's rows are i * alpha on
+            reads = kept[2] = [divmod(r, alpha) for r in tableau.basis]
             kept[1] = helpers
-        coords = tableau.coords
-        coefficients = [(0, [coords[r][p] for p in order]) for r in tableau.owned[failed]]
-        per_helper = dict.fromkeys(helpers, dss.alpha_symbols)
-        return (
-            apply_generator(_matrix(dss.field, len(order), coefficients), symbols),
-            BandwidthReport(per_helper),
-        )
+        coords, owned = tableau.coords, tableau.owned
+        coefficients = [(0, coords[r]) for f in failed for r in owned[f]]
+        symbols = [contents[h][t] for h, t in reads]
+        rebuilt = apply_generator(_matrix(dss.field, len(reads), coefficients), symbols)
+        report = BandwidthReport(dict.fromkeys(helpers, alpha))
+        if len(failed) == 1:  # the product is the one node's symbols
+            return [(rebuilt, report)]
+        return [(rebuilt[i : i + alpha], report) for i in range(0, len(rebuilt), alpha)]
 
 
 def rs_base(n: int, k: int, field: FieldSpec = GF256) -> LinearDss:

@@ -26,14 +26,15 @@ covering R needs no elimination, and any other only that minor. A
 failure is reported as the first deficient k-subset in combinations
 order, found by walking the subsets against the failing blocks only.
 
-Repair is proved helper set by helper set: the pairs that share their
-helpers run in a row, so a rule that keeps its last helper set
+Repair is proved by one rule call per helper set, for all the failed
+nodes outside it, so a rule that keeps its last helper set
 (dss.MdsReencodeRule, which walks one exchange tableau per code from
 helper set to helper set, a pivot per row swapped in) moves once per
 helper set, and the sweep keeps running bandwidth totals, not a report
-per pair. If a pair fails, the pairs are walked again in plan order up
-to the first failure, so the counterexample, the count and the
-measurement over the pairs before it are those of a sweep in plan order.
+per pair. If a pair fails, the pairs are walked again in plan order, one
+node a call, up to the first failure, so the counterexample, the count
+and the measurement over the pairs before it are those of a plan order
+sweep.
 
 One plan sweeps every subset and pair when their total count is at most
 EXHAUSTIVE_LIMIT, and otherwise draws up to TRIALS distinct ones of each;
@@ -49,7 +50,7 @@ import json
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from operator import itemgetter
 
@@ -136,11 +137,11 @@ def _plan(dss: LinearDss, seed: int):
             for f in range(n)
             for helpers in combinations([i for i in range(n) if i != f], d)
         )
+        nodes = set(range(n))
         by_helpers = (
             (f, helpers)
             for helpers in combinations(range(n), d)
-            for f in range(n)
-            if f not in helpers
+            for f in sorted(nodes.difference(helpers))
         )
         return {"kind": "exhaustive"}, subsets, pairs, by_helpers
 
@@ -242,55 +243,58 @@ def _column_blocks(dss: LinearDss):
 
 
 def _check_repair(dss: LinearDss, report: VerificationReport, pairs, by_helpers):
-    """Prove the pairs by one repair on the generator rows each, grouped by helpers.
+    """Prove the pairs by one repair on the generator rows per helper set.
 
     by_helpers holds the plan's pairs with those that share their helpers
-    in a row, so a rule that keeps its last helper set prepares each
-    helper set once. If one fails, the pairs are walked again in plan
-    order up to the first failure, which is recorded as the
-    counterexample. Returns (count run, bandwidth), bandwidth the (least
-    total, largest total, largest max_deviation) of the pairs proved, or
-    None if none was: the same as a sweep in plan order that stops at its
-    first failure.
+    in a row, each run of them one rule call. If one fails, the pairs are
+    walked again in plan order, one a call, up to the first failure, which
+    is recorded as the counterexample (CodeInvariantError if none: the rule
+    answers differently batched). Returns (count run, bandwidth), bandwidth
+    the (least total, largest total, largest max_deviation) of the pairs
+    proved, or None if none was: as a plan order sweep would.
     """
-    run, failure, bandwidth = _sweep(dss, by_helpers)
+    first, grouped = itemgetter(0), groupby(by_helpers, itemgetter(1))
+    run, failure, bandwidth = _sweep(dss, ((h, tuple(map(first, g))) for h, g in grouped))
     if failure is not None:
-        run, failure, bandwidth = _sweep(dss, pairs)
+        run, failure, bandwidth = _sweep(dss, ((h, (f,)) for f, h in pairs))
+        if failure is None:
+            raise CodeInvariantError(f"{dss.repair_rule.kind} repair fails only when batched")
         report.repair_ok = False
         report.repair_counterexample = failure
     return run, bandwidth
 
 
-def _sweep(dss: LinearDss, pairs):
-    """Repair the pairs in order up to the first that fails.
+def _sweep(dss: LinearDss, groups):
+    """Repair the (helpers, failed nodes) groups in order up to the first pair that fails.
 
     Returns (count run, the failing pair or None, bandwidth as
     _check_repair returns it). The forms are the generators' own segments,
-    alpha per node as LinearDss holds them, and each pair runs the repair
-    rule directly: the plan yields only d sorted helpers in range, never
-    the failed node. A rebuilt node is compared by its generator's
-    segments, then, as generators may keep zeros at their ends, by both
-    sides' segments trimmed (gf._trimmed), never as dense rows.
+    alpha per node as LinearDss holds them, and each group is one rule
+    call, made directly: the plan yields only d sorted helpers in range and
+    failed nodes outside them. A call that raises fails its first pair. A
+    rebuilt node is compared by its generator's segments, then, as
+    generators may keep zeros at their ends, by both sides' segments
+    trimmed (gf._trimmed), never as dense rows; a report the nodes of a
+    call share is read once.
     """
     forms = [g.segments for g in dss.node_gens]
     execute = dss.repair_rule.execute
-    run, bandwidth = 0, None
-    for failed, helpers in pairs:
-        run += 1
+    run, bandwidth, last = 0, None, None
+    for helpers, failed in groups:
         try:
-            rebuilt, bw = execute(dss, failed, helpers, forms)
-        except CodeInvariantError:
-            rebuilt = None  # the rule decoded from helpers that do not determine the file
-        if rebuilt != forms[failed] and (
-            rebuilt is None or _trimmed(rebuilt) != _trimmed(forms[failed])
-        ):
-            return run, (failed, helpers), bandwidth
-        total, deviation = bw.total, bw.max_deviation()
-        if bandwidth is None:
-            bandwidth = total, total, deviation
-        else:
-            low, high, most = bandwidth
-            bandwidth = min(low, total), max(high, total), max(most, deviation)
+            results = execute(dss, failed, helpers, forms)
+        except CodeInvariantError:  # the rule decoded from helpers that do not determine the file
+            return run + 1, (failed[0], helpers), bandwidth
+        for f, (rebuilt, bw) in zip(failed, results, strict=True):
+            run += 1
+            if rebuilt != forms[f] and _trimmed(rebuilt) != _trimmed(forms[f]):
+                return run, (f, helpers), bandwidth
+            if bw is last:
+                continue
+            last, total, deviation = bw, bw.total, bw.max_deviation()
+            low, high, most = bandwidth or (total, total, deviation)
+            if bandwidth is None or total < low or total > high or deviation > most:
+                bandwidth = min(low, total), max(high, total), max(most, deviation)
     return run, None, bandwidth
 
 

@@ -243,11 +243,11 @@ def test_concat_repair_is_the_owning_part_repair_shifted():
         part, node_off, col_off = parts[j], [0, 4][j], [0, 3][j]
         others = [i for i in range(7) if i != failed]
         for helpers in combinations(others, 6):
-            rebuilt, bw = dss.repair_rule.execute(dss, failed, helpers, forms)
+            [(rebuilt, bw)] = dss.repair_rule.execute(dss, (failed,), helpers, forms)
             # the part repairs with its d smallest own helpers
             local = [q - node_off for q in helpers if 0 <= q - node_off < part.params.n]
-            own_forms, own = part.repair_rule.execute(
-                part, failed - node_off, tuple(local[: part.params.d]), part_forms[j]
+            [(own_forms, own)] = part.repair_rule.execute(
+                part, (failed - node_off,), tuple(local[: part.params.d]), part_forms[j]
             )
             own_rows = _matrix(GF256, part.file_len, own_forms).data
             assert bw.per_helper == {q: own.per_helper.get(q - node_off, 0) for q in helpers}
@@ -416,7 +416,7 @@ def test_batched_element_repair_agrees_with_the_forms_route(recipe):
         for helpers in combinations([i for i in range(n) if i != failed], d):
             rebuilt, bw = repair(dss, failed, helpers, contents)
             assert rebuilt == contents[failed], (recipe, failed, helpers)
-            by_forms, forms_bw = dss.repair_rule.execute(dss, failed, helpers, forms)
+            [(by_forms, forms_bw)] = dss.repair_rule.execute(dss, (failed,), helpers, forms)
             assert by_forms == dss.node_gens[failed].segments, (recipe, failed, helpers)
             assert bw.per_helper == forms_bw.per_helper, (recipe, failed, helpers)
 
@@ -455,23 +455,26 @@ def test_nested_repair_solves_each_distinct_system_once(monkeypatch):
 
 
 def test_lost_file_nodes_decode_once_per_shared_system(monkeypatch):
-    # in each of the 20 repair proofs, the 24 copies whose file node is lost
-    # read 4 distinct sets of 3 part nodes: 4 decodes, 3 wide, beside 4 part
-    # repairs (one a copy, 28 a pair, before the decodes were shared); the
-    # base's rule builds its tableau once, on nodes 0..2, and 74 of the 80
-    # part repairs meet another helper set than the one before them (the
-    # first against nodes 0..2): one pivot each, as two 3-subsets of 4
-    # nodes differ by one
+    # the 20 repair proofs are 10 rule calls, one per helper set, each for
+    # the 2 failed nodes outside it, which share its groups. In each call the
+    # 24 copies whose file node is lost read 4 distinct sets of 3 part nodes:
+    # 4 decodes, 3 wide, beside 4 part repairs (80 and 80 when each pair was
+    # a call of its own; one a copy, 28 a pair, before the decodes were
+    # shared); the base's rule builds its tableau once, on nodes 0..2, and 38
+    # of the 40 part repairs meet another helper set than the one before
+    # them (the first against nodes 0..2): one pivot each, as two 3-subsets
+    # of 4 nodes differ by one
     steps = _rule_steps(monkeypatch)
     report = measure_and_compare(filenode_blowup(rs_base(4, 3)))
     assert report.ok and report.checks_run == {"reconstruction": 10, "repair": 20, "total": 30}
-    assert Counter(steps) == {3: 80, "build": 1, "pivot": 74}
+    assert Counter(steps) == {3: 40, "build": 1, "pivot": 38}
 
 
 def test_file_node_downloads_run_once_per_shift(monkeypatch):
     # the copies that compute part node u from a file node read equal forms
     # up to a column shift: one product per (part, u) and shift key, 4 a
-    # pair, where each of the 72 such copies of a pair took its own
+    # helper set, shared by its 2 failed nodes (4 a pair when each pair was a
+    # call of its own), where each of the 72 such copies of a pair took its own
     products = []
     product = constructions_module.apply_generator
     monkeypatch.setattr(
@@ -479,7 +482,7 @@ def test_file_node_downloads_run_once_per_shift(monkeypatch):
     )
     report = measure_and_compare(filenode_blowup(rs_base(4, 3)))
     assert report.ok and report.checks_run["repair"] == 20
-    assert len(products) == 20 * 4
+    assert len(products) == 10 * 4
 
 
 def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):

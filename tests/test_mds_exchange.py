@@ -55,8 +55,13 @@ class InverseRule(RepairRule):
         except SingularMatrixError as exc:
             raise CodeInvariantError(f"helpers {helpers} are singular") from exc
         rhs, at = _as_matrix(dss.field, symbols)
-        content = _shaped(dss.node_gens[failed].mul(inverse).mul(rhs), symbols, at)
-        return content, BandwidthReport(dict.fromkeys(helpers, dss.alpha_symbols))
+        return [
+            (
+                _shaped(dss.node_gens[f].mul(inverse).mul(rhs), symbols, at),
+                BandwidthReport(dict.fromkeys(helpers, dss.alpha_symbols)),
+            )
+            for f in failed
+        ]
 
 
 def _code(label, field, gens, k):
@@ -122,7 +127,7 @@ def _shapes(code, seed):
 
 def _outcome(rule, code, failed, helpers, contents):
     try:
-        rebuilt, bw = rule.execute(code, failed, helpers, contents)
+        [(rebuilt, bw)] = rule.execute(code, (failed,), helpers, contents)
     except CodeInvariantError:
         return CodeInvariantError
     return rebuilt, bw.per_helper

@@ -5,17 +5,22 @@ list per symbol, one column per copy) and runs the form copies whose
 reads are equal up to a column shift once. The oracle below is the
 layout this replaced, where a group's form copies were laid out dense
 side by side over the columns their segments span and run together; it
-lives here only, to show the keyed runs give the same forms, transfers
-and verdicts, corrupted codes included.
+lives here only, to show the shift runs give the same forms, transfers
+and verdicts, corrupted codes included. A second oracle, _relative, is
+the key form copies were matched by before constructions._shift compared
+them segment by segment.
 """
 
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+import regencode.constructions as constructions_module
+import test_sweep
 from regencode.cli import parse_recipe
 from regencode.constructions import _BASE, _FILE, _TWIN, _CopiesRule, blowup_full
 from regencode.dss import (
@@ -56,7 +61,12 @@ def _side_by_side(field, copies):
 
 
 def _oracle_execute(self, dss, failed, helpers, contents):
-    """_CopiesRule.execute as it was, on forms: one run per group over _side_by_side."""
+    """_CopiesRule.execute as it was, on forms, one failed node at a time."""
+    return [_oracle_repair(self, dss, f, helpers, contents) for f in failed]
+
+
+def _oracle_repair(self, dss, failed, helpers, contents):
+    """One failed node rebuilt as _CopiesRule did: one run per group over _side_by_side."""
     assert type(contents[helpers[0]][0]) is tuple
     counts = dict.fromkeys(helpers, 0)
     out, groups = [], {}
@@ -111,7 +121,9 @@ def _oracle_execute(self, dss, failed, helpers, contents):
             rebuilt = _decode(part, chosen, [symbol for read in rows for symbol in read])
             per_helper = dict.fromkeys(chosen, alpha)
         else:
-            rebuilt, report = part.repair_rule.execute(part, u, chosen, dict(zip(chosen, rows)))
+            [(rebuilt, report)] = part.repair_rule.execute(
+                part, (u,), chosen, dict(zip(chosen, rows))
+            )
             per_helper = report.per_helper
         for (slot, cand), piece in zip(members, unlay(rebuilt)):
             out[slot : slot + len(piece)] = piece
@@ -171,13 +183,13 @@ def _agree_with_oracle(monkeypatch, code, pairs):
     forms = [g.segments for g in code.node_gens]
     for failed, helpers in pairs:
         try:
-            got = code.repair_rule.execute(code, failed, helpers, forms)
+            [got] = code.repair_rule.execute(code, (failed,), helpers, forms)
         except CodeInvariantError:  # the oracle must fail the same way
             got = CodeInvariantError
         with monkeypatch.context() as m:
             m.setattr(_CopiesRule, "execute", _oracle_execute)
             try:
-                want = code.repair_rule.execute(code, failed, helpers, forms)
+                [want] = code.repair_rule.execute(code, (failed,), helpers, forms)
             except CodeInvariantError:
                 want = CodeInvariantError
         if isinstance(want, tuple):
@@ -252,13 +264,52 @@ def test_a_forms_repair_of_a_deep_blowup_lays_nothing_out_dense():
     code = parse_recipe("blowup_simple(blowup_full(filenode_blowup(base(2,1))))")
     forms = [g.segments for g in code.node_gens]
     helpers = tuple(range(1, code.params.d + 1))
-    code.repair_rule.execute(code, 0, helpers, forms)  # the base rule's tableau is kept
+    code.repair_rule.execute(code, (0,), helpers, forms)  # the base rule's tableau is kept
     tracemalloc.start()
     try:
-        rebuilt, _ = code.repair_rule.execute(code, 0, helpers, forms)
+        [(rebuilt, _)] = code.repair_rule.execute(code, (0,), helpers, forms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rebuilt == forms[0]
     assert peak < 500_000
 
+
+
+def _relative(reads):
+    """A form copy's first column, and a key shared by the copies equal to it up to a shift.
+
+    The key holds each segment's start from that column (0 for a zero row), length and entries.
+    """
+    first = min((start for read in reads for start, entries in read if entries), default=0)
+    key = []
+    for read in reads:
+        for start, entries in read:
+            key += (start - first if entries else 0, len(entries))
+            key += entries
+    return first, tuple(key)
+
+
+def test_shift_matches_the_copies_whose_relative_keys_are_equal(monkeypatch):
+    # every comparison of a form copy with a run of its group, in every
+    # proof of the random sweep and of the swapped corruptions: _shift finds
+    # a shift iff the keys are equal, and it is the difference of their
+    # first columns
+    shift, seen = constructions_module._shift, Counter()
+
+    def checked(reads, origin):
+        got = shift(reads, origin)
+        (first, key), (origin_first, origin_key) = _relative(reads), _relative(origin)
+        assert (got is not None) == (key == origin_key)
+        assert got is None or got == first - origin_first
+        seen[got is None] += 1
+        return got
+
+    monkeypatch.setattr(constructions_module, "_shift", checked)
+    for text in test_sweep.recipes():
+        assert measure_and_compare(parse_recipe(text, budget=test_sweep.BUDGET)).ok, text
+    for case in CORRUPTED:
+        if case[1] == "swapped":
+            assert not measure_and_compare(_corrupted_code(*case)).repair_ok, case
+    # copies a shift matches, and copies none does
+    assert seen[False] and seen[True], seen

@@ -96,7 +96,7 @@ def test_random_recipes_build_verify_and_repair_as_recorded():
         forms = [g.segments for g in code.node_gens]
         for failed in range(n):
             for helpers in combinations([i for i in range(n) if i != failed], d):
-                rebuilt, bandwidth = code.repair_rule.execute(code, failed, helpers, forms)
+                [(rebuilt, bandwidth)] = code.repair_rule.execute(code, (failed,), helpers, forms)
                 rows = _matrix(code.field, code.file_len, rebuilt).data
                 digest.update(repr((failed, helpers, rows, bandwidth.per_helper)).encode())
     assert digest.hexdigest() == SWEEP_DIGEST

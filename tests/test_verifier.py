@@ -280,14 +280,14 @@ def _f_major_sweep(dss, report, pairs, by_helpers):
     """The plan-order repair sweep the helper-grouped one replaced, kept as its oracle.
 
     Each pair, failed node first, runs the rule once on the generators'
-    segments, up to the first that fails; the bandwidth is folded from the
-    reports of the pairs proved.
+    segments, one failed node a call, up to the first that fails; the
+    bandwidth is folded from the reports of the pairs proved.
     """
     forms = [g.segments for g in dss.node_gens]
     bandwidth = []
     for failed, helpers in pairs:
         try:
-            rebuilt, bw = dss.repair_rule.execute(dss, failed, helpers, forms)
+            [(rebuilt, bw)] = dss.repair_rule.execute(dss, (failed,), helpers, forms)
         except CodeInvariantError:
             rebuilt = None
         if rebuilt != forms[failed] and (
@@ -370,25 +370,31 @@ def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
 
 def test_repair_proof_eliminates_each_helper_system_once(monkeypatch):
     # the C(n, k) helper sets each serve the n - k nodes outside them, and
-    # run in a row in combinations order. The rule builds its code's
-    # tableau once, on nodes 0..k-1, the first helper set, and solves no
-    # system: each later helper set pivots in the nodes it holds and the
-    # one before it did not, 1.24 a set for rs_base(16, 12)
-    builds, pivots = [], []
+    # each is one rule call for all of them, in combinations order: 1,820
+    # calls for the 7,280 pairs of rs_base(16, 12). The rule builds its
+    # code's tableau once, on nodes 0..k-1, the first helper set, and
+    # solves no system: each later helper set pivots in the nodes it holds
+    # and the one before it did not, 1.24 a set for rs_base(16, 12)
+    builds, pivots, calls = [], [], []
     tableau, pivot = dss_module._Tableau, gf_module._Tableau.pivot
+    execute = MdsReencodeRule.execute
     monkeypatch.setattr(dss_module, "_Tableau", lambda *a: builds.append(1) or tableau(*a))
     monkeypatch.setattr(gf_module._Tableau, "pivot", lambda *a: pivots.append(1) or pivot(*a))
+    monkeypatch.setattr(MdsReencodeRule, "execute", lambda *a: calls.append(1) or execute(*a))
     monkeypatch.setattr(dss_module, "mat_solve", None)
     for n, k, walked in [(8, 5, 72), (16, 12, 2256)]:
         builds.clear()
         pivots.clear()
+        calls.clear()
         report = measure_and_compare(rs_base(n, k))
         assert report.ok and report.checks_run["repair"] == comb(n, k) * (n - k)
         assert len(builds) == 1
+        assert len(calls) == comb(n, k)
         swapped, last = 0, set(range(k))
         for helpers in combinations(range(n), k):
             swapped, last = swapped + len(set(helpers) - last), set(helpers)
         assert len(pivots) == swapped == walked
+    assert len(calls) == 1820
 
 
 def test_repair_proof_keeps_running_bandwidth_totals():
