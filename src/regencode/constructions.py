@@ -11,8 +11,8 @@ the one its empty node would take; concat places each part once, on its
 own run of positions. A composite's generator rows are its copies' rows,
 each the part's segment moved to the copy's columns: the placed segment
 shares the part's entries, so a composite stores a (column, entries) pair
-per row and no dense row. Reconstruction is one solve over the stacked
-generators. Repair runs one rule over the copies for all failed nodes,
+per row and no dense row. Reconstruction decodes copy by copy through the
+copy table. Repair runs one rule over the copies for all failed nodes,
 so exact repair is inherited from the parts and bandwidth is accounted
 per copy. The copies that repair the same part nodes from the same part
 helpers share one part repair, those that compute a part node from a
@@ -37,7 +37,7 @@ from .dss import (
     _decode,
     apply_generator,
 )
-from .gf import _matrix
+from .gf import InconsistentSystemError, _matrix, mat_solve
 from .tradeoff import RangeError, SystemParams
 
 # generator entries n * alpha * B a composite may span, dense; the segments
@@ -174,6 +174,78 @@ class _CopiesRule(RepairRule):
 
     def describe(self) -> dict:
         return self.description
+
+    def solve(self, dss, subset, rhs):
+        """dss's file from rhs, the symbols of subset's nodes as rows, copy by copy (dss._solve).
+
+        Down the copy table along each composite's routes (_routes), a copy
+        that reads its file node keeps those rows, and the part nodes it
+        reads must be that file re-encoded, or InconsistentSystemError; the
+        copies of codes without copies that read equal part nodes share one
+        gf.mat_solve, side by side.
+        """
+        field, width, symbols = dss.field, rhs.cols, rhs.segments
+        x, routes, groups, alpha = [None] * dss.file_len, {}, {}, dss.alpha_symbols
+        walk = [(self, 0, tuple(subset), range(0, len(subset) * alpha, alpha))]
+        while walk:  # (rule, first column, positions read, the first rhs row of each)
+            rule, col, positions, firsts = walk.pop()
+            if (rule, positions) not in routes:
+                routes[rule, positions] = rule._routes(positions)
+            copies, leaves = routes[rule, positions]
+            for part, at, file, nodes, reads in copies:
+                at, reads = col + at, [firsts[i] + s for i, s in reads]
+                if file is None:  # a composite part
+                    walk.append((part.repair_rule, at, nodes, reads))
+                    continue
+                first, size = firsts[file[0]] + file[1], part.file_len
+                x[at : at + size] = rows = symbols[first : first + size]
+                for u, first in zip(nodes, reads):
+                    hosted = _matrix(field, width, symbols[first : first + part.alpha_symbols])
+                    if part.node_gens[u].mul(_matrix(field, width, rows)) != hosted:
+                        raise InconsistentSystemError(f"part node {u} is not its file re-encoded")
+            for key, (ats, members) in leaves.items():
+                cols, side = groups.setdefault(key, ([], [[] for _ in members[0]]))
+                cols += [col + at for at in ats]
+                for row, reads in zip(side, zip(*members)):  # a row of the system, every member's
+                    hosted = _matrix(field, width, [symbols[firsts[i] + t] for i, t in reads])
+                    row += itertools.chain.from_iterable(hosted.data)
+        for (part, nodes), (cols, side) in groups.items():
+            gens = [segment for u in nodes for segment in part.node_gens[u].segments]
+            sides = _matrix(field, len(cols) * width, [(0, row) for row in side])
+            solved = mat_solve(_matrix(field, part.file_len, gens), sides).segments
+            for lo, col in zip(range(0, len(cols) * width, width), cols):
+                x[col : col + part.file_len] = [(0, row[lo : lo + width]) for _, row in solved]
+        return _matrix(field, width, x)
+
+    def _routes(self, positions):
+        """How the copies read the nodes at positions, whatever the symbols (solve).
+
+        A copy reads its file node there, at (index in positions, start), or
+        None, and its part nodes there, sorted, a twin as its node again. The
+        copies that read a file or hold a composite give (part, first column,
+        file, part nodes, their reads); the rest, by (part, part nodes), their
+        first columns and the (index, row) of each row they read.
+        """
+        copies, leaves, col = [], {}, 0
+        for part, hosts in self.copies:
+            file, nodes = None, []
+            for i, pos in enumerate(positions):
+                if (held := hosts.get(pos)) is not None:
+                    node, start = held
+                    if node[0] == _FILE:
+                        file = (i, start)
+                    else:
+                        nodes.append((node[1], i, start))
+            nodes.sort()
+            us, reads = tuple(u for u, _, _ in nodes), [(i, s) for _, i, s in nodes]
+            if file is not None or isinstance(part.repair_rule, _CopiesRule):
+                copies.append((part, col, file, us, reads))
+            else:
+                ats, members = leaves.setdefault((part, us), ([], []))
+                ats.append(col)
+                members.append([(i, s + t) for i, s in reads for t in range(part.alpha_symbols)])
+            col += part.file_len
+        return copies, leaves
 
     def execute(self, dss, failed, helpers, contents):
         alpha = dss.alpha_symbols

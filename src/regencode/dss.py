@@ -171,11 +171,15 @@ def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
 
 
 def _solve(dss: LinearDss, subset: tuple[int, ...], rhs: FieldMatrix) -> FieldMatrix:
-    """_decode's message as a matrix: the nodes' generator segments, stacked, solved."""
-    segments = []
-    for i in subset:
-        segments += dss.node_gens[i].segments
+    """_decode's message as a matrix, rhs the symbols of subset's nodes as rows.
+
+    A composite solves through its copy table (constructions._CopiesRule.solve),
+    any other code its nodes' generator segments stacked, in one gf.mat_solve.
+    """
     try:
+        if hasattr(dss.repair_rule, "copies"):
+            return dss.repair_rule.solve(dss, subset, rhs)
+        segments = [segment for i in subset for segment in dss.node_gens[i].segments]
         return mat_solve(_matrix(dss.field, dss.file_len, segments), rhs)
     except SingularMatrixError as exc:
         raise CodeInvariantError(
@@ -218,13 +222,13 @@ def _as_matrix(field: FieldSpec, symbols: list) -> tuple[FieldMatrix, int]:
 
 
 def _shaped(matrix: FieldMatrix, like: list, at: int) -> list:
-    """_as_matrix(like) undone on a result, whose rows are whole: like's shape, moved back by at."""
+    """_as_matrix(like) undone on a result: like's shape, a form row's start moved back by at."""
     shape = type(like[0])
     if shape is int:
         return matrix.col_vector()
     if shape is list:
         return [row for _, row in matrix.segments]
-    return [_trim(row, at) for _, row in matrix.segments]
+    return [_trim(row, at + start) for start, row in matrix.segments]
 
 
 def repair(

@@ -3,27 +3,22 @@
 Field elements are ints in [0, 2^m); addition is XOR. Multiplication, inverse
 and powers are lookups in log/antilog tables that each field builds once.
 A matrix keeps each row as one segment, a start column and the entries from
-there on, outside which the row is zero; a generator row keeps its first to its
-last nonzero column. Rank and solve take two paths: a matrix of at most
-WHOLE_MAX_ENTRIES entries is eliminated whole, a larger one block by block.
-Each row spans its segment, and overlapping spans merge into runs of columns
-that tile the matrix, as the stacked generators of a composed code split into
-its copies' column blocks. The blocks are grouped by their segments, and each
-distinct one is laid out once, dense only on its own columns with its members'
-right-hand sides side by side, and eliminated once. So a split costs the rows
-and their nonzeros, not rows times columns. A matrix times a vector of elements
-(_mat_vec), or of forms, segments themselves (_mat_forms), walks each row's
-segment; the pivot-row and matrix-product loops find nonzeros with
-itertools.compress, at C speed. An exchange tableau (_Tableau) keeps rows
-grouped by node as coordinates over a basis of them: the verifier ranks node
-sets by it, and MDS repair walks its basis from helper set to helper set.
+there on, outside which the row is zero. Solve lays a matrix out dense and
+eliminates it once: a composed code decodes through its copy table, so the
+systems solved are its parts'. Row spans tile a matrix into column blocks
+(_tiles), which the verifier's reconstruction proof ranks. Products walk each
+row's segment against elements (_mat_vec) or forms, segments themselves
+(_mat_forms); pivot-row and product loops find nonzeros with compress, at C
+speed. An exchange tableau (_Tableau) keeps rows grouped by node as
+coordinates over a basis of them: the verifier ranks node sets by it, MDS
+repair walks it from helper set to helper set, and mat_rank counts its basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress
 
 
 class SingularMatrixError(ArithmeticError):
@@ -377,15 +372,6 @@ def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
     return pivots
 
 
-# Matrices of at most this many entries are eliminated whole: below it the
-# split's fixed cost outweighs what it saves. Whole against split, measured
-# on block-diagonal GF(2^8) matrices (Python 3.11.7, 2-vCPU Xeon): a 2 x 2
-# identity solve 13 against 24 us; 32 x 32 ranks 210-240 against 250-300 us;
-# 64 x 64 within 12 % either way; 128 x 128 9-38 % and 256 x 256 34-56 %
-# less time split.
-WHOLE_MAX_ENTRIES = 4096
-
-
 def _tiles(segments, ncols: int):
     """Yield (lo, hi, rows) for each merged column span of the segments, in column order.
 
@@ -411,97 +397,34 @@ def _tiles(segments, ncols: int):
     yield lo, ncols, rows
 
 
-def _layout(segments, lo: int, width: int, rows, rhs, rhs_cols: int, later=()):
-    """The work rows of the block of rows on the width columns from lo.
-
-    Work row i is a new list: row i's entries there, then its rhs segment
-    dense over rhs_cols columns (rank: no rhs, 0), then those of row i of
-    each later group member, whose segments later holds member by member.
-    """
-    n, work = len(rows), []
-    zeros = [0] * (width + (len(later) // (n or 1) + 1) * rhs_cols)
-    for i, r in enumerate(rows):
-        start, entries = segments[r]
-        row = zeros[:]
-        row[start - lo : start - lo + len(entries)] = entries
-        if rhs_cols:
-            at, tail = rhs[r]
-            row[width + at : width + at + len(tail)] = tail
-            at = width + rhs_cols
-            for s, tail in later[i::n] if later else ():
-                row[at + s : at + s + len(tail)] = tail
-                at += rhs_cols
-        work.append(row)
-    return work
-
-
-def _groups(A: FieldMatrix, rhs: list[tuple[int, list[int]]] | None, rhs_cols: int):
-    """Yield (width, work rows, los) for each distinct column block of A.
-
-    Two paths. A matrix of at most WHOLE_MAX_ENTRIES entries is one block,
-    laid out whole without a key. Otherwise the blocks are A's tiles,
-    keyed on their segments: the width, then each row's start in the
-    block, length and entries. Each distinct block is laid out once
-    (_layout), its first tile's rows with every member's rhs beside them,
-    so one elimination serves them all; los lists the members' first
-    columns, in order.
-    """
-    segments, ncols, groups = A.segments, A.cols, {}
-    if A.rows * ncols <= WHOLE_MAX_ENTRIES:
-        yield ncols, _layout(segments, 0, ncols, range(A.rows), rhs, rhs_cols), [0]
-        return
-    for lo, hi, rows in _tiles(segments, ncols):
-        width = hi - lo
-        key = [width]
-        for r in rows:
-            start, entries = segments[r]
-            key += (start - lo, len(entries))
-            key += entries
-        key = tuple(key)
-        if key in groups:
-            groups[key][1].append(lo)
-            groups[key][2] += [rhs[r] for r in rows] if rhs_cols else []
-        else:
-            groups[key] = [rows, [lo], []]
-    for key, (rows, los, later) in groups.items():
-        yield key[0], _layout(segments, los[0], key[0], rows, rhs, rhs_cols, later), los
-
-
 def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Solve A x = b exactly by Gauss-Jordan elimination, block by block.
+    """Solve A x = b exactly by one Gauss-Jordan elimination of [A | b], laid out dense.
 
-    Each distinct column block is eliminated once, its members' right-hand
-    sides side by side (_groups). A may have more rows than columns; raises
-    SingularMatrixError when the column rank is deficient and
-    InconsistentSystemError when no x exists. Deficient rank takes
-    precedence: it is reported even when the system is also inconsistent.
+    A may have more rows than columns; raises SingularMatrixError when the
+    column rank is deficient and InconsistentSystemError when no x exists.
+    Deficient rank takes precedence: it is reported even when the system
+    is also inconsistent.
     """
     if A.rows != b.rows:
         raise ValueError("A and b row counts differ")
-    x = [None] * A.cols
-    consistent = True
-    for width, work, los in _groups(A, b.segments, b.cols):
-        pivots = _eliminate(A.field, work, width)
-        if None in pivots:
-            raise SingularMatrixError("coefficient matrix is rank deficient")
-        for w in work[width:]:  # zero on the left past the pivots: so must the right be
-            consistent = consistent and not any(w[width:])
-        places = list(zip(los, count(width, b.cols)))  # each member's first unknown and rhs column
-        for j, p in enumerate(pivots):
-            for lo, at in places:
-                x[lo + j] = (0, work[p][at : at + b.cols])
-    if not consistent:
-        raise InconsistentSystemError("no solution: inconsistent system")
-    return _matrix(A.field, b.cols, x)
+    width, work = A.cols, []
+    for (start, entries), (at, tail) in zip(A.segments, b.segments):
+        row = [0] * (width + b.cols)
+        row[start : start + len(entries)] = entries
+        row[width + at : width + at + len(tail)] = tail
+        work.append(row)
+    pivots = _eliminate(A.field, work, width)
+    if None in pivots:
+        raise SingularMatrixError("coefficient matrix is rank deficient")
+    for w in work[width:]:  # zero on the left past the pivots: so must the right be
+        if any(w[width:]):
+            raise InconsistentSystemError("no solution: inconsistent system")
+    return _matrix(A.field, b.cols, [(0, work[p][width:]) for p in pivots])
 
 
 def mat_rank(A: FieldMatrix) -> int:
-    """Rank of A: the sum of its column blocks' ranks, each distinct block ranked once."""
-    rank = 0
-    for width, work, los in _groups(A, None, 0):
-        pivots = _eliminate(A.field, work, width)
-        rank += (len(pivots) - pivots.count(None)) * len(los)
-    return rank
+    """Rank of A: the basis its rows' exchange tableau takes, in one elimination."""
+    return len(_Tableau(A.field, A.cols, {0: A.segments}).basis)
 
 
 def mat_inv(A: FieldMatrix) -> FieldMatrix:

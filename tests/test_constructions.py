@@ -27,7 +27,7 @@ from regencode.dss import (
     repair,
     rs_base,
 )
-from regencode.gf import GF2, GF16, GF256, FieldMatrix, _layout, _matrix, _tiles
+from regencode.gf import GF2, GF16, GF256, FieldMatrix, _matrix, _tiles
 from regencode.tradeoff import (
     OperatingPoint,
     RangeError,
@@ -486,8 +486,9 @@ def test_file_node_downloads_run_once_per_shift(monkeypatch):
 
 
 def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):
-    # the stack of nodes (0, 1, 2, 4) tiles into 3,456 column blocks, the
-    # copies of base(3,2) it holds, of 4 distinct contents
+    # nodes (0, 1, 2, 4) leave the 3,456 copies of base(3,2) reading 4
+    # distinct sets of its nodes: one elimination a set, the copies' symbols
+    # side by side
     dss = iterate(rs_base(3, 2), 2)
     message = [i * 7 % 256 for i in range(dss.file_len)]
     contents = encode(dss, message)
@@ -498,10 +499,9 @@ def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):
     assert len(calls) <= 4
 
 
-def test_nested_encode_and_reconstruct_cost_their_segments(monkeypatch):
+def test_nested_encode_and_reconstruct_cost_their_segments():
     # encode walks each stored row's segment and builds no product matrix;
-    # a reconstruct lays out the coefficient rows of each of its 4 distinct
-    # column blocks once, not those of each of its 3,456 tiles
+    # the reconstruct's eliminations are pinned by the test above
     dss = iterate(rs_base(3, 2), 2)
     message = [i * 7 % 256 for i in range(dss.file_len)]
     tracemalloc.start()
@@ -511,16 +511,14 @@ def test_nested_encode_and_reconstruct_cost_their_segments(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 300_000
-    calls = []
-    layout = gf_module._layout
-    monkeypatch.setattr(gf_module, "_layout", lambda *a: calls.append(1) or layout(*a))
     assert reconstruct(dss, (0, 1, 2, 4), contents) == message
-    assert len(calls) <= 4
 
 
 def test_composite_decodes_eliminate_each_distinct_block_once(monkeypatch):
-    # 720 copies of base(3,2) stack into 4,032 column blocks per 3-subset:
-    # the 10 reconstructs eliminate 70 distinct blocks, and each node's
+    # per 3-subset, the 120 copies of blowup_full(base(3,2)) that do not read
+    # their file node hold 2,880 copies of base(3,2) reading 4 distinct sets
+    # of its nodes: the 10 reconstructs eliminate at most 40 systems, where
+    # the stacked solve eliminated 70 distinct blocks, and each node's
     # repair, its copies' file nodes among them, is exact from every helper set
     dss = filenode_blowup(blowup_full(rs_base(3, 2)), budget=10**12)
     rnd = random.Random(19)
@@ -578,15 +576,11 @@ def test_stacks_split_into_the_leaf_copies_column_blocks():
         for c in range(0, dss.file_len, 2):
             joined = any(row[c] and row[c + 1] for row in rows)
             expected += [(c, c + 2)] if joined else [(c, c + 1), (c + 1, c + 2)]
-        spans, placed, lo = [], [], 0
-        tags = [(0, [r]) for r in range(len(rows))]  # each row's index, as its rhs
+        spans, placed = [], []
         stack = FieldMatrix(dss.field, rows)
-        for at, end, tile in _tiles(stack.segments, stack.cols):
-            width = end - at
-            work = _layout(stack.segments, at, width, tile, tags, 1)
-            spans.append((lo, lo + width))
-            for *entries, r in work:
-                assert entries == rows[r][lo : lo + width] and any(entries)
+        for lo, hi, tile in _tiles(stack.segments, stack.cols):
+            spans.append((lo, hi))
+            for r in tile:  # the row's nonzeros all lie in its block
+                assert any(rows[r][lo:hi]) and not any(rows[r][:lo] + rows[r][hi:])
                 placed.append(r)
-            lo += width
         assert spans == expected and sorted(placed) == list(range(len(rows)))

@@ -6,17 +6,14 @@ from regencode.gf import (
     GF2,
     GF16,
     GF256,
-    WHOLE_MAX_ENTRIES,
     FieldMatrix,
     FieldSpec,
     InconsistentSystemError,
     SingularMatrixError,
     _column,
-    _eliminate,
-    _groups,
-    _layout,
     _mat_forms,
     _mat_vec,
+    _matrix,
     _tiles,
     _trimmed,
     is_irreducible,
@@ -388,10 +385,9 @@ def test_rank_deficiency_outranks_inconsistency_across_blocks():
                 mat_solve(FieldMatrix(GF256, data), b)
 
 
-def test_zero_column_is_singular_past_the_whole_size():
+def test_zero_column_is_singular_beside_full_rank_blocks():
     """A zero column before, between or after two full-rank blocks is a missing pivot."""
-    n = 40  # two n x n triangular blocks and a zero column: past WHOLE_MAX_ENTRIES
-    assert 2 * n * (2 * n + 1) > WHOLE_MAX_ENTRIES
+    n = 40  # two n x n triangular blocks and a zero column
     for zero_col in (0, n, 2 * n):
         cols = [c for c in range(2 * n + 1) if c != zero_col]
         data = [[0] * (2 * n + 1) for _ in range(2 * n)]
@@ -460,11 +456,10 @@ def _solve_outcome(A, b):
 def test_segments_and_dense_rows_agree(field):
     """Rank, solve (its failures too) and products agree on segments and dense rows."""
     rnd = random.Random(1300 + field.m)
-    outcomes, split = set(), 0
+    outcomes = set()
     for _ in range(30):
         A, D = _segment_case(rnd, field)
         assert (A.rows, A.cols, A.data) == (D.rows, D.cols, D.data)
-        split += A.rows * A.cols > WHOLE_MAX_ENTRIES
         assert mat_rank(A) == mat_rank(D)
         width = rnd.randint(1, 3)
         x0 = _random_matrix(rnd, field, A.cols, width)
@@ -483,7 +478,6 @@ def test_segments_and_dense_rows_agree(field):
         else:
             outcomes.add(outcome.__name__)
     assert outcomes == {"solved", "SingularMatrixError", "InconsistentSystemError"}
-    assert 0 < split < 30  # both the whole and the split elimination ran
 
 
 @pytest.mark.parametrize("field", [GF2, GF16, GF256], ids=["GF2", "GF16", "GF256"])
@@ -506,22 +500,27 @@ def test_mat_vec_agrees_with_the_one_column_product(field):
     assert seen >= {"interior zero", "start past 0", "zero symbol", "nonzero row"}
 
 
-def _per_tile_solve(A, b):
-    """The oracle: mat_solve with each column block eliminated on its own."""
-    x = []
-    consistent = True
+def per_tile_solve(A, b):
+    """The oracle: A x = b solved one column block (gf._tiles) at a time, each by mat_solve.
+
+    Every row is zero outside its block, so the blocks' solutions stack
+    into x. As in mat_solve, a rank-deficient block is reported even when
+    another block, or the same one, is inconsistent. b's rows may be any
+    segments, a zero row at any start included.
+    """
+    x, consistent = [], True
     for lo, hi, rows in _tiles(A.segments, A.cols):
-        width = hi - lo
-        work = _layout(A.segments, lo, width, rows, b.segments, b.cols)
-        pivots = _eliminate(A.field, work, width)
-        if None in pivots:
-            raise SingularMatrixError("coefficient matrix is rank deficient")
-        for w in work[width:]:
-            consistent = consistent and not any(w[width:])
-        x += [(0, work[p][width:]) for p in pivots]
+        block = [(start - lo, entries) if entries else (0, []) for start, entries in
+                 (A.segments[r] for r in rows)]
+        rhs = _matrix(A.field, b.cols, [b.segments[r] for r in rows])
+        try:
+            x += mat_solve(_matrix(A.field, hi - lo, block), rhs).segments
+        except InconsistentSystemError:
+            consistent = False
+            x += [(0, [])] * (hi - lo)
     if not consistent:
         raise InconsistentSystemError("no solution: inconsistent system")
-    return FieldMatrix.from_segments(A.field, b.cols, x)
+    return _matrix(A.field, b.cols, x)
 
 
 def _repeated_blocks_case(rnd, field, fault):
@@ -563,7 +562,6 @@ def _repeated_blocks_case(rnd, field, fault):
         data += [[0] * ncols for _ in range(rnd.choice([0, 0, 1]))]
         lo += len(block[0])
     A = FieldMatrix(field, data)
-    assert A.rows * A.cols > WHOLE_MAX_ENTRIES
     width = rnd.randint(1, 3)
     x0 = _random_matrix(rnd, field, A.cols, width)
     rhs = A.mul(x0).data
@@ -576,18 +574,18 @@ def _repeated_blocks_case(rnd, field, fault):
 
 
 @pytest.mark.parametrize("field", [GF16, GF256], ids=["GF16", "GF256"])
-def test_grouped_solve_agrees_with_the_per_tile_solve(field):
-    """Each distinct block eliminated once gives the per-tile solve's result or error."""
+def test_whole_solve_agrees_with_the_per_tile_solve(field):
+    """One elimination of a block-diagonal matrix gives the per-tile solve's result or error."""
     rnd = random.Random(1900 + field.m)
     starts_past_zero = False
     for fault in [None, "singular", "inconsistent", "both"] * 5:
         A, b = _repeated_blocks_case(rnd, field, fault)
         starts_past_zero |= any(start for start, entries in b.segments if entries)
-        assert len(list(_groups(A, None, 0))) < len(list(_tiles(A.segments, A.cols)))
+        assert len(list(_tiles(A.segments, A.cols))) > 50  # the oracle solves block by block
         expected = {None: FieldMatrix, "singular": SingularMatrixError,
                     "inconsistent": InconsistentSystemError, "both": SingularMatrixError}[fault]
         try:
-            oracle = _per_tile_solve(A, b)
+            oracle = per_tile_solve(A, b)
         except SingularMatrixError as exc:
             oracle = type(exc)
         outcome = _solve_outcome(A, b)
