@@ -81,8 +81,11 @@ class Shape(NamedTuple):
         before building any composite part. `arg` is iterate's j or
         copy_blowup's l. The budget bounds the generator entries n * alpha * B
         counted dense, an upper bound on the entries the segments store;
-        "base" applies that bound alone to a built base code.
+        "base" applies that bound alone to a built base code. A negative
+        budget is a RangeError; 0 admits no entries.
         """
+        if budget is not None and budget < 0:
+            raise RangeError(f"budget must be >= 0, got {budget}")
         p, alpha, file_len = parts[0].params, parts[0].alpha_symbols, parts[0].file_len
         n, gamma, fact = p.n, parts[0].gamma_symbols, math.factorial
         if name == "copy_blowup" and not 1 <= arg <= p.k - 1:

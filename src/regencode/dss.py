@@ -95,7 +95,16 @@ class RepairRule:
 
 
 class LinearDss:
-    """Immutable linear storage code with an executable repair rule."""
+    """Immutable linear storage code with an executable repair rule.
+
+    node_gens define the code: encode and the verifier's proofs follow
+    them. A composite's rule carries its copy table (constructions), and
+    its public reconstruct and repair follow that table, not node_gens.
+    The two agree for every code the constructions build; nothing checks
+    them against each other, so a composite rule given edited node_gens
+    makes a code whose generators the verifier proves while reconstruct
+    and repair decode by the table and may refuse what encode stored.
+    """
 
     def __init__(
         self,
@@ -300,10 +309,11 @@ class MdsReencodeRule(RepairRule):
     symbols, G_failed * G_H^-1 being its rows' coordinates over the
     helpers' rows. The rule keeps every node's rows as coordinates over a
     basis of rows (gf._Tableau), built once per code from its first
-    independent rows, and moves that basis to the helpers' rows: one
-    Gauss-Jordan pivot per helper row not yet in it, so a helper set next
-    to the last costs the rows it swaps in. A row with no pivot left means
-    a singular G_H, as does a code of rank below B: CodeInvariantError.
+    independent rows, and walks that basis to the helpers' rows (span, the
+    walk the verifier's reconstruction proof takes): one Gauss-Jordan pivot
+    per helper row not yet in it, so a helper set next to the last costs
+    the rows it swaps in. Helpers whose rows do not span (a singular G_H,
+    or a code of rank below B): CodeInvariantError.
     The failed nodes' coordinates are then their coefficients on the
     helpers' symbols read in basis order, all in one apply_generator, and
     the nodes share one report. The rule keeps one tableau per code, keyed
@@ -326,13 +336,9 @@ class MdsReencodeRule(RepairRule):
             kept = self._bases[dss] = [_Tableau(dss.field, dss.file_len, nodes), None, None]
         tableau, last, reads = kept
         if last != helpers:
-            kept[1] = None  # a walk that raises leaves the basis moved partway
-            try:
-                tableau.move([r for h in helpers for r in tableau.owned[h]])
-            except SingularMatrixError as exc:
-                raise CodeInvariantError(
-                    f"helpers {helpers} do not determine the file: {exc}"
-                ) from exc
+            kept[1] = None  # a walk that fails still moves the basis
+            if not tableau.span(helpers):
+                raise CodeInvariantError(f"helpers {helpers} do not determine the file")
             # the symbol each basis position reads: node i's rows are i * alpha on
             reads = kept[2] = [divmod(r, alpha) for r in tableau.basis]
             kept[1] = helpers

@@ -10,8 +10,9 @@ systems solved are its parts'. Row spans tile a matrix into column blocks
 row's segment against elements (_mat_vec) or forms, segments themselves
 (_mat_forms); pivot-row and product loops find nonzeros with compress, at C
 speed. An exchange tableau (_Tableau) keeps rows grouped by node as
-coordinates over a basis of them: the verifier ranks node sets by it, MDS
-repair walks it from helper set to helper set, and mat_rank counts its basis.
+coordinates over a basis of them, and one walk (span) swaps a node set's
+rows in: the verifier's reconstruction proof and MDS repair both walk it
+from node set to node set, and mat_rank counts its basis.
 """
 
 from __future__ import annotations
@@ -441,11 +442,11 @@ class _Tableau:
     first independent rows, the basis, and each column then holds its row's
     coordinates over them, since row operations keep the linear relations
     among columns. `basis` lists the basic rows by position and `coords`
-    maps each other row to its coordinates by position. Two uses:
-    full_rank reads the minor a set of nodes swaps in and never moves the
-    basis; move swaps rows into the basis one Gauss-Jordan step (pivot) at
-    a time, so the basis walks from one row set to the next at the cost of
-    the rows swapped in. A tableau holds only its own lists.
+    maps each other row to its coordinates by position. One walk uses
+    it: span swaps a node set's rows into the basis one Gauss-Jordan step
+    (pivot) at a time, so the basis walks from one node set to the next at
+    the cost of the rows swapped in, and answers whether they span. A
+    tableau holds only its own lists.
     """
 
     __slots__ = ("field", "owned", "basis", "coords", "full")
@@ -466,53 +467,32 @@ class _Tableau:
         self.coords = {i: [c[i] for c in columns] for i, p in enumerate(pivots) if p is None}
         self.full = len(self.basis) == width
 
-    def full_rank(self, chosen) -> bool:
-        """Whether the rows of the chosen nodes have rank `width`.
+    def span(self, chosen) -> bool:
+        """Whether the rows of the chosen nodes span all `width` columns.
 
-        The rows S of the chosen nodes are X_S * G_R over the basis rows R,
-        G_R of full row rank, so rank G_S = |S & R| + rank X[S - R, R - S]:
-        S's basic rows are unit rows, which clear their own positions,
-        leaving the minor of the rows S swaps in on the positions it leaves.
+        False at once if the rows have rank below width. Otherwise each
+        chosen row not yet basic enters by one pivot, at the first position
+        whose basic row is not chosen and where its coordinate is nonzero;
+        a row with no such position lies in the span of the chosen basic
+        rows and stays out. Chosen rows only replace rows that are not, so
+        a row left out stays in that span, and the chosen rows span iff
+        every basic row is now chosen. The basis stays moved, a basis of
+        the same rows, so the next call walks on from it.
         """
         if not self.full:
             return False
+        basis, coords = self.basis, self.coords
         rows = [i for node in chosen for i in self.owned[node]]
-        swapped = [self.coords[i] for i in rows if i in self.coords]  # S - R
-        if len(rows) - len(swapped) == len(self.basis):  # S covers R
-            return True
-        taken = set(rows)
-        left = [p for p, r in enumerate(self.basis) if r not in taken]  # R - S
-        if len(swapped) < len(left):
-            return False
-        minor = [[x[p] for p in left] for x in swapped]
-        return None not in _eliminate(self.field, minor, len(left))
-
-    def move(self, rows: list[int]) -> list[int]:
-        """Make rows the basis; return their positions in it, in rows' order.
-
-        Each row not yet basic enters at a position whose basic row is not
-        among rows and where its coordinate is nonzero; SingularMatrixError
-        if there is none (the row lies in the span of rows already basic),
-        or if rows are not as many as the basis. Rows already basic stay,
-        so each pivot swaps one of rows in for good. A raise can leave the
-        basis moved partway, a basis all the same.
-        """
-        if len(rows) != len(self.basis):
-            raise SingularMatrixError(f"{len(rows)} rows are no basis of rank {len(self.basis)}")
-        basis, targets = self.basis, set(rows)
-        index = _index(len(basis))
+        targets, index = set(rows), _index(len(basis))
         for q in rows:
-            entering = self.coords.get(q)
+            entering = coords.get(q)
             if entering is None:  # already basic
                 continue
             for p in compress(index, entering):
                 if basis[p] not in targets:
+                    self.pivot(q, p)
                     break
-            else:
-                raise SingularMatrixError(f"row {q} lies in the span of the others")
-            self.pivot(q, p)
-        place = {r: p for p, r in enumerate(basis)}
-        return [place[r] for r in rows]
+        return targets.issuperset(basis)
 
     def pivot(self, q: int, p: int) -> None:
         """Swap the non-basic row q in for the basic row at position p, where q is nonzero.

@@ -16,13 +16,14 @@ zero outside its block. If N_b is the set of nodes touching block b and
 t_b = max(0, k - (n - |N_b|)), every k-subset has rank B iff every
 t_b-subset of N_b has full rank on b, and blocks of equal width, t_b and
 sorted node contents share one verdict. Each block is eliminated once, as
-an exchange tableau (gf._Tableau): its first independent rows R, and every
-row's coordinates X over them. Since G_S = X_S * G_R with G_R of full row
-rank, a set S of the block's rows has rank |S & R| + rank X[S - R, R - S].
-The identity is exact, so the minor's rank proves S's as a rank of G_S
-would: S has full rank iff the block's rows have rank width (G_R is
-square) and the minor of the rows S swaps in has rank |R - S|. A subset
-covering R needs no elimination, and any other only that minor. A
+an exchange tableau (gf._Tableau): a basis R of its rows, and every other
+row's coordinates over R. A node set S is proved by exchange (span): each
+row of S not in R enters R by one pivot, in place of a row not in S where
+its coordinate is nonzero, and a row with no such place already lies in
+the span of S's rows in R. S has full rank iff the block's rows have rank
+width and R is then all S's. The walk is exact, as a rank of G_S would be,
+and R stays a basis of the block, so the next set walks on from it: a set
+next to the last costs the rows it swaps in, as an MDS repair does. A
 failure is reported as the first deficient k-subset in combinations
 order, found by walking the subsets against the failing blocks only.
 
@@ -178,13 +179,13 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
     nodes N_b; every k-subset holds at least t_b = max(0, k - (n - |N_b|))
     of them, can hold any t_b of them, and only gains rows with more. So
     every k-subset has rank B iff every t_b-subset of N_b has full rank on
-    b. Each block is eliminated once, as a gf._Tableau, whose full_rank
-    eliminates only the minor of the rows a node set swaps in for its
-    basis (the identity in the module docstring). An exhaustive plan
-    proves that once per distinct block (its width, t_b and sorted node
-    contents: the check is symmetric in node labels) and on a pass counts
-    all C(n, k) subsets. A subset is deficient iff its nodes lack full rank on some
-    block, so on a failure the subsets are walked in order against the
+    b. Each block is eliminated once, as a gf._Tableau, whose span walks
+    its basis to a node set's rows by a pivot per row swapped in (the
+    exchange in the module docstring). An exhaustive plan proves that once
+    per distinct block (its width, t_b and sorted node contents: the check
+    is symmetric in node labels) and on a pass counts all C(n, k) subsets.
+    A subset is deficient iff its nodes lack full rank on some block, so
+    on a failure the subsets are walked in order against the
     failing blocks, and a sampled plan walks its drawn subsets against
     every block, verdicts memoized per block and nodes met: the first
     deficient subset is the counterexample, its 1-based position the count.
@@ -202,7 +203,7 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
             tableau = None
             if key not in verdicts:
                 tableau = _Tableau(field, width, nodes)
-                verdicts[key] = all(map(tableau.full_rank, combinations(nodes, t)))
+                verdicts[key] = all(map(tableau.span, combinations(nodes, t)))
             if not verdicts[key]:
                 failing.append((nodes, tableau or _Tableau(field, width, nodes)))
         if not failing:
@@ -215,7 +216,7 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
         for b, (nodes, tableau) in enumerate(blocks):
             met = tuple(filter(members.__contains__, nodes))
             if (b, met) not in memo:
-                memo[b, met] = tableau.full_rank(met)
+                memo[b, met] = tableau.span(met)
             if not memo[b, met]:
                 report.reconstruction_ok = False
                 report.reconstruction_counterexample = subset

@@ -164,6 +164,13 @@ def test_cli_construct_budget_refuses_a_bare_base(capsys):
     assert main(["construct", "base(3,5)", "--budget", "1"]) == EXIT_INPUT  # argument errors first
 
 
+def test_cli_construct_negative_budget_is_an_input_error(capsys):
+    assert main(["construct", "base(3,2)", "--budget", "-5"]) == EXIT_INPUT
+    assert "budget must be >= 0, got -5" in capsys.readouterr().err
+    assert main(["construct", "base(3,2)", "--budget", "0"]) == EXIT_RESOURCE  # a valid budget
+    assert "over the budget 0" in capsys.readouterr().err
+
+
 def test_cli_construct_budget_refuses_before_building(monkeypatch, capsys):
     import regencode.constructions as constructions
 

@@ -422,11 +422,26 @@ def test_batched_element_repair_agrees_with_the_forms_route(recipe):
 
 
 def _rule_steps(monkeypatch):
-    """What the MDS rule does, live: "build" a tableau, "pivot", or a dss solve's width."""
-    steps = []
+    """What the MDS rule does, live: "build" a tableau, "pivot", or a dss solve's width.
+
+    Only pivots on the tableaux dss builds count: the verifier's walk
+    pivots tableaux of its own.
+    """
+    steps, built = [], []
     tableau, pivot, solve = dss_module._Tableau, gf_module._Tableau.pivot, dss_module.mat_solve
-    monkeypatch.setattr(dss_module, "_Tableau", lambda *a: steps.append("build") or tableau(*a))
-    monkeypatch.setattr(gf_module._Tableau, "pivot", lambda *a: steps.append("pivot") or pivot(*a))
+
+    def build(*a):
+        steps.append("build")
+        built.append(tableau(*a))
+        return built[-1]
+
+    def counted(t, *a):
+        if t in built:  # by identity: a tableau defines no __eq__
+            steps.append("pivot")
+        return pivot(t, *a)
+
+    monkeypatch.setattr(dss_module, "_Tableau", build)
+    monkeypatch.setattr(gf_module._Tableau, "pivot", counted)
     monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: steps.append(A.cols) or solve(A, b))
     return steps
 

@@ -283,9 +283,20 @@ def test_mds_rule_reuses_a_decoder_only_for_its_own_code_and_helpers(monkeypatch
     gens = [FieldMatrix(GF256, [scaled])] + base.node_gens[1:]
     other = LinearDss(base.params, GF256, 2, gens, base.repair_rule, "scaled", 2)
     counted, runs = [], []
-    tableau, pivot = dss_module._Tableau, gf_module._Tableau.pivot
-    monkeypatch.setattr(dss_module, "_Tableau", lambda *a: counted.append(0) or tableau(*a))
-    monkeypatch.setattr(gf_module._Tableau, "pivot", lambda *a: counted.append(1) or pivot(*a))
+    tableau, pivot, built = dss_module._Tableau, gf_module._Tableau.pivot, []
+
+    def build(*a):
+        counted.append(0)
+        built.append(tableau(*a))
+        return built[-1]
+
+    def pivoted(t, *a):
+        if t in built:  # the rule's tableaux only, by identity: a tableau defines no __eq__
+            counted.append(1)
+        return pivot(t, *a)
+
+    monkeypatch.setattr(dss_module, "_Tableau", build)
+    monkeypatch.setattr(gf_module._Tableau, "pivot", pivoted)
     monkeypatch.setattr(dss_module, "mat_solve", None)  # the rule solves no system
     for code, helpers in [(base, (0, 1)), (base, (0, 1)), (other, (0, 1)), (other, (0, 1)),
                           (other, (1, 2)), (base, (0, 1))]:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,11 +11,13 @@ from regencode.gf import (
     FieldSpec,
     InconsistentSystemError,
     SingularMatrixError,
+    _Tableau,
     _column,
     _mat_forms,
     _mat_vec,
     _matrix,
     _tiles,
+    _trim,
     _trimmed,
     is_irreducible,
     mat_inv,
@@ -617,3 +620,62 @@ def test_mat_forms_agrees_with_the_product_by_the_forms_as_a_matrix(field):
         seen.add("zero product row" if (0, []) in product else None)
         seen.add("nonzero product row" if any(e for _, e in product) else None)
     assert seen >= {"zero form", "zero product row", "nonzero product row"}
+
+
+def _span_block(rnd, field):
+    """A block's nodes, each one to three dense rows, drawn from `rank` random rows.
+
+    rank is the width or below it; zero rows come up too.
+    """
+    width = rnd.randint(1, 5)
+    rank = width if rnd.random() < 0.6 else rnd.randrange(width)
+    spanning = [[rnd.randrange(field.order) for _ in range(width)] for _ in range(rank)]
+
+    def row():
+        acc = [0] * width
+        for base in spanning:
+            c = rnd.randrange(field.order)
+            acc = [a ^ field.mul(c, x) for a, x in zip(acc, base)]
+        return acc
+
+    nodes = {node: [row() for _ in range(rnd.randint(1, 3))] for node in range(rnd.randint(1, 5))}
+    return width, nodes
+
+
+def _coordinates_hold(field, tableau, rows):
+    """Each row is basic or stored, once; stored coordinates times the basic rows give the row."""
+    assert sorted(tableau.basis + list(tableau.coords)) == list(range(len(rows)))
+    columns = [(0, [rows[r][c] for r in tableau.basis]) for c in range(len(rows[0]))]
+    for i, x in tableau.coords.items():
+        assert _mat_vec(field, columns, x) == rows[i]
+
+
+@pytest.mark.parametrize("field", [GF2, GF16, GF256], ids=["GF2", "GF16", "GF256"])
+def test_span_agrees_with_the_rank_of_the_chosen_rows(field):
+    """span answers whether the chosen rows have rank width, from any basis it walked to.
+
+    Every t-subset of a block's nodes is walked in combinations order, then
+    shuffled, each call from the basis the last one left; the stored
+    coordinates stay exact after every call.
+    """
+    rnd = random.Random(2500 + field.m)
+    seen = set()
+    for _ in range(40):
+        width, nodes = _span_block(rnd, field)
+        rows = [r for node in nodes.values() for r in node]
+        tableau = _Tableau(field, width, {node: [_trim(r) for r in node_rows]
+                                          for node, node_rows in nodes.items()})
+        seen.add("full" if tableau.full else "deficient")
+        for t in range(len(nodes) + 1):
+            sets = list(combinations(nodes, t))
+            shuffled = sets[:]
+            rnd.shuffle(shuffled)
+            for chosen in sets + shuffled:
+                held = [r for node in chosen for r in nodes[node]]
+                expected = mat_rank(FieldMatrix(field, held)) == width if held else False
+                assert tableau.span(chosen) is expected, (width, nodes, chosen)
+                _coordinates_hold(field, tableau, rows)
+                seen.add(expected)
+                seen.add("t = 0" if not chosen else None)
+                seen.add("more rows than width" if len(held) > width else None)
+    assert seen >= {"full", "deficient", True, False, "t = 0", "more rows than width"}

@@ -138,12 +138,24 @@ def _agree(runs, monkeypatch):
 
     Returns how many pair and shape runs raised, and by code label the
     (eliminations, pivots) of each run the rule made: the tableau's build
-    is one elimination, and the rule solves no system.
+    is one elimination, and the rule solves no system. Only pivots on the
+    tableaux dss builds count, by identity.
     """
-    counted, runs_by_label = [], {}
-    eliminate, pivot = gf_module._eliminate, gf_module._Tableau.pivot
+    counted, runs_by_label, built = [], {}, []
+    eliminate, pivot, tableau = gf_module._eliminate, gf_module._Tableau.pivot, dss_module._Tableau
     monkeypatch.setattr(gf_module, "_eliminate", lambda *a: counted.append(0) or eliminate(*a))
-    monkeypatch.setattr(gf_module._Tableau, "pivot", lambda *a: counted.append(1) or pivot(*a))
+
+    def build(*a):
+        built.append(tableau(*a))
+        return built[-1]
+
+    def pivoted(t, *a):
+        if t in built:  # by identity: a tableau defines no __eq__
+            counted.append(1)
+        return pivot(t, *a)
+
+    monkeypatch.setattr(dss_module, "_Tableau", build)
+    monkeypatch.setattr(gf_module._Tableau, "pivot", pivoted)
     monkeypatch.setattr(dss_module, "mat_solve", None)  # the rule must not call it
     oracle, raised, steps = InverseRule(), 0, []
     for code, pairs, seed in runs:
@@ -223,10 +235,10 @@ def test_a_singular_first_helper_set_is_refused_and_a_later_one_fails_in_its_min
 
 def test_a_walk_that_raises_partway_is_walked_again(monkeypatch):
     # (2, 3, 4) moves the basis to nodes 2..4; the singular set (0, 1, 5)
-    # then pivots nodes 0 and 1 in before it meets twin 5, whose one nonzero
-    # coordinate is at node 0's row, and raises with the basis moved
-    # partway. Met again, (2, 3, 4) must walk back, not reuse the positions
-    # its last move returned
+    # then pivots nodes 0 and 1 in, and twin 5, whose one nonzero
+    # coordinate is at node 0's row, stays out: the walk fails with the
+    # basis moved. Met again, (2, 3, 4) must walk back, not reuse the
+    # positions its last walk left
     code = _twinned(6, 3, GF256)
     pairs = [(0, (2, 3, 4)), (2, (0, 1, 5)), (0, (2, 3, 4))]
     raised, runs = _agree([(code, pairs, 4)], monkeypatch)

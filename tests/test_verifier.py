@@ -2,7 +2,6 @@ import inspect
 import json
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
@@ -95,39 +94,43 @@ def test_verify_reconstruction_corrupted_generator():
         assert report.checks_run["reconstruction"] == 1
 
 
-def _eliminations(monkeypatch):
-    """The (rows, columns) of each elimination the reconstruction proof runs, as a live list.
+def _in_proof(monkeypatch, owner, name, record):
+    """record(*args) of each call of owner.name the reconstruction proof makes, as a live list.
 
-    Its tableaux (gf._Tableau) eliminate in gf; the repair proof's rule
-    builds one too, which is not counted here.
+    The repair proof's rule builds and walks a tableau too, which is not
+    counted here.
     """
     calls = []
-    eliminate, check = gf_module._eliminate, verifier._check_reconstruction
+    wrapped, check = getattr(owner, name), verifier._check_reconstruction
 
-    def spy(field, work, cols):
-        calls.append((len(work), cols))
-        return eliminate(field, work, cols)
+    def spy(*args):
+        calls.append(record(*args))
+        return wrapped(*args)
 
     def proof(*args):
         with monkeypatch.context() as m:
-            m.setattr(gf_module, "_eliminate", spy)
+            m.setattr(owner, name, spy)
             return check(*args)
 
     monkeypatch.setattr(verifier, "_check_reconstruction", proof)
     return calls
 
 
+def _eliminations(monkeypatch):
+    """The (rows, columns) of each elimination the reconstruction proof runs: its tableaux."""
+    return _in_proof(monkeypatch, gf_module, "_eliminate", lambda _, work, cols: (len(work), cols))
+
+
 def test_concat_reconstruction_is_proved_once_per_distinct_block(monkeypatch):
     # the three parts' column blocks are one system: its 20 3-subsets of 6
     # nodes prove all 816 15-subsets, which the stacked sweep ranked one by
-    # one. The proof eliminates that block once as its reference, then at
-    # most one minor per 3-subset, none for the subset that covers the
-    # reference rows
+    # one. The proof eliminates that block once, as its tableau, and walks
+    # its basis through the 3-subsets by pivots alone
     calls = _eliminations(monkeypatch)
     report = measure_and_compare(concat([rs_base(6, 3)] * 3))
     assert report.ok
     assert report.checks_run == {"reconstruction": 816, "repair": 2448, "total": 3264}
-    assert 1 < len(calls) <= 20
+    assert len(calls) == 1
 
 
 def _stacked_sweep(dss, report, subsets):
@@ -219,30 +222,32 @@ def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
     assert broken >= 45 and later >= 30 and kept >= 8, (broken, later, kept)
 
 
-def test_reconstruction_eliminates_one_reference_then_minors(monkeypatch):
+def test_reconstruction_eliminates_one_reference_then_walks(monkeypatch):
     # rs_base(n, k) is one k-wide block of n one-row nodes, and every
     # k-subset must have full rank on it. The reference is the block laid
-    # out transposed, k x n, eliminated once; its reference rows are nodes
-    # 0..k-1, so the subset (0, ..., k-1) needs nothing and one that swaps j
-    # nodes in solves a j x j minor, j <= min(k, n - k): C(k, j) * C(n - k, j)
-    # of them, where each subset took a k x k rank
+    # out transposed, k x n, eliminated once; its basis is nodes 0..k-1, so
+    # the subset (0, ..., k-1) pivots nothing, and each later subset in
+    # combinations order pivots in the nodes it holds and the one before it
+    # did not: the walk MDS repair takes over the same helper sets, where
+    # each subset took a k x k rank
     calls = _eliminations(monkeypatch)
-    for n, k in [(16, 12), (14, 7)]:
+    pivots = _in_proof(monkeypatch, gf_module._Tableau, "pivot", lambda *a: 1)
+    for n, k, walked in [(16, 12, 2256), (14, 7, 4699)]:
         calls.clear()
+        pivots.clear()
         report = measure_and_compare(rs_base(n, k))
         assert report.ok and report.checks_run["reconstruction"] == comb(n, k)
-        reference, *minors = calls
-        assert reference == (k, n)
-        assert all(rows == cols <= min(k, n - k) for rows, cols in minors)
-        widths = {j: comb(k, j) * comb(n - k, j) for j in range(1, min(k, n - k) + 1)}
-        assert Counter(cols for _, cols in minors) == widths
-        assert len(minors) == comb(n, k) - 1
+        assert calls == [(k, n)]
+        swapped, last = 0, set(range(k))
+        for subset in combinations(range(n), k):
+            swapped, last = swapped + len(set(subset) - last), set(subset)
+        assert len(pivots) == swapped == walked
 
 
 def test_a_block_of_rank_below_its_width_fails_every_subset(monkeypatch):
     # every node stores a multiple of node 0's row: the one 2-wide block has
     # rank 1, so the reference has too few rows, no subset has full rank,
-    # and no minor is eliminated
+    # and no subset is walked
     base = rs_base(4, 2)
     row = base.node_gens[0].data[0]
     gens = [FieldMatrix(GF256, [[GF256.mul(c, x) for x in row]]) for c in (1, 2, 3, 4)]
@@ -265,15 +270,18 @@ def test_a_block_of_rank_below_its_width_fails_every_subset(monkeypatch):
 def test_subsets_holding_more_rows_than_the_block_is_wide(monkeypatch):
     # each block of filenode_blowup(rs_base(3, 2)) is 2 wide and touched by
     # 4 nodes, the file node with 2 rows: a 2-subset that holds it holds 3
-    # rows, so its minor has more rows than columns
+    # rows, so its walk swaps in more rows than the block is wide
     code = filenode_blowup(rs_base(3, 2))
     blocks = list(verifier._column_blocks(code))
     assert {width for width, _ in blocks} == {2}
     assert all(max(map(len, nodes.values())) == 2 for _, nodes in blocks)
-    calls = _eliminations(monkeypatch)
+    held = _in_proof(
+        monkeypatch, gf_module._Tableau, "span",
+        lambda tableau, chosen: sum(len(tableau.owned[node]) for node in chosen),
+    )
     report = measure_and_compare(code)
     assert report.ok and report.checks_run["reconstruction"] == 6
-    assert any(rows > cols for rows, cols in calls[1:])
+    assert max(held) > 2
 
 
 def _f_major_sweep(dss, report, pairs, by_helpers):
@@ -374,12 +382,24 @@ def test_repair_proof_eliminates_each_helper_system_once(monkeypatch):
     # calls for the 7,280 pairs of rs_base(16, 12). The rule builds its
     # code's tableau once, on nodes 0..k-1, the first helper set, and
     # solves no system: each later helper set pivots in the nodes it holds
-    # and the one before it did not, 1.24 a set for rs_base(16, 12)
+    # and the one before it did not, 1.24 a set for rs_base(16, 12). Only
+    # pivots on the rule's tableau count: the reconstruction proof walks
+    # its own
     builds, pivots, calls = [], [], []
     tableau, pivot = dss_module._Tableau, gf_module._Tableau.pivot
     execute = MdsReencodeRule.execute
-    monkeypatch.setattr(dss_module, "_Tableau", lambda *a: builds.append(1) or tableau(*a))
-    monkeypatch.setattr(gf_module._Tableau, "pivot", lambda *a: pivots.append(1) or pivot(*a))
+
+    def build(*a):
+        builds.append(tableau(*a))
+        return builds[-1]
+
+    def counted(t, *a):
+        if t in builds:  # by identity: a tableau defines no __eq__
+            pivots.append(1)
+        return pivot(t, *a)
+
+    monkeypatch.setattr(dss_module, "_Tableau", build)
+    monkeypatch.setattr(gf_module._Tableau, "pivot", counted)
     monkeypatch.setattr(MdsReencodeRule, "execute", lambda *a: calls.append(1) or execute(*a))
     monkeypatch.setattr(dss_module, "mat_solve", None)
     for n, k, walked in [(8, 5, 72), (16, 12, 2256)]:
