@@ -19,7 +19,9 @@ helpers share one part repair, those that compute a part node from a
 file node share one product, and those whose lost file node decodes from
 the same part nodes share one decode: element copies as rows, a column
 per copy (a part handed rows concatenates its copies'), and form copies
-equal up to a column shift as one run, moved to each copy's columns.
+as one run, moved to each copy's columns by the first columns the copy
+table records. The rule refuses a code holding generators the table did
+not place (see _CopiesRule).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import NamedTuple
 
 from .dss import (
     BandwidthReport,
+    CodeInvariantError,
     InputError,
     LinearDss,
     RepairRule,
@@ -144,9 +147,10 @@ class Shape(NamedTuple):
 class _CopiesRule(RepairRule):
     """Repair rule shared by every composition: rebuild the failed nodes from their copies.
 
-    Each copy is one record (part, hosts): hosts maps each composite
-    position the copy hosts to (node, start), the part node placed there
-    and where its content starts among that position's symbols. A copy
+    Each copy is one record (part, hosts, column): hosts maps each
+    composite position the copy hosts to (node, start), the part node
+    placed there and where its content starts among that position's
+    symbols, and column is the first of its file's block. A copy
     that hosts no failed position contributes nothing. For one that does,
     the cheapest legal route rebuilds each node it loses: a single
     download from an exact twin or from a file node when one is among the
@@ -165,18 +169,29 @@ class _CopiesRule(RepairRule):
     _FILE, those nodes), over all the failed nodes. A group runs the part's
     rule, the product by the lost node's generator or _decode once on its
     element copies zipped into rows, or on its row copies concatenated; a
-    copy alone reads its own slices. Form copies run once per column shift
-    (_shift), and each takes the result moved to its own columns (see
-    RepairRule). Each copy keeps its slots in the output and counts its
+    copy alone reads its own slices. A group of form copies runs once, on
+    its first copy's reads, and a copy whose reads are those moved by its
+    column minus the first's (_moved), as placed rows are, takes the result
+    moved as far (see RepairRule); one a wrapping rule altered runs alone.
+    execute and solve raise CodeInvariantError unless each node's generator
+    equals the one _compose placed (gens; as built they are the same
+    objects, and no entry is compared): a copied list passes, an edited
+    node does not. Each copy keeps its slots in the output and counts its
     run's transfers through its own helpers.
     """
 
-    def __init__(self, description, copies):
+    def __init__(self, description, copies, gens):
         self.description = description
         self.copies = copies
+        self.gens = tuple(gens)
 
     def describe(self) -> dict:
         return self.description
+
+    def _placed(self, dss):
+        """CodeInvariantError unless dss holds the generators this table placed, node by node."""
+        if tuple(dss.node_gens) != self.gens:  # as built, the same objects: no entry read
+            raise CodeInvariantError(f"{dss.label}: generators not placed by its copy table")
 
     def solve(self, dss, subset, rhs):
         """dss's file from rhs, the symbols of subset's nodes as rows, copy by copy (dss._solve).
@@ -189,16 +204,18 @@ class _CopiesRule(RepairRule):
         """
         field, width, symbols = dss.field, rhs.cols, rhs.segments
         x, routes, groups, alpha = [None] * dss.file_len, {}, {}, dss.alpha_symbols
-        walk = [(self, 0, tuple(subset), range(0, len(subset) * alpha, alpha))]
-        while walk:  # (rule, first column, positions read, the first rhs row of each)
-            rule, col, positions, firsts = walk.pop()
+        walk = [(dss, 0, tuple(subset), range(0, len(subset) * alpha, alpha))]
+        while walk:  # (composite, first column, positions read, the first rhs row of each)
+            code, col, positions, firsts = walk.pop()
+            rule = code.repair_rule
+            rule._placed(code)
             if (rule, positions) not in routes:
                 routes[rule, positions] = rule._routes(positions)
             copies, leaves = routes[rule, positions]
             for part, at, file, nodes, reads in copies:
                 at, reads = col + at, [firsts[i] + s for i, s in reads]
                 if file is None:  # a composite part
-                    walk.append((part.repair_rule, at, nodes, reads))
+                    walk.append((part, at, nodes, reads))
                     continue
                 first, size = firsts[file[0]] + file[1], part.file_len
                 x[at : at + size] = rows = symbols[first : first + size]
@@ -229,8 +246,8 @@ class _CopiesRule(RepairRule):
         file, part nodes, their reads); the rest, by (part, part nodes), their
         first columns and the (index, row) of each row they read.
         """
-        copies, leaves, col = [], {}, 0
-        for part, hosts in self.copies:
+        copies, leaves = [], {}
+        for part, hosts, col in self.copies:
             file, nodes = None, []
             for i, pos in enumerate(positions):
                 if (held := hosts.get(pos)) is not None:
@@ -247,21 +264,22 @@ class _CopiesRule(RepairRule):
                 ats, members = leaves.setdefault((part, us), ([], []))
                 ats.append(col)
                 members.append([(i, s + t) for i, s in reads for t in range(part.alpha_symbols)])
-            col += part.file_len
         return copies, leaves
 
     def execute(self, dss, failed, helpers, contents):
+        self._placed(dss)
         alpha = dss.alpha_symbols
         out = [0] * (len(failed) * alpha)  # failed node i's symbols from i * alpha on
         counts = [dict.fromkeys(helpers, 0) for _ in failed]
         # part repairs, grouped by (part, lost part nodes, chosen part helpers),
         # file-node downloads by (part, (lost part node,), (_FILE,)), and file
         # decodes by (part, _FILE, part nodes read); a member is a copy's slots
-        # in out, one per node its group rebuilds, and its part helpers
+        # in out, one per node its group rebuilds, its part helpers and its
+        # first column
         groups = {}
 
         firsts = list(zip(range(0, len(out), alpha), failed))
-        for part, hosts in self.copies:
+        for part, hosts, col in self.copies:
             at, slots, us = None, (), ()
             for first, f in firsts:
                 lost = hosts.get(f)
@@ -287,7 +305,7 @@ class _CopiesRule(RepairRule):
                     # read in part order
                     used = [(node[1], where) for node, where in at.items() if node[0] == _BASE]
                     read = dict(sorted(used[: part.params.k]))
-                    groups.setdefault((part, _FILE, tuple(read)), []).append(((slot,), read))
+                    groups.setdefault((part, _FILE, tuple(read)), []).append(((slot,), read, col))
                     continue
 
                 u = desc[1]
@@ -299,13 +317,13 @@ class _CopiesRule(RepairRule):
                     counts[first // alpha][q] += size
                 elif (_FILE,) in at:  # a file node computes the lost content and sends it
                     file_at = {_FILE: at[(_FILE,)]}
-                    groups.setdefault((part, (u,), (_FILE,)), []).append(((slot,), file_at))
+                    groups.setdefault((part, (u,), (_FILE,)), []).append(((slot,), file_at, col))
                 else:
                     slots, us = slots + (slot,), us + (u,)
 
             if slots:  # part repair from the d smallest part helper indices
                 chosen = tuple(sorted(cand)[: part.params.d])
-                groups.setdefault((part, us, chosen), []).append((slots, cand))
+                groups.setdefault((part, us, chosen), []).append((slots, cand, col))
 
         # one part repair or file decode per group, on the actual symbols of
         # its copies (never a repair map taken from unit forms: they are
@@ -313,28 +331,22 @@ class _CopiesRule(RepairRule):
         # holds per node of the group each member's (piece, transfer report)
         for (part, us, chosen), members in groups.items():
             size = part.file_len if chosen == (_FILE,) else part.alpha_symbols
-            copies = [
-                [contents[q][s : s + size] for q, s in map(cand.__getitem__, chosen)]
-                for _, cand in members
-            ]
-            shape = type(copies[0][0][0])
+            def slices(cand):  # a member's reads of the chosen helpers
+                return [contents[q][s : s + size] for q, s in map(cand.__getitem__, chosen)]
+
+            reads = slices(members[0][1])
+            shape = type(reads[0][0])
             if len(members) == 1:  # a copy alone reads its own slices
-                done = zip(_run(part, us, chosen, copies[0]))
-            elif shape is tuple:  # forms: a run per value up to a column shift
-                runs, moved = [], []
-                for reads in copies:
-                    for origin, results in runs:
-                        if (shift := _shift(reads, origin)) is not None:
-                            break
-                    else:
-                        shift, results = 0, _run(part, us, chosen, reads)
-                        runs.append((reads, results))
-                    moved.append([
-                        ([(s + shift, e) if e else (0, []) for s, e in rebuilt], report)
-                        for rebuilt, report in results
-                    ])
-                done = zip(*moved)
+                done = zip(_run(part, us, chosen, reads))
+            elif shape is tuple:  # forms: the first copy's run, moved to each copy's columns
+                results, origin = _run(part, us, chosen, reads), members[0][2]
+                done = zip(*(
+                    _moved(results, own := slices(cand), reads, col - origin)
+                    or _run(part, us, chosen, own)  # reads a wrapping rule altered: their own run
+                    for _, cand, col in members
+                ))
             else:
+                copies = [slices(cand) for _, cand, _ in members]
                 if shape is int:  # element copies zipped into rows, a column each
                     rows = [[list(t) for t in zip(*h)] for h in zip(*copies)]
                     unlay = lambda rebuilt: zip(*rebuilt)
@@ -346,7 +358,7 @@ class _CopiesRule(RepairRule):
                 results = _run(part, us, chosen, rows)
                 done = [zip(unlay(rebuilt), itertools.repeat(bw)) for rebuilt, bw in results]
             for j, pieces in enumerate(done):
-                for (slots, cand), (piece, report) in zip(members, pieces):
+                for (slots, cand, _), (piece, report) in zip(members, pieces):
                     slot = slots[j]
                     out[slot : slot + len(piece)] = piece
                     count = counts[slot // alpha]
@@ -373,24 +385,13 @@ def _run(part, us, chosen, reads):
     return part.repair_rule.execute(part, us, chosen, dict(zip(chosen, reads)))
 
 
-def _shift(reads, origin):
-    """The column shift that moves the form copy origin's reads onto reads, or None.
-
-    It is the start difference of the first nonzero segments; every nonzero
-    segment must move by it and hold equal entries (placed segments share
-    the part's lists: identity first), and a zero row must meet a zero row.
-    """
-    shift = None
-    for read, seen in zip(reads, origin):
-        for (start, entries), (s, e) in zip(read, seen):
-            if entries is not e and entries != e:
+def _moved(results, reads, origin, c):
+    """results, run on origin, moved c columns on if reads are origin moved as far, else None."""
+    for read, seen in zip(reads, origin):  # moved reads share origin's entries lists
+        for (s, e), (start, entries) in zip(read, seen):
+            if (e or entries) and (e is not entries or s != start + c):  # zero rows meet anywhere
                 return None
-            if entries:
-                if shift is None:
-                    shift = start - s
-                elif start - s != shift:
-                    return None
-    return shift or 0
+    return [([(s + c, e) if e else (0, []) for s, e in piece], bw) for piece, bw in results]
 
 
 def _compose(name, parts, arg=None, budget=None):
@@ -444,12 +445,13 @@ def _compose(name, parts, arg=None, budget=None):
             else:
                 segments = part.node_gens[node[1]].segments
                 gens[pos] += [(col + start, entries) for start, entries in segments]
-        copies.append((part, hosts))
+        copies.append((part, hosts, col))
         col += B
     if {len(rows) for rows in gens} != {shape.alpha_symbols} or col != file_len:
         raise AssertionError("composition disagrees with its shape rule")
 
     field = parts[0].field
+    node_gens = [_matrix(field, file_len, rows) for rows in gens]
     meta = {
         "kind": name,
         "copies": len(copies),
@@ -461,8 +463,8 @@ def _compose(name, parts, arg=None, budget=None):
         params=shape.params,
         field=field,
         file_len=file_len,
-        node_gens=[_matrix(field, file_len, rows) for rows in gens],
-        repair_rule=_CopiesRule(description, copies),
+        node_gens=node_gens,
+        repair_rule=_CopiesRule(description, copies, node_gens),
         label=f"{name}({','.join(p.label for p in parts)}{suffix})",
         gamma_symbols=shape.gamma_symbols,
         meta=meta,

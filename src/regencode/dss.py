@@ -77,6 +77,9 @@ class RepairRule:
     output moved as far. The public repair checks contents once and
     execute reads only the helpers' entries (contents is indexed by node),
     so a rule runs its parts' rules directly on slices of checked contents.
+    A composite's rule runs each group of its form copies once, moved to
+    the columns of every copy whose reads are the same rows moved there,
+    as its generators' rows are (constructions._CopiesRule).
     """
 
     kind = "abstract"
@@ -97,13 +100,12 @@ class RepairRule:
 class LinearDss:
     """Immutable linear storage code with an executable repair rule.
 
-    node_gens define the code: encode and the verifier's proofs follow
-    them. A composite's rule carries its copy table (constructions), and
-    its public reconstruct and repair follow that table, not node_gens.
-    The two agree for every code the constructions build; nothing checks
-    them against each other, so a composite rule given edited node_gens
-    makes a code whose generators the verifier proves while reconstruct
-    and repair decode by the table and may refuse what encode stored.
+    node_gens define the code: encode and the verifier's reconstruction
+    proof follow them. A composite's rule carries its copy table and the
+    generators placed with it (constructions), and its public reconstruct
+    and repair and the repair proof follow that table. The rule raises
+    CodeInvariantError unless each node's generator equals the placed one
+    (as built, the same object): a copied list passes, an edited node not.
     """
 
     def __init__(
@@ -236,7 +238,7 @@ def _shaped(matrix: FieldMatrix, like: list, at: int) -> list:
     if shape is int:
         return matrix.col_vector()
     if shape is list:
-        return [row for _, row in matrix.segments]
+        return matrix.data
     return [_trim(row, at + start) for start, row in matrix.segments]
 
 

@@ -8,11 +8,12 @@ eliminates it once: a composed code decodes through its copy table, so the
 systems solved are its parts'. Row spans tile a matrix into column blocks
 (_tiles), which the verifier's reconstruction proof ranks. Products walk each
 row's segment against elements (_mat_vec) or forms, segments themselves
-(_mat_forms); pivot-row and product loops find nonzeros with compress, at C
-speed. An exchange tableau (_Tableau) keeps rows grouped by node as
-coordinates over a basis of them, and one walk (span) swaps a node set's
-rows in: the verifier's reconstruction proof and MDS repair both walk it
-from node set to node set, and mat_rank counts its basis.
+(_mat_forms, also FieldMatrix.mul over the other matrix's rows); pivot-row
+loops find nonzeros with compress, at C speed. An exchange tableau
+(_Tableau) keeps rows grouped by node as coordinates over a basis of them,
+and one walk (span) swaps a node set's rows in: the verifier's
+reconstruction proof and MDS repair both walk it from node set to node
+set, and mat_rank counts its basis.
 """
 
 from __future__ import annotations
@@ -161,12 +162,12 @@ class FieldMatrix:
     none), sharing a row whose ends are both nonzero; from_segments takes
     segments as they are, zeros among their entries included; column takes
     one entry per row. All three refuse an entry that is not a field
-    element with ValueError. Products and solutions keep each row whole, as
-    wide as the matrix. `data` renders the dense rows. A matrix shares what
-    it is given without copying: no operation in this module mutates an
-    operand (elimination works on its own rows), and a caller must not
-    mutate rows or entries afterwards either, so composed codes share their
-    parts' entries.
+    element with ValueError. Products keep each row trimmed to its
+    nonzeros, solutions each row whole. `data` renders the dense rows. A
+    matrix shares what it is given without copying: no operation in this
+    module mutates an operand (elimination works on its own rows), and a
+    caller must not mutate rows or entries afterwards either, so composed
+    codes share their parts' entries.
     """
 
     __slots__ = ("field", "rows", "cols", "segments")
@@ -222,21 +223,13 @@ class FieldMatrix:
         return [entries[0] if entries else 0 for _, entries in self.segments]
 
     def mul(self, other: "FieldMatrix") -> "FieldMatrix":
-        """The product, one dense row per row of self; costs the nonzeros it meets."""
+        """The product, other's rows as forms (_mat_forms); costs the nonzeros it meets."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        exp, log = self.field._exp, self.field._log
-        width, right = other.cols, other.segments
-        inner, outer = _index(self.cols), _index(width)
-        out = []
-        for start, entries in self.segments:
-            row = [0] * width
-            for t in compress(inner, entries):  # nonzeros only, found at C speed
-                la, (at, brow) = log[entries[t]], right[start + t]
-                for j in compress(outer, brow):
-                    row[at + j] ^= exp[la + log[brow[j]]]
-            out.append((0, row))
-        return _matrix(self.field, width, out)
+        if not other.rows:  # an empty inner dimension: zero rows
+            return _matrix(self.field, other.cols, [(0, [])] * self.rows)
+        product = _mat_forms(self.field, self.segments, other.segments)
+        return _matrix(self.field, other.cols, product)
 
     def __eq__(self, other) -> bool:
         return (

@@ -272,7 +272,8 @@ def _sweep(dss: LinearDss, groups):
     _check_repair returns it). The forms are the generators' own segments,
     alpha per node as LinearDss holds them, and each group is one rule
     call, made directly: the plan yields only d sorted helpers in range and
-    failed nodes outside them. A call that raises fails its first pair. A
+    failed nodes outside them. A call that raises (as a composite's rule
+    does for generators its table did not place) fails its first pair. A
     rebuilt node is compared by its generator's segments, then, as
     generators may keep zeros at their ends, by both sides' segments
     trimmed (gf._trimmed), never as dense rows; a report the nodes of a

@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 
 from regencode.cli import CURVE_HEADER, curve_csv, main
-from regencode.constructions import blowup_full, concat, copy_blowup, filenode_blowup
+from regencode.constructions import (
+    blowup_full,
+    blowup_simple,
+    concat,
+    copy_blowup,
+    filenode_blowup,
+)
 from regencode.dss import rs_base
 from regencode.gf import GF2
 from regencode.tradeoff import (
@@ -23,6 +29,7 @@ from regencode.tradeoff import (
     asymptotic_terms,
     closecase_fraction,
     closecase_limit,
+    functional_capacity,
     max_split_count,
     perf_p1,
     perf_p2,
@@ -316,6 +323,46 @@ def test_criterion_10_ordering_strict():
             if row[flag_i] != "1":
                 continue
             assert F(row[cap_i]) >= F(row[p1_i]) >= F(row[ts_i]), (params, row)
+
+
+# (n0, k0, j): blowup_simple applied j times to base(n0, k0), a code at
+# (n, k, d) = (n0 + j, k0 + j, k0 + j) whose index is i = k0; n - k runs
+# from 1 to 3 and i from 2 to 10
+TOWERS_11 = [
+    (3, 2, 2), (3, 2, 4), (6, 5, 3),
+    (4, 3, 2), (5, 4, 2), (7, 6, 2), (9, 8, 2), (11, 10, 2),
+    (5, 3, 1), (5, 3, 2), (5, 3, 3), (7, 5, 2), (6, 3, 2), (4, 2, 3),
+]
+
+
+def test_criterion_11_blowup_towers_meet_the_paper_headline():
+    # towers of the paper's simple variation are exact-repair codes on the
+    # P1 curve: each verifies exhaustively, and its file size over the
+    # functional-repair capacity at its measured bandwidth is the shifted P1
+    # fraction (the close-case fraction when n - k = 1). Repair is
+    # symmetric exactly when n - k = 1
+    t0 = time.monotonic()
+    for n0, k0, j in TOWERS_11:
+        code = rs_base(n0, k0)
+        for _ in range(j):
+            code = blowup_simple(code)
+        report = measure_and_compare(code)
+        assert report.mode == {"kind": "exhaustive"} and report.ok, code.label
+        p, i = code.params, k0
+        alpha, gamma, B = report.measured.alpha, report.measured.gamma, report.measured.file_size
+        assert (p.n, p.k, p.d) == (n0 + j, k0 + j, k0 + j)
+        point = perf_p1(p, alpha, i)
+        assert (B, gamma) == (point.file_size, point.gamma), code.label
+        fraction = B / functional_capacity(p, alpha, gamma)
+        setup = AsymptoticSetup(SystemParams(p.n - p.k + 1, 1, 1), F(i - 1, p.k - 1), p.k - 1)
+        assert fraction == asymptotic_fraction(setup)[0], code.label
+        if p.n - p.k == 1:
+            assert fraction == closecase_fraction(p.n, i), code.label
+        assert report.symmetric == (p.n - p.k == 1), code.label
+        if (n0, k0, j) == (5, 3, 3):  # the paper's "almost the same performance"
+            assert (report.symmetry_max_deviation, gamma) == (60, 630)
+    check_runtime(t0, 10.0, "criterion 11")
+    record("criterion 11 (blowup_simple towers: B/C = shifted P1 fraction, exact): PASS")
 
 
 def test_print_summary():

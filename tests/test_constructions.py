@@ -266,19 +266,21 @@ def test_copies_are_placed_only_where_they_host():
         (filenode_blowup(rs_base(3, 2)), [4] * 24),
     ]
     for dss, sizes in cases:
-        records = [hosts for _, hosts in dss.repair_rule.copies]
+        records = [hosts for _, hosts, _ in dss.repair_rule.copies]
         assert [len(hosts) for hosts in records] == sizes
         assert all(node[0] != "empty" for hosts in records for node, _ in hosts.values())
-    concat_records = [hosts for _, hosts in cases[0][0].repair_rule.copies]
+    concat_records = [hosts for _, hosts, _ in cases[0][0].repair_rule.copies]
     assert [sorted(hosts) for hosts in concat_records] == [[0, 1, 2], [3, 4, 5, 6], [7, 8, 9]]
 
 
 def test_composed_rows_share_their_part_segments():
-    # each placed row is its part row's segment moved to its copy's columns
+    # each placed row is its part row's segment moved to its copy's columns,
+    # whose first the copy table records; the copies' blocks run in order
     base = rs_base(3, 2)
     for dss in (blowup_full(base), concat([base, rs_base(4, 3), base]), filenode_blowup(base)):
-        col = 0
-        for part, hosts in dss.repair_rule.copies:
+        end = 0
+        for part, hosts, col in dss.repair_rule.copies:
+            assert col == end
             for pos, (node, at) in hosts.items():
                 if node[0] == "file":  # a file node holds the copy's B unit rows
                     placed = dss.node_gens[pos].segments[at : at + part.file_len]
@@ -288,8 +290,8 @@ def test_composed_rows_share_their_part_segments():
                 own = part.node_gens[node[1]].segments
                 assert [start for start, _ in placed] == [col + start for start, _ in own]
                 assert all(p is o for (_, p), (_, o) in zip(placed, own))
-            col += part.file_len
-        assert col == dss.file_len
+            end += part.file_len
+        assert end == dss.file_len
 
 
 def test_iterate_twice_stores_its_nonzeros_in_segments():

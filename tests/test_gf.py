@@ -207,6 +207,17 @@ def test_shape_mismatches_raise_value_error(call):
         call()
 
 
+def test_a_product_over_an_empty_inner_dimension_is_zero():
+    # a 1x0 matrix times a 0x3 one: one zero row of three columns
+    product = FieldMatrix(GF256, [[]]).mul(FieldMatrix.from_segments(GF256, 3, []))
+    assert (product.rows, product.cols, product.data) == (1, 3, [[0, 0, 0]])
+    # a product row is trimmed to its nonzeros and renders whole
+    A = FieldMatrix(GF256, [[1, 0], [0, 0]])
+    product = A.mul(FieldMatrix(GF256, [[0, 7, 0], [1, 1, 1]]))
+    assert product.segments == [(1, [7]), (0, [])]
+    assert product.data == [[0, 7, 0], [0, 0, 0]]
+
+
 def test_matrices_equal_by_their_rows_not_their_segments():
     # a segment may keep zeros at its ends; equality reads the rows they render
     A = FieldMatrix(GF256, [[0, 5, 0], [0, 0, 0], [1, 2, 3]])

@@ -1,28 +1,37 @@
-"""Batches of copies: element copies as rows, form copies run once per column shift.
+"""Batches of copies: element copies as rows, a group of form copies run once.
 
 A composite hands its parts batches of element copies as rows (a plain
-list per symbol, one column per copy) and runs the form copies whose
-reads are equal up to a column shift once. The oracle below is the
-layout this replaced, where a group's form copies were laid out dense
-side by side over the columns their segments span and run together; it
-lives here only, to show the shift runs give the same forms, transfers
-and verdicts, corrupted codes included. A second oracle, _relative, is
-the key form copies were matched by before constructions._shift compared
-them segment by segment.
+list per symbol, one column per copy) and runs a group of form copies
+once, on its first copy's reads, moving the result to each copy's
+columns by the first columns its copy table records. The oracle below is
+the layout this replaced, where a group's form copies were laid out
+dense side by side over the columns their segments span and run
+together; it lives here only, to show the moved runs give the same
+forms, transfers and verdicts, faulty parts included. The moves hold
+only for the generators the table placed, and a composite holding any
+other list is refused.
 """
 
 import itertools
 import random
 import tracemalloc
-from collections import Counter
 from itertools import combinations
 
 import pytest
 
-import regencode.constructions as constructions_module
 import test_sweep
 from regencode.cli import parse_recipe
-from regencode.constructions import _BASE, _FILE, _TWIN, _CopiesRule, blowup_full
+from regencode.constructions import (
+    _BASE,
+    _FILE,
+    _TWIN,
+    _CopiesRule,
+    blowup_full,
+    blowup_simple,
+    concat,
+    copy_blowup,
+    filenode_blowup,
+)
 from regencode.dss import (
     BandwidthReport,
     CodeInvariantError,
@@ -30,9 +39,14 @@ from regencode.dss import (
     _decode,
     _span,
     apply_generator,
+    encode,
+    reconstruct,
+    repair,
+    rs_base,
 )
-from regencode.gf import _matrix, _trim
+from regencode.gf import FieldMatrix, _matrix, _trim
 from regencode.verifier import measure_and_compare
+from test_verifier import ZeroedTransferRule, _with_rule
 
 
 def _side_by_side(field, copies):
@@ -70,7 +84,7 @@ def _oracle_repair(self, dss, failed, helpers, contents):
     assert type(contents[helpers[0]][0]) is tuple
     counts = dict.fromkeys(helpers, 0)
     out, groups = [], {}
-    for part, hosts in self.copies:
+    for part, hosts, _ in self.copies:
         lost = hosts.get(failed)
         if lost is None:
             continue
@@ -143,17 +157,18 @@ def _pairs(code, seed, per_node=3):
 
 
 def _corrupted(code, seed, kind):
-    """code with one copy's rows at one position changed, so its copies are not shift-equal.
+    """code with one copy's rows at one position edited, its copy table as built.
 
     "zeroed" zeroes one part row of a drawn copy; "swapped" exchanges a
     drawn copy's rows at a drawn position with those of another copy of
-    the same part there. The repair rule and its copy table stay as built.
+    the same part there. The repair rule and its copy table stay as built,
+    so the rule refuses the edited generator list.
     """
     rnd = random.Random(seed)
     copies = code.repair_rule.copies
     gens = [list(g.segments) for g in code.node_gens]
     i = rnd.randrange(len(copies))
-    part, hosts = copies[i]
+    part, hosts, _ = copies[i]
     pos = rnd.choice(sorted(p for p, (node, _) in hosts.items() if node[0] != _FILE))
     start, alpha = hosts[pos][1], part.alpha_symbols
     if kind == "zeroed":
@@ -161,7 +176,7 @@ def _corrupted(code, seed, kind):
     else:
         others = [
             h[pos][1]
-            for j, (p, h) in enumerate(copies)
+            for j, (p, h, _) in enumerate(copies)
             if j != i and p is part and pos in h and h[pos][0][0] != _FILE
         ]
         other = rnd.choice(others)
@@ -218,8 +233,11 @@ def test_shift_keyed_forms_agree_with_the_side_by_side_layout(monkeypatch, recip
 
 
 # (code, corruption, seed) -> the reconstruction and repair counterexamples
-# measure_and_compare reported with the side-by-side layout; "nested" is
-# blowup_full over a corrupted blowup_simple(base(3,2))
+# measure_and_compare reported with the side-by-side layout, which ran the
+# edited generators; "nested" is blowup_full over a corrupted
+# blowup_simple(base(3,2)). The reconstruction proof reads the generators
+# and keeps its counterexamples; the repair proof is refused at its first
+# plan pair
 CORRUPTED = {
     ("blowup_full(base(3,2))", "zeroed", 1): ((0, 2, 3), (0, (1, 2, 3))),
     ("blowup_full(blowup_simple(base(3,2)))", "zeroed", 1): ((0, 1, 2, 4), (0, (1, 2, 3, 4))),
@@ -241,21 +259,111 @@ CORRUPTED = {
 
 
 def _corrupted_code(recipe, kind, seed):
-    if recipe == "nested":  # the nested rule's copies differ under shift-equal outer copies
+    if recipe == "nested":  # the outer table placed the edited part, whose own table refuses it
         return blowup_full(_corrupted(parse_recipe("blowup_simple(base(3,2))"), seed, kind))
     return _corrupted(parse_recipe(recipe), seed, kind)
 
 
 @pytest.mark.parametrize("case", list(CORRUPTED), ids=str)
-def test_copies_that_are_not_shift_equal_agree_with_the_side_by_side_layout(monkeypatch, case):
+def test_generators_the_copy_table_did_not_place_are_refused(case):
     code = _corrupted_code(*case)
-    _agree_with_oracle(monkeypatch, code, _pairs(code, code.label, per_node=10))  # every pair
-    got = measure_and_compare(code)
-    with monkeypatch.context() as m:
-        m.setattr(_CopiesRule, "execute", _oracle_execute)
-        want = measure_and_compare(code)
-    assert got.to_json() == want.to_json()
-    assert (got.reconstruction_counterexample, got.repair_counterexample) == CORRUPTED[case]
+    n, k, d = code.params.n, code.params.k, code.params.d
+    forms = [g.segments for g in code.node_gens]
+    with pytest.raises(CodeInvariantError):
+        code.repair_rule.execute(code, (0,), tuple(range(1, d + 1)), forms)
+    message = [i % code.field.order for i in range(code.file_len)]
+    contents = encode(code, message)  # encode follows the generators
+    with pytest.raises(CodeInvariantError):
+        repair(code, 0, range(1, d + 1), contents)
+    for subset in combinations(range(n), k):
+        with pytest.raises(CodeInvariantError):
+            reconstruct(code, subset, contents)
+    report = measure_and_compare(code)
+    assert (report.reconstruction_counterexample, report.repair_counterexample) == CORRUPTED[case]
+    assert report.checks_run["repair"] == 1
+
+
+def test_the_placed_generators_are_checked_node_by_node():
+    # a copied list of the placed generators is the same code; a node
+    # edited in place, in the code's own list, is refused
+    code = parse_recipe("blowup_full(base(3,2))")
+    n, k, d = code.params.n, code.params.k, code.params.d
+    copied = LinearDss(
+        code.params, code.field, code.file_len, list(code.node_gens), code.repair_rule,
+        code.label, code.gamma_symbols,
+    )
+    assert measure_and_compare(copied).to_json() == measure_and_compare(code).to_json()
+    message = [i % code.field.order for i in range(code.file_len)]
+    contents = encode(copied, message)
+    assert reconstruct(copied, range(k), contents) == message
+    assert repair(copied, 0, range(1, d + 1), contents)[0] == contents[0]
+    code.node_gens[0] = code.node_gens[1]
+    with pytest.raises(CodeInvariantError):
+        reconstruct(code, range(k), contents)
+    with pytest.raises(CodeInvariantError):
+        repair(code, 0, range(1, d + 1), contents)
+    assert measure_and_compare(copied).ok  # its own list is untouched
+
+
+def _faulty_part(part, rnd, fault):
+    """part with one seeded fault, its own rule kept: a composite's table places it as built.
+
+    "zeroed" zeroes a drawn row, "scaled" sets a drawn row to a nonzero
+    multiple of another, and "transfer" wraps the part's rule so that its
+    first helper's transfer is dropped.
+    """
+    if fault == "transfer":
+        return _with_rule(part, ZeroedTransferRule(part.repair_rule))
+    rows = [g.data for g in part.node_gens]  # new lists of rows: rows are replaced, never mutated
+    cells = [(i, a) for i in range(part.params.n) for a in range(part.alpha_symbols)]
+    i, a = rnd.choice(cells)
+    if fault == "zeroed":
+        rows[i][a] = [0] * part.file_len
+    else:
+        j, b = rnd.choice([cell for cell in cells if cell != (i, a)])
+        scale = rnd.randrange(1, part.field.order)
+        rows[i][a] = [part.field.mul(scale, x) for x in rows[j][b]]
+    return LinearDss(
+        part.params, part.field, part.file_len, [FieldMatrix(part.field, r) for r in rows],
+        part.repair_rule, f"{part.label}/{fault}", part.gamma_symbols,
+    )
+
+
+COMPOSE = {
+    "blowup_simple": blowup_simple,
+    "blowup_full": blowup_full,
+    "filenode_blowup": filenode_blowup,
+    "copy_blowup": lambda part: copy_blowup(part, 1),
+    "concat": lambda part: concat([part, rs_base(part.params.n, part.params.k)]),
+    "nested": lambda part: blowup_simple(blowup_full(part)),
+}
+
+
+def _codes_over_faulty_parts():
+    rnd = random.Random(30)
+    for fault in ("zeroed", "scaled", "transfer"):
+        for n, k in [(3, 2), (4, 3), (4, 2)]:
+            for compose in COMPOSE.values():
+                yield compose(_faulty_part(rs_base(n, k), rnd, fault))
+
+
+def test_table_moved_form_runs_report_as_the_side_by_side_layout(monkeypatch):
+    # the forms proof moves each group's one run by the columns the copy
+    # table records; the layout it replaced ran every copy's own reads. The
+    # whole report must be equal on every sweep recipe, on composites over
+    # parts with one seeded fault each, and on every sweep recipe with its
+    # composite rule wrapped so that it alters the forms before the table
+    # groups them (a copy whose reads are not the first's moved runs alone)
+    codes = [parse_recipe(text, budget=test_sweep.BUDGET) for text in test_sweep.recipes()]
+    faulty = list(_codes_over_faulty_parts())
+    faulty += [_with_rule(code, ZeroedTransferRule(code.repair_rule)) for code in codes]
+    for code in codes + faulty:
+        got = measure_and_compare(code)
+        with monkeypatch.context() as m:
+            m.setattr(_CopiesRule, "execute", _oracle_execute)
+            want = measure_and_compare(code)
+        assert got.to_json() == want.to_json(), code.label
+        assert got.ok != (code in faulty), code.label  # every seeded fault fails its proof
 
 
 def test_a_forms_repair_of_a_deep_blowup_lays_nothing_out_dense():
@@ -273,43 +381,3 @@ def test_a_forms_repair_of_a_deep_blowup_lays_nothing_out_dense():
         tracemalloc.stop()
     assert rebuilt == forms[0]
     assert peak < 500_000
-
-
-
-def _relative(reads):
-    """A form copy's first column, and a key shared by the copies equal to it up to a shift.
-
-    The key holds each segment's start from that column (0 for a zero row), length and entries.
-    """
-    first = min((start for read in reads for start, entries in read if entries), default=0)
-    key = []
-    for read in reads:
-        for start, entries in read:
-            key += (start - first if entries else 0, len(entries))
-            key += entries
-    return first, tuple(key)
-
-
-def test_shift_matches_the_copies_whose_relative_keys_are_equal(monkeypatch):
-    # every comparison of a form copy with a run of its group, in every
-    # proof of the random sweep and of the swapped corruptions: _shift finds
-    # a shift iff the keys are equal, and it is the difference of their
-    # first columns
-    shift, seen = constructions_module._shift, Counter()
-
-    def checked(reads, origin):
-        got = shift(reads, origin)
-        (first, key), (origin_first, origin_key) = _relative(reads), _relative(origin)
-        assert (got is not None) == (key == origin_key)
-        assert got is None or got == first - origin_first
-        seen[got is None] += 1
-        return got
-
-    monkeypatch.setattr(constructions_module, "_shift", checked)
-    for text in test_sweep.recipes():
-        assert measure_and_compare(parse_recipe(text, budget=test_sweep.BUDGET)).ok, text
-    for case in CORRUPTED:
-        if case[1] == "swapped":
-            assert not measure_and_compare(_corrupted_code(*case)).repair_ok, case
-    # copies a shift matches, and copies none does
-    assert seen[False] and seen[True], seen

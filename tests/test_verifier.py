@@ -56,7 +56,7 @@ class ZeroedTransferRule(RepairRule):
         self.inner = inner
 
     def execute(self, dss, failed, helpers, contents):
-        tampered = list(contents)
+        tampered = contents.copy()  # a list by node, or a dict as a composite hands its part
         tampered[helpers[0]] = [_zeroed(s) for s in contents[helpers[0]]]
         return self.inner.execute(dss, failed, helpers, tampered)
 
@@ -326,21 +326,29 @@ def _with_rule(dss, rule):
 def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
     # seeded faults, each verified exhaustively and sampled, by the
     # helper-grouped sweep and by the plan-order one: the reports must be
-    # equal, counterexample, checks_run, measured point and symmetry included
-    recipes = [
-        rs_base(5, 3),
-        rs_base(6, 2),
-        concat([rs_base(3, 2)] * 3),
-        blowup_simple(rs_base(4, 3)),
-        filenode_blowup(rs_base(3, 2)),
-        copy_blowup(rs_base(3, 2), 1),
-        blowup_full(rs_base(3, 2)),
+    # equal, counterexample, checks_run, measured point and symmetry included.
+    # A composite takes a generator fault in a part, before composing (its
+    # rule refuses generators its copy table did not place), and a rule
+    # fault in a part or around its own rule
+    clean_part = rs_base(3, 2)
+    recipes = [  # (code or part, how a part is composed)
+        (rs_base(5, 3), None),
+        (rs_base(6, 2), None),
+        (rs_base(3, 2), lambda part: concat([clean_part, part, clean_part])),
+        (rs_base(4, 3), blowup_simple),
+        (rs_base(3, 2), filenode_blowup),
+        (rs_base(3, 2), lambda part: copy_blowup(part, 1)),
+        (rs_base(3, 2), blowup_full),
     ]
     rnd = random.Random(18)
     faulty = []
-    for code in recipes:
-        faulty += [_with_one_fault(code, rnd) for _ in range(4)]
-        faulty.append(_with_rule(code, ZeroedTransferRule(code.repair_rule)))
+    for code, compose in recipes:
+        place = compose or (lambda part: part)
+        faulty += [place(_with_one_fault(code, rnd)) for _ in range(4)]
+        faulty.append(place(_with_rule(code, ZeroedTransferRule(code.repair_rule))))
+        if compose is not None:
+            outer = compose(code)
+            faulty.append(_with_rule(outer, ZeroedTransferRule(outer.repair_rule)))
     # helper order meets (2, (0, 1, 4)) first, plan order (0, (1, 2, 4))
     node_4 = corrupt_generator(rs_base(5, 3), 4)
     faulty.append(node_4)
@@ -500,8 +508,10 @@ def _first_row_flipped(dss):
 
 def test_a_failing_repair_proof_of_the_nested_code_costs_its_segments():
     # a rebuilt node that differs from its generator is compared on trimmed
-    # segments: rendering both sides dense peaked at about 152 MB traced
-    dss = _first_row_flipped(iterate(rs_base(3, 2), 2))
+    # segments: rendering both sides dense peaked at about 152 MB traced.
+    # The fault sits in the base's rule, which the copy table places as built
+    base = rs_base(3, 2)
+    dss = iterate(_with_rule(base, ZeroedTransferRule(base.repair_rule)), 2)
     tracemalloc.start()
     try:
         report = measure_and_compare(dss)
@@ -509,10 +519,15 @@ def test_a_failing_repair_proof_of_the_nested_code_costs_its_segments():
     finally:
         tracemalloc.stop()
     assert report.mode == {"kind": "exhaustive"}
+    assert report.reconstruction_ok
+    assert report.repair_counterexample == (0, (1, 2, 3, 4))
+    assert report.checks_run == {"reconstruction": 5, "repair": 1, "total": 6}
+    assert peak < 5 * 2**20, peak
+    # the same code with node 0's first row edited is one its table did not place
+    report = measure_and_compare(_first_row_flipped(iterate(base, 2)))
     assert report.reconstruction_counterexample == (0, 1, 3, 4)
     assert report.repair_counterexample == (0, (1, 2, 3, 4))
     assert report.checks_run == {"reconstruction": 3, "repair": 1, "total": 4}
-    assert peak < 5 * 2**20, peak
 
 
 def test_generators_keeping_zeros_at_their_segment_ends_verify():
