@@ -12,16 +12,15 @@ own run of positions. A composite's generator rows are its copies' rows,
 each the part's segment moved to the copy's columns: the placed segment
 shares the part's entries, so a composite stores a (column, entries) pair
 per row and no dense row. Reconstruction decodes copy by copy through the
-copy table. Repair runs one rule over the copies for all failed nodes,
-so exact repair is inherited from the parts and bandwidth is accounted
-per copy. The copies that repair the same part nodes from the same part
-helpers share one part repair, those that compute a part node from a
-file node share one product, and those whose lost file node decodes from
-the same part nodes share one decode: element copies as rows, a column
-per copy (a part handed rows concatenates its copies'), and form copies
-as one run, moved to each copy's columns by the first columns the copy
-table records. The rule refuses a code holding generators the table did
-not place (see _CopiesRule).
+copy table. Repair plans routes over the copies for all failed nodes
+(_CopiesRule._plan) and runs them, so exact repair is inherited from the
+parts and bandwidth is accounted per copy; the verifier judges the same
+plan without symbols. The copies that repair the same part nodes from the
+same part helpers share one part repair, those that compute a part node
+from a file node share one product, and those whose lost file node
+decodes from the same part nodes share one decode: element copies as
+rows, a column per copy, and a part handed rows concatenates its copies'.
+The rule refuses a code holding generators the table did not place.
 """
 
 from __future__ import annotations
@@ -150,34 +149,23 @@ class _CopiesRule(RepairRule):
     Each copy is one record (part, hosts, column): hosts maps each
     composite position the copy hosts to (node, start), the part node
     placed there and where its content starts among that position's
-    symbols, and column is the first of its file's block. A copy
-    that hosts no failed position contributes nothing. For one that does,
-    the cheapest legal route rebuilds each node it loses: a single
-    download from an exact twin or from a file node when one is among the
-    helpers, a decode from k part helpers for a lost file node, otherwise
-    the part's own repair rule with d part helpers, one call for all such
-    nodes of the copy (none has a twin among the helpers, so they share
-    their part helpers). When more than d distinct part helpers are
-    available the ones with the largest part index are excluded; the rule
-    depends only on stored content, never on position numbers, so it is
-    equidistributed across the permuted copies. Slices of the contents the
-    public repair has checked go to _decode and to the part's rule
-    unchecked. The copies taking the part repair are grouped by (part, lost
-    part nodes, chosen part helpers), those that download a node from a
-    file node by (part, (that node,), (_FILE,)), and those whose lost file
-    node decodes from the same part nodes, read in part order, by (part,
-    _FILE, those nodes), over all the failed nodes. A group runs the part's
-    rule, the product by the lost node's generator or _decode once on its
-    element copies zipped into rows, or on its row copies concatenated; a
-    copy alone reads its own slices. A group of form copies runs once, on
-    its first copy's reads, and a copy whose reads are those moved by its
-    column minus the first's (_moved), as placed rows are, takes the result
-    moved as far (see RepairRule); one a wrapping rule altered runs alone.
-    execute and solve raise CodeInvariantError unless each node's generator
-    equals the one _compose placed (gens; as built they are the same
-    objects, and no entry is compared): a copied list passes, an edited
-    node does not. Each copy keeps its slots in the output and counts its
-    run's transfers through its own helpers.
+    symbols, and column is the first of its file's block. A copy that
+    hosts no failed position contributes nothing. For one that does, the
+    cheapest legal route rebuilds each node it loses (_plan): a single
+    download from an exact twin or from a file node among the helpers, a
+    decode from k part helpers for a lost file node, otherwise the part's
+    own rule with its d smallest part helpers, one call for all such nodes
+    of the copy. The rule depends only on stored content, never on
+    position numbers, so it is equidistributed across the permuted copies.
+    execute runs each group of the plan once on its element copies zipped
+    into rows, or on its row copies concatenated; a copy alone, or a copy
+    of forms (only a rule wrapping this one proves on forms), runs on its
+    own slices, unchecked: the public calls have checked the contents.
+    Each copy keeps its slots in the output and counts its run's
+    transfers through its own helpers. _plan and solve raise
+    CodeInvariantError unless each node's generator equals the one
+    _compose placed (gens; as built they are the same objects, and no
+    entry is compared): a copied list passes, an edited node does not.
     """
 
     def __init__(self, description, copies, gens):
@@ -266,20 +254,23 @@ class _CopiesRule(RepairRule):
                 members.append([(i, s + t) for i, s in reads for t in range(part.alpha_symbols)])
         return copies, leaves
 
-    def execute(self, dss, failed, helpers, contents):
-        self._placed(dss)
-        alpha = dss.alpha_symbols
-        out = [0] * (len(failed) * alpha)  # failed node i's symbols from i * alpha on
-        counts = [dict.fromkeys(helpers, 0) for _ in failed]
-        # part repairs, grouped by (part, lost part nodes, chosen part helpers),
-        # file-node downloads by (part, (lost part node,), (_FILE,)), and file
-        # decodes by (part, _FILE, part nodes read); a member is a copy's slots
-        # in out, one per node its group rebuilds, its part helpers and its
-        # first column
-        groups = {}
+    def _plan(self, dss, failed, helpers):
+        """The routes that rebuild failed from helpers, whatever the symbols (execute).
 
-        firsts = list(zip(range(0, len(out), alpha), failed))
-        for part, hosts, col in self.copies:
+        Returns (twins, groups, counts): each download from a lost node's
+        twin as (slot, (helper, start), size); the groups, keyed (part, lost
+        part nodes, chosen part helpers), (part, (u,), (_FILE,)) for part
+        node u from a file node, or (part, _FILE, part nodes read) for a
+        lost file node, each member a copy's slots, one per node its group
+        rebuilds (failed node i's symbols are the slots from i * alpha on),
+        and where it reads its part helpers; and per failed node each
+        helper's twin transfers.
+        """
+        self._placed(dss)
+        alpha, twins, groups = dss.alpha_symbols, [], {}
+        counts = [dict.fromkeys(helpers, 0) for _ in failed]
+        firsts = list(zip(range(0, len(failed) * alpha, alpha), failed))
+        for part, hosts, _ in self.copies:
             at, slots, us = None, (), ()
             for first, f in firsts:
                 lost = hosts.get(f)
@@ -305,48 +296,46 @@ class _CopiesRule(RepairRule):
                     # read in part order
                     used = [(node[1], where) for node, where in at.items() if node[0] == _BASE]
                     read = dict(sorted(used[: part.params.k]))
-                    groups.setdefault((part, _FILE, tuple(read)), []).append(((slot,), read, col))
+                    groups.setdefault((part, _FILE, tuple(read)), []).append(((slot,), read))
                     continue
 
                 u = desc[1]
                 twin = at.get((_TWIN[desc[0]], u))
-                if twin is not None:
-                    # the exact copy of the lost node alone transfers
-                    (q, s), size = twin, part.alpha_symbols
-                    out[slot : slot + size] = contents[q][s : s + size]
-                    counts[first // alpha][q] += size
+                if twin is not None:  # the exact copy of the lost node alone transfers
+                    twins.append((slot, twin, part.alpha_symbols))
+                    counts[first // alpha][twin[0]] += part.alpha_symbols
                 elif (_FILE,) in at:  # a file node computes the lost content and sends it
                     file_at = {_FILE: at[(_FILE,)]}
-                    groups.setdefault((part, (u,), (_FILE,)), []).append(((slot,), file_at, col))
+                    groups.setdefault((part, (u,), (_FILE,)), []).append(((slot,), file_at))
                 else:
                     slots, us = slots + (slot,), us + (u,)
 
             if slots:  # part repair from the d smallest part helper indices
                 chosen = tuple(sorted(cand)[: part.params.d])
-                groups.setdefault((part, us, chosen), []).append((slots, cand, col))
+                groups.setdefault((part, us, chosen), []).append((slots, cand))
+        return twins, groups, counts
 
-        # one part repair or file decode per group, on the actual symbols of
-        # its copies (never a repair map taken from unit forms: they are
-        # inconsistent where a lost file decodes k*alpha > B symbols); done
-        # holds per node of the group each member's (piece, transfer report)
+    def execute(self, dss, failed, helpers, contents):
+        """Run the plan (_plan) on the helpers' symbols: each group once on its copies' reads."""
+        alpha, (twins, groups, counts) = dss.alpha_symbols, self._plan(dss, failed, helpers)
+        out = [0] * (len(failed) * alpha)
+        for slot, (q, s), size in twins:
+            out[slot : slot + size] = contents[q][s : s + size]
+
+        # one run per group on the actual symbols of its copies (a repair map
+        # taken from unit forms is inconsistent where a lost file decodes
+        # k*alpha > B symbols); done holds per node of the group each
+        # member's (piece, transfer report)
         for (part, us, chosen), members in groups.items():
             size = part.file_len if chosen == (_FILE,) else part.alpha_symbols
-            def slices(cand):  # a member's reads of the chosen helpers
-                return [contents[q][s : s + size] for q, s in map(cand.__getitem__, chosen)]
-
-            reads = slices(members[0][1])
-            shape = type(reads[0][0])
-            if len(members) == 1:  # a copy alone reads its own slices
-                done = zip(_run(part, us, chosen, reads))
-            elif shape is tuple:  # forms: the first copy's run, moved to each copy's columns
-                results, origin = _run(part, us, chosen, reads), members[0][2]
-                done = zip(*(
-                    _moved(results, own := slices(cand), reads, col - origin)
-                    or _run(part, us, chosen, own)  # reads a wrapping rule altered: their own run
-                    for _, cand, col in members
-                ))
+            copies = [
+                [contents[q][s : s + size] for q, s in map(cand.__getitem__, chosen)]
+                for _, cand in members
+            ]
+            shape = type(copies[0][0][0])
+            if len(members) == 1 or shape is tuple:  # a copy alone, or of forms, runs on its reads
+                done = zip(*(_run(part, us, chosen, reads) for reads in copies))
             else:
-                copies = [slices(cand) for _, cand, _ in members]
                 if shape is int:  # element copies zipped into rows, a column each
                     rows = [[list(t) for t in zip(*h)] for h in zip(*copies)]
                     unlay = lambda rebuilt: zip(*rebuilt)
@@ -358,16 +347,15 @@ class _CopiesRule(RepairRule):
                 results = _run(part, us, chosen, rows)
                 done = [zip(unlay(rebuilt), itertools.repeat(bw)) for rebuilt, bw in results]
             for j, pieces in enumerate(done):
-                for (slots, cand, _), (piece, report) in zip(members, pieces):
+                for (slots, cand), (piece, report) in zip(members, pieces):
                     slot = slots[j]
                     out[slot : slot + len(piece)] = piece
                     count = counts[slot // alpha]
                     for w, amount in report.per_helper.items():
                         count[cand[w][0]] += amount
 
-        if len(failed) == 1:  # out is the one node's symbols
-            return [(out, BandwidthReport(counts[0]))]
-        return [(out[j : j + alpha], BandwidthReport(c)) for (j, _), c in zip(firsts, counts)]
+        cuts = range(0, len(out), alpha)
+        return [(out[j : j + alpha], BandwidthReport(c)) for j, c in zip(cuts, counts)]
 
 
 def _run(part, us, chosen, reads):
@@ -383,15 +371,6 @@ def _run(part, us, chosen, reads):
         report = BandwidthReport({_FILE: part.alpha_symbols})
         return [(apply_generator(part.node_gens[us[0]], reads[0]), report)]
     return part.repair_rule.execute(part, us, chosen, dict(zip(chosen, reads)))
-
-
-def _moved(results, reads, origin, c):
-    """results, run on origin, moved c columns on if reads are origin moved as far, else None."""
-    for read, seen in zip(reads, origin):  # moved reads share origin's entries lists
-        for (s, e), (start, entries) in zip(read, seen):
-            if (e or entries) and (e is not entries or s != start + c):  # zero rows meet anywhere
-                return None
-    return [([(s + c, e) if e else (0, []) for s, e in piece], bw) for piece, bw in results]
 
 
 def _compose(name, parts, arg=None, budget=None):

@@ -74,12 +74,10 @@ class RepairRule:
     by fixed matrices (apply_generator), but not branch on stored values: so
     one run on the forms proves it exact for every file, and a rule acts on
     each column alone, so its output on input moved by some columns is that
-    output moved as far. The public repair checks contents once and
-    execute reads only the helpers' entries (contents is indexed by node),
-    so a rule runs its parts' rules directly on slices of checked contents.
-    A composite's rule runs each group of its form copies once, moved to
-    the columns of every copy whose reads are the same rows moved there,
-    as its generators' rows are (constructions._CopiesRule).
+    output moved as far: a part's verdict holds for each of its placed
+    copies. The public repair checks contents once and execute reads only
+    the helpers' entries (contents is indexed by node), so a rule runs its
+    parts' rules directly on slices of checked contents.
     """
 
     kind = "abstract"
@@ -100,12 +98,12 @@ class RepairRule:
 class LinearDss:
     """Immutable linear storage code with an executable repair rule.
 
-    node_gens define the code: encode and the verifier's reconstruction
-    proof follow them. A composite's rule carries its copy table and the
-    generators placed with it (constructions), and its public reconstruct
-    and repair and the repair proof follow that table. The rule raises
-    CodeInvariantError unless each node's generator equals the placed one
-    (as built, the same object): a copied list passes, an edited node not.
+    node_gens define the code, and encode follows them. A composite's rule
+    carries its copy table and the generators placed with it
+    (constructions): its public reconstruct and repair and both of the
+    verifier's proofs follow that table, and refuse (CodeInvariantError) a
+    code whose generators are not the placed ones, node by node (as
+    built, the same objects): a copied list passes, an edited node not.
     """
 
     def __init__(

@@ -4,9 +4,8 @@ Field elements are ints in [0, 2^m); addition is XOR. Multiplication, inverse
 and powers are lookups in log/antilog tables that each field builds once.
 A matrix keeps each row as one segment, a start column and the entries from
 there on, outside which the row is zero. Solve lays a matrix out dense and
-eliminates it once: a composed code decodes through its copy table, so the
-systems solved are its parts'. Row spans tile a matrix into column blocks
-(_tiles), which the verifier's reconstruction proof ranks. Products walk each
+eliminates it once: a composed code decodes and is proved through its copy
+table, so the systems solved and ranked are its parts'. Products walk each
 row's segment against elements (_mat_vec) or forms, segments themselves
 (_mat_forms, also FieldMatrix.mul over the other matrix's rows); pivot-row
 loops find nonzeros with compress, at C speed. An exchange tableau
@@ -364,31 +363,6 @@ def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
         pivots.append(prow)
         prow += 1
     return pivots
-
-
-def _tiles(segments, ncols: int):
-    """Yield (lo, hi, rows) for each merged column span of the segments, in column order.
-
-    Each tile runs from the previous tile's end to its merged span's end,
-    the last one to column ncols, so the tiles cover every column; rows
-    lists the indices of the segments inside it, in span order. A zero
-    row spans the last column alone. Each row is zero outside its tile, so
-    ranks and solutions add up tile by tile; the tiles are found by a sort.
-    """
-    spans = sorted(
-        (start, start + len(entries), r) if entries else (ncols - 1, ncols, r)
-        for r, (start, entries) in enumerate(segments)
-    )
-    lo = hi = 0
-    rows = []
-    for first, end, r in spans:
-        if first >= hi and rows:  # no span so far reaches this one: the tile ends
-            yield lo, hi, rows
-            lo, rows = hi, []
-        if end > hi:
-            hi = end
-        rows.append(r)
-    yield lo, ncols, rows
 
 
 def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:

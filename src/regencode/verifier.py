@@ -7,39 +7,28 @@ gamma and with a predicted operating point. The code is linear, so both
 sweeps are proofs: a k-subset rebuilds the file iff its stacked generators
 have column rank B, and a linear repair rule (dss.RepairRule) is exact for
 every file iff one run on the generator rows returns the failed node's
-rows, compared by segments, then by segments trimmed: never dense. That
-run, holding no data, measures the bandwidth.
+rows. That run, holding no data, measures the bandwidth.
 
-Reconstruction is proved on column blocks, from the generators alone. The
-stacked generators of all n nodes tile into merged column spans, each row
-zero outside its block. If N_b is the set of nodes touching block b and
-t_b = max(0, k - (n - |N_b|)), every k-subset has rank B iff every
-t_b-subset of N_b has full rank on b, and blocks of equal width, t_b and
-sorted node contents share one verdict. Each block is eliminated once, as
-an exchange tableau (gf._Tableau): a basis R of its rows, and every other
-row's coordinates over R. A node set S is proved by exchange (span): each
-row of S not in R enters R by one pivot, in place of a row not in S where
-its coordinate is nonzero, and a row with no such place already lies in
-the span of S's rows in R. S has full rank iff the block's rows have rank
-width and R is then all S's. The walk is exact, as a rank of G_S would be,
-and R stays a basis of the block, so the next set walks on from it: a set
-next to the last costs the rows it swaps in, as an MDS repair does. A
-failure is reported as the first deficient k-subset in combinations
-order, found by walking the subsets against the failing blocks only.
-
-Repair is proved by one rule call per helper set, for all the failed
-nodes outside it, so a rule that keeps its last helper set
-(dss.MdsReencodeRule, which walks one exchange tableau per code from
-helper set to helper set, a pivot per row swapped in) moves once per
-helper set, and the sweep keeps running bandwidth totals, not a report
-per pair. If a pair fails, the pairs are walked again in plan order, one
-node a call, up to the first failure, so the counterexample, the count
-and the measurement over the pairs before it are those of a plan order
-sweep.
+A composite is proved from its copy table (constructions), by the walk
+its decode takes. Its copies own disjoint column blocks, so a node set
+decodes it iff every copy hosts its file node there or decodes its part
+from the distinct part nodes it hosts there, and a repair is exact iff
+every group of its plan (_CopiesRule._plan) is: a twin or file-node
+download by placement, a lost file node by that decode, a part repair by
+the part's own verdict on (lost, chosen). Verdicts are memoized per part
+for the whole proof (_Proof), so a proof costs the table, not the node
+size. A code without copies is one exchange tableau (gf._Tableau) over its
+generators, walked from node set to node set a pivot per row swapped in,
+and its rule is run on its generator rows, compared by segments, then by
+segments trimmed: never dense. A composite holding generators its table
+did not place fails both proofs at once, as reconstruct and repair refuse
+it. Repair is judged once per helper set, for all the failed nodes
+outside it, keeping running bandwidth totals. A failure is reported as a
+sweep in plan order would report it: the first k-subset that does not
+decode, or, walking the pairs again one node a verdict, the first pair.
 
 One plan sweeps every subset and pair when their total count is at most
-EXHAUSTIVE_LIMIT, and otherwise draws up to TRIALS distinct ones of each;
-a drawn k-subset is checked against every block.
+EXHAUSTIVE_LIMIT, and otherwise draws up to TRIALS distinct ones of each.
 One gamma rule holds for the declared gamma and the predicted gamma/alpha:
 an exhaustive sweep must equal it, a sample (which sees only some repairs)
 must not exceed it. B/alpha must always match exactly.
@@ -55,8 +44,9 @@ from itertools import combinations, groupby
 from math import comb
 from operator import itemgetter
 
-from .dss import CodeInvariantError, LinearDss
-from .gf import _Tableau, _tiles, _trimmed
+from .constructions import _FILE, _CopiesRule
+from .dss import BandwidthReport, CodeInvariantError, LinearDss
+from .gf import _Tableau, _trimmed
 from .tradeoff import OperatingPoint
 
 EXHAUSTIVE_LIMIT = 10**5
@@ -171,93 +161,159 @@ def _plan(dss: LinearDss, seed: int):
 
 
 def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -> int:
-    """Prove subsets by rank on column blocks up to the first that lacks rank B.
+    """Prove subsets up to the first that does not decode the file; returns the count run.
 
-    Returns the count run. The stacked generators tile into merged column
-    spans (_column_blocks), each row zero outside its block, so a subset's
-    rank is the sum of its ranks on the blocks. Block b is touched by the
-    nodes N_b; every k-subset holds at least t_b = max(0, k - (n - |N_b|))
-    of them, can hold any t_b of them, and only gains rows with more. So
-    every k-subset has rank B iff every t_b-subset of N_b has full rank on
-    b. Each block is eliminated once, as a gf._Tableau, whose span walks
-    its basis to a node set's rows by a pivot per row swapped in (the
-    exchange in the module docstring). An exhaustive plan proves that once
-    per distinct block (its width, t_b and sorted node contents: the check
-    is symmetric in node labels) and on a pass counts all C(n, k) subsets.
-    A subset is deficient iff its nodes lack full rank on some block, so
-    on a failure the subsets are walked in order against the
-    failing blocks, and a sampled plan walks its drawn subsets against
-    every block, verdicts memoized per block and nodes met: the first
-    deficient subset is the counterexample, its 1-based position the count.
+    A copy hosting the positions H is met by every k-subset in at least
+    t = max(0, k - (n - |H|)) of them, can be met in any t, and only gains
+    by more, so every k-subset decodes iff every t-subset of H decodes
+    every copy. An exhaustive plan proves that once per distinct copy key
+    (part, t, the sorted nodes it hosts) and on a pass counts all C(n, k)
+    subsets; a code without copies walks its tableau through them. On a
+    failure the subsets are walked in order against the failing copies,
+    and a sampled plan walks its drawn subsets against every copy: the
+    first that does not decode is the counterexample, its position the count.
     """
-    n, k, field = dss.params.n, dss.params.k, dss.field
-    blocks = _column_blocks(dss)
-    if report.mode["kind"] != "exhaustive":
-        blocks = [(nodes, _Tableau(field, width, nodes)) for width, nodes in blocks]
-    else:  # only the failing blocks are kept, each with its tableau
-        verdicts = {}
-        failing = []
-        for width, nodes in blocks:
-            t = max(0, k - n + len(nodes))
-            key = (width, t, tuple(sorted(map(tuple, nodes.values()))))
-            tableau = None
-            if key not in verdicts:
-                tableau = _Tableau(field, width, nodes)
-                verdicts[key] = all(map(tableau.span, combinations(nodes, t)))
-            if not verdicts[key]:
-                failing.append((nodes, tableau or _Tableau(field, width, nodes)))
-        if not failing:
+    n, k, exhaustive = dss.params.n, dss.params.k, report.mode["kind"] == "exhaustive"
+    proof = _Proof()
+    try:
+        copies = proof.copies(dss)
+    except CodeInvariantError:  # reconstruct refuses every subset
+        copies, met = [], lambda subset: False
+    if copies is None:
+        met = proof.tableau(dss).span
+        if exhaustive and all(map(met, combinations(range(n), k))):
             return comb(n, k)
-        blocks = failing
-    memo = {}
+    elif copies:
+        if exhaustive:  # only the failing copies are kept
+            verdicts, failing = {}, []
+            for part, hosts, col in copies:
+                held = sorted(node for node, _ in hosts.values())
+                key = (part, max(0, k - n + len(hosts)), tuple(held))
+                if key not in verdicts:
+                    verdicts[key] = all(proof.hosted(part, c) for c in combinations(held, key[1]))
+                if not verdicts[key]:
+                    failing.append((part, hosts, col))
+            if not failing:
+                return comb(n, k)
+            copies = failing
+
+        def met(subset):
+            members = set(subset)
+            return all(
+                proof.hosted(part, [node for p, (node, _) in hosts.items() if p in members])
+                for part, hosts, _ in copies
+            )
+
     run = 0
     for run, subset in enumerate(subsets, 1):
-        members = set(subset)
-        for b, (nodes, tableau) in enumerate(blocks):
-            met = tuple(filter(members.__contains__, nodes))
-            if (b, met) not in memo:
-                memo[b, met] = tableau.span(met)
-            if not memo[b, met]:
-                report.reconstruction_ok = False
-                report.reconstruction_counterexample = subset
-                return run
+        if not met(subset):
+            report.reconstruction_ok = False
+            report.reconstruction_counterexample = subset
+            return run
     return run
 
 
-def _column_blocks(dss: LinearDss):
-    """Yield (width, {node: its rows there}) for each column block of the stacked generators.
+class _Proof:
+    """Verdicts on a code and its parts, each memoized for the whole proof.
 
-    The generators of all n nodes stack in node order and tile into merged
-    column spans (gf._tiles); each block keeps its nodes' nonzero rows in
-    their order, as segments moved to the block's first column, their
-    entries tuples so that blocks can be compared by value.
+    decodes(code, nodes) walks a composite's copy table and any other
+    code's tableau; repairs(code, failed, helpers) judges a composite's
+    plan group by group and runs any other rule once on its generator
+    rows (see the module docstring), a part's verdict memoized per (part,
+    lost, chosen).
     """
-    alpha = dss.alpha_symbols
-    stack = [seg for g in dss.node_gens for seg in g.segments]
-    for lo, hi, rows in _tiles(stack, dss.file_len):
-        nodes = {}
-        for r in sorted(rows):
-            start, entries = stack[r]
-            if entries:
-                nodes.setdefault(r // alpha, []).append((start - lo, tuple(entries)))
-        yield hi - lo, nodes
+
+    def __init__(self):
+        self.tableaux, self.decoded, self.repaired = {}, {}, {}
+
+    def copies(self, code):
+        """code's copy table, or None; CodeInvariantError unless each table placed its code."""
+        walk, seen = [code], set()
+        while walk:
+            part = walk.pop()
+            rule = part.repair_rule
+            if isinstance(rule, _CopiesRule) and part not in seen:
+                seen.add(part)
+                rule._placed(part)
+                walk += [p for p, _, _ in rule.copies]
+        return code.repair_rule.copies if seen else None
+
+    def tableau(self, code):
+        if code not in self.tableaux:
+            nodes = dict(enumerate(g.segments for g in code.node_gens))
+            self.tableaux[code] = _Tableau(code.field, code.file_len, nodes)
+        return self.tableaux[code]
+
+    def hosted(self, part, held) -> bool:
+        """Whether a copy of part decodes from the nodes it hosts at the positions read."""
+        return (_FILE,) in held or self.decodes(part, tuple(sorted({node[1] for node in held})))
+
+    def decodes(self, code, nodes) -> bool:
+        key = (code, nodes)
+        if key not in self.decoded:
+            rule = code.repair_rule
+            if isinstance(rule, _CopiesRule):
+                self.decoded[key] = all(
+                    self.hosted(part, [hosts[p][0] for p in nodes if p in hosts])
+                    for part, hosts, _ in rule.copies
+                )
+            else:
+                self.decoded[key] = self.tableau(code).span(nodes)
+        return self.decoded[key]
+
+    def repairs(self, code, failed, helpers):
+        """Per failed node (exact, BandwidthReport); CodeInvariantError as the rule raises it."""
+        rule = code.repair_rule
+        if not isinstance(rule, _CopiesRule):
+            forms = [g.segments for g in code.node_gens]
+            results = rule.execute(code, failed, helpers, forms)
+            return [
+                (rebuilt == forms[f] or _trimmed(rebuilt) == _trimmed(forms[f]), bw)
+                for f, (rebuilt, bw) in zip(failed, results, strict=True)
+            ]
+        _, groups, counts = rule._plan(code, failed, helpers)  # a twin is exact by placement
+        alpha, exact = code.alpha_symbols, [True] * len(failed)
+        for (part, us, chosen), members in groups.items():
+            if chosen == (_FILE,):  # the file node's product, exact by placement
+                verdicts = [(True, {_FILE: part.alpha_symbols})]
+            elif us == _FILE:
+                verdicts = [(self.decodes(part, chosen), dict.fromkeys(chosen, part.alpha_symbols))]
+            else:
+                verdicts = self._part(part, us, chosen)
+            for slots, cand in members:
+                for slot, (good, per_helper) in zip(slots, verdicts):
+                    exact[slot // alpha] &= good
+                    for w, amount in per_helper.items():
+                        counts[slot // alpha][cand[w][0]] += amount
+        return [(good, BandwidthReport(c)) for good, c in zip(exact, counts)]
+
+    def _part(self, part, us, chosen):
+        """The part's verdict on its nodes us from chosen, (exact, per_helper) each."""
+        key = (part, us, chosen)
+        if key not in self.repaired:
+            try:
+                verdicts = [(good, bw.per_helper) for good, bw in self.repairs(part, us, chosen)]
+            except CodeInvariantError:  # the part's rule refused: its nodes are not rebuilt
+                verdicts = [(False, {})] * len(us)
+            self.repaired[key] = verdicts
+        return self.repaired[key]
 
 
 def _check_repair(dss: LinearDss, report: VerificationReport, pairs, by_helpers):
-    """Prove the pairs by one repair on the generator rows per helper set.
+    """Prove the pairs by one verdict (_Proof.repairs) per helper set.
 
     by_helpers holds the plan's pairs with those that share their helpers
-    in a row, each run of them one rule call. If one fails, the pairs are
-    walked again in plan order, one a call, up to the first failure, which
-    is recorded as the counterexample (CodeInvariantError if none: the rule
-    answers differently batched). Returns (count run, bandwidth), bandwidth
-    the (least total, largest total, largest max_deviation) of the pairs
-    proved, or None if none was: as a plan order sweep would.
+    in a row. If one fails, the pairs are walked again in plan order, one
+    a verdict, up to the first failure, the counterexample
+    (CodeInvariantError if none: the rule answers differently batched).
+    Returns (count run, bandwidth), bandwidth the (least total, largest
+    total, largest max_deviation) of the pairs proved, or None if none was.
     """
     first, grouped = itemgetter(0), groupby(by_helpers, itemgetter(1))
-    run, failure, bandwidth = _sweep(dss, ((h, tuple(map(first, g))) for h, g in grouped))
+    sweep, proof = ((h, tuple(map(first, g))) for h, g in grouped), _Proof()
+    run, failure, bandwidth = _sweep(dss, sweep, proof)
     if failure is not None:
-        run, failure, bandwidth = _sweep(dss, ((h, (f,)) for f, h in pairs))
+        run, failure, bandwidth = _sweep(dss, ((h, (f,)) for f, h in pairs), proof)
         if failure is None:
             raise CodeInvariantError(f"{dss.repair_rule.kind} repair fails only when batched")
         report.repair_ok = False
@@ -265,31 +321,23 @@ def _check_repair(dss: LinearDss, report: VerificationReport, pairs, by_helpers)
     return run, bandwidth
 
 
-def _sweep(dss: LinearDss, groups):
-    """Repair the (helpers, failed nodes) groups in order up to the first pair that fails.
+def _sweep(dss: LinearDss, groups, proof):
+    """Judge the (helpers, failed nodes) groups in order up to the first pair that fails.
 
     Returns (count run, the failing pair or None, bandwidth as
-    _check_repair returns it). The forms are the generators' own segments,
-    alpha per node as LinearDss holds them, and each group is one rule
-    call, made directly: the plan yields only d sorted helpers in range and
-    failed nodes outside them. A call that raises (as a composite's rule
-    does for generators its table did not place) fails its first pair. A
-    rebuilt node is compared by its generator's segments, then, as
-    generators may keep zeros at their ends, by both sides' segments
-    trimmed (gf._trimmed), never as dense rows; a report the nodes of a
-    call share is read once.
+    _check_repair returns it). A verdict that raises (as a composite's rule
+    does for generators its table did not place) fails its first pair; a
+    report the nodes of a verdict share is read once.
     """
-    forms = [g.segments for g in dss.node_gens]
-    execute = dss.repair_rule.execute
     run, bandwidth, last = 0, None, None
     for helpers, failed in groups:
         try:
-            results = execute(dss, failed, helpers, forms)
+            results = proof.repairs(dss, failed, helpers)
         except CodeInvariantError:  # the rule decoded from helpers that do not determine the file
             return run + 1, (failed[0], helpers), bandwidth
-        for f, (rebuilt, bw) in zip(failed, results, strict=True):
+        for f, (exact, bw) in zip(failed, results, strict=True):
             run += 1
-            if rebuilt != forms[f] and _trimmed(rebuilt) != _trimmed(forms[f]):
+            if not exact:
                 return run, (f, helpers), bandwidth
             if bw is last:
                 continue

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import test_gf
 import regencode.constructions as constructions_module
 import regencode.dss as dss_module
 import regencode.gf as gf_module
@@ -27,7 +28,7 @@ from regencode.dss import (
     repair,
     rs_base,
 )
-from regencode.gf import GF2, GF16, GF256, FieldMatrix, _matrix, _tiles
+from regencode.gf import GF2, GF16, GF256, FieldMatrix, _matrix
 from regencode.tradeoff import (
     OperatingPoint,
     RangeError,
@@ -472,34 +473,42 @@ def test_nested_repair_solves_each_distinct_system_once(monkeypatch):
 
 
 def test_lost_file_nodes_decode_once_per_shared_system(monkeypatch):
-    # the 20 repair proofs are 10 rule calls, one per helper set, each for
-    # the 2 failed nodes outside it, which share its groups. In each call the
-    # 24 copies whose file node is lost read 4 distinct sets of 3 part nodes:
-    # 4 decodes, 3 wide, beside 4 part repairs (80 and 80 when each pair was
-    # a call of its own; one a copy, 28 a pair, before the decodes were
-    # shared); the base's rule builds its tableau once, on nodes 0..2, and 38
-    # of the 40 part repairs meet another helper set than the one before
-    # them (the first against nodes 0..2): one pivot each, as two 3-subsets
-    # of 4 nodes differ by one
+    # the 20 repair proofs are 10 helper sets, each for the 2 failed nodes
+    # outside it. The copies whose file node is lost are judged by the
+    # proof's own walk of the base's nodes, so no system is solved (40
+    # solves, 3 wide, when the proof decoded forms); the part repairs are
+    # judged once per (lost part node, chosen part helpers), 4 runs of the
+    # base's rule where there were 40: it builds its tableau once, on nodes
+    # 0..2, and each later run pivots one node in
     steps = _rule_steps(monkeypatch)
+    runs = []
+    execute = dss_module.MdsReencodeRule.execute
+    monkeypatch.setattr(
+        dss_module.MdsReencodeRule, "execute", lambda *a: runs.append(a[2:4]) or execute(*a)
+    )
     report = measure_and_compare(filenode_blowup(rs_base(4, 3)))
     assert report.ok and report.checks_run == {"reconstruction": 10, "repair": 20, "total": 30}
-    assert Counter(steps) == {3: 40, "build": 1, "pivot": 38}
+    assert Counter(steps) == {"build": 1, "pivot": 3}
+    assert runs == [((3,), (0, 1, 2)), ((2,), (0, 1, 3)), ((1,), (0, 2, 3)), ((0,), (1, 2, 3))]
 
 
 def test_file_node_downloads_run_once_per_shift(monkeypatch):
-    # the copies that compute part node u from a file node read equal forms
-    # up to a column shift: one product per (part, u) and shift key, 4 a
-    # helper set, shared by its 2 failed nodes (4 a pair when each pair was a
-    # call of its own), where each of the 72 such copies of a pair took its own
+    # a copy that computes part node u from a file node among the helpers
+    # rebuilds u's placed rows by placement, so the proof multiplies nothing
+    # (4 products a helper set when it ran them on forms); the public repair
+    # still computes them from the file node's symbols, one per part node
     products = []
     product = constructions_module.apply_generator
     monkeypatch.setattr(
         constructions_module, "apply_generator", lambda *a: products.append(1) or product(*a)
     )
-    report = measure_and_compare(filenode_blowup(rs_base(4, 3)))
+    code = filenode_blowup(rs_base(4, 3))
+    report = measure_and_compare(code)
     assert report.ok and report.checks_run["repair"] == 20
-    assert len(products) == 10 * 4
+    assert products == []
+    contents = encode(code, [i % 256 for i in range(code.file_len)])
+    assert repair(code, 0, (1, 2, 3), contents)[0] == contents[0]
+    assert len(products) == 4
 
 
 def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):
@@ -595,7 +604,7 @@ def test_stacks_split_into_the_leaf_copies_column_blocks():
             expected += [(c, c + 2)] if joined else [(c, c + 1), (c + 1, c + 2)]
         spans, placed = [], []
         stack = FieldMatrix(dss.field, rows)
-        for lo, hi, tile in _tiles(stack.segments, stack.cols):
+        for lo, hi, tile in test_gf.tiles(stack.segments, stack.cols):
             spans.append((lo, hi))
             for r in tile:  # the row's nonzeros all lie in its block
                 assert any(rows[r][lo:hi]) and not any(rows[r][:lo] + rows[r][hi:])

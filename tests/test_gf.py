@@ -16,7 +16,6 @@ from regencode.gf import (
     _mat_forms,
     _mat_vec,
     _matrix,
-    _tiles,
     _trim,
     _trimmed,
     is_irreducible,
@@ -514,8 +513,33 @@ def test_mat_vec_agrees_with_the_one_column_product(field):
     assert seen >= {"interior zero", "start past 0", "zero symbol", "nonzero row"}
 
 
+def tiles(segments, ncols: int):
+    """Yield (lo, hi, rows) for each merged column span of the segments, in column order.
+
+    Each tile runs from the previous tile's end to its merged span's end,
+    the last one to column ncols, so the tiles cover every column; rows
+    lists the indices of the segments inside it, in span order. A zero
+    row spans the last column alone. Each row is zero outside its tile, so
+    ranks and solutions add up tile by tile; the tiles are found by a sort.
+    """
+    spans = sorted(
+        (start, start + len(entries), r) if entries else (ncols - 1, ncols, r)
+        for r, (start, entries) in enumerate(segments)
+    )
+    lo = hi = 0
+    rows = []
+    for first, end, r in spans:
+        if first >= hi and rows:  # no span so far reaches this one: the tile ends
+            yield lo, hi, rows
+            lo, rows = hi, []
+        if end > hi:
+            hi = end
+        rows.append(r)
+    yield lo, ncols, rows
+
+
 def per_tile_solve(A, b):
-    """The oracle: A x = b solved one column block (gf._tiles) at a time, each by mat_solve.
+    """The oracle: A x = b solved one column block (tiles) at a time, each by mat_solve.
 
     Every row is zero outside its block, so the blocks' solutions stack
     into x. As in mat_solve, a rank-deficient block is reported even when
@@ -523,7 +547,7 @@ def per_tile_solve(A, b):
     segments, a zero row at any start included.
     """
     x, consistent = [], True
-    for lo, hi, rows in _tiles(A.segments, A.cols):
+    for lo, hi, rows in tiles(A.segments, A.cols):
         block = [(start - lo, entries) if entries else (0, []) for start, entries in
                  (A.segments[r] for r in rows)]
         rhs = _matrix(A.field, b.cols, [b.segments[r] for r in rows])
@@ -595,7 +619,7 @@ def test_whole_solve_agrees_with_the_per_tile_solve(field):
     for fault in [None, "singular", "inconsistent", "both"] * 5:
         A, b = _repeated_blocks_case(rnd, field, fault)
         starts_past_zero |= any(start for start, entries in b.segments if entries)
-        assert len(list(_tiles(A.segments, A.cols))) > 50  # the oracle solves block by block
+        assert len(list(tiles(A.segments, A.cols))) > 50  # the oracle solves block by block
         expected = {None: FieldMatrix, "singular": SingularMatrixError,
                     "inconsistent": InconsistentSystemError, "both": SingularMatrixError}[fault]
         try:
@@ -690,3 +714,21 @@ def test_span_agrees_with_the_rank_of_the_chosen_rows(field):
                 seen.add("t = 0" if not chosen else None)
                 seen.add("more rows than width" if len(held) > width else None)
     assert seen >= {"full", "deficient", True, False, "t = 0", "more rows than width"}
+
+
+def test_subsets_holding_more_rows_than_the_block_is_wide():
+    # a column block of filenode_blowup(rs_base(3, 2)): 2 wide, the base's
+    # 3 one-row nodes and the file node's 2 unit rows. A 2-subset that holds
+    # the file node holds 3 rows, so its walk swaps in more rows than the
+    # block is wide; every 2-subset spans, and no single node does
+    from regencode.dss import rs_base
+
+    rows = {u: g.data for u, g in enumerate(rs_base(3, 2).node_gens)}
+    rows[3] = [[1, 0], [0, 1]]
+    nodes = {u: [_trim(row) for row in node_rows] for u, node_rows in rows.items()}
+    tableau = _Tableau(GF256, 2, nodes)
+    held = {chosen: sum(len(nodes[u]) for u in chosen) for chosen in combinations(nodes, 2)}
+    assert max(held.values()) == 3
+    assert all(tableau.span(chosen) for chosen in held)
+    assert not any(tableau.span((u,)) for u in range(3))
+    _coordinates_hold(GF256, tableau, [row for node_rows in rows.values() for row in node_rows])

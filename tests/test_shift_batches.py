@@ -1,17 +1,17 @@
-"""Batches of copies: element copies as rows, a group of form copies run once.
+"""Batches of copies, and the table proof against the forms oracle.
 
 A composite hands its parts batches of element copies as rows (a plain
-list per symbol, one column per copy) and runs a group of form copies
-once, on its first copy's reads, moving the result to each copy's
-columns by the first columns its copy table records. The oracle below is
-the layout this replaced, where a group's form copies were laid out
-dense side by side over the columns their segments span and run
-together; it lives here only, to show the moved runs give the same
-forms, transfers and verdicts, faulty parts included. The moves hold
-only for the generators the table placed, and a composite holding any
-other list is refused.
+list per symbol, one column per copy); on forms each copy runs on its own
+reads. The oracle below is the layout the forms runs replaced, where a
+group's form copies were laid out dense side by side over the columns
+their segments span and run together. It lives here only: with the
+stacked-rank sweep it is the proof from the generators that the table
+proof (verifier._Proof) must agree with, faulty parts included. The
+table holds only for the generators it placed, and a composite holding
+any other list is refused.
 """
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -19,6 +19,7 @@ from itertools import combinations
 
 import pytest
 
+import regencode.verifier as verifier
 import test_sweep
 from regencode.cli import parse_recipe
 from regencode.constructions import (
@@ -36,6 +37,8 @@ from regencode.dss import (
     BandwidthReport,
     CodeInvariantError,
     LinearDss,
+    MdsReencodeRule,
+    RepairRule,
     _decode,
     _span,
     apply_generator,
@@ -46,7 +49,7 @@ from regencode.dss import (
 )
 from regencode.gf import FieldMatrix, _matrix, _trim
 from regencode.verifier import measure_and_compare
-from test_verifier import ZeroedTransferRule, _with_rule
+from test_verifier import ZeroedTransferRule, _stacked_sweep, _with_rule
 
 
 def _side_by_side(field, copies):
@@ -233,28 +236,19 @@ def test_shift_keyed_forms_agree_with_the_side_by_side_layout(monkeypatch, recip
 
 
 # (code, corruption, seed) -> the reconstruction and repair counterexamples
-# measure_and_compare reported with the side-by-side layout, which ran the
-# edited generators; "nested" is blowup_full over a corrupted
-# blowup_simple(base(3,2)). The reconstruction proof reads the generators
-# and keeps its counterexamples; the repair proof is refused at its first
-# plan pair
+# measure_and_compare reports; "nested" is blowup_full over a corrupted
+# blowup_simple(base(3,2)). reconstruct and repair refuse every subset and
+# pair of these codes, and both proofs fail at their first after 1 check
 CORRUPTED = {
-    ("blowup_full(base(3,2))", "zeroed", 1): ((0, 2, 3), (0, (1, 2, 3))),
-    ("blowup_full(blowup_simple(base(3,2)))", "zeroed", 1): ((0, 1, 2, 4), (0, (1, 2, 3, 4))),
-    ("filenode_blowup(base(4,3))", "zeroed", 1): ((0, 2, 3), (0, (1, 2, 3))),
-    ("nested", "zeroed", 1): ((0, 1, 2, 3), (0, (1, 2, 3, 4))),
-    ("blowup_full(base(3,2))", "zeroed", 2): ((0, 1, 2), (0, (1, 2, 3))),
-    ("blowup_full(blowup_simple(base(3,2)))", "zeroed", 2): ((0, 1, 3, 4), (0, (1, 2, 3, 4))),
-    ("filenode_blowup(base(4,3))", "zeroed", 2): ((0, 1, 2), (0, (1, 2, 3))),
-    ("nested", "zeroed", 2): ((0, 1, 2, 3), (0, (1, 2, 3, 4))),
-    ("blowup_full(base(3,2))", "swapped", 1): (None, (0, (1, 2, 3))),
-    ("blowup_full(blowup_simple(base(3,2)))", "swapped", 1): (None, (0, (1, 2, 3, 4))),
-    ("filenode_blowup(base(4,3))", "swapped", 1): (None, (0, (1, 2, 3))),
-    ("nested", "swapped", 1): (None, (0, (1, 2, 3, 4))),
-    ("blowup_full(base(3,2))", "swapped", 2): (None, (0, (1, 2, 3))),
-    ("blowup_full(blowup_simple(base(3,2)))", "swapped", 2): (None, (0, (1, 2, 3, 4))),
-    ("filenode_blowup(base(4,3))", "swapped", 2): (None, (0, (1, 2, 3))),
-    ("nested", "swapped", 2): (None, (0, (1, 2, 3, 4))),
+    (recipe, kind, seed): (first, (0, tuple(range(1, d + 1))))
+    for recipe, first, d in [
+        ("blowup_full(base(3,2))", (0, 1, 2), 3),
+        ("blowup_full(blowup_simple(base(3,2)))", (0, 1, 2, 3), 4),
+        ("filenode_blowup(base(4,3))", (0, 1, 2), 3),
+        ("nested", (0, 1, 2, 3), 4),
+    ]
+    for kind in ("zeroed", "swapped")
+    for seed in (1, 2)
 }
 
 
@@ -280,7 +274,7 @@ def test_generators_the_copy_table_did_not_place_are_refused(case):
             reconstruct(code, subset, contents)
     report = measure_and_compare(code)
     assert (report.reconstruction_counterexample, report.repair_counterexample) == CORRUPTED[case]
-    assert report.checks_run["repair"] == 1
+    assert report.checks_run == {"reconstruction": 1, "repair": 1, "total": 2}
 
 
 def test_the_placed_generators_are_checked_node_by_node():
@@ -347,23 +341,157 @@ def _codes_over_faulty_parts():
                 yield compose(_faulty_part(rs_base(n, k), rnd, fault))
 
 
-def test_table_moved_form_runs_report_as_the_side_by_side_layout(monkeypatch):
-    # the forms proof moves each group's one run by the columns the copy
-    # table records; the layout it replaced ran every copy's own reads. The
-    # whole report must be equal on every sweep recipe, on composites over
-    # parts with one seeded fault each, and on every sweep recipe with its
-    # composite rule wrapped so that it alters the forms before the table
-    # groups them (a copy whose reads are not the first's moved runs alone)
+class _Forms(RepairRule):
+    """A composite's own rule behind a wrapper, so the verifier proves the code on its forms."""
+
+    kind = "forms"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def execute(self, dss, failed, helpers, contents):
+        return self.inner.execute(dss, failed, helpers, contents)
+
+
+def _oracle_report(monkeypatch, code, seed=0):
+    """The report of the proofs the table proof replaced: stacked ranks, forms side by side."""
+    if isinstance(code.repair_rule, _CopiesRule):
+        code = LinearDss(
+            code.params, code.field, code.file_len, code.node_gens, _Forms(code.repair_rule),
+            code.label, code.gamma_symbols,
+        )
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "_check_reconstruction", _stacked_sweep)
+        m.setattr(_CopiesRule, "execute", _oracle_execute)
+        return measure_and_compare(code, seed=seed)
+
+
+def _dropped(code):
+    """code whose rule drops its first helper's transfer, as the CI's three-level step does."""
+    return _with_rule(code, ZeroedTransferRule(code.repair_rule))
+
+
+def _ci_codes():
+    """The CI steps' codes with a fault in a part, the three-level one over base(2,1)."""
+    base = rs_base(6, 3)
+    rows = [(0, [base.field.mul(3, x) for x in base.node_gens[4].data[0]])]
+    twinned = _edited(base, 5, rows)
+    yield concat([base, base, twinned]), 5
+    yield blowup_simple(_edited(rs_base(10, 8), 0, [(0, [])])), 5
+    yield blowup_simple(blowup_full(filenode_blowup(_dropped(rs_base(2, 1))))), 0
+
+
+def _edited(code, node, rows):
+    gens = list(code.node_gens)
+    gens[node] = _matrix(code.field, code.file_len, rows)
+    return LinearDss(
+        code.params, code.field, code.file_len, gens, code.repair_rule, code.label + "/edited",
+        code.gamma_symbols,
+    )
+
+
+def test_table_proof_reports_as_the_forms_oracle(monkeypatch):
+    # a composite is proved from its copy table: a node set decodes iff
+    # every copy decodes its part from what it hosts there, and a repair
+    # is judged by its plan's groups, each part repair by the part's own
+    # verdict. The oracle proves the code from its generators: the stacked
+    # rank of every subset, and the rule run on the generator rows, each
+    # group's form copies laid out side by side. The whole report must be
+    # equal on every sweep recipe, on each of them with its rule wrapped
+    # (so proved on forms, each copy on its own reads), on composites over
+    # parts with one seeded fault each and on the CI steps' faulty codes
     codes = [parse_recipe(text, budget=test_sweep.BUDGET) for text in test_sweep.recipes()]
     faulty = list(_codes_over_faulty_parts())
-    faulty += [_with_rule(code, ZeroedTransferRule(code.repair_rule)) for code in codes]
+    assert len(faulty) == 54
+    faulty += [_dropped(code) for code in codes]
     for code in codes + faulty:
-        got = measure_and_compare(code)
-        with monkeypatch.context() as m:
-            m.setattr(_CopiesRule, "execute", _oracle_execute)
-            want = measure_and_compare(code)
-        assert got.to_json() == want.to_json(), code.label
-        assert got.ok != (code in faulty), code.label  # every seeded fault fails its proof
+        report = measure_and_compare(code)
+        assert report.to_json() == _oracle_report(monkeypatch, code).to_json(), code.label
+        assert report.ok != (code in faulty), code.label  # every seeded fault fails its proof
+    for code, seed in _ci_codes():
+        report = measure_and_compare(code, seed=seed)
+        assert not report.ok, code.label
+        assert report.to_json() == _oracle_report(monkeypatch, code, seed).to_json(), code.label
+
+
+# ladder rows -> (budget, sha256 of measure_and_compare's to_json()), taken
+# when both proofs read the generators: the forms oracle takes 36 s and
+# more on the larger rows, so their reports are pinned instead
+LADDER = {
+    "blowup_full(base(4,3))": (
+        None, "fbe8f86c9d8600ea3ac89dc874a0b5e8d09dea2fce5929a80fc75302c1d91206"
+    ),
+    "filenode_blowup(base(4,3))": (
+        None, "6cf7a6ae99857b74137087f3ea3e40c88c0fed27e2226905315df7ad1caddedf"
+    ),
+    "blowup_simple(base(10,8))": (
+        None, "bd3e66ea5800b36813841dc4cec38c1deb942d24a3f0c955ade0fe9b6659cd0d"
+    ),
+    "concat(base(6,3),base(6,3),base(6,3))": (
+        None, "67c32aa152553a0c48f5b686b80f1bea78ba7dc11101ad4a492f5f81b112933e"
+    ),
+    "base(16,12)": (
+        None, "ac5994ac6a680f0185d8bd5c86644ca4c4c37f22f746c9effada2ae571389a7e"
+    ),
+    "base(14,7)": (
+        None, "8837cde9b9f3e76908cf30a6ae58d4f70e4d98ce2dde72bcd133dedbb321594a"
+    ),
+    "iterate(base(3,2),2)": (
+        None, "645376380b3474fb88b7d0cb54fcffab535e54f8553e67f8cf9d9ca3adfb056a"
+    ),
+    "blowup_simple(blowup_full(filenode_blowup(base(2,1))))": (
+        None, "944125907f1e9651558529997d84675d3344635dd93cdbfd41313111d7d9371b"
+    ),
+    "filenode_blowup(blowup_full(base(3,2)))": (
+        10**12, "af09bebd0aa22c80bf147b92cdbfb75ba8c24593c376ddebe08ab6bbe9ba6083"
+    ),
+    "blowup_full(filenode_blowup(base(3,2)))": (
+        10**12, "6ba7df7b1038e01557bc2ef40da7c64d927ad7ce695c0cc03f859ffed08ebc49"
+    ),
+    "filenode_blowup(blowup_simple(base(4,1)))": (
+        10**12, "c5a3c499b2fe926f264583cdc696ec8b7236fcc9571c8644c1fbb4bee5c5a020"
+    ),
+    "blowup_full(blowup_full(filenode_blowup(base(2,1))))": (
+        10**12, "9774f74b1c3944394624e39f841bfc707338511fb91127b1bd07ba11498ba462"
+    ),
+    "blowup_simple(blowup_full(filenode_blowup(base(3,2))))": (
+        10**12, "fc5876eddacaf164e26e344d5263826cde4c5cf47ed1213112223f3f5eb4cf9f"
+    ),
+}
+
+
+@pytest.mark.parametrize("recipe", list(LADDER))
+def test_ladder_reports_are_those_proved_from_the_generators(recipe):
+    budget, digest = LADDER[recipe]
+    report = measure_and_compare(parse_recipe(recipe, budget=budget))
+    assert report.ok and report.mode == {"kind": "exhaustive"}
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "recipe, budget, runs",
+    [
+        # 1,788 runs of the base's rule when each helper set ran its groups
+        ("concat(base(6,3),base(6,3),base(6,3))", None, 123),
+        # 25,920 when each helper set ran its groups one failed node a call,
+        # 41,280 when it ran them for all its failed nodes together
+        ("blowup_simple(blowup_full(filenode_blowup(base(3,1))))", 10**12, 12),
+    ],
+)
+def test_each_part_repair_runs_once_per_proof(monkeypatch, recipe, budget, runs):
+    # the repair proof judges a part repair by the part's own verdict on
+    # (lost part nodes, chosen part helpers), memoized for the whole proof
+    seen = []
+    execute = MdsReencodeRule.execute
+
+    def spy(rule, part, failed, helpers, contents):
+        seen.append((id(part), failed, helpers))
+        return execute(rule, part, failed, helpers, contents)
+
+    monkeypatch.setattr(MdsReencodeRule, "execute", spy)
+    report = measure_and_compare(parse_recipe(recipe, budget=budget))
+    assert report.ok and report.mode == {"kind": "exhaustive"}
+    assert len(seen) == len(set(seen)) == runs
 
 
 def test_a_forms_repair_of_a_deep_blowup_lays_nothing_out_dense():

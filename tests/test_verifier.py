@@ -8,6 +8,7 @@ from math import comb
 from pathlib import Path
 
 import regencode.gf as gf_module
+import test_gf
 import regencode.verifier as verifier
 from regencode.constructions import (
     blowup_full,
@@ -122,10 +123,10 @@ def _eliminations(monkeypatch):
 
 
 def test_concat_reconstruction_is_proved_once_per_distinct_block(monkeypatch):
-    # the three parts' column blocks are one system: its 20 3-subsets of 6
-    # nodes prove all 816 15-subsets, which the stacked sweep ranked one by
-    # one. The proof eliminates that block once, as its tableau, and walks
-    # its basis through the 3-subsets by pivots alone
+    # the three copies of rs_base(6, 3) share one copy key: its 20 3-subsets
+    # of 6 nodes prove all 816 15-subsets, which the stacked sweep ranked
+    # one by one. The proof eliminates the part once, as its tableau, and
+    # walks its basis through the 3-subsets by pivots alone
     calls = _eliminations(monkeypatch)
     report = measure_and_compare(concat([rs_base(6, 3)] * 3))
     assert report.ok
@@ -134,15 +135,20 @@ def test_concat_reconstruction_is_proved_once_per_distinct_block(monkeypatch):
 
 
 def _stacked_sweep(dss, report, subsets):
-    """The stacked-rank sweep the block proof replaced, kept as its oracle.
+    """The stacked-rank sweep the table proof replaced, kept as its oracle.
 
     A subset rebuilds the file iff its stacked generators have column rank
-    B; the first subset that does not is the counterexample.
+    B, the sum of their ranks on the column blocks they tile into
+    (test_gf.tiles); the first subset that does not is the counterexample.
     """
     run = 0
     for run, subset in enumerate(subsets, 1):
         stack = [seg for i in subset for seg in dss.node_gens[i].segments]
-        if mat_rank(FieldMatrix.from_segments(dss.field, dss.file_len, stack)) != dss.file_len:
+        rank = 0
+        for lo, hi, rows in test_gf.tiles(stack, dss.file_len):
+            block = [(start - lo, e) if e else (0, []) for start, e in map(stack.__getitem__, rows)]
+            rank += mat_rank(_matrix(dss.field, hi - lo, block))
+        if rank != dss.file_len:
             report.reconstruction_ok = False
             report.reconstruction_counterexample = subset
             break
@@ -184,28 +190,40 @@ def _with_one_fault(dss, rnd):
 def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
     # seeded faults in small compositions and in wide MDS codes over GF(2^8),
     # GF(2^4) and GF(2), each verified exhaustively and sampled, by the
-    # block proof and by the stacked-rank sweep: the reports must be equal,
-    # counterexample and checks_run included
-    recipes = [
-        concat([rs_base(3, 2)] * 3),
-        filenode_blowup(rs_base(3, 2)),
-        copy_blowup(rs_base(3, 2), 1),
-        blowup_simple(rs_base(4, 3)),
-        blowup_full(rs_base(3, 2)),
-        blowup_full(blowup_simple(rs_base(3, 2))),
-        iterate(rs_base(2, 1), 2),
-        rs_base(8, 5),
-        rs_base(16, 12),
-        rs_base(9, 4, GF16),
-        blowup_full(rs_base(3, 2, GF2)),
+    # table proof and by the stacked-rank sweep: the reports must be equal,
+    # counterexample and checks_run included. A composite takes its fault
+    # in a part, before composing (its rule refuses generators its copy
+    # table did not place); the MDS codes take theirs directly
+    def pair(part):
+        return concat([part, rs_base(3, 2)])
+
+    recipes = [  # (code or part, how a part is composed)
+        (rs_base(3, 2), lambda part: concat([part] * 3)),
+        (rs_base(3, 2), pair),
+        (rs_base(3, 2), filenode_blowup),
+        (rs_base(3, 2), lambda part: copy_blowup(part, 1)),
+        (rs_base(4, 3), blowup_simple),
+        (rs_base(3, 2), blowup_full),
+        (rs_base(3, 2), lambda part: blowup_full(blowup_simple(part))),
+        (rs_base(2, 1), lambda part: iterate(part, 2)),
+        (rs_base(3, 2, GF2), blowup_full),
+        (rs_base(4, 2), blowup_simple),
+        (rs_base(4, 2), lambda part: concat([rs_base(4, 2), part])),
+        (rs_base(3, 1), blowup_full),  # any nonzero multiple of a row is a node of it
+        (rs_base(4, 1), lambda part: concat([rs_base(4, 1), part])),
+        (rs_base(8, 5), None),
+        (rs_base(16, 12), None),
+        (rs_base(9, 4, GF16), None),
     ]
     rnd = random.Random(16)
     broken = later = kept = 0
     exhaustive = verifier.EXHAUSTIVE_LIMIT
     monkeypatch.setattr(verifier, "TRIALS", 12)
-    for code in recipes:
+    for code, compose in recipes:
         for _ in range(6):
             faulty = _with_one_fault(code, rnd)
+            if compose is not None:
+                faulty = compose(faulty)
             for limit in (exhaustive, 0):
                 monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", limit)
                 proof = measure_and_compare(faulty, seed=limit)
@@ -265,23 +283,6 @@ def test_a_block_of_rank_below_its_width_fails_every_subset(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(verifier, "_check_reconstruction", _stacked_sweep)
             assert measure_and_compare(code, seed=limit).to_json() == report.to_json()
-
-
-def test_subsets_holding_more_rows_than_the_block_is_wide(monkeypatch):
-    # each block of filenode_blowup(rs_base(3, 2)) is 2 wide and touched by
-    # 4 nodes, the file node with 2 rows: a 2-subset that holds it holds 3
-    # rows, so its walk swaps in more rows than the block is wide
-    code = filenode_blowup(rs_base(3, 2))
-    blocks = list(verifier._column_blocks(code))
-    assert {width for width, _ in blocks} == {2}
-    assert all(max(map(len, nodes.values())) == 2 for _, nodes in blocks)
-    held = _in_proof(
-        monkeypatch, gf_module._Tableau, "span",
-        lambda tableau, chosen: sum(len(tableau.owned[node]) for node in chosen),
-    )
-    report = measure_and_compare(code)
-    assert report.ok and report.checks_run["reconstruction"] == 6
-    assert max(held) > 2
 
 
 def _f_major_sweep(dss, report, pairs, by_helpers):
@@ -523,11 +524,12 @@ def test_a_failing_repair_proof_of_the_nested_code_costs_its_segments():
     assert report.repair_counterexample == (0, (1, 2, 3, 4))
     assert report.checks_run == {"reconstruction": 5, "repair": 1, "total": 6}
     assert peak < 5 * 2**20, peak
-    # the same code with node 0's first row edited is one its table did not place
+    # the same code with node 0's first row edited is one its table did not
+    # place, which reconstruct and repair refuse: both proofs fail at once
     report = measure_and_compare(_first_row_flipped(iterate(base, 2)))
-    assert report.reconstruction_counterexample == (0, 1, 3, 4)
+    assert report.reconstruction_counterexample == (0, 1, 2, 3)
     assert report.repair_counterexample == (0, (1, 2, 3, 4))
-    assert report.checks_run == {"reconstruction": 3, "repair": 1, "total": 4}
+    assert report.checks_run == {"reconstruction": 1, "repair": 1, "total": 2}
 
 
 def test_generators_keeping_zeros_at_their_segment_ends_verify():
