@@ -8,11 +8,11 @@ columns. The four blowups place permuted copies of one base augmented by
 appended nodes (an empty node, twins, or a file node), so composite node
 j stores the j-th node of every copy, and a copy hosts every position but
 the one its empty node would take; concat places each part once, on its
-own run of positions. A composite's generator rows are its copies' rows,
-each the part's segment moved to the copy's columns: the placed segment
-shares the part's entries, so a composite stores a (column, entries) pair
-per row and no dense row. Reconstruction decodes copy by copy through the
-copy table. Repair plans routes over the copies for all failed nodes
+own run of positions. The copy table is all a composite stores. Its
+generator rows, rendered from the table when first read, are its copies'
+rows, each the part's segment moved to the copy's columns and sharing the
+part's entries. Reconstruction decodes copy by copy through the copy
+table. Repair plans routes over the copies for all failed nodes
 (_CopiesRule._plan) and runs them, so exact repair is inherited from the
 parts and bandwidth is accounted per copy; the verifier judges the same
 plan without symbols. The copies that repair the same part nodes from the
@@ -20,7 +20,6 @@ same part helpers share one part repair, those that compute a part node
 from a file node share one product, and those whose lost file node
 decodes from the same part nodes share one decode: element copies as
 rows, a column per copy, and a part handed rows concatenates its copies'.
-The rule refuses a code holding generators the table did not place.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import NamedTuple
 
 from .dss import (
     BandwidthReport,
-    CodeInvariantError,
     InputError,
     LinearDss,
     RepairRule,
@@ -42,8 +40,10 @@ from .dss import (
 from .gf import InconsistentSystemError, _matrix, mat_solve
 from .tradeoff import RangeError, SystemParams
 
-# generator entries n * alpha * B a composite may span, dense; the segments
-# it stores hold far fewer. Admits iterate(base(3,2),2) at 49,766,400
+# generator entries n * alpha * B a composite may span, dense. A composite
+# stores only its copy table, but the budget still counts these entries, an
+# upper bound on what its rendered generators hold. Admits
+# iterate(base(3,2),2) at 49,766,400
 DEFAULT_BUDGET = 5 * 10**7
 
 # What a copy hosts at a position: part node (_BASE, u), its twin (_DUP, u) or
@@ -82,8 +82,9 @@ class Shape(NamedTuple):
         materializes anything; parse_recipe applies it to a whole recipe
         before building any composite part. `arg` is iterate's j or
         copy_blowup's l. The budget bounds the generator entries n * alpha * B
-        counted dense, an upper bound on the entries the segments store;
-        "base" applies that bound alone to a built base code. A negative
+        counted dense: a composite stores only its copy table, yet this
+        count stays, an upper bound on the entries its rendered generators
+        hold. "base" applies that bound alone to a built base code. A negative
         budget is a RangeError; 0 admits no entries.
         """
         if budget is not None and budget < 0:
@@ -162,24 +163,29 @@ class _CopiesRule(RepairRule):
     of forms (only a rule wrapping this one proves on forms), runs on its
     own slices, unchecked: the public calls have checked the contents.
     Each copy keeps its slots in the output and counts its run's
-    transfers through its own helpers. _plan and solve raise
-    CodeInvariantError unless each node's generator equals the one
-    _compose placed (gens; as built they are the same objects, and no
-    entry is compared): a copied list passes, an edited node does not.
+    transfers through its own helpers. alpha_symbols is the composite's
+    node size, and _render gives its generators from the table.
     """
 
-    def __init__(self, description, copies, gens):
+    def __init__(self, description, copies, alpha_symbols):
         self.description = description
         self.copies = copies
-        self.gens = tuple(gens)
+        self.alpha_symbols = alpha_symbols
 
     def describe(self) -> dict:
         return self.description
 
-    def _placed(self, dss):
-        """CodeInvariantError unless dss holds the generators this table placed, node by node."""
-        if tuple(dss.node_gens) != self.gens:  # as built, the same objects: no entry read
-            raise CodeInvariantError(f"{dss.label}: generators not placed by its copy table")
+    def _render(self, dss):
+        """dss's node_gens: each copy's rows where it hosts, in table order, moved to its block."""
+        gens, unit = [[] for _ in range(dss.params.n)], [1]
+        for part, hosts, col in self.copies:
+            for pos, (node, _) in hosts.items():
+                if node[0] == _FILE:
+                    gens[pos] += [(col + r, unit) for r in range(part.file_len)]
+                else:
+                    segments = part.node_gens[node[1]].segments
+                    gens[pos] += [(col + start, entries) for start, entries in segments]
+        return tuple(_matrix(dss.field, dss.file_len, rows) for rows in gens)
 
     def solve(self, dss, subset, rhs):
         """dss's file from rhs, the symbols of subset's nodes as rows, copy by copy (dss._solve).
@@ -196,7 +202,6 @@ class _CopiesRule(RepairRule):
         while walk:  # (composite, first column, positions read, the first rhs row of each)
             code, col, positions, firsts = walk.pop()
             rule = code.repair_rule
-            rule._placed(code)
             if (rule, positions) not in routes:
                 routes[rule, positions] = rule._routes(positions)
             copies, leaves = routes[rule, positions]
@@ -266,7 +271,6 @@ class _CopiesRule(RepairRule):
         and where it reads its part helpers; and per failed node each
         helper's twin transfers.
         """
-        self._placed(dss)
         alpha, twins, groups = dss.alpha_symbols, [], {}
         counts = [dict.fromkeys(helpers, 0) for _ in failed]
         firsts = list(zip(range(0, len(failed) * alpha, alpha), failed))
@@ -379,9 +383,9 @@ def _compose(name, parts, arg=None, budget=None):
     Its Shape is predicted, and admitted by the budget, before anything is
     materialized; `arg` is copy_blowup's l. Every composite is a list of
     placed copies, each a part and the (position, node) pairs it hosts;
-    the copies' files take consecutive column blocks. A placed row is the
-    part row's segment moved to its copy's block, sharing its entries; a
-    file node's rows are one-entry unit segments.
+    the copies' files take consecutive column blocks. The composite stores
+    that copy table only: its generators are rendered from it when first
+    read (_CopiesRule._render).
     """
     shape = Shape.predict(name, parts, arg, budget)
     if len({p.field for p in parts}) != 1:
@@ -410,27 +414,19 @@ def _compose(name, parts, arg=None, budget=None):
             layout = {"permutations": [list(s) for s in sigmas], **layout}
         description = {"kind": name, "copies": len(placed), "base": base.label}
 
-    # one pass: each copy's rows go to the positions it hosts, shifted to its
-    # file's column block and sharing the part's entries; its record keeps
-    # where its content starts
-    gens = [[] for _ in range(npos)]
-    copies, col, unit = [], 0, [1]
+    # one pass: each copy's record keeps where its content starts at each
+    # position it hosts, after the copies before it, and its file's first column
+    sizes, copies, col = [0] * npos, [], 0
     for part, placement in placed:
-        B, hosts = part.file_len, {}
+        hosts = {}
         for pos, node in placement:
-            hosts[pos] = (node, len(gens[pos]))
-            if node[0] == _FILE:
-                gens[pos] += [(col + r, unit) for r in range(B)]
-            else:
-                segments = part.node_gens[node[1]].segments
-                gens[pos] += [(col + start, entries) for start, entries in segments]
+            hosts[pos] = (node, sizes[pos])
+            sizes[pos] += part.file_len if node[0] == _FILE else part.alpha_symbols
         copies.append((part, hosts, col))
-        col += B
-    if {len(rows) for rows in gens} != {shape.alpha_symbols} or col != file_len:
+        col += part.file_len
+    if set(sizes) != {shape.alpha_symbols} or col != file_len:
         raise AssertionError("composition disagrees with its shape rule")
 
-    field = parts[0].field
-    node_gens = [_matrix(field, file_len, rows) for rows in gens]
     meta = {
         "kind": name,
         "copies": len(copies),
@@ -440,10 +436,10 @@ def _compose(name, parts, arg=None, budget=None):
     suffix = "" if arg is None else f",{arg}"
     return LinearDss(
         params=shape.params,
-        field=field,
+        field=parts[0].field,
         file_len=file_len,
-        node_gens=node_gens,
-        repair_rule=_CopiesRule(description, copies, node_gens),
+        node_gens=None,
+        repair_rule=_CopiesRule(description, copies, shape.alpha_symbols),
         label=f"{name}({','.join(p.label for p in parts)}{suffix})",
         gamma_symbols=shape.gamma_symbols,
         meta=meta,

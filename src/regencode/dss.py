@@ -98,12 +98,12 @@ class RepairRule:
 class LinearDss:
     """Immutable linear storage code with an executable repair rule.
 
-    node_gens define the code, and encode follows them. A composite's rule
-    carries its copy table and the generators placed with it
-    (constructions): its public reconstruct and repair and both of the
-    verifier's proofs follow that table, and refuse (CodeInvariantError) a
-    code whose generators are not the placed ones, node by node (as
-    built, the same objects): a copied list passes, an edited node not.
+    node_gens define the code, and encode follows them. A composite
+    (constructions) stores only the copy table in its rule and is built
+    with node_gens None: they are rendered from the table on first read and
+    kept as a tuple. Its reconstruct, repair and both of the verifier's
+    proofs follow the table and render nothing; a generator list handed
+    with a copy table is refused (CodeInvariantError).
     """
 
     def __init__(
@@ -111,29 +111,41 @@ class LinearDss:
         params: SystemParams,
         field: FieldSpec,
         file_len: int,
-        node_gens: list[FieldMatrix],
+        node_gens: list[FieldMatrix] | None,
         repair_rule: RepairRule,
         label: str,
         gamma_symbols: int,
         meta: dict | None = None,
     ):
-        if len(node_gens) != params.n:
-            raise InputError("one generator per node required")
-        alphas = {g.rows for g in node_gens}
-        if len(alphas) != 1:
-            raise CodeInvariantError("node sizes are not uniform")
-        for g in node_gens:
-            if g.cols != file_len or g.field != field:
-                raise InputError("generator shape or field mismatch")
+        if hasattr(repair_rule, "copies"):
+            if node_gens is not None:
+                raise CodeInvariantError(f"{label}: a copy table renders its own generators")
+            alpha = repair_rule.alpha_symbols
+        else:
+            if node_gens is None or len(node_gens) != params.n:
+                raise InputError("one generator per node required")
+            alphas = {g.rows for g in node_gens}
+            if len(alphas) != 1:
+                raise CodeInvariantError("node sizes are not uniform")
+            for g in node_gens:
+                if g.cols != file_len or g.field != field:
+                    raise InputError("generator shape or field mismatch")
+            alpha = alphas.pop()
         self.params = params
         self.field = field
         self.file_len = file_len
-        self.node_gens = node_gens
+        self._node_gens = node_gens
         self.repair_rule = repair_rule
         self.label = label
-        self.alpha_symbols = alphas.pop()
+        self.alpha_symbols = alpha
         self.gamma_symbols = gamma_symbols
         self.meta = meta
+
+    @property
+    def node_gens(self) -> list[FieldMatrix] | tuple[FieldMatrix, ...]:
+        if self._node_gens is None:
+            self._node_gens = self.repair_rule._render(self)
+        return self._node_gens
 
     def __repr__(self) -> str:
         p = self.params

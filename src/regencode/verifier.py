@@ -20,9 +20,10 @@ for the whole proof (_Proof), so a proof costs the table, not the node
 size. A code without copies is one exchange tableau (gf._Tableau) over its
 generators, walked from node set to node set a pivot per row swapped in,
 and its rule is run on its generator rows, compared by segments, then by
-segments trimmed: never dense. A composite holding generators its table
-did not place fails both proofs at once, as reconstruct and repair refuse
-it. Repair is judged once per helper set, for all the failed nodes
+segments trimmed: never dense. A composite's generators are rendered from
+its table (constructions), so neither proof renders them; a rule that
+wraps a composite's has no table and is proved on the generators. Repair
+is judged once per helper set, for all the failed nodes
 outside it, keeping running bandwidth totals. A failure is reported as a
 sweep in plan order would report it: the first k-subset that does not
 decode, or, walking the pairs again one node a verdict, the first pair.
@@ -174,16 +175,13 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
     first that does not decode is the counterexample, its position the count.
     """
     n, k, exhaustive = dss.params.n, dss.params.k, report.mode["kind"] == "exhaustive"
-    proof = _Proof()
-    try:
-        copies = proof.copies(dss)
-    except CodeInvariantError:  # reconstruct refuses every subset
-        copies, met = [], lambda subset: False
-    if copies is None:
+    proof, rule = _Proof(), dss.repair_rule
+    if not isinstance(rule, _CopiesRule):
         met = proof.tableau(dss).span
         if exhaustive and all(map(met, combinations(range(n), k))):
             return comb(n, k)
-    elif copies:
+    else:
+        copies = rule.copies
         if exhaustive:  # only the failing copies are kept
             verdicts, failing = {}, []
             for part, hosts, col in copies:
@@ -225,18 +223,6 @@ class _Proof:
 
     def __init__(self):
         self.tableaux, self.decoded, self.repaired = {}, {}, {}
-
-    def copies(self, code):
-        """code's copy table, or None; CodeInvariantError unless each table placed its code."""
-        walk, seen = [code], set()
-        while walk:
-            part = walk.pop()
-            rule = part.repair_rule
-            if isinstance(rule, _CopiesRule) and part not in seen:
-                seen.add(part)
-                rule._placed(part)
-                walk += [p for p, _, _ in rule.copies]
-        return code.repair_rule.copies if seen else None
 
     def tableau(self, code):
         if code not in self.tableaux:
@@ -325,9 +311,9 @@ def _sweep(dss: LinearDss, groups, proof):
     """Judge the (helpers, failed nodes) groups in order up to the first pair that fails.
 
     Returns (count run, the failing pair or None, bandwidth as
-    _check_repair returns it). A verdict that raises (as a composite's rule
-    does for generators its table did not place) fails its first pair; a
-    report the nodes of a verdict share is read once.
+    _check_repair returns it). A verdict that raises (a rule decoding from
+    helpers that do not determine the file) fails its first pair; a report
+    the nodes of a verdict share is read once.
     """
     run, bandwidth, last = 0, None, None
     for helpers, failed in groups:

@@ -275,8 +275,9 @@ def test_copies_are_placed_only_where_they_host():
 
 
 def test_composed_rows_share_their_part_segments():
-    # each placed row is its part row's segment moved to its copy's columns,
-    # whose first the copy table records; the copies' blocks run in order
+    # each rendered row is its part row's segment moved to its copy's
+    # columns, whose first the copy table records; the copies' blocks run
+    # in order
     base = rs_base(3, 2)
     for dss in (blowup_full(base), concat([base, rs_base(4, 3), base]), filenode_blowup(base)):
         end = 0
@@ -296,7 +297,7 @@ def test_composed_rows_share_their_part_segments():
 
 
 def test_iterate_twice_stores_its_nonzeros_in_segments():
-    # 8,640 rows of 5,760 columns: 49,766,400 entries dense, 11,520 stored
+    # 8,640 rows of 5,760 columns: 49,766,400 entries dense, 11,520 rendered
     dss = iterate(rs_base(3, 2), 2)
     segments = [seg for g in dss.node_gens for seg in g.segments]
     assert len(segments) == dss.params.n * dss.alpha_symbols == 8640
@@ -527,9 +528,12 @@ def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):
 
 def test_nested_encode_and_reconstruct_cost_their_segments():
     # encode walks each stored row's segment and builds no product matrix;
-    # the reconstruct's eliminations are pinned by the test above
+    # the reconstruct's eliminations are pinned by the test above. The
+    # first read renders the generators from the copy table, about 0.8 MB
+    # traced, once: they are read before the trace, as the build placed them
     dss = iterate(rs_base(3, 2), 2)
     message = [i * 7 % 256 for i in range(dss.file_len)]
+    dss.node_gens
     tracemalloc.start()
     try:
         contents = encode(dss, message)

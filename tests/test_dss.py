@@ -366,8 +366,9 @@ def test_uniform_alpha_enforced():
         [FieldMatrix(GF2, [[1, 0]]), FieldMatrix(GF2, [[0, 1]])],  # two generators for n = 3
         [FieldMatrix(GF2, [[1, 0]]), FieldMatrix(GF2, [[0, 1]]), FieldMatrix(GF2, [[1, 1, 0]])],
         [FieldMatrix(GF2, [[1, 0]]), FieldMatrix(GF2, [[0, 1]]), FieldMatrix(GF16, [[1, 1]])],
+        None,  # only a composite's copy table renders its generators
     ],
-    ids=["count", "shape", "field"],
+    ids=["count", "shape", "field", "none"],
 )
 def test_linear_dss_refuses_mismatched_generators(gens):
     with pytest.raises(InputError):

@@ -6,9 +6,9 @@ reads. The oracle below is the layout the forms runs replaced, where a
 group's form copies were laid out dense side by side over the columns
 their segments span and run together. It lives here only: with the
 stacked-rank sweep it is the proof from the generators that the table
-proof (verifier._Proof) must agree with, faulty parts included. The
-table holds only for the generators it placed, and a composite holding
-any other list is refused.
+proof (verifier._Proof) must agree with, faulty parts included. A
+composite stores only its table, which renders its generators, and a
+generator list handed with its rule is refused when the code is built.
 """
 
 import hashlib
@@ -42,9 +42,6 @@ from regencode.dss import (
     _decode,
     _span,
     apply_generator,
-    encode,
-    reconstruct,
-    repair,
     rs_base,
 )
 from regencode.gf import FieldMatrix, _matrix, _trim
@@ -165,7 +162,7 @@ def _corrupted(code, seed, kind):
     "zeroed" zeroes one part row of a drawn copy; "swapped" exchanges a
     drawn copy's rows at a drawn position with those of another copy of
     the same part there. The repair rule and its copy table stay as built,
-    so the rule refuses the edited generator list.
+    so building the code refuses the edited generator list.
     """
     rnd = random.Random(seed)
     copies = code.repair_rule.copies
@@ -235,68 +232,45 @@ def test_shift_keyed_forms_agree_with_the_side_by_side_layout(monkeypatch, recip
     _agree_with_oracle(monkeypatch, code, _pairs(code, recipe))
 
 
-# (code, corruption, seed) -> the reconstruction and repair counterexamples
-# measure_and_compare reports; "nested" is blowup_full over a corrupted
-# blowup_simple(base(3,2)). reconstruct and repair refuse every subset and
-# pair of these codes, and both proofs fail at their first after 1 check
-CORRUPTED = {
-    (recipe, kind, seed): (first, (0, tuple(range(1, d + 1))))
-    for recipe, first, d in [
-        ("blowup_full(base(3,2))", (0, 1, 2), 3),
-        ("blowup_full(blowup_simple(base(3,2)))", (0, 1, 2, 3), 4),
-        ("filenode_blowup(base(4,3))", (0, 1, 2), 3),
-        ("nested", (0, 1, 2, 3), 4),
-    ]
+# (code, corruption, seed); "nested" is blowup_full over a corrupted
+# blowup_simple(base(3,2))
+CORRUPTED = [
+    (recipe, kind, seed)
+    for recipe in (
+        "blowup_full(base(3,2))",
+        "blowup_full(blowup_simple(base(3,2)))",
+        "filenode_blowup(base(4,3))",
+        "nested",
+    )
     for kind in ("zeroed", "swapped")
     for seed in (1, 2)
-}
+]
 
 
 def _corrupted_code(recipe, kind, seed):
-    if recipe == "nested":  # the outer table placed the edited part, whose own table refuses it
+    if recipe == "nested":  # the part is corrupted, before the outer table places it
         return blowup_full(_corrupted(parse_recipe("blowup_simple(base(3,2))"), seed, kind))
     return _corrupted(parse_recipe(recipe), seed, kind)
 
 
-@pytest.mark.parametrize("case", list(CORRUPTED), ids=str)
-def test_generators_the_copy_table_did_not_place_are_refused(case):
-    code = _corrupted_code(*case)
-    n, k, d = code.params.n, code.params.k, code.params.d
-    forms = [g.segments for g in code.node_gens]
-    with pytest.raises(CodeInvariantError):
-        code.repair_rule.execute(code, (0,), tuple(range(1, d + 1)), forms)
-    message = [i % code.field.order for i in range(code.file_len)]
-    contents = encode(code, message)  # encode follows the generators
-    with pytest.raises(CodeInvariantError):
-        repair(code, 0, range(1, d + 1), contents)
-    for subset in combinations(range(n), k):
-        with pytest.raises(CodeInvariantError):
-            reconstruct(code, subset, contents)
-    report = measure_and_compare(code)
-    assert (report.reconstruction_counterexample, report.repair_counterexample) == CORRUPTED[case]
-    assert report.checks_run == {"reconstruction": 1, "repair": 1, "total": 2}
-
-
-def test_the_placed_generators_are_checked_node_by_node():
-    # a copied list of the placed generators is the same code; a node
-    # edited in place, in the code's own list, is refused
+def test_a_composite_is_built_from_its_copy_table_alone():
+    # a composite's generators are rendered from its copy table, so a
+    # generator list handed with its rule is refused when the code is
+    # built: each edited one, and a copy of its own. The rendered list is
+    # kept with the code and cannot be edited in place. Faults placed
+    # inside parts are proved by the oracle test below
+    for case in CORRUPTED:
+        with pytest.raises(CodeInvariantError, match="copy table"):
+            _corrupted_code(*case)
     code = parse_recipe("blowup_full(base(3,2))")
-    n, k, d = code.params.n, code.params.k, code.params.d
-    copied = LinearDss(
-        code.params, code.field, code.file_len, list(code.node_gens), code.repair_rule,
-        code.label, code.gamma_symbols,
-    )
-    assert measure_and_compare(copied).to_json() == measure_and_compare(code).to_json()
-    message = [i % code.field.order for i in range(code.file_len)]
-    contents = encode(copied, message)
-    assert reconstruct(copied, range(k), contents) == message
-    assert repair(copied, 0, range(1, d + 1), contents)[0] == contents[0]
-    code.node_gens[0] = code.node_gens[1]
-    with pytest.raises(CodeInvariantError):
-        reconstruct(code, range(k), contents)
-    with pytest.raises(CodeInvariantError):
-        repair(code, 0, range(1, d + 1), contents)
-    assert measure_and_compare(copied).ok  # its own list is untouched
+    with pytest.raises(CodeInvariantError, match="copy table"):
+        LinearDss(
+            code.params, code.field, code.file_len, list(code.node_gens), code.repair_rule,
+            code.label, code.gamma_symbols,
+        )
+    with pytest.raises(TypeError):
+        code.node_gens[0] = code.node_gens[1]
+    assert measure_and_compare(code).ok
 
 
 def _faulty_part(part, rnd, fault):
