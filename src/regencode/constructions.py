@@ -11,15 +11,16 @@ the one its empty node would take; concat places each part once, on its
 own run of positions. The copy table is all a composite stores. Its
 generator rows, rendered from the table when first read, are its copies'
 rows, each the part's segment moved to the copy's columns and sharing the
-part's entries. Reconstruction decodes copy by copy through the copy
-table. Repair plans routes over the copies for all failed nodes
-(_CopiesRule._plan) and runs them, so exact repair is inherited from the
-parts and bandwidth is accounted per copy; the verifier judges the same
-plan without symbols. The copies that repair the same part nodes from the
-same part helpers share one part repair, those that compute a part node
-from a file node share one product, and those whose lost file node
-decodes from the same part nodes share one decode: element copies as
-rows, a column per copy, and a part handed rows concatenates its copies'.
+part's entries. Reconstruction decodes symbols in their own shape, copy
+by copy through the copy table. Repair plans routes over the copies for
+all failed nodes (_CopiesRule._plan) and runs them, so exact repair is
+inherited from the parts and bandwidth is accounted per copy; the
+verifier judges the same plan without symbols. The copies that repair
+the same part nodes from the same part helpers share one part repair,
+those that compute a part node from a file node share one product, and
+those that decode from the same part nodes, in a reconstruct or for a
+lost file node, share one decode: one helper (_stack) batches element
+copies as rows, a column per copy, and concatenates a part's row copies.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import NamedTuple
 
 from .dss import (
     BandwidthReport,
+    CodeInvariantError,
     InputError,
     LinearDss,
     RepairRule,
@@ -37,7 +39,7 @@ from .dss import (
     _decode,
     apply_generator,
 )
-from .gf import InconsistentSystemError, _matrix, mat_solve
+from .gf import _matrix, _trimmed
 from .tradeoff import RangeError, SystemParams
 
 # generator entries n * alpha * B a composite may span, dense. A composite
@@ -158,10 +160,11 @@ class _CopiesRule(RepairRule):
     own rule with its d smallest part helpers, one call for all such nodes
     of the copy. The rule depends only on stored content, never on
     position numbers, so it is equidistributed across the permuted copies.
-    execute runs each group of the plan once on its element copies zipped
-    into rows, or on its row copies concatenated; a copy alone, or a copy
-    of forms (only a rule wrapping this one proves on forms), runs on its
-    own slices, unchecked: the public calls have checked the contents.
+    execute runs each group of the plan once on its copies' reads stacked
+    (_stack), as solve decodes each group of copies reading equal part
+    nodes; a copy alone, or a copy of forms (only a rule wrapping this one
+    proves on forms), runs on its own slices, unchecked: the public calls
+    have checked the contents.
     Each copy keeps its slots in the output and counts its run's
     transfers through its own helpers. alpha_symbols is the composite's
     node size, and _render gives its generators from the table.
@@ -187,19 +190,20 @@ class _CopiesRule(RepairRule):
                     gens[pos] += [(col + start, entries) for start, entries in segments]
         return tuple(_matrix(dss.field, dss.file_len, rows) for rows in gens)
 
-    def solve(self, dss, subset, rhs):
-        """dss's file from rhs, the symbols of subset's nodes as rows, copy by copy (dss._solve).
+    def solve(self, dss, subset, symbols):
+        """dss's file from the symbols of subset's nodes, in their shape (dss._decode).
 
         Down the copy table along each composite's routes (_routes), a copy
-        that reads its file node keeps those rows, and the part nodes it
-        reads must be that file re-encoded, or InconsistentSystemError; the
-        copies of codes without copies that read equal part nodes share one
-        gf.mat_solve, side by side.
+        that reads its file node takes that slice of symbols, and each part
+        node it reads must be that file re-encoded (apply_generator; forms
+        compared trimmed), or CodeInvariantError. The copies of a code
+        without copies that read equal part nodes decode in one _decode,
+        batched by _stack; forms, and a copy alone, decode one copy at a time.
         """
-        field, width, symbols = dss.field, rhs.cols, rhs.segments
-        x, routes, groups, alpha = [None] * dss.file_len, {}, {}, dss.alpha_symbols
+        forms, alpha = type(symbols[0]) is tuple, dss.alpha_symbols
+        x, routes, groups = [None] * dss.file_len, {}, {}
         walk = [(dss, 0, tuple(subset), range(0, len(subset) * alpha, alpha))]
-        while walk:  # (composite, first column, positions read, the first rhs row of each)
+        while walk:  # (composite, first column, positions read, the first symbol of each)
             code, col, positions, firsts = walk.pop()
             rule = code.repair_rule
             if (rule, positions) not in routes:
@@ -210,25 +214,26 @@ class _CopiesRule(RepairRule):
                 if file is None:  # a composite part
                     walk.append((part, at, nodes, reads))
                     continue
-                first, size = firsts[file[0]] + file[1], part.file_len
-                x[at : at + size] = rows = symbols[first : first + size]
+                first = firsts[file[0]] + file[1]
+                x[at : at + part.file_len] = own = symbols[first : first + part.file_len]
                 for u, first in zip(nodes, reads):
-                    hosted = _matrix(field, width, symbols[first : first + part.alpha_symbols])
-                    if part.node_gens[u].mul(_matrix(field, width, rows)) != hosted:
-                        raise InconsistentSystemError(f"part node {u} is not its file re-encoded")
+                    hosted = symbols[first : first + part.alpha_symbols]
+                    product = apply_generator(part.node_gens[u], own)
+                    if product != (_trimmed(hosted) if forms else hosted):
+                        raise CodeInvariantError(f"part node {u} is not its file re-encoded")
             for key, (ats, members) in leaves.items():
-                cols, side = groups.setdefault(key, ([], [[] for _ in members[0]]))
+                cols, copy_reads = groups.setdefault(key, ([], []))
                 cols += [col + at for at in ats]
-                for row, reads in zip(side, zip(*members)):  # a row of the system, every member's
-                    hosted = _matrix(field, width, [symbols[firsts[i] + t] for i, t in reads])
-                    row += itertools.chain.from_iterable(hosted.data)
-        for (part, nodes), (cols, side) in groups.items():
-            gens = [segment for u in nodes for segment in part.node_gens[u].segments]
-            sides = _matrix(field, len(cols) * width, [(0, row) for row in side])
-            solved = mat_solve(_matrix(field, part.file_len, gens), sides).segments
-            for lo, col in zip(range(0, len(cols) * width, width), cols):
-                x[col : col + part.file_len] = [(0, row[lo : lo + width]) for _, row in solved]
-        return _matrix(field, width, x)
+                copy_reads += [[symbols[firsts[i] + t] for i, t in reads] for reads in members]
+        for (part, nodes), (cols, copy_reads) in groups.items():
+            if forms or len(cols) == 1:
+                decoded = [_decode(part, nodes, reads) for reads in copy_reads]
+            else:
+                rows, unstack = _stack(copy_reads)
+                decoded = unstack(_decode(part, nodes, rows))
+            for col, message in zip(cols, decoded):
+                x[col : col + part.file_len] = message
+        return _trimmed(x) if forms else x
 
     def _routes(self, positions):
         """How the copies read the nodes at positions, whatever the symbols (solve).
@@ -336,20 +341,12 @@ class _CopiesRule(RepairRule):
                 [contents[q][s : s + size] for q, s in map(cand.__getitem__, chosen)]
                 for _, cand in members
             ]
-            shape = type(copies[0][0][0])
-            if len(members) == 1 or shape is tuple:  # a copy alone, or of forms, runs on its reads
+            if len(members) == 1 or type(copies[0][0][0]) is tuple:  # a copy alone, or of forms
                 done = zip(*(_run(part, us, chosen, reads) for reads in copies))
-            else:
-                if shape is int:  # element copies zipped into rows, a column each
-                    rows = [[list(t) for t in zip(*h)] for h in zip(*copies)]
-                    unlay = lambda rebuilt: zip(*rebuilt)
-                else:  # row copies concatenated, each on its own run of columns
-                    rows = [[list(itertools.chain(*t)) for t in zip(*h)] for h in zip(*copies)]
-                    width = len(copies[0][0][0])
-                    cuts = range(0, len(members) * width, width)
-                    unlay = lambda rebuilt: [[r[i : i + width] for r in rebuilt] for i in cuts]
-                results = _run(part, us, chosen, rows)
-                done = [zip(unlay(rebuilt), itertools.repeat(bw)) for rebuilt, bw in results]
+            else:  # each chosen helper's reads stacked, the first split serving every result
+                stacked, splits = zip(*(_stack(reads) for reads in zip(*copies)))
+                results = _run(part, us, chosen, list(stacked))
+                done = [zip(splits[0](rebuilt), itertools.repeat(bw)) for rebuilt, bw in results]
             for j, pieces in enumerate(done):
                 for (slots, cand), (piece, report) in zip(members, pieces):
                     slot = slots[j]
@@ -360,6 +357,21 @@ class _CopiesRule(RepairRule):
 
         cuts = range(0, len(out), alpha)
         return [(out[j : j + alpha], BandwidthReport(c)) for j, c in zip(cuts, counts)]
+
+
+def _stack(copies):
+    """Copies' symbols, a list per copy, as one list of rows, and its inverse on a result.
+
+    Elements zip into rows, a column per copy; rows concatenate, each copy
+    on its own run of columns. The inverse splits a result's rows back
+    into one list per copy.
+    """
+    if type(copies[0][0]) is int:
+        return [list(t) for t in zip(*copies)], lambda rows: zip(*rows)
+    width = len(copies[0][0])
+    cuts = range(0, len(copies) * width, width)
+    rows = [list(itertools.chain.from_iterable(t)) for t in zip(*copies)]
+    return rows, lambda rows: ([row[i : i + width] for row in rows] for i in cuts)
 
 
 def _run(part, us, chosen, reads):

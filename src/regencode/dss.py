@@ -182,30 +182,22 @@ def reconstruct(
 
 
 def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
-    """The message from the symbols of subset's nodes, read in order; no checks.
+    """The message, in the symbols' shape, from those of subset's nodes read in order.
 
-    Callers pass symbols already checked: reconstruct's own, or slices a
-    repair rule takes from contents its public call has checked.
-    """
-    rhs, at = _as_matrix(dss.field, symbols)
-    return _shaped(_solve(dss, subset, rhs), symbols, at)
-
-
-def _solve(dss: LinearDss, subset: tuple[int, ...], rhs: FieldMatrix) -> FieldMatrix:
-    """_decode's message as a matrix, rhs the symbols of subset's nodes as rows.
-
-    A composite solves through its copy table (constructions._CopiesRule.solve),
-    any other code its nodes' generator segments stacked, in one gf.mat_solve.
+    A composite decodes through its copy table (constructions._CopiesRule.solve),
+    any other code in one gf.mat_solve; CodeInvariantError, naming subset, if
+    they do not determine the file. No checks: callers pass symbols that
+    reconstruct, or the public call of a repair rule, has checked.
     """
     try:
         if hasattr(dss.repair_rule, "copies"):
-            return dss.repair_rule.solve(dss, subset, rhs)
+            return dss.repair_rule.solve(dss, subset, symbols)
         segments = [segment for i in subset for segment in dss.node_gens[i].segments]
-        return mat_solve(_matrix(dss.field, dss.file_len, segments), rhs)
-    except SingularMatrixError as exc:
-        raise CodeInvariantError(
-            f"subset {subset} does not determine the file: {exc}"
-        ) from exc
+        rhs, at = _as_matrix(dss.field, symbols)
+        return _shaped(mat_solve(_matrix(dss.field, dss.file_len, segments), rhs), symbols, at)
+    except (SingularMatrixError, CodeInvariantError) as exc:
+        reason = exc.__cause__ or exc  # a part's decode named the part's nodes
+        raise CodeInvariantError(f"subset {subset} does not determine the file: {reason}") from exc
 
 
 def apply_generator(gen: FieldMatrix, symbols: list) -> list:
@@ -414,4 +406,8 @@ def to_json_dict(dss: LinearDss) -> dict:
 
 
 def to_json(dss: LinearDss) -> str:
+    """to_json_dict as JSON, every generator row dense: n * alpha * B entries.
+
+    So it is meant for small codes: iterate(base(3,2),2), at 49.8M, is beyond it.
+    """
     return json.dumps(to_json_dict(dss), sort_keys=True, indent=2) + "\n"

@@ -41,6 +41,7 @@ import json
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, groupby
 from math import comb
 from operator import itemgetter
@@ -170,9 +171,9 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
     every copy. An exhaustive plan proves that once per distinct copy key
     (part, t, the sorted nodes it hosts) and on a pass counts all C(n, k)
     subsets; a code without copies walks its tableau through them. On a
-    failure the subsets are walked in order against the failing copies,
-    and a sampled plan walks its drawn subsets against every copy: the
-    first that does not decode is the counterexample, its position the count.
+    failure, and on a sampled plan, the subsets are walked in order
+    (_Proof.decodes, or the tableau): the first that does not decode is the
+    counterexample, its position the count.
     """
     n, k, exhaustive = dss.params.n, dss.params.k, report.mode["kind"] == "exhaustive"
     proof, rule = _Proof(), dss.repair_rule
@@ -181,26 +182,14 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
         if exhaustive and all(map(met, combinations(range(n), k))):
             return comb(n, k)
     else:
-        copies = rule.copies
-        if exhaustive:  # only the failing copies are kept
-            verdicts, failing = {}, []
-            for part, hosts, col in copies:
-                held = sorted(node for node, _ in hosts.values())
-                key = (part, max(0, k - n + len(hosts)), tuple(held))
-                if key not in verdicts:
-                    verdicts[key] = all(proof.hosted(part, c) for c in combinations(held, key[1]))
-                if not verdicts[key]:
-                    failing.append((part, hosts, col))
-            if not failing:
-                return comb(n, k)
-            copies = failing
-
-        def met(subset):
-            members = set(subset)
-            return all(
-                proof.hosted(part, [node for p, (node, _) in hosts.items() if p in members])
-                for part, hosts, _ in copies
+        met = partial(proof.decodes, dss)
+        if exhaustive:
+            keys = dict.fromkeys(
+                (part, max(0, k - n + len(hosts)), tuple(sorted(h for h, _ in hosts.values())))
+                for part, hosts, _ in rule.copies
             )
+            if all(proof.hosted(part, c) for part, t, held in keys for c in combinations(held, t)):
+                return comb(n, k)
 
     run = 0
     for run, subset in enumerate(subsets, 1):
@@ -239,8 +228,9 @@ class _Proof:
         if key not in self.decoded:
             rule = code.repair_rule
             if isinstance(rule, _CopiesRule):
+                read = set(nodes)
                 self.decoded[key] = all(
-                    self.hosted(part, [hosts[p][0] for p in nodes if p in hosts])
+                    self.hosted(part, [node for p, (node, _) in hosts.items() if p in read])
                     for part, hosts, _ in rule.copies
                 )
             else:

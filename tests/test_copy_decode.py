@@ -1,20 +1,26 @@
 """Composites decode through their copy table; the stacked per-tile solve is the oracle.
 
-A composite solves copy by copy (constructions._CopiesRule.solve): a copy
-that reads its file node takes its file, and the copies reading equal part
-nodes share one solve. The oracle is the decode this replaced: the
-subset's generator segments stacked and solved one column block at a time
-(test_gf.per_tile_solve). Both must give equal messages, or both raise
-CodeInvariantError, on elements, rows and forms, on sound codes and on
-seeded corruptions of the generators (a leaf code's, composed again, so
-the copy table and the generators agree) and of the symbols read.
+A composite decodes the symbols in their own shape, elements, rows or
+forms, copy by copy (constructions._CopiesRule.solve): a copy that reads
+its file node takes that slice of them, and the copies reading equal part
+nodes share one decode of their symbols stacked as rows
+(constructions._stack), forms one copy at a time. The oracle is the
+decode this replaced: the subset's generator segments stacked and solved
+one column block at a time (test_gf.per_tile_solve). Both must give equal
+messages, or both raise CodeInvariantError, on elements, rows and forms,
+on sound codes and on seeded corruptions of the generators (a leaf
+code's, composed again, so the copy table and the generators agree) and
+of the symbols read. A public reconstruct that fails in a part's decode
+names the subset it was given.
 """
 
 import random
 from itertools import combinations
 
+import pytest
 import test_gf
 import test_sweep
+import test_verifier
 from regencode.cli import parse_recipe
 from regencode.constructions import (
     blowup_full,
@@ -31,9 +37,10 @@ from regencode.dss import (
     _shaped,
     apply_generator,
     encode,
+    reconstruct,
     rs_base,
 )
-from regencode.gf import FieldMatrix, SingularMatrixError, _matrix
+from regencode.gf import GF2, FieldMatrix, SingularMatrixError, _matrix
 
 
 def _stacked_decode(code, subset, symbols):
@@ -131,3 +138,15 @@ def test_copy_table_decode_agrees_with_the_stacked_per_tile_solve():
                     seen.add((shape, outcome is CodeInvariantError))
     shapes = ("elements", "rows", "forms")
     assert seen == {(shape, fails) for shape in shapes for fails in (False, True)}
+
+
+def test_a_failing_part_decode_names_the_callers_subset():
+    # node 0 of the base is zeroed: nodes (0, 1, 2) leave copies of it reading
+    # only its nodes 0 and 1, whose decode fails on the part's own subset
+    code = blowup_full(test_verifier.corrupt_generator(rs_base(3, 2, GF2), 0))
+    contents = encode(code, [1] * code.file_len)
+    with pytest.raises(CodeInvariantError) as caught:
+        reconstruct(code, (0, 1, 2), contents)
+    assert str(caught.value) == (
+        "subset (0, 1, 2) does not determine the file: coefficient matrix is rank deficient"
+    )
