@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -324,9 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser; a parse leaves nothing on it
+
+
 def main(argv=None) -> int:
+    """Run one command line and return its exit code. In-process calls share
+    one parser, built by the first; a one-shot process builds it once, as
+    before. argparse looks up sys.stdout, sys.stderr and the width when it prints."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error, or the help
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:

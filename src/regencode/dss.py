@@ -378,7 +378,7 @@ def rs_base(n: int, k: int, field: FieldSpec = GF256) -> LinearDss:
     vander = FieldMatrix(field, rows)
     top_inv = mat_inv(FieldMatrix(field, rows[:k]))
     gsys = vander.mul(top_inv)
-    gens = [FieldMatrix(field, [gsys.data[i]]) for i in range(n)]
+    gens = [_matrix(field, k, [segment]) for segment in gsys.segments]
     return LinearDss(
         params=SystemParams(n, k, k),
         field=field,

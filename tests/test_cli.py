@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import time
@@ -304,3 +305,53 @@ def test_cli_asymptotic(tmp_path):
                  "--s", "1/2,1", "--M", "100,1000", "--out", str(out)]) == EXIT_OK
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 5
+
+
+def _captured(argv, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_cli_main_reuses_one_parser(monkeypatch, capsys):
+    import regencode.cli as cli
+
+    runs = [
+        ["curve", "--n", "4", "--k", "3", "--d", "3", "--samples", "3"],
+        ["construct", "base(3,2)"],
+        ["asymptotic", "--n", "2", "--k", "1", "--d", "1", "--s", "1/2", "--M", "100"],
+        ["compare", "--n", "4", "--k", "3", "--d", "3", "--alpha", "3/8", "--gamma", "3/4"],
+        ["construct"],  # a usage error
+        ["construct", "--help"],
+        ["compare", "--help"],
+    ]
+    _captured(runs[0], capsys)  # the warm call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    shared = [_captured(argv, capsys) for argv in runs]
+    assert built == []
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    fresh = [_captured(argv, capsys) for argv in runs]
+    assert built.count("regencode") == len(runs)  # build_parser: a new parser each call
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [EXIT_OK] * 4 + [EXIT_INPUT, EXIT_OK, EXIT_OK]
+
+
+def test_cli_reused_parser_carries_nothing_over_from_a_failed_parse(capsys):
+    message = "error: the following arguments are required: recipe"
+    rc, out, err = _captured(["construct"], capsys)
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err.startswith("usage: regencode construct") and message in err
+    rc, out, err = _captured(["construct", "--help"], capsys)
+    assert (rc, err) == (EXIT_OK, "")
+    assert out.startswith("usage: regencode construct") and message not in out
+    rc, out, err = _captured(["construct", "base(3,2)"], capsys)
+    assert (rc, err) == (EXIT_OK, "")
+    report = json.loads(out)  # the whole of stdout is the report
+    assert report["reconstruction_ok"] and report["repair_ok"] and report["match"]
