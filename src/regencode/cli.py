@@ -329,9 +329,9 @@ _parser = functools.cache(build_parser)  # main's parser; a parse leaves nothing
 
 
 def main(argv=None) -> int:
-    """Run one command line and return its exit code. In-process calls share
-    one parser, built by the first; a one-shot process builds it once, as
-    before. argparse looks up sys.stdout, sys.stderr and the width when it prints."""
+    """Run one command line and return its exit code; calls share one parser,
+    built by the first. argparse looks up sys.stdout, sys.stderr and the
+    width when it prints."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error, or the help
