@@ -19,12 +19,14 @@ verifier judges the same plan without symbols. The copies that repair
 the same part nodes from the same part helpers share one part repair,
 those that compute a part node from a file node share one product, and
 those that decode from the same part nodes, in a reconstruct or for a
-lost file node, share one decode: one helper (_stack) batches element
-copies as rows, a column per copy, and concatenates a part's row copies.
+lost file node, share one decode of their symbols side by side as rows,
+a column per copy: solve gathers them as it walks the copies in batches,
+and execute stacks each group's reads (_stack).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from typing import NamedTuple
@@ -193,47 +195,64 @@ class _CopiesRule(RepairRule):
     def solve(self, dss, subset, symbols):
         """dss's file from the symbols of subset's nodes, in their shape (dss._decode).
 
-        Down the copy table along each composite's routes (_routes), a copy
-        that reads its file node takes that slice of symbols, and each part
-        node it reads must be that file re-encoded (apply_generator; forms
-        compared trimmed), or CodeInvariantError. The copies of a code
-        without copies that read equal part nodes decode in one _decode,
-        batched by _stack; forms, and a copy alone, decode one copy at a time.
+        The walk down the copy table moves copies in batches, one per
+        (composite, positions read), of the copies' first columns and, per
+        position read, each copy's first symbol there; a composite part
+        joins its batch by C-level maps over them. The batch joined last is
+        walked first, so checks fail in the order of a walk copy by copy.
+        A copy that reads its file node takes that slice of symbols, and
+        each part node it reads must be that file re-encoded
+        (apply_generator; forms compared trimmed), or CodeInvariantError.
+        The copies of a code without copies that read equal part nodes
+        gather their symbols as rows, a column per copy, and decode in one
+        _decode; forms decode one copy at a time.
         """
-        forms, alpha = type(symbols[0]) is tuple, dss.alpha_symbols
+        shape, alpha = type(symbols[0]), dss.alpha_symbols
         x, routes, groups = [None] * dss.file_len, {}, {}
-        walk = [(dss, 0, tuple(subset), range(0, len(subset) * alpha, alpha))]
-        while walk:  # (composite, first column, positions read, the first symbol of each)
-            code, col, positions, firsts = walk.pop()
+        batches = {(dss, tuple(subset)): ([0], [[i * alpha] for i in range(len(subset))])}
+        while batches:
+            (code, positions), (cols, firsts) = batches.popitem()
             rule = code.repair_rule
             if (rule, positions) not in routes:
                 routes[rule, positions] = rule._routes(positions)
             copies, leaves = routes[rule, positions]
             for part, at, file, nodes, reads in copies:
-                at, reads = col + at, [firsts[i] + s for i, s in reads]
-                if file is None:  # a composite part
-                    walk.append((part, at, nodes, reads))
+                if file is None:  # a composite part, read at its part nodes
+                    batch = batches.pop((part, nodes), None) or ([], [[] for _ in nodes])
+                    into_cols, into_firsts = batches[part, nodes] = batch  # now last
+                    into_cols += map(at.__add__, cols)
+                    for into, (i, s) in zip(into_firsts, reads):
+                        into += map(s.__add__, firsts[i])
                     continue
-                first = firsts[file[0]] + file[1]
-                x[at : at + part.file_len] = own = symbols[first : first + part.file_len]
-                for u, first in zip(nodes, reads):
-                    hosted = symbols[first : first + part.alpha_symbols]
-                    product = apply_generator(part.node_gens[u], own)
-                    if product != (_trimmed(hosted) if forms else hosted):
-                        raise CodeInvariantError(f"part node {u} is not its file re-encoded")
-            for key, (ats, members) in leaves.items():
-                cols, copy_reads = groups.setdefault(key, ([], []))
-                cols += [col + at for at in ats]
-                copy_reads += [[symbols[firsts[i] + t] for i, t in reads] for reads in members]
-        for (part, nodes), (cols, copy_reads) in groups.items():
-            if forms or len(cols) == 1:
-                decoded = [_decode(part, nodes, reads) for reads in copy_reads]
-            else:
-                rows, unstack = _stack(copy_reads)
-                decoded = unstack(_decode(part, nodes, rows))
-            for col, message in zip(cols, decoded):
-                x[col : col + part.file_len] = message
-        return _trimmed(x) if forms else x
+                for b, col in enumerate(cols):
+                    first, col = firsts[file[0]][b] + file[1], col + at
+                    x[col : col + part.file_len] = own = symbols[first : first + part.file_len]
+                    for u, (i, s) in zip(nodes, reads):
+                        first = firsts[i][b] + s
+                        hosted = symbols[first : first + part.alpha_symbols]
+                        product = apply_generator(part.node_gens[u], own)
+                        if product != (_trimmed(hosted) if shape is tuple else hosted):
+                            raise CodeInvariantError(f"part node {u} is not its file re-encoded")
+            for leaf, (ats, members) in leaves.items():
+                into_cols, rows = groups.setdefault(leaf, ([], [[] for _ in members[0]]))
+                for at, offsets in zip(ats, members):
+                    into_cols += map(at.__add__, cols)
+                    for row, (i, t) in zip(rows, offsets):
+                        row += map(symbols.__getitem__, map(t.__add__, firsts[i]))
+        for (part, nodes), (cols, rows) in groups.items():
+            if shape is tuple:
+                for col, reads in zip(cols, zip(*rows)):
+                    x[col : col + part.file_len] = _decode(part, nodes, list(reads))
+                continue
+            if shape is list:  # each copy's row on its own run of columns
+                width = len(symbols[0])
+                rows = [list(itertools.chain.from_iterable(row)) for row in rows]
+            for r, row in enumerate(_decode(part, nodes, rows)):
+                if shape is list:
+                    row = [row[i : i + width] for i in range(0, len(row), width)]
+                # x[col + r] = each copy's entry, run at C speed
+                collections.deque(map(x.__setitem__, map(r.__add__, cols), row), maxlen=0)
+        return _trimmed(x) if shape is tuple else x
 
     def _routes(self, positions):
         """How the copies read the nodes at positions, whatever the symbols (solve).

@@ -3,23 +3,29 @@
 Field elements are ints in [0, 2^m); addition is XOR. Multiplication, inverse
 and powers are lookups in log/antilog tables that each field builds once.
 A matrix keeps each row as one segment, a start column and the entries from
-there on, outside which the row is zero. Solve lays a matrix out dense and
-eliminates it once: a composed code decodes and is proved through its copy
-table, so the systems solved and ranked are its parts'. Products walk each
-row's segment against elements (_mat_vec) or forms, segments themselves
-(_mat_forms, also FieldMatrix.mul over the other matrix's rows); pivot-row
-loops find nonzeros with compress, at C speed. An exchange tableau
-(_Tableau) keeps rows grouped by node as coordinates over a basis of them,
-and one walk (span) swaps a node set's rows in: the verifier's
-reconstruction proof and MDS repair both walk it from node set to node
-set, and mat_rank counts its basis.
+there on, outside which the row is zero. Solve packs each row of [A | b]
+into one int, an 8-bit lane per entry (16-bit above GF(256)), and
+eliminates them once (_eliminate, one kernel for every field): adding rows
+is one int XOR, and a scalar times a row the XOR of the pivot row's
+multiples by x^j at the scalar's set bits, so a row operation is a few
+C-level int operations whatever its width. A composed code decodes and is
+proved through its copy table, so the systems solved and ranked are its
+parts'. Products walk each row's segment against elements (_mat_vec) or
+forms, segments themselves (_mat_forms, also FieldMatrix.mul over the
+other matrix's rows); trims and the tableau's pivots find nonzeros with
+compress, at C speed. An exchange tableau (_Tableau) keeps rows grouped
+by node as coordinates over a basis of them, and one walk (span) swaps a
+node set's rows in: the verifier's reconstruction proof and MDS repair
+both walk it from node set to node set, and mat_rank counts its basis.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
+from operator import xor
 
 
 class SingularMatrixError(ArithmeticError):
@@ -73,6 +79,9 @@ class FieldSpec:
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
         object.__setattr__(self, "_elements", frozenset(range(1 << self.m)))
+        # packed rows (_pack): lane width and each element's set bits, for _eliminate
+        object.__setattr__(self, "_lane", 8 if self.m <= 8 else 16)
+        object.__setattr__(self, "_bits", _set_bits(self.m))
 
     @property
     def order(self) -> int:
@@ -135,6 +144,15 @@ def _tables(m: int, modulus: int) -> tuple[list[int], list[int]]:
     for i, x in enumerate(exp):
         log[x] = i
     return exp + exp, log
+
+
+@lru_cache(maxsize=None)
+def _set_bits(m: int) -> tuple[tuple[int, ...], ...]:
+    """Per element of GF(2^m), the positions of its set bits, as _eliminate's row products read them."""
+    if m == 0:
+        return ((),)
+    low = _set_bits(m - 1)
+    return low + tuple(bits + (m - 1,) for bits in low)
 
 
 GF2 = FieldSpec(1, 0b11)
@@ -326,47 +344,73 @@ def _trimmed(segments: list) -> list:
     return [_trim(entries, start) for start, entries in segments]
 
 
-def _eliminate(field: FieldSpec, work: list[list[int]], cols: int):
-    """In-place forward elimination on the leading `cols` columns.
+def _eliminate(field: FieldSpec, work: list[int], cols: int):
+    """In-place Gauss-Jordan elimination of packed rows on their leading `cols` columns.
 
+    Each row is one int, column j in lane j of field._lane bits (_pack).
     Returns the list of pivot row indices, one per column (None where the
-    column has no pivot).
+    column has no pivot); pivots and rows are those of an elimination
+    entry by entry. A scalar g times a row is the XOR, over the set bits j
+    of g, of x^j times the row. Per pivot, x^j times the pivot row is
+    taken for j up to the highest bit its scalars set, each from the last
+    by shifting every lane left and folding the lanes that overflow back
+    in by the modulus; a row update is then a few int XORs at any width.
     """
-    exp, log, group = field._exp, field._log, field.order - 1
-    index = _index(len(work[0])) if work else ()
-    pivots = []
-    prow = 0
-    nrows = len(work)
+    exp, log, group, m, lane = field._exp, field._log, field.order - 1, field.m, field._lane
+    bits, top, fold = field._bits, m - 1, field.modulus ^ field.order
+    span = -(-max(map(int.bit_length, work), default=0) // lane) * lane
+    ones = ((1 << span) - 1) // ((1 << lane) - 1)  # 1 in every lane
+    low = ones * ((1 << top) - 1)  # every lane's bits below its top one
+    pivots, prow, nrows = [], 0, len(work)
     for col in range(cols):
-        piv = None
-        for r in range(prow, nrows):
-            if work[r][col]:
-                piv = r
+        at = col * lane
+        for piv in range(prow, nrows):
+            if work[piv] >> at & group:
                 break
-        if piv is None:
+        else:
             pivots.append(None)
             continue
         work[prow], work[piv] = work[piv], work[prow]
-        lead = work[prow]
-        scale = group - log[lead[col]]  # the inverse's log; exp is doubled, so no reduction
-        # the pivot row is zero left of col: each earlier pivot cleared its column
-        terms = [(j, log[lead[j]]) for j in compress(index, lead)]
-        for j, lv in terms:  # scale the pivot to 1; terms keep the unscaled logs
-            lead[j] = exp[scale + lv]
+        row = work[prow]
+        scale = group - log[row >> at & group]  # the inverse's log; exp is doubled
+        # each other row's scalar, its entry at col over the pivot's, and
+        # the pivot row's, the inverse; need has every bit one of them sets
+        scalars, inverse = [], exp[scale]
+        need = inverse
         for r in range(nrows):
-            factor = work[r][col]
-            if factor == 0 or r == prow:
-                continue
-            row, lf = work[r], (log[factor] + scale) % group
-            for j, lv in terms:
-                row[j] ^= exp[lf + lv]
+            if r != prow and (f := work[r] >> at & group):
+                g = exp[log[f] + scale]
+                scalars.append((r, g))
+                need |= g
+        times_x = [row]  # x^j times the pivot row, up to need's highest bit
+        for _ in range(need.bit_length() - 1):
+            row = (row & low) << 1 ^ (row >> top & ones) * fold
+            times_x.append(row)
+        pick = times_x.__getitem__
+        for r, g in scalars:
+            work[r] ^= reduce(xor, map(pick, bits[g]))
+        work[prow] = reduce(xor, map(pick, bits[inverse]))
         pivots.append(prow)
         prow += 1
     return pivots
 
 
+def _pack(field: FieldSpec, entries: list[int]) -> int:
+    """A row of elements as one int, entry j in lane j (field._lane bits, little-endian)."""
+    if field._lane == 8:
+        return int.from_bytes(bytes(entries), "little")
+    return int.from_bytes(struct.pack(f"<{len(entries)}H", *entries), "little")
+
+
+def _unpack(field: FieldSpec, row: int, n: int) -> list[int]:
+    """The first n lanes of a packed row as a list of elements: _pack undone."""
+    if field._lane == 8:
+        return list(row.to_bytes(n, "little"))
+    return list(struct.unpack(f"<{n}H", row.to_bytes(2 * n, "little")))
+
+
 def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Solve A x = b exactly by one Gauss-Jordan elimination of [A | b], laid out dense.
+    """Solve A x = b exactly by one Gauss-Jordan elimination of [A | b], rows packed (_pack).
 
     A may have more rows than columns; raises SingularMatrixError when the
     column rank is deficient and InconsistentSystemError when no x exists.
@@ -375,19 +419,19 @@ def mat_solve(A: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """
     if A.rows != b.rows:
         raise ValueError("A and b row counts differ")
-    width, work = A.cols, []
+    field, width, work = A.field, A.cols, []
     for (start, entries), (at, tail) in zip(A.segments, b.segments):
         row = [0] * (width + b.cols)
         row[start : start + len(entries)] = entries
         row[width + at : width + at + len(tail)] = tail
-        work.append(row)
-    pivots = _eliminate(A.field, work, width)
+        work.append(_pack(field, row))
+    pivots = _eliminate(field, work, width)
     if None in pivots:
         raise SingularMatrixError("coefficient matrix is rank deficient")
-    for w in work[width:]:  # zero on the left past the pivots: so must the right be
-        if any(w[width:]):
-            raise InconsistentSystemError("no solution: inconsistent system")
-    return _matrix(A.field, b.cols, [(0, work[p][width:]) for p in pivots])
+    if any(work[width:]):  # zero on the left past the pivots: so must the right be
+        raise InconsistentSystemError("no solution: inconsistent system")
+    cut = width * field._lane
+    return _matrix(field, b.cols, [(0, _unpack(field, work[p] >> cut, b.cols)) for p in pivots])
 
 
 def mat_rank(A: FieldMatrix) -> int:
@@ -428,9 +472,11 @@ class _Tableau:
         for i, (start, entries) in enumerate(rows):
             for c, e in enumerate(entries, start):
                 work[c][i] = e
+        work = [_pack(field, column) for column in work]
         pivots = _eliminate(field, work, len(rows))
         self.basis = [r for r, p in enumerate(pivots) if p is not None]
-        columns = [work[pivots[r]] for r in self.basis]  # each basic row's coordinate in every row
+        # each basic row's coordinate in every row
+        columns = [_unpack(field, work[pivots[r]], len(rows)) for r in self.basis]
         self.coords = {i: [c[i] for c in columns] for i, p in enumerate(pivots) if p is None}
         self.full = len(self.basis) == width
 

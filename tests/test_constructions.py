@@ -513,7 +513,7 @@ def test_file_node_downloads_run_once_per_shift(monkeypatch):
 
 
 def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):
-    # nodes (0, 1, 2, 4) leave the 3,456 copies of base(3,2) reading 4
+    # nodes (0, 1, 2, 4) leave the 2,880 copies of base(3,2) reading 4
     # distinct sets of its nodes: one elimination a set, the copies' symbols
     # stacked as rows, a column per copy
     dss = iterate(rs_base(3, 2), 2)
@@ -531,9 +531,11 @@ def test_nested_encode_and_reconstruct_cost_their_segments():
     # the reconstruct's eliminations are pinned by the test above. The
     # first read renders the generators from the copy table, about 0.8 MB
     # traced, once: they are read before the trace, as the build placed them.
-    # The reconstruct decodes the symbols as elements, batched per leaf
-    # group, with no segment per symbol: about 0.75 MB traced, 1.85 MB
-    # when each symbol read and each one decoded was a (0, [v]) segment
+    # The reconstruct decodes the symbols as elements, gathered per leaf
+    # group as the copies are walked in batches: about 0.4 MB traced (the
+    # bound is that plus 25 %), 0.85 MB when each leaf copy kept its own
+    # list of reads, 1.85 MB when each symbol read and each one decoded
+    # was a (0, [v]) segment
     dss = iterate(rs_base(3, 2), 2)
     message = [i * 7 % 256 for i in range(dss.file_len)]
     dss.node_gens
@@ -541,7 +543,7 @@ def test_nested_encode_and_reconstruct_cost_their_segments():
     assert peak < 300_000
     decoded, peak = _traced(lambda: reconstruct(dss, (0, 1, 2, 4), contents))
     assert decoded == message
-    assert peak < 1_200_000
+    assert peak < 494_000
 
 
 def _traced(run):

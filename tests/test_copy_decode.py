@@ -28,6 +28,7 @@ from regencode.constructions import (
     concat,
     copy_blowup,
     filenode_blowup,
+    iterate,
 )
 from regencode.dss import (
     CodeInvariantError,
@@ -138,6 +139,29 @@ def test_copy_table_decode_agrees_with_the_stacked_per_tile_solve():
                     seen.add((shape, outcome is CodeInvariantError))
     shapes = ("elements", "rows", "forms")
     assert seen == {(shape, fails) for shape in shapes for fails in (False, True)}
+
+
+def test_nested_decodes_agree_with_the_stacked_per_tile_solve():
+    # copies walked in batches two levels down: the sound base's copies
+    # under iterate, and a corrupted leaf under two blowups, whose groups
+    # reading its faulty nodes do not decode
+    rnd = random.Random(35)
+    codes = [
+        iterate(rs_base(3, 2), 2),
+        blowup_simple(blowup_full(_corrupted_base(rs_base(3, 2), rnd))),
+    ]
+    seen = set()
+    for code in codes:
+        subsets = list(combinations(range(code.params.n), code.params.k))
+        for subset in rnd.sample(subsets, 3):
+            symbols = _symbols(code, subset, rnd)
+            for shape in ("elements", "rows"):
+                for case in (symbols[shape], _disturbed(symbols[shape], rnd)):
+                    outcome = _decoded(code, subset, case)
+                    assert outcome == _stacked_decode(code, subset, case), (code, subset, shape)
+                    seen.add((code.label, outcome is CodeInvariantError))
+    sound, corrupted = (code.label for code in codes)
+    assert seen >= {(sound, False), (sound, True), (corrupted, True)}
 
 
 def test_a_failing_part_decode_names_the_callers_subset():

@@ -103,6 +103,26 @@ def test_rs_base_field_too_small():
         rs_base(3, 3, GF256)  # k = n
 
 
+def test_rs_base_over_gf65536_holds_more_nodes_than_gf256():
+    # 260 nodes need more than GF(256)'s 257 points: its build inverts a
+    # 4 x 4 block, and each reconstruct and repair eliminates, in 16-bit lanes
+    field = FieldSpec(16, 0x1100B)
+    with pytest.raises(InputError):
+        rs_base(260, 4, GF256)
+    dss = rs_base(260, 4, field)
+    rnd = random.Random(260)
+    message = [rnd.randrange(field.order) for _ in range(4)]
+    contents = encode(dss, message)
+    assert [c[0] for c in contents] == lagrange_codeword(field, list(range(260)), message)
+    subset = tuple(rnd.sample(range(260), 4))
+    assert reconstruct(dss, subset, contents) == message
+    failed = rnd.randrange(260)
+    helpers = rnd.sample([i for i in range(260) if i != failed], 4)
+    rebuilt, bandwidth = repair(dss, failed, helpers, contents)
+    assert rebuilt == contents[failed]
+    assert bandwidth.per_helper == dict.fromkeys(sorted(helpers), 1)
+
+
 def test_rs_base_msr_bandwidth():
     dss = rs_base(4, 3, GF256)
     msg = [5, 6, 7]

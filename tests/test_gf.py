@@ -13,11 +13,14 @@ from regencode.gf import (
     SingularMatrixError,
     _Tableau,
     _column,
+    _eliminate,
     _mat_forms,
     _mat_vec,
     _matrix,
+    _pack,
     _trim,
     _trimmed,
+    _unpack,
     is_irreducible,
     mat_inv,
     mat_rank,
@@ -26,6 +29,7 @@ from regencode.gf import (
 
 
 AES_FIELD = FieldSpec(8, 0x11B)  # x is not primitive under this modulus
+GF65536 = FieldSpec(16, 0x1100B)
 
 
 def reference_mul(field, a, b):
@@ -98,7 +102,7 @@ def test_table_kernel_matches_the_reference(field):
 
 
 def test_gf65536_builds_and_passes_random_identities():
-    field = FieldSpec(16, 0x1100B)
+    field = GF65536
     rnd = random.Random(16)
     for _ in range(200):
         a, b, c = (rnd.randrange(1, field.order) for _ in range(3))
@@ -452,6 +456,83 @@ def _segment_case(rnd, field):
         row[start : start + len(entries)] = entries
         dense.append(row)
     return FieldMatrix.from_segments(field, lo, segments), FieldMatrix(field, dense)
+
+
+def per_entry_eliminate(field, work, cols):
+    """The oracle: Gauss-Jordan on dense rows of elements, one entry at a time, in place.
+
+    The elimination that packed rows replaced: the first row at or below
+    the pivot row with a nonzero entry in the column pivots, its row is
+    scaled to 1 there, and every other row with a nonzero entry there
+    takes that multiple of it. Returns the pivot rows, None for a column
+    without one.
+    """
+    exp, log, group = field._exp, field._log, field.order - 1
+    pivots, prow = [], 0
+    for col in range(cols):
+        piv = next((r for r in range(prow, len(work)) if work[r][col]), None)
+        if piv is None:
+            pivots.append(None)
+            continue
+        work[prow], work[piv] = work[piv], work[prow]
+        lead = work[prow]
+        scale = group - log[lead[col]]
+        terms = [(j, log[v]) for j, v in enumerate(lead) if v]
+        for j, lv in terms:
+            lead[j] = exp[scale + lv]
+        for r, row in enumerate(work):
+            if row[col] and r != prow:
+                lf = (log[row[col]] + scale) % group
+                for j, lv in terms:
+                    row[j] ^= exp[lf + lv]
+        pivots.append(prow)
+        prow += 1
+    return pivots
+
+
+def _elimination_case(rnd, field, rows, width):
+    """Dense rows with zero rows, zero columns and rows that combine others, seeded."""
+    data = [[rnd.randrange(field.order) for _ in range(width)] for _ in range(rows)]
+    for j in rnd.sample(range(width), width // 4):
+        for row in data:
+            row[j] = 0
+    for r in rnd.sample(range(rows), rows // 3):
+        a, b = rnd.randrange(rows), rnd.randrange(rows)
+        ca, cb = rnd.randrange(field.order), rnd.randrange(field.order)
+        data[r] = [field.mul(ca, x) ^ field.mul(cb, y) for x, y in zip(data[a], data[b])]
+    if rows > 1:
+        data[rnd.randrange(rows)] = [0] * width
+    return data
+
+
+FIELDS = [GF2, GF16, GF256, AES_FIELD, GF65536]
+FIELD_IDS = ["GF2", "GF16", "GF256", "AES", "GF65536"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_packed_elimination_agrees_with_the_per_entry_oracle(field):
+    rnd = random.Random(3500 + field.m)
+    shapes = [(1, 1), (2, 1), (1, 4), (3, 3), (4, 6), (6, 4), (12, 24), (16, 16), (25, 40)]
+    shapes += [(2, 578), (3, 700), (7, 700)]
+    deficient = 0
+    for rows, width in shapes:
+        for cols in {min(rows, width), width} if width <= 40 else {rows}:
+            data = _elimination_case(rnd, field, rows, width)
+            dense = [list(row) for row in data]
+            packed = [_pack(field, row) for row in data]
+            expected = per_entry_eliminate(field, dense, cols)
+            assert _eliminate(field, packed, cols) == expected, (rows, width, cols)
+            assert [_unpack(field, row, width) for row in packed] == dense, (rows, width, cols)
+            deficient += None in expected
+    assert deficient >= 5
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_packing_round_trips_every_element(field):
+    row = list(range(min(field.order, 257))) + [field.order - 1, field.order >> 1, 1, 0]
+    packed = _pack(field, row)
+    assert _unpack(field, packed, len(row)) == row
+    assert packed >> field._lane * 3 & field.order - 1 == row[3]
 
 
 def _random_matrix(rnd, field, rows, cols):
