@@ -1,10 +1,11 @@
 """Composites decode through their copy table; the stacked per-tile solve is the oracle.
 
 A composite decodes the symbols in their own shape, elements, rows or
-forms, copy by copy (constructions._CopiesRule.solve): a copy that reads
-its file node takes that slice of them, and the copies reading equal part
-nodes share one decode of their symbols stacked as rows
-(constructions._stack), forms one copy at a time. The oracle is the
+forms, through its copy table walked in batches
+(constructions._CopiesRule.solve): a copy that reads its file node takes
+that slice of them, and the copies reading equal part nodes share one
+decode of their symbols gathered as rows, a column per copy, forms one
+copy at a time. The oracle is the
 decode this replaced: the subset's generator segments stacked and solved
 one column block at a time (test_gf.per_tile_solve). Both must give equal
 messages, or both raise CodeInvariantError, on elements, rows and forms,
