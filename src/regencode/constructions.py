@@ -41,7 +41,7 @@ from .dss import (
     _decode,
     apply_generator,
 )
-from .gf import _matrix, _trimmed
+from .gf import _matrix
 from .tradeoff import RangeError, SystemParams
 
 # generator entries n * alpha * B a composite may span, dense. A composite
@@ -164,9 +164,9 @@ class _CopiesRule(RepairRule):
     position numbers, so it is equidistributed across the permuted copies.
     execute runs each group of the plan once on its copies' reads stacked
     (_stack), as solve decodes each group of copies reading equal part
-    nodes; a copy alone, or a copy of forms (only a rule wrapping this one
-    proves on forms), runs on its own slices, unchecked: the public calls
-    have checked the contents.
+    nodes; a copy alone runs on its own slices, unchecked: the public calls
+    have checked the contents. Both take elements or rows and refuse forms
+    (InputError): the verifier proves a composite from this table.
     Each copy keeps its slots in the output and counts its run's
     transfers through its own helpers. alpha_symbols is the composite's
     node size, and _render gives its generators from the table.
@@ -193,7 +193,7 @@ class _CopiesRule(RepairRule):
         return tuple(_matrix(dss.field, dss.file_len, rows) for rows in gens)
 
     def solve(self, dss, subset, symbols):
-        """dss's file from the symbols of subset's nodes, in their shape (dss._decode).
+        """dss's file from subset's nodes' elements or rows, in that shape (dss._decode).
 
         The walk down the copy table moves copies in batches, one per
         (composite, positions read), of the copies' first columns and, per
@@ -202,10 +202,9 @@ class _CopiesRule(RepairRule):
         walked first, so checks fail in the order of a walk copy by copy.
         A copy that reads its file node takes that slice of symbols, and
         each part node it reads must be that file re-encoded
-        (apply_generator; forms compared trimmed), or CodeInvariantError.
-        The copies of a code without copies that read equal part nodes
-        gather their symbols as rows, a column per copy, and decode in one
-        _decode; forms decode one copy at a time.
+        (apply_generator), or CodeInvariantError. The copies of a code
+        without copies that read equal part nodes gather their symbols as
+        rows, a column per copy, and decode in one _decode.
         """
         shape, alpha = type(symbols[0]), dss.alpha_symbols
         x, routes, groups = [None] * dss.file_len, {}, {}
@@ -230,8 +229,7 @@ class _CopiesRule(RepairRule):
                     for u, (i, s) in zip(nodes, reads):
                         first = firsts[i][b] + s
                         hosted = symbols[first : first + part.alpha_symbols]
-                        product = apply_generator(part.node_gens[u], own)
-                        if product != (_trimmed(hosted) if shape is tuple else hosted):
+                        if apply_generator(part.node_gens[u], own) != hosted:
                             raise CodeInvariantError(f"part node {u} is not its file re-encoded")
             for leaf, (ats, members) in leaves.items():
                 into_cols, rows = groups.setdefault(leaf, ([], [[] for _ in members[0]]))
@@ -240,10 +238,6 @@ class _CopiesRule(RepairRule):
                     for row, (i, t) in zip(rows, offsets):
                         row += map(symbols.__getitem__, map(t.__add__, firsts[i]))
         for (part, nodes), (cols, rows) in groups.items():
-            if shape is tuple:
-                for col, reads in zip(cols, zip(*rows)):
-                    x[col : col + part.file_len] = _decode(part, nodes, list(reads))
-                continue
             if shape is list:  # each copy's row on its own run of columns
                 width = len(symbols[0])
                 rows = [list(itertools.chain.from_iterable(row)) for row in rows]
@@ -252,7 +246,7 @@ class _CopiesRule(RepairRule):
                     row = [row[i : i + width] for i in range(0, len(row), width)]
                 # x[col + r] = each copy's entry, run at C speed
                 collections.deque(map(x.__setitem__, map(r.__add__, cols), row), maxlen=0)
-        return _trimmed(x) if shape is tuple else x
+        return x
 
     def _routes(self, positions):
         """How the copies read the nodes at positions, whatever the symbols (solve).
@@ -345,6 +339,8 @@ class _CopiesRule(RepairRule):
 
     def execute(self, dss, failed, helpers, contents):
         """Run the plan (_plan) on the helpers' symbols: each group once on its copies' reads."""
+        if type(contents[helpers[0]][0]) is tuple:
+            raise InputError(f"{dss.label}: a copy table repairs elements or rows, not forms")
         alpha, (twins, groups, counts) = dss.alpha_symbols, self._plan(dss, failed, helpers)
         out = [0] * (len(failed) * alpha)
         for slot, (q, s), size in twins:
@@ -360,7 +356,7 @@ class _CopiesRule(RepairRule):
                 [contents[q][s : s + size] for q, s in map(cand.__getitem__, chosen)]
                 for _, cand in members
             ]
-            if len(members) == 1 or type(copies[0][0][0]) is tuple:  # a copy alone, or of forms
+            if len(members) == 1:  # a copy alone
                 done = zip(*(_run(part, us, chosen, reads) for reads in copies))
             else:  # each chosen helper's reads stacked, the first split serving every result
                 stacked, splits = zip(*(_stack(reads) for reads in zip(*copies)))

@@ -22,8 +22,6 @@ from .gf import (
     _mat_forms,
     _mat_vec,
     _matrix,
-    _span,
-    _trim,
     mat_inv,
     mat_solve,
 )
@@ -64,20 +62,22 @@ class RepairRule:
     (node i's forms are G_i's rows). The public calls take field elements
     only. Inside, a symbol is an element; a row, a plain list of one element
     per copy of a batch a composite hands its part; or a form, the segment
-    (start, entries) a generator stores its rows as, so a proof on the
-    forms costs the columns they cover, not the file's width. execute gets
-    a tuple of failed nodes outside the helpers (a part node and its lost
-    twin come as one node twice) and symbols of one shape, and returns per
-    failed node, in order, its symbols in that shape (segments trimmed to
-    their nonzeros, a zero row (0, [])) with each helper's transfer, a
-    report the nodes may share. It may slice, decode (_decode) and multiply
-    by fixed matrices (apply_generator), but not branch on stored values: so
-    one run on the forms proves it exact for every file, and a rule acts on
-    each column alone, so its output on input moved by some columns is that
-    output moved as far: a part's verdict holds for each of its placed
-    copies. The public repair checks contents once and execute reads only
-    the helpers' entries (contents is indexed by node), so a rule runs its
-    parts' rules directly on slices of checked contents.
+    (start, entries) a generator stores its rows as, so a proof on the forms
+    costs the columns they cover, not the file's width. Only a code without
+    copies takes forms: a copy table (constructions._CopiesRule) and _decode
+    refuse them (InputError). execute gets a tuple of failed nodes outside
+    the helpers (a part node and its lost twin come as one node twice) and
+    symbols of one shape, and returns per failed node, in order, its symbols
+    in that shape (segments trimmed to their nonzeros, a zero row (0, []))
+    with each helper's transfer, a report the nodes may share. It may slice,
+    decode (_decode) and multiply by fixed matrices (apply_generator), but
+    not branch on stored values: so one run on the forms proves it exact for
+    every file, and a rule acts on each column alone, so its output on input
+    moved by some columns is that output moved as far: a part's verdict
+    holds for each of its placed copies. The public repair checks contents
+    once and execute reads only the helpers' entries (contents is indexed by
+    node), so a rule runs its parts' rules directly on slices of checked
+    contents.
     """
 
     kind = "abstract"
@@ -184,17 +184,20 @@ def reconstruct(
 def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
     """The message, in the symbols' shape, from those of subset's nodes read in order.
 
-    A composite decodes through its copy table (constructions._CopiesRule.solve),
-    any other code in one gf.mat_solve; CodeInvariantError, naming subset, if
-    they do not determine the file. No checks: callers pass symbols that
+    Elements or rows: forms are refused (InputError). A composite decodes
+    through its copy table (constructions._CopiesRule.solve), any other
+    code in one gf.mat_solve; CodeInvariantError, naming subset, if they do
+    not determine the file. No other checks: callers pass symbols that
     reconstruct, or the public call of a repair rule, has checked.
     """
+    if type(symbols[0]) is tuple:
+        raise InputError(f"{dss.label}: a decode takes elements or rows, not forms")
     try:
         if hasattr(dss.repair_rule, "copies"):
             return dss.repair_rule.solve(dss, subset, symbols)
         segments = [segment for i in subset for segment in dss.node_gens[i].segments]
-        rhs, at = _as_matrix(dss.field, symbols)
-        return _shaped(mat_solve(_matrix(dss.field, dss.file_len, segments), rhs), symbols, at)
+        rhs = _as_matrix(dss.field, symbols)
+        return _shaped(mat_solve(_matrix(dss.field, dss.file_len, segments), rhs), symbols)
     except (SingularMatrixError, CodeInvariantError) as exc:
         reason = exc.__cause__ or exc  # a part's decode named the part's nodes
         raise CodeInvariantError(f"subset {subset} does not determine the file: {reason}") from exc
@@ -212,36 +215,19 @@ def apply_generator(gen: FieldMatrix, symbols: list) -> list:
         return _mat_vec(gen.field, gen.segments, symbols)
     if shape is tuple:
         return _mat_forms(gen.field, gen.segments, symbols)
-    rhs, at = _as_matrix(gen.field, symbols)
-    return _shaped(gen.mul(rhs), symbols, at)
+    return _shaped(gen.mul(_as_matrix(gen.field, symbols)), symbols)
 
 
-def _as_matrix(field: FieldSpec, symbols: list) -> tuple[FieldMatrix, int]:
-    """Symbols of one shape (see RepairRule) as a matrix, and the column its first stands for.
-
-    Elements become one column and rows the matrix's rows, both at 0;
-    segments cover their columns from the first they start at (a zero row
-    (0, []) starts at 0).
-    """
-    shape = type(symbols[0])
-    if shape is int:
-        return _column(field, symbols), 0
-    if shape is list:
-        return _matrix(field, len(symbols[0]), [(0, row) for row in symbols]), 0
-    at, end = _span(symbols)
-    if at:
-        symbols = [(start - at, entries) for start, entries in symbols]
-    return _matrix(field, end - at, symbols), at
+def _as_matrix(field: FieldSpec, symbols: list) -> FieldMatrix:
+    """Elements as one column, or rows (see RepairRule) as the matrix's rows."""
+    if type(symbols[0]) is int:
+        return _column(field, symbols)
+    return _matrix(field, len(symbols[0]), [(0, row) for row in symbols])
 
 
-def _shaped(matrix: FieldMatrix, like: list, at: int) -> list:
-    """_as_matrix(like) undone on a result: like's shape, a form row's start moved back by at."""
-    shape = type(like[0])
-    if shape is int:
-        return matrix.col_vector()
-    if shape is list:
-        return matrix.data
-    return [_trim(row, at + start) for start, row in matrix.segments]
+def _shaped(matrix: FieldMatrix, like: list) -> list:
+    """_as_matrix(like) undone on a result: a column of elements, or rows."""
+    return matrix.col_vector() if type(like[0]) is int else matrix.data
 
 
 def repair(

@@ -21,12 +21,14 @@ size. A code without copies is one exchange tableau (gf._Tableau) over its
 generators, walked from node set to node set a pivot per row swapped in,
 and its rule is run on its generator rows, compared by segments, then by
 segments trimmed: never dense. A composite's generators are rendered from
-its table (constructions), so neither proof renders them; a rule that
-wraps a composite's has no table and is proved on the generators. Repair
-is judged once per helper set, for all the failed nodes
-outside it, keeping running bandwidth totals. A failure is reported as a
-sweep in plan order would report it: the first k-subset that does not
-decode, or, walking the pairs again one node a verdict, the first pair.
+its table (constructions), so neither proof renders them. A rule that
+wraps a composite's has no table, and a table takes no forms: repair is
+proved first, so such a code is refused (InputError) at the rule's first
+call, before any tableau is built. Repair is judged once per helper set,
+for all the failed nodes outside it, keeping running bandwidth totals. A
+failure is reported as a sweep in plan order would report it: the first
+k-subset that does not decode, or, walking the pairs again one node a
+verdict, the first pair.
 
 One plan sweeps every subset and pair when their total count is at most
 EXHAUSTIVE_LIMIT, and otherwise draws up to TRIALS distinct ones of each.
@@ -340,8 +342,8 @@ def measure_and_compare(
     report = VerificationReport(
         dss.label, mode_info, predicted=predicted, gamma_declared=dss.gamma_symbols
     )
-    recon = _check_reconstruction(dss, report, subsets)
     rep, bandwidth = _check_repair(dss, report, pairs, by_helpers)
+    recon = _check_reconstruction(dss, report, subsets)
     report.checks_run = {"reconstruction": recon, "repair": rep, "total": recon + rep}
 
     low, high, deviation = bandwidth or (dss.gamma_symbols, dss.gamma_symbols, 0)

@@ -5,8 +5,9 @@ helpers and returns one (rebuilt, report) per node, in order. The
 verifier's repair proof hands the rule each helper set's failed nodes
 together, and walks the pairs again one node a call only when one fails;
 so a call with several nodes must rebuild each as the call with that node
-alone does, on forms and on field elements, transfers included, and a
-rule that answers differently batched is refused.
+alone does, on field elements and, for a code without copies, on forms
+(a copy table refuses forms), transfers included, and a rule that answers
+differently batched is refused.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 
 import test_sweep
 from regencode.cli import parse_recipe
+from regencode.constructions import _CopiesRule
 from regencode.dss import CodeInvariantError, LinearDss, RepairRule, encode, rs_base
 from regencode.verifier import measure_and_compare
 
@@ -29,7 +31,9 @@ def test_a_helper_sets_failed_nodes_batched_equal_their_one_node_calls(recipe):
     code = parse_recipe(recipe, budget=test_sweep.BUDGET)
     rnd = random.Random(recipe)
     message = [rnd.randrange(code.field.order) for _ in range(code.file_len)]
-    shapes = {"forms": [g.segments for g in code.node_gens], "elements": encode(code, message)}
+    shapes = {"elements": encode(code, message)}
+    if not isinstance(code.repair_rule, _CopiesRule):
+        shapes["forms"] = [g.segments for g in code.node_gens]
     n, d = code.params.n, code.params.d
     execute = code.repair_rule.execute
     for helpers in combinations(range(n), d):

@@ -10,6 +10,7 @@ import test_gf
 import regencode.constructions as constructions_module
 import regencode.dss as dss_module
 import regencode.gf as gf_module
+import regencode.verifier as verifier
 from regencode.cli import parse_recipe
 from regencode.constructions import (
     Shape,
@@ -28,7 +29,7 @@ from regencode.dss import (
     repair,
     rs_base,
 )
-from regencode.gf import GF2, GF16, GF256, FieldMatrix, _matrix
+from regencode.gf import GF2, GF16, GF256, FieldMatrix
 from regencode.tradeoff import (
     OperatingPoint,
     RangeError,
@@ -236,25 +237,22 @@ def test_concat_mixed_sizes():
 def test_concat_repair_is_the_owning_part_repair_shifted():
     parts = [rs_base(4, 3, GF256), rs_base(3, 2, GF256)]
     dss = concat(parts)
-    forms = [g.segments for g in dss.node_gens]
-    part_forms = [[g.segments for g in part.node_gens] for part in parts]
+    message = [7 * i + 1 for i in range(dss.file_len)]
+    contents = encode(dss, message)
     pairs = 0
     for failed in range(7):
         j = 0 if failed < 4 else 1
         part, node_off, col_off = parts[j], [0, 4][j], [0, 3][j]
+        own_contents = encode(part, message[col_off : col_off + part.file_len])
+        assert contents[node_off : node_off + part.params.n] == own_contents
         others = [i for i in range(7) if i != failed]
         for helpers in combinations(others, 6):
-            [(rebuilt, bw)] = dss.repair_rule.execute(dss, (failed,), helpers, forms)
+            rebuilt, bw = repair(dss, failed, helpers, contents)
             # the part repairs with its d smallest own helpers
             local = [q - node_off for q in helpers if 0 <= q - node_off < part.params.n]
-            [(own_forms, own)] = part.repair_rule.execute(
-                part, (failed - node_off,), tuple(local[: part.params.d]), part_forms[j]
-            )
-            own_rows = _matrix(GF256, part.file_len, own_forms).data
+            own_rebuilt, own = repair(part, failed - node_off, local[: part.params.d], own_contents)
             assert bw.per_helper == {q: own.per_helper.get(q - node_off, 0) for q in helpers}
-            pad = 5 - col_off - part.file_len
-            placed = _matrix(GF256, 5, rebuilt).data
-            assert placed == [[0] * col_off + row + [0] * pad for row in own_rows]
+            assert rebuilt == own_rebuilt == contents[failed]
             pairs += 1
     assert pairs == 7
 
@@ -407,22 +405,22 @@ def test_composed_codes_verify_exhaustively():
 )
 def test_batched_element_repair_agrees_with_the_forms_route(recipe):
     # copies share one part repair per (part, lost node, part helpers): element
-    # copies as rows, a column per copy, and form copies once per column shift.
-    # Twins, file nodes and lost files are among the routes these recipes
-    # take; the last recipe's lost file nodes decode overdetermined systems,
-    # where a repair map taken from unit forms would be inconsistent
+    # copies as rows, a column per copy. Twins, file nodes and lost files are
+    # among the routes these recipes take; the last recipe's lost file nodes
+    # decode overdetermined systems, where a repair map taken from unit forms
+    # would be inconsistent. The proof judges the same plan from the table,
+    # its part repairs run on the parts' forms: its transfers must agree
     dss = parse_recipe(recipe)
     rnd = random.Random(recipe)
     contents = encode(dss, [rnd.randrange(256) for _ in range(dss.file_len)])
-    forms = [g.segments for g in dss.node_gens]
     n, d = dss.params.n, dss.params.d
     for failed in range(n):
         for helpers in combinations([i for i in range(n) if i != failed], d):
             rebuilt, bw = repair(dss, failed, helpers, contents)
             assert rebuilt == contents[failed], (recipe, failed, helpers)
-            [(by_forms, forms_bw)] = dss.repair_rule.execute(dss, (failed,), helpers, forms)
-            assert by_forms == dss.node_gens[failed].segments, (recipe, failed, helpers)
-            assert bw.per_helper == forms_bw.per_helper, (recipe, failed, helpers)
+            [(exact, proved)] = verifier._Proof().repairs(dss, (failed,), helpers)
+            assert exact, (recipe, failed, helpers)
+            assert bw.per_helper == proved.per_helper, (recipe, failed, helpers)
 
 
 def _rule_steps(monkeypatch):

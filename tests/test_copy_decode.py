@@ -1,18 +1,17 @@
 """Composites decode through their copy table; the stacked per-tile solve is the oracle.
 
-A composite decodes the symbols in their own shape, elements, rows or
-forms, through its copy table walked in batches
-(constructions._CopiesRule.solve): a copy that reads its file node takes
-that slice of them, and the copies reading equal part nodes share one
-decode of their symbols gathered as rows, a column per copy, forms one
-copy at a time. The oracle is the
-decode this replaced: the subset's generator segments stacked and solved
-one column block at a time (test_gf.per_tile_solve). Both must give equal
-messages, or both raise CodeInvariantError, on elements, rows and forms,
-on sound codes and on seeded corruptions of the generators (a leaf
-code's, composed again, so the copy table and the generators agree) and
-of the symbols read. A public reconstruct that fails in a part's decode
-names the subset it was given.
+A composite decodes the symbols in their own shape, elements or rows,
+through its copy table walked in batches (constructions._CopiesRule.solve):
+a copy that reads its file node takes that slice of them, and the copies
+reading equal part nodes share one decode of their symbols gathered as
+rows, a column per copy. The oracle is the decode this replaced: the
+subset's generator segments stacked and solved one column block at a
+time (test_gf.per_tile_solve). Both must give equal messages, or both
+raise CodeInvariantError, on elements and rows, on sound codes and on
+seeded corruptions of the generators (a leaf code's, composed again, so
+the copy table and the generators agree) and of the symbols read. A
+decode refuses forms, a composite's and a base's alike. A public
+reconstruct that fails in a part's decode names the subset it was given.
 """
 
 import random
@@ -33,11 +32,11 @@ from regencode.constructions import (
 )
 from regencode.dss import (
     CodeInvariantError,
+    InputError,
     LinearDss,
     _as_matrix,
     _decode,
     _shaped,
-    apply_generator,
     encode,
     reconstruct,
     rs_base,
@@ -47,11 +46,11 @@ from regencode.gf import GF2, FieldMatrix, SingularMatrixError, _matrix
 
 def _stacked_decode(code, subset, symbols):
     """The oracle: the subset's generators stacked and solved tile by tile, shaped as _decode's."""
-    rhs, at = _as_matrix(code.field, symbols)
+    rhs = _as_matrix(code.field, symbols)
     stack = [segment for i in subset for segment in code.node_gens[i].segments]
     try:
         x = test_gf.per_tile_solve(_matrix(code.field, code.file_len, stack), rhs)
-        return _shaped(x, symbols, at)
+        return _shaped(x, symbols)
     except SingularMatrixError:
         return CodeInvariantError
 
@@ -77,38 +76,23 @@ def _corrupted_base(base, rnd):
 
 
 def _symbols(code, subset, rnd):
-    """Per shape, the symbols of subset's nodes for a seeded message of that shape.
-
-    Elements encode one message, rows a batch of two, and forms a message
-    of forms: segments over a few columns from column 2 on, zero forms
-    among them, so the symbols' matrix starts past column 0.
-    """
+    """Per shape, the symbols of subset's nodes: elements of one seeded message, rows of two."""
     field, file_len = code.field, code.file_len
     messages = [[rnd.randrange(field.order) for _ in range(file_len)] for _ in range(2)]
     contents = [encode(code, message) for message in messages]
     elements = [s for i in subset for s in contents[0][i]]
     rows = [[a, b] for a, b in zip(elements, (s for i in subset for s in contents[1][i]))]
-    forms_message = []
-    for _ in range(file_len):
-        start = rnd.randrange(2, 5)
-        entries = [rnd.randrange(field.order) for _ in range(rnd.randint(0, 3))]
-        forms_message.append((start, entries) if any(entries) else (0, []))
-    if not any(e for _, e in forms_message):
-        forms_message[0] = (2, [1])
-    forms = [s for i in subset for s in apply_generator(code.node_gens[i], forms_message)]
-    return {"elements": elements, "rows": rows, "forms": forms}
+    return {"elements": elements, "rows": rows}
 
 
 def _disturbed(symbols, rnd):
-    """symbols with one of them changed: an element or a row entry XORed, a form replaced."""
+    """symbols with one of them changed: an element or a row entry XORed."""
     out, t = list(symbols), rnd.randrange(len(symbols))
     symbol, flip = out[t], rnd.randrange(1, 256)
     if type(symbol) is int:
         out[t] = symbol ^ flip
-    elif type(symbol) is list:
-        out[t] = [symbol[0] ^ flip, symbol[1]]
     else:
-        out[t] = (2, [flip])
+        out[t] = [symbol[0] ^ flip, symbol[1]]
     return out
 
 
@@ -138,7 +122,7 @@ def test_copy_table_decode_agrees_with_the_stacked_per_tile_solve():
                     outcome = _decoded(code, subset, case)
                     assert outcome == _stacked_decode(code, subset, case), (code, subset, shape)
                     seen.add((shape, outcome is CodeInvariantError))
-    shapes = ("elements", "rows", "forms")
+    shapes = ("elements", "rows")
     assert seen == {(shape, fails) for shape in shapes for fails in (False, True)}
 
 
@@ -175,3 +159,13 @@ def test_a_failing_part_decode_names_the_callers_subset():
     assert str(caught.value) == (
         "subset (0, 1, 2) does not determine the file: coefficient matrix is rank deficient"
     )
+
+
+def test_a_decode_refuses_forms():
+    # forms are for proving codes without copies; a decode takes elements
+    # or rows, of a composite or of a base, and refuses forms before solving
+    for code in (blowup_full(rs_base(3, 2)), rs_base(3, 2)):
+        subset = tuple(range(code.params.k))
+        forms = [s for i in subset for s in code.node_gens[i].segments]
+        with pytest.raises(InputError, match="not forms"):
+            _decode(code, subset, forms)

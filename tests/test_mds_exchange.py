@@ -23,8 +23,7 @@ from regencode.dss import (
     LinearDss,
     MdsReencodeRule,
     RepairRule,
-    _as_matrix,
-    _shaped,
+    apply_generator,
     encode,
     rs_base,
 )
@@ -54,10 +53,9 @@ class InverseRule(RepairRule):
             )
         except SingularMatrixError as exc:
             raise CodeInvariantError(f"helpers {helpers} are singular") from exc
-        rhs, at = _as_matrix(dss.field, symbols)
         return [
             (
-                _shaped(dss.node_gens[f].mul(inverse).mul(rhs), symbols, at),
+                apply_generator(dss.node_gens[f].mul(inverse), symbols),
                 BandwidthReport(dict.fromkeys(helpers, dss.alpha_symbols)),
             )
             for f in failed

@@ -1,31 +1,29 @@
 """Batches of copies, and the table proof against the forms oracle.
 
 A composite hands its parts batches of element copies as rows (a plain
-list per symbol, one column per copy); on forms each copy runs on its own
-reads. The oracle below is the layout the forms runs replaced, where a
-group's form copies were laid out dense side by side over the columns
-their segments span and run together. It lives here only: with the
-stacked-rank sweep it is the proof from the generators that the table
-proof (verifier._Proof) must agree with, faulty parts included. A
+list per symbol, one column per copy), and its copy table refuses forms.
+The forms oracle (test_verifier._oracle_execute) runs a composite's rule
+on its generator rows as the table once did, each group's form copies
+laid out dense side by side over the columns their segments span. With
+the stacked-rank sweep it is the proof from the generators that the table
+proof (verifier._Proof) must agree with, faulty parts included, and the
+element repair must equal its rebuilt rows times the message. A
 composite stores only its table, which renders its generators, and a
 generator list handed with its rule is refused when the code is built.
 """
 
 import hashlib
-import itertools
 import random
-import tracemalloc
 from itertools import combinations
 
 import pytest
 
+import regencode.cli as cli
 import regencode.verifier as verifier
 import test_sweep
 from regencode.cli import parse_recipe
 from regencode.constructions import (
-    _BASE,
     _FILE,
-    _TWIN,
     _CopiesRule,
     blowup_full,
     blowup_simple,
@@ -34,116 +32,23 @@ from regencode.constructions import (
     filenode_blowup,
 )
 from regencode.dss import (
-    BandwidthReport,
     CodeInvariantError,
     LinearDss,
     MdsReencodeRule,
-    RepairRule,
-    _decode,
-    _span,
     apply_generator,
+    encode,
+    repair,
     rs_base,
 )
-from regencode.gf import FieldMatrix, _matrix, _trim
+from regencode.gf import FieldMatrix, _matrix
 from regencode.verifier import measure_and_compare
-from test_verifier import ZeroedTransferRule, _stacked_sweep, _with_rule
-
-
-def _side_by_side(field, copies):
-    """The old forms layout: each copy dense over the span of its segments, side by side."""
-    spans = [_span([symbol for read in copy for symbol in read]) for copy in copies]
-    offsets = list(itertools.accumulate([end - first for first, end in spans], initial=0))
-    width, rows = offsets.pop(), []
-    for j in range(len(copies[0])):
-        helper_rows = []
-        for t in range(len(copies[0][j])):
-            row = [0] * width
-            for copy, (first, _), off in zip(copies, spans, offsets):
-                start, entries = copy[j][t]
-                row[off + start - first : off + start - first + len(entries)] = entries
-            helper_rows.append((0, row))
-        rows.append(helper_rows)
-
-    def unlay(rebuilt):
-        dense = _matrix(field, width, rebuilt).data
-        return [
-            [_trim(row[off : off + end - first], first) for row in dense]
-            for (first, end), off in zip(spans, offsets)
-        ]
-
-    return rows, unlay
-
-
-def _oracle_execute(self, dss, failed, helpers, contents):
-    """_CopiesRule.execute as it was, on forms, one failed node at a time."""
-    return [_oracle_repair(self, dss, f, helpers, contents) for f in failed]
-
-
-def _oracle_repair(self, dss, failed, helpers, contents):
-    """One failed node rebuilt as _CopiesRule did: one run per group over _side_by_side."""
-    assert type(contents[helpers[0]][0]) is tuple
-    counts = dict.fromkeys(helpers, 0)
-    out, groups = [], {}
-    for part, hosts, _ in self.copies:
-        lost = hosts.get(failed)
-        if lost is None:
-            continue
-        desc, alpha = lost[0], part.alpha_symbols
-        at = {}
-        for q in helpers:
-            node = hosts.get(q)
-            if node is not None:
-                at[node[0]] = (q, node[1])
-        if desc[0] == _FILE:
-            used = [(node[1], where) for node, where in at.items() if node[0] == _BASE]
-            cand = dict(sorted(used[: part.params.k]))
-            groups.setdefault((part, _FILE, tuple(cand)), []).append((len(out), cand))
-            out += [0] * part.file_len
-            continue
-        u = desc[1]
-        twin = at.get((_TWIN[desc[0]], u))
-        if twin is not None:
-            q, s = twin
-            out.extend(contents[q][s : s + alpha])
-            counts[q] += alpha
-            continue
-        file_at = at.get((_FILE,))
-        if file_at is not None:
-            q, s = file_at
-            out.extend(apply_generator(part.node_gens[u], contents[q][s : s + part.file_len]))
-            counts[q] += alpha
-            continue
-        cand = {}
-        for node, where in at.items():
-            if node[0] != _FILE and node[1] != u:
-                if node[1] not in cand or node[0] == _BASE:
-                    cand[node[1]] = where
-        chosen = tuple(sorted(cand)[: part.params.d])
-        groups.setdefault((part, u, chosen), []).append((len(out), cand))
-        out += [0] * alpha
-    for (part, u, chosen), members in groups.items():
-        alpha = part.alpha_symbols
-        copies = [
-            [contents[q][s : s + alpha] for q, s in map(cand.__getitem__, chosen)]
-            for _, cand in members
-        ]
-        if len(members) == 1:
-            rows, unlay = copies[0], lambda rebuilt: [rebuilt]
-        else:
-            rows, unlay = _side_by_side(part.field, copies)
-        if u == _FILE:
-            rebuilt = _decode(part, chosen, [symbol for read in rows for symbol in read])
-            per_helper = dict.fromkeys(chosen, alpha)
-        else:
-            [(rebuilt, report)] = part.repair_rule.execute(
-                part, (u,), chosen, dict(zip(chosen, rows))
-            )
-            per_helper = report.per_helper
-        for (slot, cand), piece in zip(members, unlay(rebuilt)):
-            out[slot : slot + len(piece)] = piece
-            for w, amount in per_helper.items():
-                counts[cand[w][0]] += amount
-    return out, BandwidthReport(counts)
+from test_verifier import (
+    PassThroughRule,
+    ZeroedTransferRule,
+    _oracle_execute,
+    _stacked_sweep,
+    _with_rule,
+)
 
 
 def _pairs(code, seed, per_node=3):
@@ -195,23 +100,19 @@ def _corrupted(code, seed, kind):
 
 
 def _agree_with_oracle(monkeypatch, code, pairs):
+    """The element repair of each pair equals the forms oracle's rebuilt rows times the message."""
+    rnd = random.Random(code.label)
+    message = [rnd.randrange(code.field.order) for _ in range(code.file_len)]
+    contents = encode(code, message)
     forms = [g.segments for g in code.node_gens]
     for failed, helpers in pairs:
-        try:
-            [got] = code.repair_rule.execute(code, (failed,), helpers, forms)
-        except CodeInvariantError:  # the oracle must fail the same way
-            got = CodeInvariantError
         with monkeypatch.context() as m:
             m.setattr(_CopiesRule, "execute", _oracle_execute)
-            try:
-                [want] = code.repair_rule.execute(code, (failed,), helpers, forms)
-            except CodeInvariantError:
-                want = CodeInvariantError
-        if isinstance(want, tuple):
-            assert got[0] == want[0], (code.label, failed, helpers)
-            assert got[1].per_helper == want[1].per_helper, (code.label, failed, helpers)
-        else:
-            assert got == want, (code.label, failed, helpers)
+            [(rows, want)] = code.repair_rule.execute(code, (failed,), helpers, forms)
+        rebuilt, got = repair(code, failed, helpers, contents)
+        product = apply_generator(_matrix(code.field, code.file_len, rows), message)
+        assert rebuilt == product, (code.label, failed, helpers)
+        assert got.per_helper == want.per_helper, (code.label, failed, helpers)
 
 
 RECIPES = [
@@ -315,24 +216,16 @@ def _codes_over_faulty_parts():
                 yield compose(_faulty_part(rs_base(n, k), rnd, fault))
 
 
-class _Forms(RepairRule):
-    """A composite's own rule behind a wrapper, so the verifier proves the code on its forms."""
-
-    kind = "forms"
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def execute(self, dss, failed, helpers, contents):
-        return self.inner.execute(dss, failed, helpers, contents)
-
-
 def _oracle_report(monkeypatch, code, seed=0):
-    """The report of the proofs the table proof replaced: stacked ranks, forms side by side."""
+    """The report of the proofs the table proof replaced: stacked ranks, forms side by side.
+
+    A composite's rule is wrapped, so the verifier runs it on the forms,
+    its copy table as the forms oracle (_oracle_execute).
+    """
     if isinstance(code.repair_rule, _CopiesRule):
         code = LinearDss(
-            code.params, code.field, code.file_len, code.node_gens, _Forms(code.repair_rule),
-            code.label, code.gamma_symbols,
+            code.params, code.field, code.file_len, code.node_gens,
+            PassThroughRule(code.repair_rule), code.label, code.gamma_symbols,
         )
     with monkeypatch.context() as m:
         m.setattr(verifier, "_check_reconstruction", _stacked_sweep)
@@ -343,6 +236,13 @@ def _oracle_report(monkeypatch, code, seed=0):
 def _dropped(code):
     """code whose rule drops its first helper's transfer, as the CI's three-level step does."""
     return _with_rule(code, ZeroedTransferRule(code.repair_rule))
+
+
+def _over_dropped_bases(monkeypatch, text):
+    """The recipe built over bases that each drop their first helper's transfer (_dropped)."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "rs_base", lambda n, k: _dropped(rs_base(n, k)))
+        return parse_recipe(text, budget=test_sweep.BUDGET)
 
 
 def _ci_codes():
@@ -371,13 +271,15 @@ def test_table_proof_reports_as_the_forms_oracle(monkeypatch):
     # verdict. The oracle proves the code from its generators: the stacked
     # rank of every subset, and the rule run on the generator rows, each
     # group's form copies laid out side by side. The whole report must be
-    # equal on every sweep recipe, on each of them with its rule wrapped
-    # (so proved on forms, each copy on its own reads), on composites over
-    # parts with one seeded fault each and on the CI steps' faulty codes
-    codes = [parse_recipe(text, budget=test_sweep.BUDGET) for text in test_sweep.recipes()]
+    # equal on every sweep recipe, on each of them built over bases that
+    # drop a transfer, on composites over parts with one seeded fault each
+    # and on the CI steps' faulty codes
+    texts = list(test_sweep.recipes())
+    codes = [parse_recipe(text, budget=test_sweep.BUDGET) for text in texts]
     faulty = list(_codes_over_faulty_parts())
     assert len(faulty) == 54
-    faulty += [_dropped(code) for code in codes]
+    faulty += [_over_dropped_bases(monkeypatch, text) for text in texts]
+    assert len(faulty) == 84
     for code in codes + faulty:
         report = measure_and_compare(code)
         assert report.to_json() == _oracle_report(monkeypatch, code).to_json(), code.label
@@ -466,20 +368,3 @@ def test_each_part_repair_runs_once_per_proof(monkeypatch, recipe, budget, runs)
     report = measure_and_compare(parse_recipe(recipe, budget=budget))
     assert report.ok and report.mode == {"kind": "exhaustive"}
     assert len(seen) == len(set(seen)) == runs
-
-
-def test_a_forms_repair_of_a_deep_blowup_lays_nothing_out_dense():
-    # one proof step on the generators' segments: 1.86-1.95 MB traced when a
-    # group's form copies were laid out dense over their spans, 0.05 MB keyed
-    code = parse_recipe("blowup_simple(blowup_full(filenode_blowup(base(2,1))))")
-    forms = [g.segments for g in code.node_gens]
-    helpers = tuple(range(1, code.params.d + 1))
-    code.repair_rule.execute(code, (0,), helpers, forms)  # the base rule's tableau is kept
-    tracemalloc.start()
-    try:
-        [(rebuilt, _)] = code.repair_rule.execute(code, (0,), helpers, forms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rebuilt == forms[0]
-    assert peak < 500_000

@@ -3,10 +3,11 @@
 Recipes up to depth 3 over small bases are drawn with random.Random and
 admitted by a small budget. Every recipe must build to the Shape its
 recipe predicts, parse to the same JSON twice and verify exhaustively at
-its declared point. One digest over every recipe's JSON and every repair
-on the forms (the rule run on the generators' segments, its rebuilt rows
-made dense, and per-helper transfers) pins the whole sweep: a change to
-any repair route, helper choice or transfer changes it.
+its declared point. One digest over every recipe's JSON and every public
+repair of encoded contents (each must rebuild the failed node's content;
+the digest takes that node's generator rows, dense, and the per-helper
+transfers) pins the whole sweep: a change to any repair route, helper
+choice or transfer changes it.
 """
 
 import hashlib
@@ -17,8 +18,7 @@ from itertools import combinations
 
 from regencode.cli import parse_recipe
 from regencode.constructions import Shape
-from regencode.dss import InputError, ResourceError, rs_base, to_json_dict
-from regencode.gf import _matrix
+from regencode.dss import InputError, ResourceError, encode, repair, rs_base, to_json_dict
 from regencode.tradeoff import OperatingPoint, RangeError
 from regencode.verifier import measure_and_compare
 
@@ -92,11 +92,12 @@ def test_random_recipes_build_verify_and_repair_as_recorded():
         assert report.ok and report.match, text
 
         digest.update(as_json.encode())
-        n, d = code.params.n, code.params.d
-        forms = [g.segments for g in code.node_gens]
+        n, d, rnd = code.params.n, code.params.d, random.Random(text)
+        contents = encode(code, [rnd.randrange(code.field.order) for _ in range(code.file_len)])
         for failed in range(n):
+            rows = code.node_gens[failed].data
             for helpers in combinations([i for i in range(n) if i != failed], d):
-                [(rebuilt, bandwidth)] = code.repair_rule.execute(code, (failed,), helpers, forms)
-                rows = _matrix(code.field, code.file_len, rebuilt).data
+                rebuilt, bandwidth = repair(code, failed, helpers, contents)
+                assert rebuilt == contents[failed], (text, failed, helpers)
                 digest.update(repr((failed, helpers, rows, bandwidth.per_helper)).encode())
     assert digest.hexdigest() == SWEEP_DIGEST

@@ -3,14 +3,20 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from pathlib import Path
+
+import pytest
 
 import regencode.gf as gf_module
 import test_gf
 import regencode.verifier as verifier
 from regencode.constructions import (
+    _BASE,
+    _FILE,
+    _TWIN,
+    _CopiesRule,
     blowup_full,
     blowup_simple,
     concat,
@@ -21,13 +27,27 @@ from regencode.constructions import (
 from regencode.cli import main
 import regencode.dss as dss_module
 from regencode.dss import (
+    BandwidthReport,
     CodeInvariantError,
+    InputError,
     LinearDss,
     MdsReencodeRule,
     RepairRule,
+    apply_generator,
     rs_base,
 )
-from regencode.gf import GF2, GF16, GF256, FieldMatrix, _matrix, mat_rank
+from regencode.gf import (
+    GF2,
+    GF16,
+    GF256,
+    FieldMatrix,
+    SingularMatrixError,
+    _matrix,
+    _span,
+    _trim,
+    mat_rank,
+    mat_solve,
+)
 from regencode.tradeoff import OperatingPoint, SystemParams, perf_p1
 from regencode.verifier import measure_and_compare
 
@@ -52,14 +72,35 @@ class ZeroedTransferRule(RepairRule):
     """Fault model: the first helper's transfer is dropped on the wire."""
 
     kind = "zeroed_transfer"
+    dropped = 0  # the index, among the helpers, of the one whose transfer is dropped
 
     def __init__(self, inner):
         self.inner = inner
 
     def execute(self, dss, failed, helpers, contents):
         tampered = contents.copy()  # a list by node, or a dict as a composite hands its part
-        tampered[helpers[0]] = [_zeroed(s) for s in contents[helpers[0]]]
+        lost = helpers[self.dropped]
+        tampered[lost] = [_zeroed(s) for s in contents[lost]]
         return self.inner.execute(dss, failed, helpers, tampered)
+
+
+class ZeroedLastTransferRule(ZeroedTransferRule):
+    """Fault model: the last helper's transfer is dropped on the wire."""
+
+    kind = "zeroed_last_transfer"
+    dropped = -1
+
+
+class PassThroughRule(RepairRule):
+    """Another code's rule behind a wrapper: a composite's has no copy table then."""
+
+    kind = "pass_through"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def execute(self, dss, failed, helpers, contents):
+        return self.inner.execute(dss, failed, helpers, contents)
 
 
 def _zeroed(symbol):
@@ -287,28 +328,151 @@ def test_a_block_of_rank_below_its_width_fails_every_subset(monkeypatch):
             assert measure_and_compare(code, seed=limit).to_json() == report.to_json()
 
 
+# The forms oracle: a composite's repair run on its generators' rows, as
+# _CopiesRule.execute ran it before the copy table took elements and rows
+# only. Each group of the plan runs once, its form copies laid out dense
+# side by side over the columns their segments span, and a lost file node
+# decodes by its part's stacked generators. The table proof
+# (verifier._Proof) must report as this does, faulty parts included
+
+
+def _forms_decode(code, subset, forms):
+    """The message, as forms, from those of subset's nodes: their stacked generators solved.
+
+    CodeInvariantError if the nodes do not determine the file.
+    """
+    first, end = _span(forms)
+    rhs = _matrix(code.field, end - first, [(start - first, entries) for start, entries in forms])
+    stack = [segment for i in subset for segment in code.node_gens[i].segments]
+    try:
+        x = mat_solve(_matrix(code.field, code.file_len, stack), rhs)
+    except SingularMatrixError as exc:
+        raise CodeInvariantError(f"subset {subset} does not determine the file") from exc
+    return [_trim(row, first + start) for start, row in x.segments]
+
+
+def _side_by_side(field, copies):
+    """Each copy's reads dense over the span of its segments, side by side, and the inverse."""
+    spans = [_span([symbol for read in copy for symbol in read]) for copy in copies]
+    offsets = list(accumulate([end - first for first, end in spans], initial=0))
+    width, rows = offsets.pop(), []
+    for j in range(len(copies[0])):
+        helper_rows = []
+        for t in range(len(copies[0][j])):
+            row = [0] * width
+            for copy, (first, _), off in zip(copies, spans, offsets):
+                start, entries = copy[j][t]
+                row[off + start - first : off + start - first + len(entries)] = entries
+            helper_rows.append((0, row))
+        rows.append(helper_rows)
+
+    def unlay(rebuilt):
+        dense = _matrix(field, width, rebuilt).data
+        return [
+            [_trim(row[off : off + end - first], first) for row in dense]
+            for (first, end), off in zip(spans, offsets)
+        ]
+
+    return rows, unlay
+
+
+def _oracle_execute(self, dss, failed, helpers, contents):
+    """_CopiesRule.execute on forms, one failed node at a time (monkeypatched in)."""
+    return [_oracle_repair(self, dss, f, helpers, contents) for f in failed]
+
+
+def _oracle_repair(self, dss, failed, helpers, contents):
+    """One failed node's forms rebuilt: one run per group over _side_by_side."""
+    assert type(contents[helpers[0]][0]) is tuple
+    counts = dict.fromkeys(helpers, 0)
+    out, groups = [], {}
+    for part, hosts, _ in self.copies:
+        lost = hosts.get(failed)
+        if lost is None:
+            continue
+        desc, alpha = lost[0], part.alpha_symbols
+        at = {}
+        for q in helpers:
+            node = hosts.get(q)
+            if node is not None:
+                at[node[0]] = (q, node[1])
+        if desc[0] == _FILE:
+            used = [(node[1], where) for node, where in at.items() if node[0] == _BASE]
+            cand = dict(sorted(used[: part.params.k]))
+            groups.setdefault((part, _FILE, tuple(cand)), []).append((len(out), cand))
+            out += [0] * part.file_len
+            continue
+        u = desc[1]
+        twin = at.get((_TWIN[desc[0]], u))
+        if twin is not None:
+            q, s = twin
+            out.extend(contents[q][s : s + alpha])
+            counts[q] += alpha
+            continue
+        file_at = at.get((_FILE,))
+        if file_at is not None:
+            q, s = file_at
+            out.extend(apply_generator(part.node_gens[u], contents[q][s : s + part.file_len]))
+            counts[q] += alpha
+            continue
+        cand = {}
+        for node, where in at.items():
+            if node[0] != _FILE and node[1] != u:
+                if node[1] not in cand or node[0] == _BASE:
+                    cand[node[1]] = where
+        chosen = tuple(sorted(cand)[: part.params.d])
+        groups.setdefault((part, u, chosen), []).append((len(out), cand))
+        out += [0] * alpha
+    for (part, u, chosen), members in groups.items():
+        alpha = part.alpha_symbols
+        copies = [
+            [contents[q][s : s + alpha] for q, s in map(cand.__getitem__, chosen)]
+            for _, cand in members
+        ]
+        if len(members) == 1:
+            rows, unlay = copies[0], lambda rebuilt: [rebuilt]
+        else:
+            rows, unlay = _side_by_side(part.field, copies)
+        if u == _FILE:
+            rebuilt = _forms_decode(part, chosen, [symbol for read in rows for symbol in read])
+            per_helper = dict.fromkeys(chosen, alpha)
+        else:
+            [(rebuilt, report)] = part.repair_rule.execute(
+                part, (u,), chosen, dict(zip(chosen, rows))
+            )
+            per_helper = report.per_helper
+        for (slot, cand), piece in zip(members, unlay(rebuilt)):
+            out[slot : slot + len(piece)] = piece
+            for w, amount in per_helper.items():
+                counts[cand[w][0]] += amount
+    return out, BandwidthReport(counts)
+
+
 def _f_major_sweep(dss, report, pairs, by_helpers):
     """The plan-order repair sweep the helper-grouped one replaced, kept as its oracle.
 
     Each pair, failed node first, runs the rule once on the generators'
-    segments, one failed node a call, up to the first that fails; the
-    bandwidth is folded from the reports of the pairs proved.
+    segments, one failed node a call, a copy table as the forms oracle
+    (_oracle_execute), up to the first that fails; the bandwidth is folded
+    from the reports of the pairs proved.
     """
     forms = [g.segments for g in dss.node_gens]
     bandwidth = []
-    for failed, helpers in pairs:
-        try:
-            [(rebuilt, bw)] = dss.repair_rule.execute(dss, (failed,), helpers, forms)
-        except CodeInvariantError:
-            rebuilt = None
-        if rebuilt != forms[failed] and (
-            rebuilt is None
-            or _matrix(dss.field, dss.file_len, rebuilt).data != dss.node_gens[failed].data
-        ):
-            report.repair_ok = False
-            report.repair_counterexample = (failed, helpers)
-            return len(bandwidth) + 1, _folded(bandwidth)
-        bandwidth.append(bw)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_CopiesRule, "execute", _oracle_execute)
+        for failed, helpers in pairs:
+            try:
+                [(rebuilt, bw)] = dss.repair_rule.execute(dss, (failed,), helpers, forms)
+            except CodeInvariantError:
+                rebuilt = None
+            if rebuilt != forms[failed] and (
+                rebuilt is None
+                or _matrix(dss.field, dss.file_len, rebuilt).data != dss.node_gens[failed].data
+            ):
+                report.repair_ok = False
+                report.repair_counterexample = (failed, helpers)
+                return len(bandwidth) + 1, _folded(bandwidth)
+            bandwidth.append(bw)
     return len(bandwidth), _folded(bandwidth)
 
 
@@ -330,9 +494,10 @@ def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
     # seeded faults, each verified exhaustively and sampled, by the
     # helper-grouped sweep and by the plan-order one: the reports must be
     # equal, counterexample, checks_run, measured point and symmetry included.
-    # A composite takes a generator fault in a part, before composing (its
-    # copy table renders its own generators), and a rule fault in a part
-    # or around its own rule
+    # A composite takes each fault in a part, before composing: a generator
+    # fault (its copy table renders its own generators), or a rule fault,
+    # the first or the last helper's transfer dropped (a rule wrapping its
+    # own takes no forms, and its proof is refused)
     clean_part = rs_base(3, 2)
     recipes = [  # (code or part, how a part is composed)
         (rs_base(5, 3), None),
@@ -350,8 +515,7 @@ def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
         faulty += [place(_with_one_fault(code, rnd)) for _ in range(4)]
         faulty.append(place(_with_rule(code, ZeroedTransferRule(code.repair_rule))))
         if compose is not None:
-            outer = compose(code)
-            faulty.append(_with_rule(outer, ZeroedTransferRule(outer.repair_rule)))
+            faulty.append(compose(_with_rule(code, ZeroedLastTransferRule(code.repair_rule))))
     # helper order meets (2, (0, 1, 4)) first, plan order (0, (1, 2, 4))
     node_4 = corrupt_generator(rs_base(5, 3), 4)
     faulty.append(node_4)
@@ -514,6 +678,25 @@ def test_a_failing_repair_proof_of_the_nested_code_costs_its_segments():
     assert report.repair_counterexample == (0, (1, 2, 3, 4))
     assert report.checks_run == {"reconstruction": 5, "repair": 1, "total": 6}
     assert peak < 5 * 2**20, peak
+
+
+def test_a_wrapped_composite_is_refused_before_any_tableau(monkeypatch):
+    # a copy table takes no forms. A rule wrapping a composite's has no
+    # table, so its code could be proved only on the generators' forms: its
+    # proof is refused at the rule's first call, since repair is proved
+    # first. Reconstruction first laid out one dense tableau of all the
+    # stacked generators, 5,760 x 14,400 here (92.8 s and 1 GB)
+    code = blowup_full(filenode_blowup(rs_base(3, 2)), budget=10**12)
+    forms = [g.segments for g in code.node_gens]
+    helpers = tuple(range(1, code.params.d + 1))
+    with pytest.raises(InputError, match="not forms"):
+        code.repair_rule.execute(code, (0,), helpers, forms)
+    built = []
+    monkeypatch.setattr(verifier, "_Tableau", lambda *a: built.append(a))
+    for rule in (PassThroughRule(code.repair_rule), ZeroedTransferRule(code.repair_rule)):
+        with pytest.raises(InputError, match="not forms"):
+            measure_and_compare(_with_rule(code, rule))
+    assert built == []
 
 
 def test_generators_keeping_zeros_at_their_segment_ends_verify():
