@@ -9,7 +9,6 @@ of every helper is accounted in symbols.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
 
 from .gf import (
@@ -103,7 +102,12 @@ class LinearDss:
     with node_gens None: they are rendered from the table on first read and
     kept as a tuple. Its reconstruct, repair and both of the verifier's
     proofs follow the table and render nothing; a generator list handed
-    with a copy table is refused (CodeInvariantError).
+    with a copy table is refused (CodeInvariantError). A code without
+    copies keeps, the same way, the one exchange tableau over its generator
+    rows (_exchange, built on first read): its MdsReencodeRule and both of
+    the verifier's proofs walk it, each on from where the last walk left
+    its basis. It holds (n - k) * alpha rows of B coordinates and nothing
+    of the code. A composite never builds one, as that would render.
     """
 
     def __init__(
@@ -140,12 +144,20 @@ class LinearDss:
         self.alpha_symbols = alpha
         self.gamma_symbols = gamma_symbols
         self.meta = meta
+        self._tableau = None
 
     @property
     def node_gens(self) -> list[FieldMatrix] | tuple[FieldMatrix, ...]:
         if self._node_gens is None:
             self._node_gens = self.repair_rule._render(self)
         return self._node_gens
+
+    @property
+    def _exchange(self) -> _Tableau:
+        if self._tableau is None:
+            nodes = dict(enumerate(g.segments for g in self.node_gens))
+            self._tableau = _Tableau(self.field, self.file_len, nodes)
+        return self._tableau
 
     def __repr__(self) -> str:
         p = self.params
@@ -297,48 +309,31 @@ class MdsReencodeRule(RepairRule):
     At d = k the helpers' stacked generators G_H are square (d * alpha =
     B), and the failed node's content is G_failed * G_H^-1 * the helpers'
     symbols, G_failed * G_H^-1 being its rows' coordinates over the
-    helpers' rows. The rule keeps every node's rows as coordinates over a
-    basis of rows (gf._Tableau), built once per code from its first
-    independent rows, and walks that basis to the helpers' rows (span, the
-    walk the verifier's reconstruction proof takes): one Gauss-Jordan pivot
-    per helper row not yet in it, so a helper set next to the last costs
-    the rows it swaps in. Helpers whose rows do not span (a singular G_H,
-    or a code of rank below B): CodeInvariantError.
-    The failed nodes' coordinates are then their coefficients on the
-    helpers' symbols read in basis order, all in one apply_generator, and
-    the nodes share one report. The rule keeps one tableau per code, keyed
-    weakly, so codes that share the rule object each keep their own, and a
-    code's tableau goes with its last reference; it moves only when the
-    helpers differ from the last call's: once per helper set in the
-    verifier's sweep. A tableau holds (n - k) * alpha rows of B coordinates
-    and nothing of its code.
+    helpers' rows. The code's exchange tableau (LinearDss._exchange) keeps
+    every node's rows as coordinates over a basis of rows, and the rule
+    walks that basis to the helpers' rows (span, the walk the verifier's
+    reconstruction proof takes): one Gauss-Jordan pivot per helper row not
+    yet in it, so a helper set next to the last costs the rows it swaps
+    in, and the same set again none. Helpers whose rows do not span (a
+    singular G_H, or a code of rank below B): CodeInvariantError. The
+    failed nodes' coordinates are then their coefficients on the helpers'
+    symbols read in basis order, all in one apply_generator, and the nodes
+    share one report. The rule holds no state: codes that share it each
+    walk their own tableau.
     """
 
     kind = "mds_reencode"
 
-    def __init__(self):
-        self._bases = weakref.WeakKeyDictionary()
-
     def execute(self, dss, failed, helpers, contents):
-        alpha, kept = dss.alpha_symbols, self._bases.get(dss)
-        if kept is None:
-            nodes = dict(enumerate(g.segments for g in dss.node_gens))
-            kept = self._bases[dss] = [_Tableau(dss.field, dss.file_len, nodes), None, None]
-        tableau, last, reads = kept
-        if last != helpers:
-            kept[1] = None  # a walk that fails still moves the basis
-            if not tableau.span(helpers):
-                raise CodeInvariantError(f"helpers {helpers} do not determine the file")
-            # the symbol each basis position reads: node i's rows are i * alpha on
-            reads = kept[2] = [divmod(r, alpha) for r in tableau.basis]
-            kept[1] = helpers
+        tableau, alpha = dss._exchange, dss.alpha_symbols
+        if not tableau.span(helpers):
+            raise CodeInvariantError(f"helpers {helpers} do not determine the file")
         coords, owned = tableau.coords, tableau.owned
         coefficients = [(0, coords[r]) for f in failed for r in owned[f]]
-        symbols = [contents[h][t] for h, t in reads]
-        rebuilt = apply_generator(_matrix(dss.field, len(reads), coefficients), symbols)
+        # the symbol each basis position reads: node i's rows are i * alpha on
+        symbols = [contents[h][t] for h, t in (divmod(r, alpha) for r in tableau.basis)]
+        rebuilt = apply_generator(_matrix(dss.field, len(symbols), coefficients), symbols)
         report = BandwidthReport(dict.fromkeys(helpers, alpha))
-        if len(failed) == 1:  # the product is the one node's symbols
-            return [(rebuilt, report)]
         return [(rebuilt[i : i + alpha], report) for i in range(0, len(rebuilt), alpha)]
 
 

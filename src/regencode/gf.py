@@ -15,8 +15,9 @@ forms, segments themselves (_mat_forms, also FieldMatrix.mul over the
 other matrix's rows); trims and the tableau's pivots find nonzeros with
 compress, at C speed. An exchange tableau (_Tableau) keeps rows grouped
 by node as coordinates over a basis of them, and one walk (span) swaps a
-node set's rows in: the verifier's reconstruction proof and MDS repair
-both walk it from node set to node set, and mat_rank counts its basis.
+node set's rows in: a base code keeps one (dss.LinearDss._exchange), which
+MDS repair and both of the verifier's proofs walk from node set to node
+set, and mat_rank counts its basis.
 """
 
 from __future__ import annotations

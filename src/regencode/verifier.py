@@ -9,19 +9,20 @@ have column rank B, and a linear repair rule (dss.RepairRule) is exact for
 every file iff one run on the generator rows returns the failed node's
 rows. That run, holding no data, measures the bandwidth.
 
-A composite is proved from its copy table (constructions), by the walk
-its decode takes. Its copies own disjoint column blocks, so a node set
-decodes it iff every copy hosts its file node there or decodes its part
-from the distinct part nodes it hosts there, and a repair is exact iff
-every group of its plan (_CopiesRule._plan) is: a twin or file-node
-download by placement, a lost file node by that decode, a part repair by
-the part's own verdict on (lost, chosen). Verdicts are memoized per part
-for the whole proof (_Proof), so a proof costs the table, not the node
-size. A code without copies is one exchange tableau (gf._Tableau) over its
-generators, walked from node set to node set a pivot per row swapped in,
-and its rule is run on its generator rows, compared by segments, then by
-segments trimmed: never dense. A composite's generators are rendered from
-its table (constructions), so neither proof renders them. A rule that
+A composite is proved from its copy table (constructions), by the walk its
+decode takes. Its copies own disjoint column blocks, so a node set decodes
+it iff every copy hosts its file node there or decodes its part from the
+distinct part nodes it hosts there, and a repair is exact iff every group
+of its plan (_CopiesRule._plan) is: a twin or file-node download by
+placement, a lost file node by that decode, a part repair by the part's
+own verdict on (lost, chosen). Verdicts are memoized per part for the
+whole proof (_Proof), so a proof costs the table, not the node size. A
+code without copies keeps one exchange tableau over its generators
+(LinearDss._exchange), which its rule and both proofs walk from node set
+to node set, a pivot per row swapped in, each on from where the last walk
+left it; its rule is run on its generator rows, compared by segments, then
+by segments trimmed: never dense. A composite's generators are rendered
+from its table (constructions), so neither proof renders them. A rule that
 wraps a composite's has no table, and a table takes no forms: repair is
 proved first, so such a code is refused (InputError) at the rule's first
 call, before any tableau is built. Repair is judged once per helper set,
@@ -50,7 +51,7 @@ from operator import itemgetter
 
 from .constructions import _FILE, _CopiesRule
 from .dss import BandwidthReport, CodeInvariantError, LinearDss
-from .gf import _Tableau, _trimmed
+from .gf import _trimmed
 from .tradeoff import OperatingPoint
 
 EXHAUSTIVE_LIMIT = 10**5
@@ -172,28 +173,22 @@ def _check_reconstruction(dss: LinearDss, report: VerificationReport, subsets) -
     by more, so every k-subset decodes iff every t-subset of H decodes
     every copy. An exhaustive plan proves that once per distinct copy key
     (part, t, the sorted nodes it hosts) and on a pass counts all C(n, k)
-    subsets; a code without copies walks its tableau through them. On a
-    failure, and on a sampled plan, the subsets are walked in order
-    (_Proof.decodes, or the tableau): the first that does not decode is the
-    counterexample, its position the count.
+    subsets. Otherwise, and for a code without copies, whose tableau walks
+    through them, the subsets are walked in order (_Proof.decodes): the
+    first that does not decode is the counterexample, its position the
+    count.
     """
     n, k, exhaustive = dss.params.n, dss.params.k, report.mode["kind"] == "exhaustive"
     proof, rule = _Proof(), dss.repair_rule
-    if not isinstance(rule, _CopiesRule):
-        met = proof.tableau(dss).span
-        if exhaustive and all(map(met, combinations(range(n), k))):
+    if exhaustive and isinstance(rule, _CopiesRule):
+        keys = dict.fromkeys(
+            (part, max(0, k - n + len(hosts)), tuple(sorted(h for h, _ in hosts.values())))
+            for part, hosts, _ in rule.copies
+        )
+        if all(proof.hosted(part, c) for part, t, held in keys for c in combinations(held, t)):
             return comb(n, k)
-    else:
-        met = partial(proof.decodes, dss)
-        if exhaustive:
-            keys = dict.fromkeys(
-                (part, max(0, k - n + len(hosts)), tuple(sorted(h for h, _ in hosts.values())))
-                for part, hosts, _ in rule.copies
-            )
-            if all(proof.hosted(part, c) for part, t, held in keys for c in combinations(held, t)):
-                return comb(n, k)
 
-    run = 0
+    met, run = partial(proof.decodes, dss), 0
     for run, subset in enumerate(subsets, 1):
         if not met(subset):
             report.reconstruction_ok = False
@@ -206,20 +201,15 @@ class _Proof:
     """Verdicts on a code and its parts, each memoized for the whole proof.
 
     decodes(code, nodes) walks a composite's copy table and any other
-    code's tableau; repairs(code, failed, helpers) judges a composite's
-    plan group by group and runs any other rule once on its generator
-    rows (see the module docstring), a part's verdict memoized per (part,
-    lost, chosen).
+    code's own tableau (LinearDss._exchange, which its rule walks too);
+    repairs(code, failed, helpers) judges a composite's plan group by
+    group and runs any other rule once on its generator rows (see the
+    module docstring), a part's verdict memoized per (part, lost, chosen).
+    A proof keeps verdicts only: no tableau.
     """
 
     def __init__(self):
-        self.tableaux, self.decoded, self.repaired = {}, {}, {}
-
-    def tableau(self, code):
-        if code not in self.tableaux:
-            nodes = dict(enumerate(g.segments for g in code.node_gens))
-            self.tableaux[code] = _Tableau(code.field, code.file_len, nodes)
-        return self.tableaux[code]
+        self.decoded, self.repaired = {}, {}
 
     def hosted(self, part, held) -> bool:
         """Whether a copy of part decodes from the nodes it hosts at the positions read."""
@@ -236,7 +226,7 @@ class _Proof:
                     for part, hosts, _ in rule.copies
                 )
             else:
-                self.decoded[key] = self.tableau(code).span(nodes)
+                self.decoded[key] = code._exchange.span(nodes)
         return self.decoded[key]
 
     def repairs(self, code, failed, helpers):

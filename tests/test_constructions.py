@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -424,26 +423,16 @@ def test_batched_element_repair_agrees_with_the_forms_route(recipe):
 
 
 def _rule_steps(monkeypatch):
-    """What the MDS rule does, live: "build" a tableau, "pivot", or a dss solve's width.
+    """What a code's tableau does, live: "build" it, "pivot", or a dss solve's width.
 
-    Only pivots on the tableaux dss builds count: the verifier's walk
-    pivots tableaux of its own.
+    dss builds every tableau, one per code, and the MDS rule and the
+    verifier's proofs all walk it.
     """
-    steps, built = [], []
+    steps = []
     tableau, pivot, solve = dss_module._Tableau, gf_module._Tableau.pivot, dss_module.mat_solve
+    monkeypatch.setattr(dss_module, "_Tableau", lambda *a: steps.append("build") or tableau(*a))
+    monkeypatch.setattr(gf_module._Tableau, "pivot", lambda *a: steps.append("pivot") or pivot(*a))
 
-    def build(*a):
-        steps.append("build")
-        built.append(tableau(*a))
-        return built[-1]
-
-    def counted(t, *a):
-        if t in built:  # by identity: a tableau defines no __eq__
-            steps.append("pivot")
-        return pivot(t, *a)
-
-    monkeypatch.setattr(dss_module, "_Tableau", build)
-    monkeypatch.setattr(gf_module._Tableau, "pivot", counted)
     monkeypatch.setattr(dss_module, "mat_solve", lambda A, b: steps.append(A.cols) or solve(A, b))
     return steps
 
@@ -477,17 +466,23 @@ def test_lost_file_nodes_decode_once_per_shared_system(monkeypatch):
     # proof's own walk of the base's nodes, so no system is solved (40
     # solves, 3 wide, when the proof decoded forms); the part repairs are
     # judged once per (lost part node, chosen part helpers), 4 runs of the
-    # base's rule where there were 40: it builds its tableau once, on nodes
-    # 0..2, and each later run pivots one node in
+    # base's rule where there were 40: the base builds its tableau once, on
+    # nodes 0..2, and each later run pivots one node in. The reconstruction
+    # proof, run after the repair proof, builds none: it walks the same
+    # tableau through the base's four 3-subsets on from the basis the last
+    # run left, (1, 2, 3), one node each
     steps = _rule_steps(monkeypatch)
     runs = []
-    execute = dss_module.MdsReencodeRule.execute
+    execute, check = dss_module.MdsReencodeRule.execute, verifier._check_reconstruction
     monkeypatch.setattr(
         dss_module.MdsReencodeRule, "execute", lambda *a: runs.append(a[2:4]) or execute(*a)
     )
+    monkeypatch.setattr(
+        verifier, "_check_reconstruction", lambda *a: steps.append("reconstruction") or check(*a)
+    )
     report = measure_and_compare(filenode_blowup(rs_base(4, 3)))
     assert report.ok and report.checks_run == {"reconstruction": 10, "repair": 20, "total": 30}
-    assert Counter(steps) == {"build": 1, "pivot": 3}
+    assert steps == ["build"] + ["pivot"] * 3 + ["reconstruction"] + ["pivot"] * 4
     assert runs == [((3,), (0, 1, 2)), ((2,), (0, 1, 3)), ((1,), (0, 2, 3)), ((0,), (1, 2, 3))]
 
 

@@ -325,17 +325,17 @@ def test_mds_rule_reuses_a_decoder_only_for_its_own_code_and_helpers(monkeypatch
         rebuilt, _ = repair(code, 3, helpers, contents)
         assert rebuilt == contents[3], (code.label, helpers)
         runs.append((counted.count(0), counted.count(1)))
-    # the rule keeps one tableau per code: the first repair of each code
-    # builds its own, whose basis is nodes 0 and 1, so (0, 1) moves nothing;
-    # (1, 2) pivots node 2 in for node 0 of other's basis, and base, met
-    # again, still holds its own tableau at (0, 1)
+    # each code keeps its own tableau: the first repair of each code builds
+    # it, whose basis is nodes 0 and 1, so (0, 1) moves nothing; (1, 2)
+    # pivots node 2 in for node 0 of other's basis, and base, met again,
+    # still holds its own tableau at (0, 1)
     assert runs == [(1, 0), (0, 0), (1, 0), (0, 0), (0, 1), (0, 0)]
 
 
 def test_a_repaired_mds_code_is_freed_at_its_last_reference():
-    # the rule keys its bases by code weakly: no cycle code -> rule -> code
-    # for the cyclic collector to find, and a dead code's basis goes with
-    # it, never reused by a code that shares its rule
+    # the code keeps its tableau and the rule holds nothing: no cycle
+    # code -> rule -> code for the cyclic collector to find, and a dead
+    # code's tableau goes with it, never reused by a code that shares its rule
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -345,13 +345,14 @@ def test_a_repaired_mds_code_is_freed_at_its_last_reference():
         assert repair(code, 4, (0, 1, 2), contents)[0] == contents[4]
         ref = weakref.ref(code)
         del code
-        assert ref() is None and not rule._bases
+        assert ref() is None
         base = rs_base(5, 3)
         scaled = [GF256.mul(3, x) for x in base.node_gens[4].data[0]]
         gens = base.node_gens[:4] + [FieldMatrix(GF256, [scaled])]
         other = LinearDss(base.params, GF256, 3, gens, rule, "scaled", 3)
         contents = encode(other, [1, 2, 3])
         assert repair(other, 4, (0, 1, 2), contents)[0] == contents[4]
+        assert vars(rule) == {}  # two codes repaired through it, and it holds nothing
     finally:
         if enabled:
             gc.enable()

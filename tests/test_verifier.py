@@ -24,7 +24,7 @@ from regencode.constructions import (
     filenode_blowup,
     iterate,
 )
-from regencode.cli import main
+from regencode.cli import main, parse_recipe
 import regencode.dss as dss_module
 from regencode.dss import (
     BandwidthReport,
@@ -137,43 +137,59 @@ def test_verify_reconstruction_corrupted_generator():
         assert report.checks_run["reconstruction"] == 1
 
 
-def _in_proof(monkeypatch, owner, name, record):
-    """record(*args) of each call of owner.name the reconstruction proof makes, as a live list.
+def _in_proof(monkeypatch, owner, name, record, check="_check_reconstruction"):
+    """record(*args) of each call of owner.name one proof makes, as a live list.
 
-    The repair proof's rule builds and walks a tableau too, which is not
-    counted here.
+    check names the proof, verifier._check_reconstruction or _check_repair.
+    Both proofs walk the code's one tableau, which the repair proof, run
+    first, builds.
     """
     calls = []
-    wrapped, check = getattr(owner, name), verifier._check_reconstruction
+    wrapped = getattr(owner, name)
 
     def spy(*args):
         calls.append(record(*args))
         return wrapped(*args)
 
-    def proof(*args):
+    proof = getattr(verifier, check)
+
+    def scoped(*args):
         with monkeypatch.context() as m:
             m.setattr(owner, name, spy)
-            return check(*args)
+            return proof(*args)
 
-    monkeypatch.setattr(verifier, "_check_reconstruction", proof)
+    monkeypatch.setattr(verifier, check, scoped)
     return calls
 
 
 def _eliminations(monkeypatch):
-    """The (rows, columns) of each elimination the reconstruction proof runs: its tableaux."""
+    """The (rows, columns) of each elimination the reconstruction proof runs."""
     return _in_proof(monkeypatch, gf_module, "_eliminate", lambda _, work, cols: (len(work), cols))
+
+
+def _builds(monkeypatch):
+    """The (columns, rows) of each tableau built, one elimination each, as a live list."""
+    builds, init = [], gf_module._Tableau.__init__
+
+    def build(self, field, width, nodes):
+        builds.append((width, sum(map(len, nodes.values()))))
+        init(self, field, width, nodes)
+
+    monkeypatch.setattr(gf_module._Tableau, "__init__", build)
+    return builds
 
 
 def test_concat_reconstruction_is_proved_once_per_distinct_block(monkeypatch):
     # the three copies of rs_base(6, 3) share one copy key: its 20 3-subsets
     # of 6 nodes prove all 816 15-subsets, which the stacked sweep ranked
-    # one by one. The proof eliminates the part once, as its tableau, and
-    # walks its basis through the 3-subsets by pivots alone
-    calls = _eliminations(monkeypatch)
+    # one by one. The part is eliminated once, as its tableau, by the
+    # repair proof; the reconstruction proof eliminates nothing and walks
+    # that tableau's basis through the 3-subsets by pivots alone
+    builds, calls = _builds(monkeypatch), _eliminations(monkeypatch)
     report = measure_and_compare(concat([rs_base(6, 3)] * 3))
     assert report.ok
     assert report.checks_run == {"reconstruction": 816, "repair": 2448, "total": 3264}
-    assert len(calls) == 1
+    assert builds == [(3, 6)] and calls == []
 
 
 def _stacked_sweep(dss, report, subsets):
@@ -229,14 +245,15 @@ def _with_one_fault(dss, rnd):
     )
 
 
-def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
-    # seeded faults in small compositions and in wide MDS codes over GF(2^8),
-    # GF(2^4) and GF(2), each verified exhaustively and sampled, by the
-    # table proof and by the stacked-rank sweep: the reports must be equal,
-    # counterexample and checks_run included. A composite takes its fault
-    # in a part, before composing (building it from edited generators is
-    # refused: its copy table renders its own); the MDS codes take theirs
-    # directly
+def _block_faults():
+    """Seeded faults in small compositions and in wide MDS codes, 96 codes.
+
+    The codes are over GF(2^8), GF(2^4) and GF(2). A composite takes its
+    fault in a part, before composing (building it from edited generators
+    is refused: its copy table renders its own); the MDS codes take theirs
+    directly.
+    """
+
     def pair(part):
         return concat([part, rs_base(3, 2)])
 
@@ -259,25 +276,32 @@ def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
         (rs_base(9, 4, GF16), None),
     ]
     rnd = random.Random(16)
+    return [
+        (compose or (lambda part: part))(_with_one_fault(code, rnd))
+        for code, compose in recipes
+        for _ in range(6)
+    ]
+
+
+def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
+    # the seeded faults (_block_faults), each verified exhaustively and
+    # sampled, by the table proof and by the stacked-rank sweep: the
+    # reports must be equal, counterexample and checks_run included
     broken = later = kept = 0
     exhaustive = verifier.EXHAUSTIVE_LIMIT
     monkeypatch.setattr(verifier, "TRIALS", 12)
-    for code, compose in recipes:
-        for _ in range(6):
-            faulty = _with_one_fault(code, rnd)
-            if compose is not None:
-                faulty = compose(faulty)
-            for limit in (exhaustive, 0):
-                monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", limit)
-                proof = measure_and_compare(faulty, seed=limit)
-                with monkeypatch.context() as m:
-                    m.setattr(verifier, "_check_reconstruction", _stacked_sweep)
-                    oracle = measure_and_compare(faulty, seed=limit)
-                assert proof.to_json() == oracle.to_json(), faulty.label
-                if limit:
-                    kept += proof.reconstruction_ok
-                    broken += not proof.reconstruction_ok
-                    later += proof.checks_run["reconstruction"] > 1 and not proof.reconstruction_ok
+    for faulty in _block_faults():
+        for limit in (exhaustive, 0):
+            monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", limit)
+            proof = measure_and_compare(faulty, seed=limit)
+            with monkeypatch.context() as m:
+                m.setattr(verifier, "_check_reconstruction", _stacked_sweep)
+                oracle = measure_and_compare(faulty, seed=limit)
+            assert proof.to_json() == oracle.to_json(), faulty.label
+            if limit:
+                kept += proof.reconstruction_ok
+                broken += not proof.reconstruction_ok
+                later += proof.checks_run["reconstruction"] > 1 and not proof.reconstruction_ok
     # most faults break reconstruction, many first at a later subset; some
     # duplicated rows leave every k-subset at rank B
     assert broken >= 45 and later >= 30 and kept >= 8, (broken, later, kept)
@@ -285,21 +309,23 @@ def test_block_proof_agrees_with_the_stacked_sweep(monkeypatch):
 
 def test_reconstruction_eliminates_one_reference_then_walks(monkeypatch):
     # rs_base(n, k) is one k-wide block of n one-row nodes, and every
-    # k-subset must have full rank on it. The reference is the block laid
-    # out transposed, k x n, eliminated once; its basis is nodes 0..k-1, so
-    # the subset (0, ..., k-1) pivots nothing, and each later subset in
-    # combinations order pivots in the nodes it holds and the one before it
-    # did not: the walk MDS repair takes over the same helper sets, where
-    # each subset took a k x k rank
-    calls = _eliminations(monkeypatch)
+    # k-subset must have full rank on it. The code's tableau is the block
+    # laid out transposed, k x n, eliminated once, by the repair proof,
+    # which walks it through the helper sets in combinations order and
+    # leaves its basis at the last, nodes n-k..n-1. From there the subset
+    # (0, ..., k-1) pivots in the min(k, n-k) nodes it holds that the last
+    # did not, and each later subset those the one before it did not: the
+    # walk MDS repair takes over the same helper sets, where each subset
+    # took a k x k rank
+    builds, calls = _builds(monkeypatch), _eliminations(monkeypatch)
     pivots = _in_proof(monkeypatch, gf_module._Tableau, "pivot", lambda *a: 1)
-    for n, k, walked in [(16, 12, 2256), (14, 7, 4699)]:
-        calls.clear()
+    for n, k, walked in [(16, 12, 2260), (14, 7, 4706)]:
+        builds.clear()
         pivots.clear()
         report = measure_and_compare(rs_base(n, k))
         assert report.ok and report.checks_run["reconstruction"] == comb(n, k)
-        assert calls == [(k, n)]
-        swapped, last = 0, set(range(k))
+        assert builds == [(k, n)] and calls == []
+        swapped, last = 0, set(range(n - k, n))
         for subset in combinations(range(n), k):
             swapped, last = swapped + len(set(subset) - last), set(subset)
         assert len(pivots) == swapped == walked
@@ -307,19 +333,20 @@ def test_reconstruction_eliminates_one_reference_then_walks(monkeypatch):
 
 def test_a_block_of_rank_below_its_width_fails_every_subset(monkeypatch):
     # every node stores a multiple of node 0's row: the one 2-wide block has
-    # rank 1, so the reference has too few rows, no subset has full rank,
-    # and no subset is walked
+    # rank 1, so the tableau has too few basic rows, no subset has full
+    # rank, and no subset is walked. The code keeps its tableau: only its
+    # first proof eliminates
     base = rs_base(4, 2)
     row = base.node_gens[0].data[0]
     gens = [FieldMatrix(GF256, [[GF256.mul(c, x) for x in row]]) for c in (1, 2, 3, 4)]
     code = LinearDss(base.params, GF256, 2, gens, base.repair_rule, "rank 1", 2)
-    calls = _eliminations(monkeypatch)
+    builds = _builds(monkeypatch)
     monkeypatch.setattr(verifier, "TRIALS", 4)
     for limit in (verifier.EXHAUSTIVE_LIMIT, 0):
         monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", limit)
-        calls.clear()
+        builds.clear()
         report = measure_and_compare(code, seed=limit)
-        assert calls == [(2, 4)]
+        assert builds == ([(2, 4)] if limit else [])
         # the first subset run, in combinations or draw order, is the counterexample
         assert report.checks_run["reconstruction"] == 1
         assert report.reconstruction_counterexample == ((0, 1) if limit else (1, 3))
@@ -490,14 +517,17 @@ def _with_rule(dss, rule):
     )
 
 
-def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
-    # seeded faults, each verified exhaustively and sampled, by the
-    # helper-grouped sweep and by the plan-order one: the reports must be
-    # equal, counterexample, checks_run, measured point and symmetry included.
-    # A composite takes each fault in a part, before composing: a generator
-    # fault (its copy table renders its own generators), or a rule fault,
-    # the first or the last helper's transfer dropped (a rule wrapping its
-    # own takes no forms, and its proof is refused)
+def _repair_faults():
+    """Seeded faults in MDS codes and small compositions, 43 codes.
+
+    A composite takes each fault in a part, before composing: a generator
+    fault (its copy table renders its own generators), or a rule fault,
+    the first or the last helper's transfer dropped (a rule wrapping its
+    own takes no forms, and its proof is refused). A generator fault is
+    drawn again until the composed code fails its proof, as a fault a
+    composite hides tests nothing its clean codes do not. The last three
+    codes are node_4, a clean code, and one sharing its rule object.
+    """
     clean_part = rs_base(3, 2)
     recipes = [  # (code or part, how a part is composed)
         (rs_base(5, 3), None),
@@ -512,7 +542,11 @@ def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
     faulty = []
     for code, compose in recipes:
         place = compose or (lambda part: part)
-        faulty += [place(_with_one_fault(code, rnd)) for _ in range(4)]
+        for _ in range(4):
+            drawn = place(_with_one_fault(code, rnd))
+            while measure_and_compare(drawn).ok:
+                drawn = place(_with_one_fault(code, rnd))
+            faulty.append(drawn)
         faulty.append(place(_with_rule(code, ZeroedTransferRule(code.repair_rule))))
         if compose is not None:
             faulty.append(compose(_with_rule(code, ZeroedLastTransferRule(code.repair_rule))))
@@ -521,8 +555,18 @@ def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
     faulty.append(node_4)
     # a clean code, then one sharing its rule object with node 0 zeroed
     clean = rs_base(4, 2)
-    faulty += [clean, corrupt_generator(clean, 0)]
+    return faulty + [clean, corrupt_generator(clean, 0)]
 
+
+def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
+    # the seeded faults (_repair_faults), each verified exhaustively and
+    # sampled, by the helper-grouped sweep and by the plan-order one: the
+    # reports must be equal, counterexample, checks_run, measured point and
+    # symmetry included. Every code but the clean one fails its proof
+    faulty = _repair_faults()
+    node_4, clean = faulty[-3:-1]
+    assert len(faulty) == 43
+    assert all(not measure_and_compare(code).ok for code in faulty if code is not clean)
     sweeps = []
     sweep = verifier._sweep
     monkeypatch.setattr(verifier, "_sweep", lambda *a: sweeps.append(sweep(*a)) or sweeps[-1])
@@ -551,30 +595,49 @@ def test_helper_grouped_repair_agrees_with_the_plan_order_sweep(monkeypatch):
     assert failed >= 60 and later >= 20 and reordered >= 40, (failed, later, reordered)
 
 
+def test_a_proof_builds_one_tableau_per_base_code(monkeypatch):
+    # the code keeps its tableau, so both proofs walk one: the three
+    # distinct bases of the concat build one each, the nested code's one
+    # base one, and no composite builds any
+    builds = _builds(monkeypatch)
+    for code, built in [
+        (rs_base(16, 12), 1),
+        (parse_recipe("iterate(base(3,2),2)"), 1),
+        (parse_recipe("concat(base(6,3),base(6,3),base(6,3))"), 3),
+    ]:
+        builds.clear()
+        assert measure_and_compare(code).ok, code.label
+        assert len(builds) == built, code.label
+
+
+def test_a_code_proved_twice_reports_the_same(monkeypatch):
+    # a code's tableau outlives its proof: the second proof of the same
+    # object builds none and walks on from the basis the first left, and
+    # span's verdict and the coordinates it leaves do not depend on where
+    # the basis starts, so each report is byte-identical
+    builds = _builds(monkeypatch)
+    monkeypatch.setattr(verifier, "TRIALS", 12)
+    for code in _block_faults() + _repair_faults():
+        for limit in (verifier.EXHAUSTIVE_LIMIT, 0):
+            monkeypatch.setattr(verifier, "EXHAUSTIVE_LIMIT", limit)
+            first = measure_and_compare(code, seed=limit).to_json()
+            builds.clear()
+            assert measure_and_compare(code, seed=limit).to_json() == first, (code.label, limit)
+            assert builds == [], code.label
+
+
 def test_repair_proof_eliminates_each_helper_system_once(monkeypatch):
     # the C(n, k) helper sets each serve the n - k nodes outside them, and
     # each is one rule call for all of them, in combinations order: 1,820
-    # calls for the 7,280 pairs of rs_base(16, 12). The rule builds its
-    # code's tableau once, on nodes 0..k-1, the first helper set, and
+    # calls for the 7,280 pairs of rs_base(16, 12). The first builds the
+    # code's tableau, on nodes 0..k-1, the first helper set, and the rule
     # solves no system: each later helper set pivots in the nodes it holds
     # and the one before it did not, 1.24 a set for rs_base(16, 12). Only
-    # pivots on the rule's tableau count: the reconstruction proof walks
-    # its own
-    builds, pivots, calls = [], [], []
-    tableau, pivot = dss_module._Tableau, gf_module._Tableau.pivot
+    # pivots in the repair proof count: the reconstruction proof walks the
+    # same tableau after it, and builds none
+    builds, calls = _builds(monkeypatch), []
+    pivots = _in_proof(monkeypatch, gf_module._Tableau, "pivot", lambda *a: 1, "_check_repair")
     execute = MdsReencodeRule.execute
-
-    def build(*a):
-        builds.append(tableau(*a))
-        return builds[-1]
-
-    def counted(t, *a):
-        if t in builds:  # by identity: a tableau defines no __eq__
-            pivots.append(1)
-        return pivot(t, *a)
-
-    monkeypatch.setattr(dss_module, "_Tableau", build)
-    monkeypatch.setattr(gf_module._Tableau, "pivot", counted)
     monkeypatch.setattr(MdsReencodeRule, "execute", lambda *a: calls.append(1) or execute(*a))
     monkeypatch.setattr(dss_module, "mat_solve", None)
     for n, k, walked in [(8, 5, 72), (16, 12, 2256)]:
@@ -583,7 +646,7 @@ def test_repair_proof_eliminates_each_helper_system_once(monkeypatch):
         calls.clear()
         report = measure_and_compare(rs_base(n, k))
         assert report.ok and report.checks_run["repair"] == comb(n, k) * (n - k)
-        assert len(builds) == 1
+        assert builds == [(k, n)]
         assert len(calls) == comb(n, k)
         swapped, last = 0, set(range(k))
         for helpers in combinations(range(n), k):
@@ -692,7 +755,7 @@ def test_a_wrapped_composite_is_refused_before_any_tableau(monkeypatch):
     with pytest.raises(InputError, match="not forms"):
         code.repair_rule.execute(code, (0,), helpers, forms)
     built = []
-    monkeypatch.setattr(verifier, "_Tableau", lambda *a: built.append(a))
+    monkeypatch.setattr(dss_module, "_Tableau", lambda *a: built.append(a))
     for rule in (PassThroughRule(code.repair_rule), ZeroedTransferRule(code.repair_rule)):
         with pytest.raises(InputError, match="not forms"):
             measure_and_compare(_with_rule(code, rule))
