@@ -19,9 +19,10 @@ verifier judges the same plan without symbols. The copies that repair
 the same part nodes from the same part helpers share one part repair,
 those that compute a part node from a file node share one product, and
 those that decode from the same part nodes, in a reconstruct or for a
-lost file node, share one decode of their symbols side by side as rows,
-a column per copy: solve gathers them as it walks the copies in batches,
-and execute stacks each group's reads (_stack).
+lost file node, share one decode. Both decode and repair lay a group's
+symbols side by side as rows, a column per copy, through one rule
+(_stack): solve gathers them as it walks the copies in batches, and
+execute stacks each group's reads, a lone copy as a stack of one.
 """
 
 from __future__ import annotations
@@ -162,11 +163,11 @@ class _CopiesRule(RepairRule):
     own rule with its d smallest part helpers, one call for all such nodes
     of the copy. The rule depends only on stored content, never on
     position numbers, so it is equidistributed across the permuted copies.
-    execute runs each group of the plan once on its copies' reads stacked
-    (_stack), as solve decodes each group of copies reading equal part
-    nodes; a copy alone runs on its own slices, unchecked: the public calls
-    have checked the contents. Both take elements or rows and refuse forms
-    (InputError): the verifier proves a composite from this table.
+    execute runs each group of the plan once, a lone copy included, on its
+    copies' reads laid side by side (_stack), as solve decodes each group
+    of copies reading equal part nodes. Both take elements or rows and
+    refuse forms (InputError): the verifier proves a composite from this
+    table.
     Each copy keeps its slots in the output and counts its run's
     transfers through its own helpers. alpha_symbols is the composite's
     node size, and _render gives its generators from the table.
@@ -203,10 +204,11 @@ class _CopiesRule(RepairRule):
         A copy that reads its file node takes that slice of symbols, and
         each part node it reads must be that file re-encoded
         (apply_generator), or CodeInvariantError. The copies of a code
-        without copies that read equal part nodes gather their symbols as
-        rows, a column per copy, and decode in one _decode.
+        without copies that read equal part nodes gather, per row read,
+        one symbol per copy, laid side by side (_stack) and decoded in one
+        _decode.
         """
-        shape, alpha = type(symbols[0]), dss.alpha_symbols
+        alpha = dss.alpha_symbols
         x, routes, groups = [None] * dss.file_len, {}, {}
         batches = {(dss, tuple(subset)): ([0], [[i * alpha] for i in range(len(subset))])}
         while batches:
@@ -237,15 +239,11 @@ class _CopiesRule(RepairRule):
                     into_cols += map(at.__add__, cols)
                     for row, (i, t) in zip(rows, offsets):
                         row += map(symbols.__getitem__, map(t.__add__, firsts[i]))
-        for (part, nodes), (cols, rows) in groups.items():
-            if shape is list:  # each copy's row on its own run of columns
-                width = len(symbols[0])
-                rows = [list(itertools.chain.from_iterable(row)) for row in rows]
+        for (part, nodes), (cols, reads) in groups.items():
+            rows, split = _stack(reads)
             for r, row in enumerate(_decode(part, nodes, rows)):
-                if shape is list:
-                    row = [row[i : i + width] for i in range(0, len(row), width)]
-                # x[col + r] = each copy's entry, run at C speed
-                collections.deque(map(x.__setitem__, map(r.__add__, cols), row), maxlen=0)
+                # x[col + r] = each copy's symbol, run at C speed
+                collections.deque(map(x.__setitem__, map(r.__add__, cols), split(row)), maxlen=0)
         return x
 
     def _routes(self, positions):
@@ -348,22 +346,18 @@ class _CopiesRule(RepairRule):
 
         # one run per group on the actual symbols of its copies (a repair map
         # taken from unit forms is inconsistent where a lost file decodes
-        # k*alpha > B symbols); done holds per node of the group each
-        # member's (piece, transfer report)
+        # k*alpha > B symbols), each chosen helper's reads stacked (_stack),
+        # a lone copy a stack of one
         for (part, us, chosen), members in groups.items():
             size = part.file_len if chosen == (_FILE,) else part.alpha_symbols
             copies = [
                 [contents[q][s : s + size] for q, s in map(cand.__getitem__, chosen)]
                 for _, cand in members
             ]
-            if len(members) == 1:  # a copy alone
-                done = zip(*(_run(part, us, chosen, reads) for reads in copies))
-            else:  # each chosen helper's reads stacked, the first split serving every result
-                stacked, splits = zip(*(_stack(reads) for reads in zip(*copies)))
-                results = _run(part, us, chosen, list(stacked))
-                done = [zip(splits[0](rebuilt), itertools.repeat(bw)) for rebuilt, bw in results]
-            for j, pieces in enumerate(done):
-                for (slots, cand), (piece, report) in zip(members, pieces):
+            rows, split = _stack([read for reads in zip(*copies) for read in zip(*reads)])
+            stacked = [rows[i : i + size] for i in range(0, len(rows), size)]
+            for j, (rebuilt, report) in enumerate(_run(part, us, chosen, stacked)):
+                for (slots, cand), piece in zip(members, zip(*map(split, rebuilt))):
                     slot = slots[j]
                     out[slot : slot + len(piece)] = piece
                     count = counts[slot // alpha]
@@ -374,19 +368,20 @@ class _CopiesRule(RepairRule):
         return [(out[j : j + alpha], BandwidthReport(c)) for j, c in zip(cuts, counts)]
 
 
-def _stack(copies):
-    """Copies' symbols, a list per copy, as one list of rows, and its inverse on a result.
+def _stack(reads):
+    """Per row read, the copies' symbols as one row, and the split of a result row.
 
-    Elements zip into rows, a column per copy; rows concatenate, each copy
-    on its own run of columns. The inverse splits a result's rows back
-    into one list per copy.
+    The one side-by-side layout of a group of copies (solve, execute).
+    Elements stand a column per copy, so a row read is the row itself,
+    passed on if it is a list; rows concatenate, each copy on its own run
+    of columns. The split maps a result row back to one symbol per copy.
     """
-    if type(copies[0][0]) is int:
-        return [list(t) for t in zip(*copies)], lambda rows: zip(*rows)
-    width = len(copies[0][0])
-    cuts = range(0, len(copies) * width, width)
-    rows = [list(itertools.chain.from_iterable(t)) for t in zip(*copies)]
-    return rows, lambda rows: ([row[i : i + width] for row in rows] for i in cuts)
+    if type(reads[0][0]) is int:
+        return (reads if type(reads[0]) is list else list(map(list, reads))), lambda row: row
+    width = len(reads[0][0])
+    cuts = range(0, len(reads[0]) * width, width)
+    rows = [list(itertools.chain.from_iterable(read)) for read in reads]
+    return rows, lambda row: [row[i : i + width] for i in cuts]
 
 
 def _run(part, us, chosen, reads):

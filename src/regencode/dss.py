@@ -75,8 +75,8 @@ class RepairRule:
     moved by some columns is that output moved as far: a part's verdict
     holds for each of its placed copies. The public repair checks contents
     once and execute reads only the helpers' entries (contents is indexed by
-    node), so a rule runs its parts' rules directly on slices of checked
-    contents.
+    node), so a composite runs its parts' rules, unchecked, on slices of
+    checked contents laid side by side as rows (constructions._stack).
     """
 
     kind = "abstract"

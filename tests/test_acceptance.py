@@ -335,34 +335,68 @@ TOWERS_11 = [
 ]
 
 
+def _verified_tower(n0, k0, j, budget=None):
+    """bs^j(base(n0, k0)) checked against the shifted P1 point; returns its B/C and report.
+
+    The tower verifies exhaustively; B and gamma are perf_p1's at index
+    i = k0, B over the functional-repair capacity at its measured
+    bandwidth is the shifted P1 fraction (the close-case fraction when
+    n - k = 1), and repair is symmetric exactly when n - k = 1.
+    """
+    code = rs_base(n0, k0)
+    for _ in range(j):
+        code = blowup_simple(code, budget=budget)
+    report = measure_and_compare(code)
+    assert report.mode == {"kind": "exhaustive"} and report.ok, code.label
+    p, i = code.params, k0
+    alpha, gamma, B = report.measured.alpha, report.measured.gamma, report.measured.file_size
+    assert (p.n, p.k, p.d) == (n0 + j, k0 + j, k0 + j)
+    point = perf_p1(p, alpha, i)
+    assert (B, gamma) == (point.file_size, point.gamma), code.label
+    fraction = B / functional_capacity(p, alpha, gamma)
+    setup = AsymptoticSetup(SystemParams(p.n - p.k + 1, 1, 1), F(i - 1, p.k - 1), p.k - 1)
+    assert fraction == asymptotic_fraction(setup)[0], code.label
+    if p.n - p.k == 1:
+        assert fraction == closecase_fraction(p.n, i), code.label
+    assert report.symmetric == (p.n - p.k == 1), code.label
+    return fraction, report
+
+
 def test_criterion_11_blowup_towers_meet_the_paper_headline():
     # towers of the paper's simple variation are exact-repair codes on the
-    # P1 curve: each verifies exhaustively, and its file size over the
-    # functional-repair capacity at its measured bandwidth is the shifted P1
-    # fraction (the close-case fraction when n - k = 1). Repair is
-    # symmetric exactly when n - k = 1
+    # P1 curve (_verified_tower)
     t0 = time.monotonic()
     for n0, k0, j in TOWERS_11:
-        code = rs_base(n0, k0)
-        for _ in range(j):
-            code = blowup_simple(code)
-        report = measure_and_compare(code)
-        assert report.mode == {"kind": "exhaustive"} and report.ok, code.label
-        p, i = code.params, k0
-        alpha, gamma, B = report.measured.alpha, report.measured.gamma, report.measured.file_size
-        assert (p.n, p.k, p.d) == (n0 + j, k0 + j, k0 + j)
-        point = perf_p1(p, alpha, i)
-        assert (B, gamma) == (point.file_size, point.gamma), code.label
-        fraction = B / functional_capacity(p, alpha, gamma)
-        setup = AsymptoticSetup(SystemParams(p.n - p.k + 1, 1, 1), F(i - 1, p.k - 1), p.k - 1)
-        assert fraction == asymptotic_fraction(setup)[0], code.label
-        if p.n - p.k == 1:
-            assert fraction == closecase_fraction(p.n, i), code.label
-        assert report.symmetric == (p.n - p.k == 1), code.label
+        _, report = _verified_tower(n0, k0, j)
         if (n0, k0, j) == (5, 3, 3):  # the paper's "almost the same performance"
-            assert (report.symmetry_max_deviation, gamma) == (60, 630)
+            assert (report.symmetry_max_deviation, report.measured.gamma) == (60, 630)
     check_runtime(t0, 10.0, "criterion 11")
     record("criterion 11 (blowup_simple towers: B/C = shifted P1 fraction, exact): PASS")
+
+
+# the diagonal bs^(i-1)(base(i+1, i)) at (n, k, d) = (2i, 2i-1, 2i-1), alpha
+# of 23 digits at i = 17; and towers at j >= 5 with n - k = 1, 2 and 3
+DIAGONAL_12 = [2, 3, 5, 9, 17]
+TOWERS_12 = [(3, 2, 6), (4, 2, 5), (6, 3, 5)]
+# the default budget counts n x alpha x B generator entries dense against
+# 5 x 10^7, though a composite stores only its copy table: it refuses
+# bs^4(base(6,5)) at 7.6 x 10^8, bs^6(base(3,2)) and every larger cell.
+# i = 17 counts 6.5 x 10^47
+BUDGET_12 = 10**48
+
+
+def test_criterion_12_the_diagonal_approaches_one():
+    # the abstract's headline, B/C -> 1 as n, k and d grow together, on
+    # built codes: each cell meets criterion 11's identities exactly, and
+    # the diagonal's B/C rises from i = 5 on (75/77, 1377/1405, 3179/3219)
+    t0 = time.monotonic()
+    diagonal = [_verified_tower(i + 1, i, i - 1, BUDGET_12)[0] for i in DIAGONAL_12]
+    assert diagonal[2] < diagonal[3] < diagonal[4]
+    assert diagonal[2:] == [F(75, 77), F(1377, 1405), F(3179, 3219)]
+    for n0, k0, j in TOWERS_12:
+        _verified_tower(n0, k0, j, BUDGET_12)
+    check_runtime(t0, 10.0, "criterion 12")
+    record("criterion 12 (diagonal towers to i = 17: B/C exact and rising to 1): PASS")
 
 
 def test_print_summary():

@@ -422,6 +422,35 @@ def test_batched_element_repair_agrees_with_the_forms_route(recipe):
             assert bw.per_helper == proved.per_helper, (recipe, failed, helpers)
 
 
+def test_every_group_repairs_its_copies_stacked(monkeypatch):
+    # each group of the plan runs once on its copies' reads laid side by side
+    # as rows, a column per copy, and a lone copy is a stack of one: every
+    # group of the concat is one copy, a row of width 1; the nested code's
+    # part repairs get their copies' rows concatenated into rows again
+    calls = []
+    run = constructions_module._run
+    monkeypatch.setattr(constructions_module, "_run", lambda *a: calls.append(a[3]) or run(*a))
+    rnd = random.Random(7)
+    code = parse_recipe("concat(base(6,3),base(6,3),base(6,3))")
+    contents = encode(code, [rnd.randrange(256) for _ in range(code.file_len)])
+    n, d = code.params.n, code.params.d
+    for _ in range(400):
+        failed = rnd.randrange(n)
+        helpers = rnd.sample([i for i in range(n) if i != failed], d)
+        assert repair(code, failed, helpers, contents)[0] == contents[failed], (failed, helpers)
+    assert len(calls) == 400
+    assert all(type(row) is list and len(row) == 1 for reads in calls for r in reads for row in r)
+
+    calls.clear()
+    code = filenode_blowup(blowup_full(rs_base(3, 2)), budget=10**12)
+    contents = encode(code, [rnd.randrange(256) for _ in range(code.file_len)])
+    n, d = code.params.n, code.params.d
+    for failed in range(n):
+        for helpers in combinations([i for i in range(n) if i != failed], d):
+            assert repair(code, failed, helpers, contents)[0] == contents[failed], (failed, helpers)
+    assert calls and all(type(row) is list for reads in calls for r in reads for row in r)
+
+
 def _rule_steps(monkeypatch):
     """What a code's tableau does, live: "build" it, "pivot", or a dss solve's width.
 
