@@ -11,23 +11,23 @@ the one its empty node would take; concat places each part once, on its
 own run of positions. The copy table is all a composite stores. Its
 generator rows, rendered from the table when first read, are its copies'
 rows, each the part's segment moved to the copy's columns and sharing the
-part's entries. Reconstruction decodes symbols in their own shape, copy
-by copy through the copy table. Repair plans routes over the copies for
-all failed nodes (_CopiesRule._plan) and runs them, so exact repair is
+part's entries. Reconstruction decodes symbols in their own shape
+through the copy table. Repair plans routes over the copies for all
+failed nodes (_CopiesRule._plan) and runs them, so exact repair is
 inherited from the parts and bandwidth is accounted per copy; the
 verifier judges the same plan without symbols. The copies that repair
 the same part nodes from the same part helpers share one part repair,
 those that compute a part node from a file node share one product, and
 those that decode from the same part nodes, in a reconstruct or for a
-lost file node, share one decode. Both decode and repair lay a group's
-symbols side by side as rows, a column per copy, through one rule
-(_stack): solve gathers them as it walks the copies in batches, and
-execute stacks each group's reads, a lone copy as a stack of one.
+lost file node, share one decode. Decode and repair run the table alike:
+each groups one level's copies, lays each group's reads side by side as
+rows, a column per copy, through one rule (_stack), a lone copy as a
+stack of one, and runs the group once through its part's own decode or
+rule, a composite part's through its own table.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from typing import NamedTuple
@@ -164,10 +164,10 @@ class _CopiesRule(RepairRule):
     of the copy. The rule depends only on stored content, never on
     position numbers, so it is equidistributed across the permuted copies.
     execute runs each group of the plan once, a lone copy included, on its
-    copies' reads laid side by side (_stack), as solve decodes each group
-    of copies reading equal part nodes. Both take elements or rows and
-    refuse forms (InputError): the verifier proves a composite from this
-    table.
+    copies' reads laid side by side (_stack), as solve decodes once each
+    group of copies reading equal part nodes. Both take elements or rows
+    and refuse forms (InputError): the verifier proves a composite from
+    this table.
     Each copy keeps its slots in the output and counts its run's
     transfers through its own helpers. alpha_symbols is the composite's
     node size, and _render gives its generators from the table.
@@ -196,84 +196,45 @@ class _CopiesRule(RepairRule):
     def solve(self, dss, subset, symbols):
         """dss's file from subset's nodes' elements or rows, in that shape (dss._decode).
 
-        The walk down the copy table moves copies in batches, one per
-        (composite, positions read), of the copies' first columns and, per
-        position read, each copy's first symbol there; a composite part
-        joins its batch by C-level maps over them. The batch joined last is
-        walked first, so checks fail in the order of a walk copy by copy.
-        A copy that reads its file node takes that slice of symbols, and
-        each part node it reads must be that file re-encoded
-        (apply_generator), or CodeInvariantError. The copies of a code
-        without copies that read equal part nodes gather, per row read,
-        one symbol per copy, laid side by side (_stack) and decoded in one
-        _decode.
+        Decoded as execute repairs: the copies that read the same part
+        nodes, and their file node or not, form one group, whose copies'
+        reads are laid side by side (_stack) and decoded once through the
+        part's own decode (_decode), a composite part's through its own
+        table. A group that reads its file node takes those rows as its
+        file, and each part node it reads must be that file re-encoded
+        (apply_generator), or CodeInvariantError.
         """
-        alpha = dss.alpha_symbols
-        x, routes, groups = [None] * dss.file_len, {}, {}
-        batches = {(dss, tuple(subset)): ([0], [[i * alpha] for i in range(len(subset))])}
-        while batches:
-            (code, positions), (cols, firsts) = batches.popitem()
-            rule = code.repair_rule
-            if (rule, positions) not in routes:
-                routes[rule, positions] = rule._routes(positions)
-            copies, leaves = routes[rule, positions]
-            for part, at, file, nodes, reads in copies:
-                if file is None:  # a composite part, read at its part nodes
-                    batch = batches.pop((part, nodes), None) or ([], [[] for _ in nodes])
-                    into_cols, into_firsts = batches[part, nodes] = batch  # now last
-                    into_cols += map(at.__add__, cols)
-                    for into, (i, s) in zip(into_firsts, reads):
-                        into += map(s.__add__, firsts[i])
-                    continue
-                for b, col in enumerate(cols):
-                    first, col = firsts[file[0]][b] + file[1], col + at
-                    x[col : col + part.file_len] = own = symbols[first : first + part.file_len]
-                    for u, (i, s) in zip(nodes, reads):
-                        first = firsts[i][b] + s
-                        hosted = symbols[first : first + part.alpha_symbols]
-                        if apply_generator(part.node_gens[u], own) != hosted:
-                            raise CodeInvariantError(f"part node {u} is not its file re-encoded")
-            for leaf, (ats, members) in leaves.items():
-                into_cols, rows = groups.setdefault(leaf, ([], [[] for _ in members[0]]))
-                for at, offsets in zip(ats, members):
-                    into_cols += map(at.__add__, cols)
-                    for row, (i, t) in zip(rows, offsets):
-                        row += map(symbols.__getitem__, map(t.__add__, firsts[i]))
-        for (part, nodes), (cols, reads) in groups.items():
-            rows, split = _stack(reads)
-            for r, row in enumerate(_decode(part, nodes, rows)):
-                # x[col + r] = each copy's symbol, run at C speed
-                collections.deque(map(x.__setitem__, map(r.__add__, cols), split(row)), maxlen=0)
-        return x
-
-    def _routes(self, positions):
-        """How the copies read the nodes at positions, whatever the symbols (solve).
-
-        A copy reads its file node there, at (index in positions, start), or
-        None, and its part nodes there, sorted, a twin as its node again. The
-        copies that read a file or hold a composite give (part, first column,
-        file, part nodes, their reads); the rest, by (part, part nodes), their
-        first columns and the (index, row) of each row they read.
-        """
-        copies, leaves = [], {}
+        alpha, groups = dss.alpha_symbols, {}
         for part, hosts, col in self.copies:
-            file, nodes = None, []
-            for i, pos in enumerate(positions):
+            file, reads = [], []  # where each read starts in symbols; part nodes as (u, start)
+            for i, pos in enumerate(subset):
                 if (held := hosts.get(pos)) is not None:
-                    node, start = held
+                    node, first = held[0], i * alpha + held[1]
                     if node[0] == _FILE:
-                        file = (i, start)
+                        file = [first]
                     else:
-                        nodes.append((node[1], i, start))
-            nodes.sort()
-            us, reads = tuple(u for u, _, _ in nodes), [(i, s) for _, i, s in nodes]
-            if file is not None or isinstance(part.repair_rule, _CopiesRule):
-                copies.append((part, col, file, us, reads))
+                        reads.append((node[1], first))
+            reads.sort()  # by part node, a twin read as its node again
+            key = (part, tuple(u for u, _ in reads), bool(file))
+            groups.setdefault(key, []).append((col, file + [first for _, first in reads]))
+
+        x = [None] * dss.file_len
+        for (part, nodes, file), members in groups.items():
+            sizes = [part.file_len] * file + [part.alpha_symbols] * len(nodes)
+            # the slices live only in the call: once stacked, a group's reads are freed
+            rows, split = _stack(
+                [[symbols[s : s + size] for s, size in zip(firsts, sizes)] for _, firsts in members]
+            )
+            if file:
+                decoded, size = rows[: part.file_len], part.alpha_symbols
+                for u, first in zip(nodes, range(part.file_len, len(rows), size)):
+                    if apply_generator(part.node_gens[u], decoded) != rows[first : first + size]:
+                        raise CodeInvariantError(f"part node {u} is not its file re-encoded")
             else:
-                ats, members = leaves.setdefault((part, us), ([], []))
-                ats.append(col)
-                members.append([(i, s + t) for i, s in reads for t in range(part.alpha_symbols)])
-        return copies, leaves
+                decoded = _decode(part, nodes, rows)
+            for (col, _), piece in zip(members, zip(*map(split, decoded))):
+                x[col : col + part.file_len] = piece
+        return x
 
     def _plan(self, dss, failed, helpers):
         """The routes that rebuild failed from helpers, whatever the symbols (execute).
@@ -354,7 +315,7 @@ class _CopiesRule(RepairRule):
                 [contents[q][s : s + size] for q, s in map(cand.__getitem__, chosen)]
                 for _, cand in members
             ]
-            rows, split = _stack([read for reads in zip(*copies) for read in zip(*reads)])
+            rows, split = _stack(copies)
             stacked = [rows[i : i + size] for i in range(0, len(rows), size)]
             for j, (rebuilt, report) in enumerate(_run(part, us, chosen, stacked)):
                 for (slots, cand), piece in zip(members, zip(*map(split, rebuilt))):
@@ -368,18 +329,21 @@ class _CopiesRule(RepairRule):
         return [(out[j : j + alpha], BandwidthReport(c)) for j, c in zip(cuts, counts)]
 
 
-def _stack(reads):
-    """Per row read, the copies' symbols as one row, and the split of a result row.
+def _stack(copies):
+    """Each copy's reads, a list of slices of symbols, laid side by side as rows.
 
-    The one side-by-side layout of a group of copies (solve, execute).
-    Elements stand a column per copy, so a row read is the row itself,
-    passed on if it is a list; rows concatenate, each copy on its own run
-    of columns. The split maps a result row back to one symbol per copy.
+    The one side-by-side layout of a group of copies (solve, execute): a
+    row per symbol read, in slice order, holding the copies' symbols
+    there. Elements stand a column per copy; rows concatenate, each copy on
+    its own run of columns. Returns the rows and the split that maps a
+    result row back to one symbol per copy.
     """
-    if type(reads[0][0]) is int:
-        return (reads if type(reads[0]) is list else list(map(list, reads))), lambda row: row
-    width = len(reads[0][0])
-    cuts = range(0, len(reads[0]) * width, width)
+    reads = (read for slices in zip(*copies) for read in zip(*slices))
+    first = copies[0][0][0]
+    if type(first) is int:
+        return list(map(list, reads)), lambda row: row
+    width = len(first)
+    cuts = range(0, len(copies) * width, width)
     rows = [list(itertools.chain.from_iterable(read)) for read in reads]
     return rows, lambda row: [row[i : i + width] for i in cuts]
 
@@ -527,9 +491,11 @@ def concat(parts: list[LinearDss], budget: int | None = None) -> LinearDss:
     and stores the concatenation of the part files. Each part must keep the
     same node size and field; the declared bandwidth is the largest part
     bandwidth (parts at their own operating points may repair with less).
+    A lone part is the result itself, once the budget admits it.
     """
     if not parts:
         raise InputError("concat needs at least one part")
     if len(parts) == 1:
+        Shape.predict("concat", parts, budget=budget)
         return parts[0]
     return _compose("concat", parts, budget=budget)

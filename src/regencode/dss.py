@@ -60,7 +60,7 @@ class RepairRule:
     A stored symbol is a field element or a linear form over the message
     (node i's forms are G_i's rows). The public calls take field elements
     only. Inside, a symbol is an element; a row, a plain list of one element
-    per copy of a batch a composite hands its part; or a form, the segment
+    per copy of a group a composite hands its part; or a form, the segment
     (start, entries) a generator stores its rows as, so a proof on the forms
     costs the columns they cover, not the file's width. Only a code without
     copies takes forms: a copy table (constructions._CopiesRule) and _decode
@@ -75,8 +75,9 @@ class RepairRule:
     moved by some columns is that output moved as far: a part's verdict
     holds for each of its placed copies. The public repair checks contents
     once and execute reads only the helpers' entries (contents is indexed by
-    node), so a composite runs its parts' rules, unchecked, on slices of
-    checked contents laid side by side as rows (constructions._stack).
+    node), so a composite runs its parts' rules and decodes, unchecked, on
+    slices of checked contents laid side by side as rows, one group of
+    copies at a time (constructions._stack).
     """
 
     kind = "abstract"
@@ -198,9 +199,10 @@ def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
 
     Elements or rows: forms are refused (InputError). A composite decodes
     through its copy table (constructions._CopiesRule.solve), any other
-    code in one gf.mat_solve; CodeInvariantError, naming subset, if they do
-    not determine the file. No other checks: callers pass symbols that
-    reconstruct, or the public call of a repair rule, has checked.
+    code in one gf.mat_solve; CodeInvariantError, naming subset and the
+    root cause however deep the part that failed, if they do not determine
+    the file. No other checks: callers pass symbols that reconstruct, or
+    the public call of a repair rule, has checked.
     """
     if type(symbols[0]) is tuple:
         raise InputError(f"{dss.label}: a decode takes elements or rows, not forms")
@@ -211,7 +213,9 @@ def _decode(dss: LinearDss, subset: tuple[int, ...], symbols: list) -> list:
         rhs = _as_matrix(dss.field, symbols)
         return _shaped(mat_solve(_matrix(dss.field, dss.file_len, segments), rhs), symbols)
     except (SingularMatrixError, CodeInvariantError) as exc:
-        reason = exc.__cause__ or exc  # a part's decode named the part's nodes
+        reason = exc
+        while reason.__cause__ is not None:  # each part's decode named its own nodes
+            reason = reason.__cause__
         raise CodeInvariantError(f"subset {subset} does not determine the file: {reason}") from exc
 
 
@@ -220,7 +224,7 @@ def apply_generator(gen: FieldMatrix, symbols: list) -> list:
 
     Elements go row by row (gf._mat_vec), forms too, each output form
     summed from the input forms' segments (gf._mat_forms); rows, one
-    element per copy of a batch, go through FieldMatrix.mul.
+    element per copy of a group, go through FieldMatrix.mul.
     """
     shape = type(symbols[0])
     if shape is int:

@@ -159,6 +159,12 @@ def test_concat_checks_the_budget():
     with pytest.raises(ResourceError, match="13824 generator entries"):
         concat(parts, budget=5000)
     assert concat(parts, budget=13824).params == SystemParams(8, 7, 7)
+    # a lone part is returned as it is, once the budget admits its 3 x 1 x 2
+    # entries, as the recipe "concat(base(3,2))" is
+    part = rs_base(3, 2)
+    with pytest.raises(ResourceError, match="6 generator entries"):
+        concat([part], budget=1)
+    assert concat([part], budget=6) is part
 
 
 def test_iterate_once_is_blowup_full():
@@ -469,8 +475,7 @@ def _rule_steps(monkeypatch):
 def test_nested_repair_solves_each_distinct_system_once(monkeypatch):
     # 1,728 part repairs of 3 distinct 2 x 2 systems: the top level makes 4
     # groups and hands each its copies as rows, a column per copy; the nested
-    # level runs its copies' rows concatenated, so the base rule runs 12 times
-    # (as forms keyed by column shift, the batches would run it 72 times).
+    # level runs its copies' rows concatenated, so the base rule runs 12 times.
     # The rule builds its tableau once, on nodes 0 and 1, and solves
     # nothing; no run meets the helper set of the run before it, and any
     # two of the 2-subsets of 3 nodes differ by one node: one pivot a run
@@ -535,9 +540,15 @@ def test_file_node_downloads_run_once_per_shift(monkeypatch):
 
 
 def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):
-    # nodes (0, 1, 2, 4) leave the 2,880 copies of base(3,2) reading 4
-    # distinct sets of its nodes: one elimination a set, the copies' symbols
-    # stacked as rows, a column per copy
+    # one elimination per group per level, each group's symbols stacked as
+    # rows, a column per copy. Nodes (0, 1, 2, 4) miss position 3: the 24
+    # top copies whose empty node sits there read all 4 nodes of
+    # blowup_full(base(3,2)), the other 96 the 3 besides the one they place
+    # there, so 5 groups. Reading 4 nodes, its 24 copies of base(3,2) each
+    # read all 3 nodes, one group; reading 3, the 6 copies with the empty
+    # node at the missing position read all 3 and the rest the 2 besides
+    # the one they place there, 4 groups. So 1 + 4 * 4 = 17 eliminations,
+    # far below one per leaf copy, 2,880
     dss = iterate(rs_base(3, 2), 2)
     message = [i * 7 % 256 for i in range(dss.file_len)]
     contents = encode(dss, message)
@@ -545,7 +556,7 @@ def test_nested_reconstruct_eliminates_each_distinct_block_once(monkeypatch):
     eliminate = gf_module._eliminate
     monkeypatch.setattr(gf_module, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
     assert reconstruct(dss, (0, 1, 2, 4), contents) == message
-    assert len(calls) <= 4
+    assert len(calls) == 17
 
 
 def test_nested_encode_and_reconstruct_cost_their_segments():
@@ -553,11 +564,11 @@ def test_nested_encode_and_reconstruct_cost_their_segments():
     # the reconstruct's eliminations are pinned by the test above. The
     # first read renders the generators from the copy table, about 0.8 MB
     # traced, once: they are read before the trace, as the build placed them.
-    # The reconstruct decodes the symbols as elements, gathered per leaf
-    # group as the copies are walked in batches: about 0.4 MB traced (the
-    # bound is that plus 25 %), 0.85 MB when each leaf copy kept its own
-    # list of reads, 1.85 MB when each symbol read and each one decoded
-    # was a (0, [v]) segment
+    # The reconstruct decodes each level's groups of copies stacked as rows:
+    # about 0.28 MB traced. The bound is 25 % over the 0.4 MB a walk that
+    # gathered each leaf group across the levels took; 0.85 MB when each
+    # leaf copy kept its own list of reads, 1.85 MB when each symbol read
+    # and each one decoded was a (0, [v]) segment
     dss = iterate(rs_base(3, 2), 2)
     message = [i * 7 % 256 for i in range(dss.file_len)]
     dss.node_gens
@@ -578,11 +589,14 @@ def _traced(run):
 
 
 def test_composite_decodes_eliminate_each_distinct_block_once(monkeypatch):
-    # per 3-subset, the 120 copies of blowup_full(base(3,2)) that do not read
-    # their file node hold 2,880 copies of base(3,2) reading 4 distinct sets
-    # of its nodes: the 10 reconstructs eliminate at most 40 systems, where
-    # the stacked solve eliminated 70 distinct blocks, and each node's
-    # repair, its copies' file nodes among them, is exact from every helper set
+    # one elimination per group per level. Per 3-subset, the 72 of the 120
+    # copies of blowup_full(base(3,2)) that read their file node check it
+    # and eliminate nothing; the other 48 read 3 of its 4 nodes, 4 groups by
+    # the node missed, and each such 3-subset decodes in 4 groups of its
+    # copies of base(3,2) (see the test above): 16 eliminations a subset,
+    # 160 for the 10, far below one per leaf copy, 2,880 a subset. Each
+    # node's repair, its copies' file nodes among them, is exact from every
+    # helper set
     dss = filenode_blowup(blowup_full(rs_base(3, 2)), budget=10**12)
     rnd = random.Random(19)
     message = [rnd.randrange(256) for _ in range(dss.file_len)]
@@ -593,7 +607,7 @@ def test_composite_decodes_eliminate_each_distinct_block_once(monkeypatch):
     monkeypatch.setattr(gf_module, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
     for subset in combinations(range(n), k):
         assert reconstruct(dss, subset, contents) == message, subset
-    assert len(calls) <= 70
+    assert len(calls) == 160
     for failed in range(n):
         for helpers in combinations([i for i in range(n) if i != failed], d):
             rebuilt, _ = repair(dss, failed, helpers, contents)

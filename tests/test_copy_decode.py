@@ -1,17 +1,19 @@
 """Composites decode through their copy table; the stacked per-tile solve is the oracle.
 
 A composite decodes the symbols in their own shape, elements or rows,
-through its copy table walked in batches (constructions._CopiesRule.solve):
-a copy that reads its file node takes that slice of them, and the copies
-reading equal part nodes share one decode of their symbols gathered as
-rows, a column per copy. The oracle is the decode this replaced: the
-subset's generator segments stacked and solved one column block at a
-time (test_gf.per_tile_solve). Both must give equal messages, or both
-raise CodeInvariantError, on elements and rows, on sound codes and on
-seeded corruptions of the generators (a leaf code's, composed again, so
-the copy table and the generators agree) and of the symbols read. A
-decode refuses forms, a composite's and a base's alike. A public
-reconstruct that fails in a part's decode names the subset it was given.
+through its copy table (constructions._CopiesRule.solve): the copies that
+read equal part nodes, and their file node or not, form one group, whose
+symbols are stacked as rows, a column per copy, and decoded once through
+the part's own decode, a composite part's through its own table; a group
+that reads its file node takes those rows as its file. The oracle is the
+decode this replaced: the subset's generator segments stacked and solved
+one column block at a time (test_gf.per_tile_solve). Both must give
+equal messages, or both raise CodeInvariantError, on elements and rows,
+on sound codes and on seeded corruptions of the generators (a leaf
+code's, composed again, so the copy table and the generators agree) and
+of the symbols read. A decode refuses forms, a composite's and a base's
+alike. A public reconstruct that fails in a part's decode, at any depth,
+names the subset it was given.
 """
 
 import random
@@ -102,6 +104,8 @@ def _codes():
     codes += [
         copy_blowup(rs_base(4, 3), 1),  # twins
         filenode_blowup(blowup_full(rs_base(3, 2)), budget=10**12),  # a file node over a composite
+        blowup_full(filenode_blowup(rs_base(3, 2)), budget=10**12),  # a file node below one
+        blowup_simple(copy_blowup(rs_base(4, 3), 1)),  # twins below a composite
         concat([rs_base(3, 2), rs_base(4, 3), rs_base(3, 2)]),
         blowup_full(_corrupted_base(rs_base(3, 2), rnd)),
         copy_blowup(_corrupted_base(rs_base(4, 3), rnd), 1),
@@ -127,9 +131,9 @@ def test_copy_table_decode_agrees_with_the_stacked_per_tile_solve():
 
 
 def test_nested_decodes_agree_with_the_stacked_per_tile_solve():
-    # copies walked in batches two levels down: the sound base's copies
-    # under iterate, and a corrupted leaf under two blowups, whose groups
-    # reading its faulty nodes do not decode
+    # each level decodes its groups of copies through the part's own
+    # decode: the sound base's copies under iterate, and a corrupted leaf
+    # under two blowups, whose groups reading its faulty nodes do not decode
     rnd = random.Random(35)
     codes = [
         iterate(rs_base(3, 2), 2),
@@ -151,14 +155,17 @@ def test_nested_decodes_agree_with_the_stacked_per_tile_solve():
 
 def test_a_failing_part_decode_names_the_callers_subset():
     # node 0 of the base is zeroed: nodes (0, 1, 2) leave copies of it reading
-    # only its nodes 0 and 1, whose decode fails on the part's own subset
-    code = blowup_full(test_verifier.corrupt_generator(rs_base(3, 2, GF2), 0))
-    contents = encode(code, [1] * code.file_len)
-    with pytest.raises(CodeInvariantError) as caught:
-        reconstruct(code, (0, 1, 2), contents)
-    assert str(caught.value) == (
-        "subset (0, 1, 2) does not determine the file: coefficient matrix is rank deficient"
-    )
+    # only its nodes 0 and 1, whose decode fails on the part's own subset.
+    # Two levels down, that decode runs inside a part's decode inside the
+    # caller's, and the caller names its subset with the root cause once
+    base = test_verifier.corrupt_generator(rs_base(3, 2, GF2), 0)
+    for code, subset in ((blowup_full(base), (0, 1, 2)), (iterate(base, 2), (0, 1, 2, 3))):
+        contents = encode(code, [1] * code.file_len)
+        with pytest.raises(CodeInvariantError) as caught:
+            reconstruct(code, subset, contents)
+        assert str(caught.value) == (
+            f"subset {subset} does not determine the file: coefficient matrix is rank deficient"
+        )
 
 
 def test_a_decode_refuses_forms():
